@@ -11,7 +11,8 @@ and accuracy-versus-budget comparisons as CSV and SVG. `oracle` prints
 independently computed reference values (direct rate formula, grid-search
 placement, hand-rule weighted mean) for checking the simulator against.
 
-Exit codes: 0 success, 1 malformed config or arguments, 2 dataset I/O
+Exit codes: 0 success, 1 malformed or invalid config or arguments
+(including a partition the dataset cannot satisfy), 2 dataset I/O
 failure.
 """
 
@@ -21,6 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, load_config, parse_overrides
+from .data import check_partition
 from .oracles import grid_placement, rate_direct, weighted_mean_direct
 from .reports import svg_line_chart, write_mean_csv, write_repeat_csv, write_series_csv
 from .scenario import load_source, run_scenario
@@ -52,18 +54,28 @@ def _load(args, extra):
     return cfg
 
 
-def _preflight_data(scenario):
-    load_source(scenario.source, child_seed(scenario.master_seed, "data"))
+def _preflight_data(scenario) -> int:
+    """Load the corpus before any run: returns 2 if it cannot be read, and
+    raises ConfigError if it cannot be partitioned as configured."""
+    try:
+        train, _ = load_source(scenario.source, child_seed(scenario.master_seed, "data"))
+    except (OSError, ValueError) as exc:
+        print(f"error: dataset: {exc}", file=sys.stderr)
+        return 2
+    try:
+        check_partition(train.num_samples, scenario.fl.num_users,
+                        scenario.partition_scheme, scenario.shards_per_user)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return 0
 
 
 def _cmd_run(args, extra) -> int:
     cfg = _load(args, extra)
     scenario = cfg.scenario
-    try:
-        _preflight_data(scenario)
-    except (OSError, ValueError) as exc:
-        print(f"error: dataset: {exc}", file=sys.stderr)
-        return 2
+    code = _preflight_data(scenario)
+    if code:
+        return code
 
     result = run_scenario(scenario, jobs=args.jobs)
     out = Path(args.out)
@@ -86,11 +98,9 @@ def _cmd_run(args, extra) -> int:
 def _cmd_compare(args, extra) -> int:
     cfg = _load(args, extra)
     base = cfg.scenario
-    try:
-        _preflight_data(base)
-    except (OSError, ValueError) as exc:
-        print(f"error: dataset: {exc}", file=sys.stderr)
-        return 2
+    code = _preflight_data(base)
+    if code:
+        return code
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -149,6 +149,8 @@ def _read_values(path, overrides):
     try:
         with open(path) as f:
             parser.read_file(f)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 

@@ -25,6 +25,7 @@ __all__ = [
     "load_idx",
     "synth_blobs",
     "partition",
+    "check_partition",
     "IMAGES_MAGIC",
     "LABELS_MAGIC",
 ]
@@ -154,6 +155,24 @@ def synth_blobs(num_classes: int, samples_per_class: int, input_dim: int,
                    bits_per_sample=(input_dim + 1) * 8)
 
 
+def check_partition(num_samples: int, num_users: int, scheme: str,
+                    shards_per_user: int) -> None:
+    """Raise ValueError unless `partition` can split the samples this way."""
+    if num_users < 1:
+        raise ValueError("num_users must be >= 1")
+    if num_users > num_samples:
+        raise ValueError(f"num_users ({num_users}) exceeds sample count ({num_samples})")
+    if scheme == "sharded":
+        if shards_per_user < 1:
+            raise ValueError("shards_per_user must be >= 1")
+        if num_samples < num_users * shards_per_user:
+            raise ValueError("dataset too small for the requested sharding "
+                             f"({num_samples} samples for {num_users} users x "
+                             f"{shards_per_user} shards)")
+    elif scheme != "iid":
+        raise ValueError(f"unknown partition scheme {scheme!r}")
+
+
 def partition(data: Dataset, num_users: int, scheme: str = "iid",
               shards_per_user: int = 2, seed: int = 0) -> list[DataShard]:
     """Split a dataset's indices across users.
@@ -164,10 +183,7 @@ def partition(data: Dataset, num_users: int, scheme: str = "iid",
     any remainder), dealt shards_per_user apiece at random.
     """
     n = data.num_samples
-    if num_users < 1:
-        raise ValueError("num_users must be >= 1")
-    if num_users > n:
-        raise ValueError(f"num_users ({num_users}) exceeds sample count ({n})")
+    check_partition(n, num_users, scheme, shards_per_user)
     gen = np.random.default_rng(seed)
 
     if scheme == "iid":
@@ -181,22 +197,15 @@ def partition(data: Dataset, num_users: int, scheme: str = "iid",
             start += size
         return shards
 
-    if scheme == "sharded":
-        if shards_per_user < 1:
-            raise ValueError("shards_per_user must be >= 1")
-        num_shards = num_users * shards_per_user
-        shard_size = n // num_shards
-        if shard_size == 0:
-            raise ValueError("dataset too small for the requested sharding")
-        order = np.argsort(data.labels, kind="stable")
-        cuts = [order[i * shard_size:(i + 1) * shard_size] for i in range(num_shards - 1)]
-        cuts.append(order[(num_shards - 1) * shard_size:])
-        deal = gen.permutation(num_shards)
-        shards = []
-        for u in range(num_users):
-            mine = deal[u * shards_per_user:(u + 1) * shards_per_user]
-            shards.append(DataShard(owner=u,
-                                    sample_indices=np.sort(np.concatenate([cuts[i] for i in mine]))))
-        return shards
-
-    raise ValueError(f"unknown partition scheme {scheme!r}")
+    num_shards = num_users * shards_per_user
+    shard_size = n // num_shards
+    order = np.argsort(data.labels, kind="stable")
+    cuts = [order[i * shard_size:(i + 1) * shard_size] for i in range(num_shards - 1)]
+    cuts.append(order[(num_shards - 1) * shard_size:])
+    deal = gen.permutation(num_shards)
+    shards = []
+    for u in range(num_users):
+        mine = deal[u * shards_per_user:(u + 1) * shards_per_user]
+        shards.append(DataShard(owner=u,
+                                sample_indices=np.sort(np.concatenate([cuts[i] for i in mine]))))
+    return shards

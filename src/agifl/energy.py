@@ -11,16 +11,22 @@ transmit power during the downlink only. Users pay transmit energy during
 their upload; their compute energy (effective-capacitance model
 kappa * f^2 * cycles) is tracked only when enabled, since the headline
 comparison concerns the server's energy.
+
+`scenario.run_repeat` evaluates the per-user formulas once per user and
+repeat; `round_duration` and `uav_round_energy` are the scalar references
+its array arithmetic is tested against.
 """
 
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "UavProfile",
-    "NodeProfile",
     "RoundEnergy",
     "EnergyLedger",
+    "entity_index",
     "CONTINUE",
     "HALT",
     "user_compute_time",
@@ -50,84 +56,80 @@ class UavProfile:
 
 
 @dataclass(frozen=True)
-class NodeProfile:
-    """A training participant's compute and radio characteristics."""
-
-    cpu_freq: float  # Hz
-    cycles_per_bit: int = 10
-    tx_power: float = 0.1
-    position: tuple[float, float] = (0.0, 0.0)
-    altitude: float = 0.0
-    propulsion_power: float = 0.0  # > 0 for aerial clients
-
-    def __post_init__(self):
-        if self.cpu_freq <= 0:
-            raise ValueError("cpu_freq must be positive")
-        if self.cycles_per_bit < 1:
-            raise ValueError("cycles_per_bit must be >= 1")
-        if self.tx_power <= 0:
-            raise ValueError("tx_power must be positive")
-
-
-@dataclass(frozen=True)
 class RoundEnergy:
-    """Energy breakdown of one completed round, joules."""
+    """Energy breakdown of one completed round, joules.
+
+    The per-user arrays are aligned with `users`, the round's cohort. A
+    term that does not apply to a client is 0: compute energy when it is
+    not tracked, hover energy for a client on the ground.
+    """
 
     hover: float = 0.0
     uav_tx: float = 0.0
-    user_tx: dict = field(default_factory=dict)  # user id -> J
-    user_compute: dict = field(default_factory=dict)
-    user_hover: dict = field(default_factory=dict)  # aerial clients only
+    users: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    user_tx: np.ndarray = field(default_factory=lambda: np.empty(0))
+    user_compute: np.ndarray = field(default_factory=lambda: np.empty(0))
+    user_hover: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def server_total(self) -> float:
         return self.hover + self.uav_tx
 
-    def user_total(self, user: int) -> float:
-        return (self.user_tx.get(user, 0.0) + self.user_compute.get(user, 0.0)
-                + self.user_hover.get(user, 0.0))
+
+def entity_index(entity: str, num_users: int) -> int | None:
+    """None for "uav", the id for "user:<id>" with 0 <= id < num_users;
+    anything else raises ValueError rather than reading as a zero total."""
+    if entity == "uav":
+        return None
+    prefix, _, digits = entity.partition(":")
+    if prefix == "user" and digits.isascii() and digits.isdigit() \
+            and int(digits) < num_users:
+        return int(digits)
+    raise ValueError(f"unknown energy entity {entity!r} (expected 'uav' or "
+                     f"'user:<id>' with 0 <= id < {num_users})")
 
 
 class EnergyLedger:
     """Cumulative per-entity energy, updated once per completed round.
 
-    Entities are "uav" (the server) and "user:<id>". Rounds can be dropped
-    again while a budget decision is pending, so a round that would
-    overdraw the budget is never counted. One-off costs (such as a flat
-    flight-to-hover-point charge) count toward the totals without
-    affecting the round count.
+    Entities are "uav" (the server) and "user:<id>" for 0 <= id <
+    num_users. Rounds can be dropped again while a budget decision is
+    pending, so a round that would overdraw the budget is never counted.
+    One-off costs (such as a flat flight-to-hover-point charge) count
+    toward the totals without affecting the round count.
     """
 
-    def __init__(self):
+    def __init__(self, num_users: int):
         self.rounds: list[RoundEnergy] = []
-        self._totals: dict[str, float] = {}
+        self._uav = 0.0
+        self._users = np.zeros(num_users)
 
     def charge(self, entity: str, joules: float) -> None:
         if joules < 0:
             raise ValueError("charge must be non-negative")
-        self._bump(entity, joules)
+        user = entity_index(entity, len(self._users))
+        if user is None:
+            self._uav += joules
+        else:
+            self._users[user] += joules
 
     def add_round(self, entry: RoundEnergy) -> None:
         self.rounds.append(entry)
-        self._bump("uav", entry.server_total())
-        for user, joules in entry.user_tx.items():
-            self._bump(f"user:{user}", joules)
-        for user, joules in entry.user_compute.items():
-            self._bump(f"user:{user}", joules)
-        for user, joules in entry.user_hover.items():
-            self._bump(f"user:{user}", joules)
+        self._uav += entry.server_total()
+        # float addition is not associative: tx, then compute, then hover
+        # fixes each user's total to the last bit
+        self._users[entry.users] += entry.user_tx
+        self._users[entry.users] += entry.user_compute
+        self._users[entry.users] += entry.user_hover
 
     def drop_last_round(self) -> RoundEnergy:
         entry = self.rounds.pop()
-        self._bump("uav", -entry.server_total())
-        for user in set(entry.user_tx) | set(entry.user_compute) | set(entry.user_hover):
-            self._bump(f"user:{user}", -entry.user_total(user))
+        self._uav -= entry.server_total()
+        self._users[entry.users] -= entry.user_tx + entry.user_compute + entry.user_hover
         return entry
 
     def total(self, entity: str = "uav") -> float:
-        return self._totals.get(entity, 0.0)
-
-    def _bump(self, entity: str, joules: float) -> None:
-        self._totals[entity] = self._totals.get(entity, 0.0) + joules
+        user = entity_index(entity, len(self._users))
+        return self._uav if user is None else float(self._users[user])
 
     def __len__(self):
         return len(self.rounds)

@@ -1,8 +1,11 @@
 """The FedAvg protocol engine.
 
-One round: sample a client cohort uniformly at random, train each selected
-client from the current global parameters on its own shard, then replace
-the global model with the sample-count-weighted mean of the local results.
+One round: sample a client cohort uniformly at random (`select_clients`),
+train each selected client from the current global parameters on its own
+shard, then replace the global model with the sample-count-weighted mean
+of the local results (`run_round`). The caller draws the cohort once per
+round and hands the same ids to the timing and energy model and to
+`run_round`; the round loop itself lives in `scenario.run_repeat`.
 Per-client training seeds are derived from (master seed, round, user id),
 so the outcome does not depend on the order clients are processed in.
 """
@@ -13,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, DataShard
 from .models import Hyperparams, ModelSpec, local_train
-from .seeding import child_seed, rng as _rng
+from .seeding import child_seed
 
 __all__ = ["FlConfig", "FlState", "select_clients", "aggregate", "run_round"]
 
@@ -76,17 +79,14 @@ def aggregate(updates) -> np.ndarray:
 
 
 def run_round(state: FlState, config: FlConfig, shards: list[DataShard],
-              spec: ModelSpec, data: Dataset):
-    """Execute one FedAvg round.
+              spec: ModelSpec, data: Dataset, selected):
+    """Execute one FedAvg round on the cohort `selected`.
 
-    Returns (new_state, selected user ids, local updates) where the
-    updates are the (params, n_samples) pairs that were aggregated; the
-    timing and energy layers consume the selected ids and shard sizes.
+    Returns (new_state, updates) where the updates are the
+    (params, n_samples) pairs that were aggregated, in cohort order.
     """
     if len(shards) != config.num_users:
         raise ValueError("one shard per user is required")
-    selected = select_clients(config.num_users, config.fraction,
-                              _rng(state.master_seed, state.round_index, "select"))
     updates = []
     for user in selected:
         shard = shards[user]
@@ -98,4 +98,4 @@ def run_round(state: FlState, config: FlConfig, shards: list[DataShard],
         updates.append((params, len(shard)))
     new_state = replace(state, global_params=aggregate(updates),
                         round_index=state.round_index + 1)
-    return new_state, selected, updates
+    return new_state, updates

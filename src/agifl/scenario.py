@@ -4,13 +4,18 @@ A Scenario fixes everything about one experiment: the topology form (which
 layer hosts the server and the clients), the training task and federation
 settings, the channel and energy constants, the server placement scheme
 and the energy budget. `run_scenario` executes `repeats` independent
-instances with seeds derived from the master seed, simulating per round:
+instances with seeds derived from the master seed. Each repeat places the
+server and then runs the round loop (`run_repeat`):
 
-    place server -> select cohort -> downlink broadcast -> parallel local
-    compute + uplink -> aggregate -> evaluate -> account energy
+    select cohort -> downlink broadcast -> parallel local compute + uplink
+    -> account energy -> aggregate -> evaluate
 
-and halts on the round budget or when the monitored entity's energy budget
-would be exceeded (the partial round is then discarded). Repeats are
+It halts on the round budget or when the monitored entity's energy budget
+would be exceeded (the partial round is then discarded before any
+training). Every per-user time and energy is constant within a repeat,
+so they are computed once per user with the scalar models of `channel`
+and `energy`; a round is then a gather over its cohort, a max for the
+slowest client and a min for the worst downlink. Repeats are
 embarrassingly parallel; per-round means are reported over the rounds all
 repeats completed, so every mean covers exactly `repeats` instances.
 """
@@ -23,10 +28,9 @@ import numpy as np
 
 from .channel import ChannelParams, LinkBudget, link_rate, per_client_bandwidth, tx_time
 from .data import Dataset, load_idx, partition, synth_blobs
-from .energy import (CONTINUE, EnergyLedger, NodeProfile, RoundEnergy, UavProfile,
-                     apply_budget, round_duration, uav_round_energy,
-                     user_compute_energy, user_compute_time)
-from .fedavg import FlConfig, FlState, run_round, select_clients
+from .energy import (CONTINUE, EnergyLedger, RoundEnergy, UavProfile, apply_budget,
+                     entity_index, user_compute_energy, user_compute_time)
+from .fedavg import FlConfig, FlState, cohort_size, run_round, select_clients
 from .models import ModelSpec, evaluate, init_model, param_count
 from .placement import Area, Placement, min_sum_dist, random_placement
 from .seeding import child_seed, rng as _rng
@@ -162,6 +166,11 @@ class Scenario:
             raise ValueError("energy_budget must be positive")
         if self.train and isinstance(self.source, ShapeSource):
             raise ValueError("ShapeSource supports timing-only runs (train=False)")
+        entity_index(self.budget_entity, self.fl.num_users)
+        if self.cycles_per_bit < 1:
+            raise ValueError("cycles_per_bit must be >= 1")
+        if not 0 < self.cpu_freq_range[0] <= self.cpu_freq_range[1]:
+            raise ValueError("cpu_freq_range must satisfy 0 < min <= max")
 
 
 @dataclass
@@ -250,9 +259,6 @@ class RepeatResult:
         accs = [m.test_acc for m in self.metrics if not math.isnan(m.test_acc)]
         return max(accs) if accs else math.nan
 
-    def cum_energy(self) -> np.ndarray:
-        return np.array([m.cum_uav_energy for m in self.metrics])
-
 
 @dataclass
 class ExperimentResult:
@@ -274,115 +280,85 @@ class ExperimentResult:
         return float(np.mean([r.best_accuracy for r in self.repeats]))
 
 
-def _downlink_time(scenario, topo, payload_bits, recipients):
-    """Broadcast time at the rate of the worst (farthest) recipient."""
-    horiz = topo.horizontal_distances()[recipients]
-    vert = topo.vertical_offsets()[recipients]
-    rates = [link_rate(LinkBudget(scenario.channel.uav_downlink_bandwidth,
-                                  scenario.channel.uav_tx_power, v, h),
-                       scenario.channel)
-             for v, h in zip(vert, horiz)]
-    return tx_time(payload_bits, min(rates))
+def _model_spec(scenario: Scenario, train_data: Dataset, init_seed: int) -> ModelSpec:
+    """The model the scenario trains, or stands in for on timing-only runs.
+
+    Its parameter count sets the payload. A ShapeSource declares its
+    dimensions; a materialized corpus has them in its arrays.
+    """
+    if isinstance(scenario.source, ShapeSource):
+        d, k = scenario.source.input_dim, scenario.source.num_classes
+    else:
+        d, k = train_data.input_dim, int(train_data.labels.max()) + 1
+    return ModelSpec(kind=scenario.model_kind, input_dim=d, num_classes=k,
+                     hidden_dim=scenario.hidden_dim if scenario.model_kind == "mlp" else 0,
+                     init_seed=init_seed)
 
 
 def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
     """Simulate one seeded instance of the scenario."""
-    seed = scenario.master_seed
+    seed, fl, channel = scenario.master_seed, scenario.fl, scenario.channel
     train_data, test_data = _cached_source(scenario.source, child_seed(seed, "data"))
     if scenario.train and test_data is None:
         raise ValueError("training runs need a held-out test dataset")
 
     topo = build_topology(scenario, _rng(seed, repeat, "positions"))
     topo.placement = place_server(scenario, topo, _rng(seed, repeat, "placement"))
-
     cpu = _rng(seed, repeat, "cpu").uniform(scenario.cpu_freq_range[0],
                                             scenario.cpu_freq_range[1],
-                                            size=scenario.fl.num_users)
-    nodes = [NodeProfile(cpu_freq=float(cpu[u]),
-                         cycles_per_bit=scenario.cycles_per_bit,
-                         tx_power=scenario.channel.user_tx_power,
-                         position=(float(topo.user_xy[u, 0]), float(topo.user_xy[u, 1])),
-                         altitude=float(topo.user_alt[u]),
-                         propulsion_power=(scenario.uav.propulsion_power
-                                           if topo.user_alt[u] > 0 else 0.0))
-             for u in range(scenario.fl.num_users)]
-
-    shards = partition(train_data, scenario.fl.num_users,
+                                            size=fl.num_users)
+    shards = partition(train_data, fl.num_users,
                        scheme=scenario.partition_scheme,
                        shards_per_user=scenario.shards_per_user,
                        seed=child_seed(seed, repeat, "partition"))
+    spec = _model_spec(scenario, train_data, child_seed(seed, repeat, "init"))
+    payload_bits = param_count(spec) * channel.payload_bits_per_param
+    master = child_seed(seed, repeat)
+    state = FlState(init_model(spec), 0, master) if scenario.train else None
 
-    if scenario.train:
-        spec = ModelSpec(kind=scenario.model_kind, input_dim=train_data.input_dim,
-                         num_classes=int(train_data.labels.max()) + 1,
-                         hidden_dim=scenario.hidden_dim if scenario.model_kind == "mlp" else 0,
-                         init_seed=child_seed(seed, repeat, "init"))
-        state = FlState(global_params=init_model(spec), round_index=0,
-                        master_seed=child_seed(seed, repeat))
-        n_params = param_count(spec)
-    else:
-        spec = None
-        state = FlState(global_params=np.empty(0), round_index=0,
-                        master_seed=child_seed(seed, repeat))
-        # payload reflects the model the scenario stands in for
-        k = (int(train_data.labels.max()) + 1) if train_data.num_samples else 2
-        d = train_data.input_dim
-        if isinstance(scenario.source, ShapeSource):
-            d, k = scenario.source.input_dim, scenario.source.num_classes
-        n_params = param_count(ModelSpec(kind=scenario.model_kind, input_dim=d,
-                                         num_classes=k,
-                                         hidden_dim=scenario.hidden_dim
-                                         if scenario.model_kind == "mlp" else 0))
-    payload_bits = n_params * scenario.channel.payload_bits_per_param
+    # The cohort size, and with it the uplink sub-band, is fixed, so every
+    # per-user time and energy is constant within the repeat: evaluate the
+    # scalar models once per user (vectorised NumPy log2 and squaring can
+    # differ from them in the last bit).
+    b_up = per_client_bandwidth(channel, cohort_size(fl.num_users, fl.fraction))
+    epochs, bits = fl.hyper.local_epochs, train_data.bits_per_sample
+    t_client = np.empty(fl.num_users)  # compute + upload
+    e_tx = np.empty(fl.num_users)
+    e_comp = np.zeros(fl.num_users)
+    rate_down = np.empty(fl.num_users)
+    for u, (vert, horiz, freq) in enumerate(zip(topo.vertical_offsets().tolist(),
+                                                topo.horizontal_distances().tolist(),
+                                                cpu.tolist())):
+        samples = len(shards[u])
+        t_up = tx_time(payload_bits, link_rate(LinkBudget(b_up, channel.user_tx_power,
+                                                          vert, horiz), channel))
+        t_client[u] = user_compute_time(samples, bits, scenario.cycles_per_bit,
+                                        freq, epochs) + t_up
+        e_tx[u] = channel.user_tx_power * t_up
+        if scenario.include_user_compute_energy:
+            e_comp[u] = user_compute_energy(
+                freq, epochs * samples * bits * scenario.cycles_per_bit, scenario.kappa)
+        rate_down[u] = link_rate(LinkBudget(channel.uav_downlink_bandwidth,
+                                            channel.uav_tx_power, vert, horiz), channel)
+    p_hover = np.where(topo.user_alt > 0, scenario.uav.propulsion_power, 0.0)
 
-    ledger = EnergyLedger()
+    ledger = EnergyLedger(fl.num_users)
     if scenario.initial_flight_energy > 0:
         ledger.charge("uav", scenario.initial_flight_energy)
     metrics: list[RoundMetrics] = []
     halt_reason = "max_rounds"
-    horiz_all = topo.horizontal_distances()
-    vert_all = topo.vertical_offsets()
-    all_users = np.arange(scenario.fl.num_users)
 
-    for rnd in range(scenario.fl.max_rounds):
-        selected = select_clients(scenario.fl.num_users, scenario.fl.fraction,
-                                  _rng(state.master_seed, rnd, "select"))
-        b_up = per_client_bandwidth(scenario.channel, len(selected))
-
-        per_client = []
-        entry_user_tx, entry_user_comp, entry_user_hover = {}, {}, {}
-        for u in selected:
-            u = int(u)
-            rate_up = link_rate(LinkBudget(b_up, nodes[u].tx_power,
-                                           float(vert_all[u]), float(horiz_all[u])),
-                                scenario.channel)
-            t_up = tx_time(payload_bits, rate_up)
-            t_comp = user_compute_time(len(shards[u]), train_data.bits_per_sample,
-                                       nodes[u].cycles_per_bit, nodes[u].cpu_freq,
-                                       scenario.fl.hyper.local_epochs)
-            per_client.append((t_comp, t_up))
-            entry_user_tx[u] = nodes[u].tx_power * t_up
-            if scenario.include_user_compute_energy:
-                cycles = (scenario.fl.hyper.local_epochs * len(shards[u])
-                          * train_data.bits_per_sample * nodes[u].cycles_per_bit)
-                entry_user_comp[u] = user_compute_energy(nodes[u].cpu_freq, cycles,
-                                                         scenario.kappa)
-
-        recipients = all_users if scenario.broadcast_all else selected
-        t_down = _downlink_time(scenario, topo, payload_bits, recipients)
-        duration = round_duration(t_down, per_client)
-        server_energy = uav_round_energy(duration, t_down, scenario.uav)
-
-        for u in selected:
-            u = int(u)
-            if nodes[u].propulsion_power > 0:
-                entry_user_hover[u] = nodes[u].propulsion_power * duration
-
-        ledger.add_round(RoundEnergy(
-            hover=scenario.uav.propulsion_power * duration,
-            uav_tx=scenario.uav.tx_power * t_down,
-            user_tx=entry_user_tx, user_compute=entry_user_comp,
-            user_hover=entry_user_hover))
+    for rnd in range(fl.max_rounds):
+        selected = select_clients(fl.num_users, fl.fraction, _rng(master, rnd, "select"))
+        recipients = slice(None) if scenario.broadcast_all else selected
+        t_down = tx_time(payload_bits, float(rate_down[recipients].min()))
+        duration = t_down + float(t_client[selected].max())
+        entry = RoundEnergy(hover=scenario.uav.propulsion_power * duration,
+                            uav_tx=scenario.uav.tx_power * t_down,
+                            users=selected, user_tx=e_tx[selected],
+                            user_compute=e_comp[selected],
+                            user_hover=p_hover[selected] * duration)
+        ledger.add_round(entry)
         if apply_budget(ledger, scenario.energy_budget, scenario.budget_entity) != CONTINUE:
             ledger.drop_last_round()
             halt_reason = "budget"
@@ -390,18 +366,15 @@ def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
 
         test_loss = test_acc = math.nan
         if scenario.train:
-            state, sel2, _ = run_round(state, scenario.fl, shards, spec, train_data)
-            assert np.array_equal(sel2, selected)
+            state, _ = run_round(state, fl, shards, spec, train_data, selected)
             if (rnd + 1) % scenario.eval_stride == 0:
                 test_loss, test_acc = evaluate(state.global_params, spec,
                                                test_data.features, test_data.labels)
-        else:
-            state = FlState(state.global_params, rnd + 1, state.master_seed)
 
         metrics.append(RoundMetrics(
-            round=rnd + 1, duration=duration, uav_energy=server_energy,
+            round=rnd + 1, duration=duration, uav_energy=entry.server_total(),
             cum_uav_energy=ledger.total("uav"), test_loss=test_loss,
-            test_acc=test_acc, selected=tuple(int(u) for u in selected)))
+            test_acc=test_acc, selected=tuple(selected.tolist())))
 
     return RepeatResult(repeat=repeat, metrics=metrics, halt_reason=halt_reason,
                         placement=topo.placement, ledger=ledger)

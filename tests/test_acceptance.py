@@ -152,7 +152,7 @@ def test_criterion_5_fedavg_correctness():
     shards = partition(data, 1, scheme="iid", seed=0)
     state = FlState(init_model(spec), 0, master_seed=321)
     for _ in range(5):
-        state, _, _ = run_round(state, config, shards, spec, data)
+        state, _ = run_round(state, config, shards, spec, data, [0])
     w = init_model(spec)
     idx = shards[0].sample_indices
     for rnd in range(5):

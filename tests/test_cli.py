@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +138,43 @@ class TestRunCommand:
 
     def test_unknown_flag_exits_1(self, config_path, capsys):
         assert main(["run", str(config_path), "--frobnicate"]) == 1
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+class TestInvalidInputExits1:
+    """Invalid input stops before any run with exit 1 and one error line."""
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["run", "quick.ini", "--scenario.budget_entity=uva",
+                      "--scenario.energy_budget_j=5"], "unknown energy entity 'uva'",
+                     id="misspelt-entity"),
+        pytest.param(["run", "quick.ini", "--scenario.budget_entity=user:20"],
+                     "unknown energy entity 'user:20'", id="user-out-of-range"),
+        pytest.param(["run", "quick.ini", "--energy.cycles_per_bit=0"],
+                     "cycles_per_bit", id="zero-cycles-per-bit"),
+        pytest.param(["run", "quick.ini", "--energy.cpu_freq_min_hz=-1"],
+                     "cpu_freq_range", id="negative-cpu-freq"),
+        pytest.param(["run", "quick.ini", "--fl.num_users=500"],
+                     "exceeds sample count", id="more-users-than-samples"),
+        pytest.param(["run", "case_study.ini", "--data.source=shape",
+                      "--scenario.train=false", "--fl.num_users=50000"],
+                     "too small for the requested sharding", id="too-few-shards"),
+        pytest.param(["compare-placement", "quick.ini", "--fl.num_users=500"],
+                     "exceeds sample count", id="compare-infeasible-partition"),
+        pytest.param(["run", "no_such_config.ini"], "cannot read config",
+                     id="missing-config"),
+    ])
+    def test_exit_1_with_one_error_line(self, argv, message, tmp_path, capsys):
+        command, config, *rest = argv
+        out = tmp_path / "out"
+        assert main([command, str(CONFIGS / config), "--out", str(out), *rest]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ")
+        assert message in err[0]
+        assert not out.exists()
 
 
 class TestComparePlacement:

@@ -1,11 +1,22 @@
 import math
 
+import numpy as np
 import pytest
 
-from agifl.energy import (CONTINUE, HALT, EnergyLedger, NodeProfile,
-                          RoundEnergy, UavProfile, apply_budget,
+from agifl.energy import (CONTINUE, HALT, EnergyLedger, RoundEnergy,
+                          UavProfile, apply_budget, entity_index,
                           round_duration, uav_round_energy,
                           user_compute_energy, user_compute_time)
+
+
+def round_entry(hover=0.0, uav_tx=0.0, user_tx=None):
+    """A RoundEnergy whose cohort pays the given transmit energy only."""
+    user_tx = user_tx or {}
+    n = len(user_tx)
+    return RoundEnergy(hover=hover, uav_tx=uav_tx,
+                       users=np.array(list(user_tx), dtype=np.int64),
+                       user_tx=np.array(list(user_tx.values()), dtype=float),
+                       user_compute=np.zeros(n), user_hover=np.zeros(n))
 
 
 class TestComputeTime:
@@ -66,10 +77,10 @@ class TestUavEnergy:
 
 class TestLedgerAndBudget:
     def test_additivity(self):
-        ledger = EnergyLedger()
-        per_round = [RoundEnergy(hover=10.0, uav_tx=0.5, user_tx={0: 0.2}),
-                     RoundEnergy(hover=12.0, uav_tx=0.25, user_tx={1: 0.1}),
-                     RoundEnergy(hover=8.0, uav_tx=0.75, user_tx={0: 0.3})]
+        ledger = EnergyLedger(num_users=2)
+        per_round = [round_entry(hover=10.0, uav_tx=0.5, user_tx={0: 0.2}),
+                     round_entry(hover=12.0, uav_tx=0.25, user_tx={1: 0.1}),
+                     round_entry(hover=8.0, uav_tx=0.75, user_tx={0: 0.3})]
         for entry in per_round:
             ledger.add_round(entry)
         assert ledger.total("uav") == sum(e.hover + e.uav_tx for e in per_round)
@@ -77,9 +88,9 @@ class TestLedgerAndBudget:
         assert len(ledger) == 3
 
     def test_drop_last_round(self):
-        ledger = EnergyLedger()
-        ledger.add_round(RoundEnergy(hover=5.0, uav_tx=0.1))
-        ledger.add_round(RoundEnergy(hover=7.0, uav_tx=0.2, user_tx={3: 1.0}))
+        ledger = EnergyLedger(num_users=4)
+        ledger.add_round(round_entry(hover=5.0, uav_tx=0.1))
+        ledger.add_round(round_entry(hover=7.0, uav_tx=0.2, user_tx={3: 1.0}))
         ledger.drop_last_round()
         assert len(ledger) == 1
         assert ledger.total("uav") == pytest.approx(5.1)
@@ -87,7 +98,7 @@ class TestLedgerAndBudget:
 
     def test_budget_halts_after_fourth_round(self):
         # 24 J per round against a 100 J budget: 96 <= 100 < 120
-        ledger = EnergyLedger()
+        ledger = EnergyLedger(num_users=1)
         completed = 0
         for _ in range(10):
             ledger.add_round(RoundEnergy(hover=24.0))
@@ -99,13 +110,13 @@ class TestLedgerAndBudget:
         assert ledger.total("uav") == pytest.approx(96.0)
 
     def test_infinite_budget_never_halts(self):
-        ledger = EnergyLedger()
+        ledger = EnergyLedger(num_users=1)
         for _ in range(1000):
             ledger.add_round(RoundEnergy(hover=1e6))
             assert apply_budget(ledger, math.inf) == CONTINUE
 
     def test_budget_below_first_round(self):
-        ledger = EnergyLedger()
+        ledger = EnergyLedger(num_users=1)
         ledger.add_round(RoundEnergy(hover=24.0))
         assert apply_budget(ledger, 10.0) == HALT
         ledger.drop_last_round()
@@ -113,7 +124,41 @@ class TestLedgerAndBudget:
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
-            apply_budget(EnergyLedger(), 0.0)
+            apply_budget(EnergyLedger(num_users=1), 0.0)
+
+    def test_unknown_entity_raises(self):
+        ledger = EnergyLedger(num_users=3)
+        ledger.add_round(round_entry(hover=5.0, user_tx={2: 1.0}))
+        assert ledger.total("user:2") == 1.0
+        for entity in ("uva", "user:3", "user:-1", "user:x", "user:", "server"):
+            with pytest.raises(ValueError, match="unknown energy entity"):
+                ledger.total(entity)
+            with pytest.raises(ValueError, match="unknown energy entity"):
+                apply_budget(ledger, 1.0, entity)
+
+    def test_entity_index(self):
+        assert entity_index("uav", 0) is None
+        assert entity_index("user:0", 1) == 0
+        assert entity_index("user:41", 42) == 41
+        with pytest.raises(ValueError):
+            entity_index("user:42", 42)
+
+    def test_per_user_terms_add_in_order(self):
+        # tx, then compute, then hover: each user's total is that running
+        # sum; a dropped round subtracts the user's round total
+        ledger = EnergyLedger(num_users=3)
+        users = np.array([0, 2])
+        tx, comp, hover = np.array([0.1, 0.2]), np.array([0.7, 0.0]), np.array([0.0, 0.3])
+        ledger.charge("user:2", 0.05)
+        ledger.add_round(RoundEnergy(hover=1.0, uav_tx=0.5, users=users, user_tx=tx,
+                                     user_compute=comp, user_hover=hover))
+        assert ledger.total("user:0") == 0.0 + 0.1 + 0.7 + 0.0
+        assert ledger.total("user:1") == 0.0
+        assert ledger.total("user:2") == 0.05 + 0.2 + 0.0 + 0.3
+        ledger.drop_last_round()
+        assert ledger.total("user:0") == (0.1 + 0.7) - (0.1 + 0.7 + 0.0)
+        assert ledger.total("user:2") == (0.05 + 0.2 + 0.3) - (0.2 + 0.0 + 0.3)
+        assert ledger.total("uav") == 0.0
 
 
 class TestProfilesAndUserEnergy:
@@ -127,9 +172,7 @@ class TestProfilesAndUserEnergy:
         assert user_compute_energy(2.0e9, 1e9) == pytest.approx(1e-28 * 4e18 * 1e9)
 
     def test_profile_validation(self):
+        # the per-client checks (cpu frequency, cycles per bit) are
+        # Scenario's: tests/test_scenario.py::TestValidation
         with pytest.raises(ValueError):
             UavProfile(propulsion_power=0.0)
-        with pytest.raises(ValueError):
-            NodeProfile(cpu_freq=-1.0)
-        with pytest.raises(ValueError):
-            NodeProfile(cpu_freq=2e9, cycles_per_bit=0)

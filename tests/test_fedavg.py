@@ -101,7 +101,7 @@ class TestRunRound:
         shards = partition(data, 1, scheme="iid", seed=0)
         state = FlState(init_model(spec), 0, master_seed=123)
         for _ in range(5):
-            state, _, _ = run_round(state, config, shards, spec, data)
+            state, _ = run_round(state, config, shards, spec, data, [0])
 
         w = init_model(spec)
         idx = shards[0].sample_indices
@@ -128,7 +128,8 @@ class TestRunRound:
                           max_rounds=1)
         shards = partition(data, 2, scheme="iid", seed=1)
         state = FlState(init_model(spec), 0, master_seed=77)
-        new_state, selected, updates = run_round(state, config, shards, spec, data)
+        selected = select_clients(2, 1.0, rng(77, 0, "select"))
+        new_state, updates = run_round(state, config, shards, spec, data, selected)
 
         manual = []
         for user in selected:
@@ -148,8 +149,10 @@ class TestRunRound:
         config = FlConfig(num_users=5, fraction=0.4, max_rounds=1)
         shards = partition(data, 5, scheme="iid", seed=2)
         state = FlState(init_model(spec), 0, master_seed=9)
-        a, sel_a, _ = run_round(state, config, shards, spec, data)
-        b, sel_b, _ = run_round(state, config, shards, spec, data)
+        sel_a = select_clients(5, 0.4, rng(9, 0, "select"))
+        sel_b = select_clients(5, 0.4, rng(9, 0, "select"))
+        a, _ = run_round(state, config, shards, spec, data, sel_a)
+        b, _ = run_round(state, config, shards, spec, data, sel_b)
         assert np.array_equal(sel_a, sel_b)
         assert np.array_equal(a.global_params, b.global_params)
 
@@ -159,7 +162,30 @@ class TestRunRound:
         config = FlConfig(num_users=3, fraction=1.0)
         shards = partition(data, 2, scheme="iid", seed=0)
         with pytest.raises(ValueError):
-            run_round(FlState(init_model(spec), 0, 0), config, shards, spec, data)
+            run_round(FlState(init_model(spec), 0, 0), config, shards, spec, data,
+                      [0, 1, 2])
+
+    def test_trains_exactly_the_given_cohort(self, monkeypatch):
+        import agifl.fedavg as fedavg
+
+        data = make_corpus(seed=4)
+        spec = ModelSpec("logistic", input_dim=4, num_classes=3)
+        config = FlConfig(num_users=6, fraction=0.5, max_rounds=1)
+        shards = partition(data, 6, scheme="iid", seed=3)
+        trained = []
+
+        def recording_train(params, features, labels, spec, hyper, seed):
+            trained.append((features.shape[0], seed))
+            return local_train(params, features, labels, spec, hyper, seed)
+
+        monkeypatch.setattr(fedavg, "local_train", recording_train)
+        cohort = np.array([1, 4, 5])  # not the cohort select_clients draws
+        assert not np.array_equal(cohort, select_clients(6, 0.5, rng(9, 0, "select")))
+        state = FlState(init_model(spec), 0, master_seed=9)
+        new_state, updates = run_round(state, config, shards, spec, data, cohort)
+        assert trained == [(len(shards[u]), child_seed(9, 0, u, "train")) for u in cohort]
+        assert [n for _, n in updates] == [len(shards[u]) for u in cohort]
+        assert new_state.round_index == 1
 
 
 class TestConfigValidation:

@@ -4,12 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from agifl.fedavg import FlConfig
+from agifl.channel import LinkBudget, link_rate, per_client_bandwidth, tx_time
+from agifl.data import partition
+from agifl.energy import (round_duration, uav_round_energy, user_compute_energy,
+                          user_compute_time)
+from agifl.fedavg import FlConfig, select_clients
 from agifl.models import Hyperparams
 from agifl.placement import Area, min_sum_dist
 from agifl.scenario import (BlobSource, Scenario, ShapeSource, build_topology,
-                            place_server, run_repeat, run_scenario)
-from agifl.seeding import rng
+                            load_source, place_server, run_repeat, run_scenario)
+from agifl.seeding import child_seed, rng
 
 
 def small_scenario(**kwargs):
@@ -184,7 +188,8 @@ class TestRunScenario:
         rep = run_repeat(sc, 0)
         selected = rep.metrics[0].selected
         entry = rep.ledger.rounds[0]
-        assert all(entry.user_hover[u] > 0 for u in selected)
+        assert tuple(entry.users.tolist()) == selected
+        assert all(hover > 0 for hover in entry.user_hover)
 
     def test_initial_flight_energy_counts_toward_budget(self):
         probe = run_scenario(small_scenario(train=False, repeats=1))
@@ -201,7 +206,7 @@ class TestRunScenario:
     def test_per_user_budget_entity(self):
         probe = run_scenario(small_scenario(train=False, repeats=1))
         entry = probe.repeats[0].ledger.rounds[0]
-        user, spent = next(iter(entry.user_tx.items()))
+        user, spent = int(entry.users[0]), float(entry.user_tx[0])
         capped = run_scenario(small_scenario(train=False, repeats=1,
                                              budget_entity=f"user:{user}",
                                              energy_budget=spent / 2))
@@ -212,8 +217,8 @@ class TestRunScenario:
         off = run_repeat(small_scenario(train=False, repeats=1), 0)
         on = run_repeat(small_scenario(train=False, repeats=1,
                                        include_user_compute_energy=True), 0)
-        assert not off.ledger.rounds[0].user_compute
-        assert on.ledger.rounds[0].user_compute
+        assert not off.ledger.rounds[0].user_compute.any()
+        assert on.ledger.rounds[0].user_compute.all()
 
     def test_mean_best_accuracy_reported(self):
         result = run_scenario(small_scenario())
@@ -232,3 +237,108 @@ class TestValidation:
     def test_bad_repeats(self):
         with pytest.raises(ValueError):
             small_scenario(repeats=0)
+
+    @pytest.mark.parametrize("entity", ["uva", "user:6", "user:-1", "user:x", "user", ""])
+    def test_unknown_budget_entity(self, entity):
+        with pytest.raises(ValueError, match="unknown energy entity"):
+            small_scenario(budget_entity=entity, energy_budget=5.0)
+
+    def test_known_budget_entities(self):
+        small_scenario(budget_entity="uav")
+        small_scenario(budget_entity="user:0")
+        small_scenario(budget_entity="user:5")
+
+    def test_per_client_compute_checks(self):
+        with pytest.raises(ValueError, match="cycles_per_bit"):
+            small_scenario(cycles_per_bit=0)
+        for cpu_range in [(-1.0, 2e9), (0.0, 2e9), (-1.0, -1.0), (2e9, 1e9)]:
+            with pytest.raises(ValueError, match="cpu_freq_range"):
+                small_scenario(cpu_freq_range=cpu_range)
+        small_scenario(cpu_freq_range=(2e9, 2e9))
+
+
+def reference_repeat(sc, rep):
+    """Recompute a repeat's rounds and ledger totals from its `selected` ids.
+
+    Uses only the scalar models, one client at a time, on the same seeded
+    geometry, CPU draws and shards as `run_repeat`. Returns the (duration,
+    uav_energy, cum_uav_energy) of each kept round, the ledger's final "uav"
+    total and the per-user totals.
+    """
+    seed, fl, ch = sc.master_seed, sc.fl, sc.channel
+    topo = build_topology(sc, rng(seed, rep.repeat, "positions"))
+    topo.placement = rep.placement
+    vert = topo.vertical_offsets().tolist()
+    horiz = topo.horizontal_distances().tolist()
+    cpu = rng(seed, rep.repeat, "cpu").uniform(*sc.cpu_freq_range,
+                                                size=fl.num_users).tolist()
+    train, _ = load_source(sc.source, child_seed(seed, "data"))
+    shards = partition(train, fl.num_users, scheme=sc.partition_scheme,
+                       shards_per_user=sc.shards_per_user,
+                       seed=child_seed(seed, rep.repeat, "partition"))
+    payload = (784 + 1) * 10 * ch.payload_bits_per_param  # logistic, 784 -> 10
+    epochs, bits = fl.hyper.local_epochs, train.bits_per_sample
+
+    cohorts = [m.selected for m in rep.metrics]
+    if rep.halt_reason == "budget":  # the round that was recorded, then dropped
+        gen = rng(child_seed(seed, rep.repeat), len(cohorts), "select")
+        cohorts.append(tuple(select_clients(fl.num_users, fl.fraction, gen).tolist()))
+
+    uav, users, rows = sc.initial_flight_energy, [0.0] * fl.num_users, []
+    for selected in cohorts:
+        b_up = per_client_bandwidth(ch, len(selected))
+        per_client = []
+        for u in selected:
+            t_up = tx_time(payload, link_rate(LinkBudget(b_up, ch.user_tx_power,
+                                                         vert[u], horiz[u]), ch))
+            t_comp = user_compute_time(len(shards[u]), bits, sc.cycles_per_bit,
+                                       cpu[u], epochs)
+            per_client.append((t_comp, t_up))
+        recipients = range(fl.num_users) if sc.broadcast_all else selected
+        t_down = tx_time(payload, min(
+            link_rate(LinkBudget(ch.uav_downlink_bandwidth, ch.uav_tx_power,
+                                 vert[u], horiz[u]), ch) for u in recipients))
+        duration = round_duration(t_down, per_client)
+        energy = uav_round_energy(duration, t_down, sc.uav)
+        uav += energy
+        spent = {}
+        for u, (_, t_up) in zip(selected, per_client):
+            tx = ch.user_tx_power * t_up
+            comp = (user_compute_energy(cpu[u], epochs * len(shards[u]) * bits
+                                        * sc.cycles_per_bit, sc.kappa)
+                    if sc.include_user_compute_energy else 0.0)
+            hover = sc.uav.propulsion_power * duration if topo.user_alt[u] > 0 else 0.0
+            users[u] = users[u] + tx + comp + hover
+            spent[u] = tx + comp + hover
+        rows.append((duration, energy, uav))
+
+    if rep.halt_reason == "budget":
+        rows.pop()
+        uav -= energy
+        for u, joules in spent.items():
+            users[u] -= joules
+    return rows, uav, users
+
+
+class TestRoundLoopReference:
+    @pytest.mark.parametrize("compute", [False, True])
+    @pytest.mark.parametrize("broadcast_all", [False, True])
+    @pytest.mark.parametrize("form", ["g2a", "a2g", "a2a", "mixed"])
+    def test_rounds_and_ledger_match_scalar_models(self, form, broadcast_all, compute):
+        sc = Scenario(fl=FlConfig(num_users=12, fraction=0.25,
+                                  hyper=Hyperparams(local_epochs=2), max_rounds=6),
+                      source=ShapeSource(num_samples=1200, input_dim=784, num_classes=10),
+                      train=False, repeats=2, master_seed=3, form=form,
+                      broadcast_all=broadcast_all, include_user_compute_energy=compute,
+                      initial_flight_energy=0.7)
+        unbounded = run_scenario(sc)
+        # halt on the fifth round, so one round is recorded and dropped
+        budget = unbounded.repeats[0].metrics[3].cum_uav_energy
+        halted = run_scenario(replace(sc, energy_budget=budget))
+        assert halted.halt_reasons[0] == "budget"
+        for rep in unbounded.repeats + halted.repeats:
+            rows, uav, users = reference_repeat(sc, rep)
+            assert [(m.duration, m.uav_energy, m.cum_uav_energy)
+                    for m in rep.metrics] == rows
+            assert rep.ledger.total("uav") == uav
+            assert [rep.ledger.total(f"user:{u}") for u in range(12)] == users
