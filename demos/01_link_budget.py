@@ -6,9 +6,11 @@ upload times for a 7850-parameter classifier (251200 bits at 32 bits per
 parameter).
 """
 
-from agifl import ChannelParams, LinkBudget, link_rate, per_client_bandwidth, tx_time
+from agifl import (ChannelParams, LinkBudget, UavProfile, link_rate, per_client_bandwidth,
+                   tx_time)
 
 channel = ChannelParams()  # 1 MHz uplink pool, -50 dB gain, -90 dBm noise
+uav = UavProfile()  # 10 mW server transmitter
 uplink_bw = per_client_bandwidth(channel, cohort_size=2)
 payload_bits = 7850 * channel.payload_bits_per_param
 
@@ -21,7 +23,7 @@ for horizontal in (0, 100, 250, 500, 750, 1000, 1400):
     up = link_rate(LinkBudget(uplink_bw, channel.user_tx_power, 100.0,
                               horizontal), channel)
     down = link_rate(LinkBudget(channel.uav_downlink_bandwidth,
-                                channel.uav_tx_power, 100.0, horizontal),
+                                uav.tx_power, 100.0, horizontal),
                      channel)
     print(f"{horizontal:>12} {up / 1e6:>14.4f} {tx_time(payload_bits, up):>10.4f} "
           f"{down / 1e6:>16.4f}")

@@ -48,22 +48,22 @@ class ChannelParams:
     """Physical constants shared by every link in a scenario.
 
     Defaults: B = 1 MHz total uplink spectrum, reference gain -50 dB,
-    noise power -90 dBm, user transmit power 100 mW, server (UAV) transmit
-    power 10 mW over its own 1 MHz downlink band.
+    noise power -90 dBm, user transmit power 100 mW, and a separate 1 MHz
+    downlink band for the server. The server's transmit power is its
+    `UavProfile.tx_power`, which also sets its transmit energy.
     """
 
     total_bandwidth: float = 1e6
     ref_gain: float = 1e-5
     noise: float = 1e-12
     user_tx_power: float = 0.1
-    uav_tx_power: float = 0.01
     uav_downlink_bandwidth: float = 1e6
     payload_bits_per_param: int = 32
     uplink_bandwidth_override: float | None = None
 
     def __post_init__(self):
         for name in ("total_bandwidth", "ref_gain", "noise", "user_tx_power",
-                     "uav_tx_power", "uav_downlink_bandwidth"):
+                     "uav_downlink_bandwidth"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.payload_bits_per_param < 1:

@@ -96,7 +96,6 @@ _SCHEMA = {
         "noise_dbm": (_float, -90.0),
         "noise_w": (_float, 0.0),  # 0 = use noise_dbm
         "user_tx_power_w": (_float, 0.1),
-        "uav_tx_power_w": (_float, 0.01),
         "uav_downlink_bandwidth_hz": (_float, 1e6),
         "payload_bits_per_param": (int, 32),
         "uplink_bandwidth_hz": (_float, 0.0),  # 0 = total bandwidth / cohort
@@ -104,7 +103,7 @@ _SCHEMA = {
     "uav": {
         "altitude_m": (_float, 100.0),
         "propulsion_power_w": (_float, 100.0),
-        "tx_power_w": (_float, 0.01),
+        "tx_power_w": (_float, 0.01),  # downlink rate and transmit energy
     },
     "energy": {
         "cycles_per_bit": (int, 10),
@@ -214,7 +213,7 @@ def load_config(path, overrides=None) -> RunConfig:
     noise = ch["noise_w"] or dbm_to_watts(ch["noise_dbm"])
     channel = ChannelParams(
         total_bandwidth=ch["bandwidth_hz"], ref_gain=alpha0, noise=noise,
-        user_tx_power=ch["user_tx_power_w"], uav_tx_power=ch["uav_tx_power_w"],
+        user_tx_power=ch["user_tx_power_w"],
         uav_downlink_bandwidth=ch["uav_downlink_bandwidth_hz"],
         payload_bits_per_param=ch["payload_bits_per_param"],
         uplink_bandwidth_override=ch["uplink_bandwidth_hz"] or None)
@@ -263,6 +262,10 @@ def load_config(path, overrides=None) -> RunConfig:
         budgets = [float(tok) for tok in raw_budgets.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad value for compare.budget_grid_j: {exc}") from exc
+    if not all(b > 0 for b in budgets):
+        raise ConfigError(f"compare.budget_grid_j must be positive: {raw_budgets!r}")
+    if values["compare"]["budget_repeats"] < 1:
+        raise ConfigError("compare.budget_repeats must be >= 1")
 
     return RunConfig(scenario=scenario, compare_budgets=budgets,
                      compare_repeats=values["compare"]["budget_repeats"],

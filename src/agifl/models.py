@@ -16,6 +16,7 @@ from .seeding import rng as _rng
 
 __all__ = [
     "ModelSpec",
+    "check_architecture",
     "Hyperparams",
     "param_count",
     "init_model",
@@ -23,6 +24,15 @@ __all__ = [
     "evaluate",
     "loss_and_grad",
 ]
+
+
+def check_architecture(kind: str, hidden_dim: int) -> None:
+    """The model rules that do not depend on the data: a known kind, and a
+    hidden layer for the MLP."""
+    if kind not in ("logistic", "mlp"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    if kind == "mlp" and hidden_dim < 1:
+        raise ValueError("hidden_dim must be >= 1 for mlp")
 
 
 @dataclass(frozen=True)
@@ -34,14 +44,11 @@ class ModelSpec:
     init_seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("logistic", "mlp"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
+        check_architecture(self.kind, self.hidden_dim)
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
-        if self.kind == "mlp" and self.hidden_dim < 1:
-            raise ValueError("hidden_dim must be >= 1 for mlp")
 
 
 @dataclass(frozen=True)

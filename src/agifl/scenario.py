@@ -12,14 +12,19 @@ server and then runs the round loop (`run_repeat`):
 
 It halts on the round budget or when the monitored entity's energy budget
 would be exceeded (the partial round is then discarded before any
-training). Every per-user time and energy is constant within a repeat,
-so they are computed once per user with the scalar models of `channel`
-and `energy`; a round is then a gather over its cohort, a max for the
-slowest client and a min for the worst downlink. Repeats are
-embarrassingly parallel; per-round means are reported over the rounds all
-repeats completed, so every mean covers exactly `repeats` instances.
+training). That entity's running total never falls, so a run under a
+smaller budget keeps exactly the rounds of this run whose recorded total
+is within it: `best_accuracy_within` reads any smaller budget off one run.
+
+Every per-user time and energy is constant within a repeat, so they are
+computed once per user with the scalar models of `channel` and `energy`;
+a round is then a gather over its cohort, a max for the slowest client
+and a min for the worst downlink. Repeats are embarrassingly parallel;
+per-round means are reported over the rounds all repeats completed, so
+every mean covers exactly `repeats` instances.
 """
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -31,7 +36,7 @@ from .data import Dataset, load_idx, partition, synth_blobs
 from .energy import (CONTINUE, EnergyLedger, RoundEnergy, UavProfile, apply_budget,
                      entity_index, user_compute_energy, user_compute_time)
 from .fedavg import FlConfig, FlState, cohort_size, run_round, select_clients
-from .models import ModelSpec, evaluate, init_model, param_count
+from .models import ModelSpec, check_architecture, evaluate, init_model, param_count
 from .placement import Area, Placement, min_sum_dist, random_placement
 from .seeding import child_seed, rng as _rng
 
@@ -40,6 +45,7 @@ __all__ = [
     "IdxSource",
     "ShapeSource",
     "load_source",
+    "load_corpus",
     "Scenario",
     "Topology",
     "RoundMetrics",
@@ -112,15 +118,11 @@ def load_source(source, seed: int):
     raise TypeError(f"unknown data source {type(source).__name__}")
 
 
-_SOURCE_CACHE: dict = {}
-
-
-def _cached_source(source, seed):
-    key = (source, seed)
-    if key not in _SOURCE_CACHE:
-        _SOURCE_CACHE.clear()  # keep at most one corpus in memory
-        _SOURCE_CACHE[key] = load_source(source, seed)
-    return _SOURCE_CACHE[key]
+@functools.lru_cache(maxsize=1)
+def load_corpus(source, seed: int):
+    """`load_source`, keeping the last corpus: the CLI's preflight and every
+    repeat of every run in a process (and its forked workers) share one load."""
+    return load_source(source, seed)
 
 
 @dataclass(frozen=True)
@@ -167,6 +169,7 @@ class Scenario:
         if self.train and isinstance(self.source, ShapeSource):
             raise ValueError("ShapeSource supports timing-only runs (train=False)")
         entity_index(self.budget_entity, self.fl.num_users)
+        check_architecture(self.model_kind, self.hidden_dim)
         if self.cycles_per_bit < 1:
             raise ValueError("cycles_per_bit must be >= 1")
         if not 0 < self.cpu_freq_range[0] <= self.cpu_freq_range[1]:
@@ -244,6 +247,7 @@ class RoundMetrics:
     test_loss: float
     test_acc: float
     selected: tuple[int, ...]
+    budget_total: float  # the budget entity's running total after this round
 
 
 @dataclass
@@ -254,10 +258,16 @@ class RepeatResult:
     placement: Placement
     ledger: EnergyLedger
 
+    def best_accuracy_within(self, budget: float) -> float:
+        """Best test accuracy of this repeat run under `budget` instead: over
+        the kept rounds whose budget-entity total is at most `budget`."""
+        accs = [m.test_acc for m in self.metrics
+                if m.budget_total <= budget and not math.isnan(m.test_acc)]
+        return max(accs) if accs else math.nan
+
     @property
     def best_accuracy(self) -> float:
-        accs = [m.test_acc for m in self.metrics if not math.isnan(m.test_acc)]
-        return max(accs) if accs else math.nan
+        return self.best_accuracy_within(math.inf)
 
 
 @dataclass
@@ -275,9 +285,12 @@ class ExperimentResult:
     def halt_reasons(self) -> list[str]:
         return [r.halt_reason for r in self.repeats]
 
+    def mean_best_accuracy_within(self, budget: float) -> float:
+        return float(np.mean([r.best_accuracy_within(budget) for r in self.repeats]))
+
     @property
     def mean_best_accuracy(self) -> float:
-        return float(np.mean([r.best_accuracy for r in self.repeats]))
+        return self.mean_best_accuracy_within(math.inf)
 
 
 def _model_spec(scenario: Scenario, train_data: Dataset, init_seed: int) -> ModelSpec:
@@ -298,7 +311,7 @@ def _model_spec(scenario: Scenario, train_data: Dataset, init_seed: int) -> Mode
 def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
     """Simulate one seeded instance of the scenario."""
     seed, fl, channel = scenario.master_seed, scenario.fl, scenario.channel
-    train_data, test_data = _cached_source(scenario.source, child_seed(seed, "data"))
+    train_data, test_data = load_corpus(scenario.source, child_seed(seed, "data"))
     if scenario.train and test_data is None:
         raise ValueError("training runs need a held-out test dataset")
 
@@ -339,7 +352,7 @@ def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
             e_comp[u] = user_compute_energy(
                 freq, epochs * samples * bits * scenario.cycles_per_bit, scenario.kappa)
         rate_down[u] = link_rate(LinkBudget(channel.uav_downlink_bandwidth,
-                                            channel.uav_tx_power, vert, horiz), channel)
+                                            scenario.uav.tx_power, vert, horiz), channel)
     p_hover = np.where(topo.user_alt > 0, scenario.uav.propulsion_power, 0.0)
 
     ledger = EnergyLedger(fl.num_users)
@@ -374,7 +387,8 @@ def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
         metrics.append(RoundMetrics(
             round=rnd + 1, duration=duration, uav_energy=entry.server_total(),
             cum_uav_energy=ledger.total("uav"), test_loss=test_loss,
-            test_acc=test_acc, selected=tuple(selected.tolist())))
+            test_acc=test_acc, selected=tuple(selected.tolist()),
+            budget_total=ledger.total(scenario.budget_entity)))
 
     return RepeatResult(repeat=repeat, metrics=metrics, halt_reason=halt_reason,
                         placement=topo.placement, ledger=ledger)

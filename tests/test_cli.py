@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from agifl import scenario as scenario_module
 from agifl.cli import main
 from agifl.config import ConfigError, load_config
+from agifl.scenario import load_corpus, load_source
 
 SMALL_CONFIG = """\
 [scenario]
@@ -50,7 +52,7 @@ class TestConfig:
         assert sc.channel.ref_gain == pytest.approx(1e-5)
         assert sc.channel.noise == pytest.approx(1e-12)
         assert sc.channel.user_tx_power == 0.1
-        assert sc.channel.uav_tx_power == 0.01
+        assert sc.uav.tx_power == 0.01
         assert sc.uav.propulsion_power == 100.0
         assert sc.uav.altitude == 100.0
         assert sc.repeats == 20
@@ -60,6 +62,12 @@ class TestConfig:
         path = tmp_path / "typo.ini"
         path.write_text("[channel]\nbandwith_hz = 1e6\n")
         with pytest.raises(ConfigError, match="bandwith_hz"):
+            load_config(path)
+
+    def test_server_tx_power_has_one_key(self, tmp_path):
+        path = tmp_path / "old.ini"
+        path.write_text("[channel]\nuav_tx_power_w = 0.01\n")
+        with pytest.raises(ConfigError, match="uav_tx_power_w"):
             load_config(path)
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -165,6 +173,16 @@ class TestInvalidInputExits1:
                      "exceeds sample count", id="compare-infeasible-partition"),
         pytest.param(["run", "no_such_config.ini"], "cannot read config",
                      id="missing-config"),
+        pytest.param(["compare-placement", "quick.ini", "--compare.budget_grid_j=0,5"],
+                     "compare.budget_grid_j must be positive", id="compare-zero-budget"),
+        pytest.param(["compare-placement", "quick.ini", "--compare.budget_grid_j=-3"],
+                     "compare.budget_grid_j must be positive", id="compare-negative-budget"),
+        pytest.param(["compare-placement", "quick.ini", "--compare.budget_repeats=0"],
+                     "compare.budget_repeats must be >= 1", id="compare-zero-repeats"),
+        pytest.param(["run", "quick.ini", "--model.kind=mpl"],
+                     "unknown model kind 'mpl'", id="unknown-model-kind"),
+        pytest.param(["run", "quick.ini", "--model.kind=mlp", "--model.hidden_dim=0"],
+                     "hidden_dim must be >= 1 for mlp", id="mlp-without-hidden-layer"),
     ])
     def test_exit_1_with_one_error_line(self, argv, message, tmp_path, capsys):
         command, config, *rest = argv
@@ -175,6 +193,28 @@ class TestInvalidInputExits1:
         assert err[0].startswith("error: ")
         assert message in err[0]
         assert not out.exists()
+
+
+class TestCorpusLoadedOnce:
+    """The preflight's load fills the cache every repeat of every run reads."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        calls = []
+
+        def counting(source, seed):
+            calls.append((source, seed))
+            return load_source(source, seed)
+
+        monkeypatch.setattr(scenario_module, "load_source", counting)
+        load_corpus.cache_clear()
+        yield calls
+        load_corpus.cache_clear()
+
+    @pytest.mark.parametrize("command", ["run", "compare-placement"])
+    def test_one_load_per_invocation(self, command, loads, tmp_path, capsys):
+        assert main([command, str(CONFIGS / "quick.ini"), "--out", str(tmp_path)]) == 0
+        assert len(loads) == 1
 
 
 class TestComparePlacement:

@@ -1,8 +1,9 @@
 """Golden outputs and demo smoke runs.
 
-The `run` and `compare-placement` CSVs of configs/quick.ini must hash to
-the values recorded in perfbench/golden.json, and the demos that import
-the round-loop and energy APIs must still run.
+The `run` and `compare-placement` CSVs of configs/quick.ini, and the
+`compare-placement` CSVs of configs/case_study.ini, must hash to the values
+recorded in perfbench/golden.json; the demos that import the round-loop,
+energy and budget APIs must still run and write what they write.
 """
 
 import hashlib
@@ -20,17 +21,39 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())
 
 
+def csv_hashes(directory):
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in directory.glob("*.csv")}
+
+
 @pytest.mark.parametrize("command", ["run", "compare-placement"])
 def test_quick_csvs_match_golden(command, tmp_path, capsys):
     expected = GOLDEN[f"{command} configs/quick.ini"]
     assert main([command, str(ROOT / "configs" / "quick.ini"), "--out", str(tmp_path)]) == 0
-    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-           for path in tmp_path.glob("*.csv")}
-    assert got == expected
+    assert csv_hashes(tmp_path) == expected
 
 
-@pytest.mark.parametrize("demo", ["01_link_budget.py", "04_energy_accounting.py"])
-def test_demo_runs(demo, tmp_path):
+def test_case_study_compare_matches_golden(tmp_path, capsys):
+    expected = GOLDEN["compare-placement configs/case_study.ini"]
+    assert main(["compare-placement", str(ROOT / "configs" / "case_study.ini"),
+                 "--out", str(tmp_path)]) == 0
+    assert csv_hashes(tmp_path) == expected
+
+
+DEMO_05_CSVS = {
+    "deployment_accuracy.csv": "dc2dd3030b5076ec6e9a825c2c472a7a6ba11dcbf35e99448ae67ec38c0c34e4",
+    "deployment_energy.csv": "dfc0d593878b4c71cfff19a982355f4dbd87be92f27f0d08c1e140fcd1d38dd3",
+}
+
+
+@pytest.mark.parametrize("demo, csvs, svgs", [
+    pytest.param("01_link_budget.py", {}, [], id="01_link_budget.py"),
+    pytest.param("04_energy_accounting.py", {}, [], id="04_energy_accounting.py"),
+    pytest.param("05_deployment_comparison.py", DEMO_05_CSVS,
+                 ["deployment_accuracy.svg", "deployment_energy.svg"],
+                 id="05_deployment_comparison.py"),
+])
+def test_demo_runs(demo, csvs, svgs, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
@@ -38,4 +61,5 @@ def test_demo_runs(demo, tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted([*csvs, *svgs])
+    assert csv_hashes(tmp_path) == csvs

@@ -3,15 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agifl.channel import LinkBudget, link_rate, per_client_bandwidth, tx_time
 from agifl.data import partition
-from agifl.energy import (round_duration, uav_round_energy, user_compute_energy,
-                          user_compute_time)
+from agifl.energy import (UavProfile, round_duration, uav_round_energy,
+                          user_compute_energy, user_compute_time)
 from agifl.fedavg import FlConfig, select_clients
 from agifl.models import Hyperparams
 from agifl.placement import Area, min_sum_dist
-from agifl.scenario import (BlobSource, Scenario, ShapeSource, build_topology,
+from agifl.scenario import (FORMS, BlobSource, Scenario, ShapeSource, build_topology,
                             load_source, place_server, run_repeat, run_scenario)
 from agifl.seeding import child_seed, rng
 
@@ -224,6 +226,26 @@ class TestRunScenario:
         result = run_scenario(small_scenario())
         assert 0.0 <= result.mean_best_accuracy <= 1.0
 
+    def test_server_tx_power_sets_downlink_rate_and_energy(self):
+        low = run_repeat(small_scenario(train=False), 0)
+        high = run_repeat(small_scenario(train=False, uav=UavProfile(tx_power=1.0)), 0)
+        for a, b in zip(low.ledger.rounds, high.ledger.rounds):
+            t_down_low, t_down_high = a.uav_tx / 0.01, b.uav_tx / 1.0
+            assert t_down_high < t_down_low  # a faster downlink
+            assert b.uav_tx != a.uav_tx
+        assert all(b.duration < a.duration for a, b in zip(low.metrics, high.metrics))
+
+    def test_budget_total_tracks_the_budget_entity(self):
+        uav = run_repeat(small_scenario(train=False, initial_flight_energy=0.5), 0)
+        assert [m.budget_total for m in uav.metrics] == [m.cum_uav_energy
+                                                         for m in uav.metrics]
+        user = run_repeat(small_scenario(train=False, budget_entity="user:2"), 0)
+        running = np.cumsum([entry.user_tx[entry.users == 2].sum()
+                             for entry in user.ledger.rounds])
+        assert running[-1] > 0
+        assert [m.budget_total for m in user.metrics] == running.tolist()
+        assert user.metrics[-1].budget_total == user.ledger.total("user:2")
+
 
 class TestValidation:
     def test_bad_form(self):
@@ -255,6 +277,13 @@ class TestValidation:
             with pytest.raises(ValueError, match="cpu_freq_range"):
                 small_scenario(cpu_freq_range=cpu_range)
         small_scenario(cpu_freq_range=(2e9, 2e9))
+
+    def test_model_architecture_checked_with_the_scenario(self):
+        with pytest.raises(ValueError, match="unknown model kind 'mpl'"):
+            small_scenario(model_kind="mpl")
+        with pytest.raises(ValueError, match="hidden_dim"):
+            small_scenario(model_kind="mlp", hidden_dim=0)
+        small_scenario(model_kind="logistic", hidden_dim=0)  # no hidden layer to size
 
 
 def reference_repeat(sc, rep):
@@ -296,7 +325,7 @@ def reference_repeat(sc, rep):
             per_client.append((t_comp, t_up))
         recipients = range(fl.num_users) if sc.broadcast_all else selected
         t_down = tx_time(payload, min(
-            link_rate(LinkBudget(ch.uav_downlink_bandwidth, ch.uav_tx_power,
+            link_rate(LinkBudget(ch.uav_downlink_bandwidth, sc.uav.tx_power,
                                  vert[u], horiz[u]), ch) for u in recipients))
         duration = round_duration(t_down, per_client)
         energy = uav_round_energy(duration, t_down, sc.uav)
@@ -342,3 +371,31 @@ class TestRoundLoopReference:
                     for m in rep.metrics] == rows
             assert rep.ledger.total("uav") == uav
             assert [rep.ledger.total(f"user:{u}") for u in range(12)] == users
+
+
+class TestBudgetsReadOffOneRun:
+    """A run under budget b keeps exactly the rounds of the run under the
+    largest budget whose budget-entity total is at most b, so every budget's
+    best accuracy can be read off that one run."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(form=st.sampled_from(FORMS), user=st.none() | st.integers(0, 5),
+           eval_stride=st.integers(1, 3), flight=st.sampled_from([0.0, 0.4]),
+           compute=st.booleans(), seed=st.integers(0, 3),
+           picks=st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.5, 1.0, 1.5])),
+                          min_size=1, max_size=3))
+    def test_matches_a_run_per_budget(self, form, user, eval_stride, flight, compute,
+                                      seed, picks):
+        sc = small_scenario(form=form, eval_stride=eval_stride,
+                            budget_entity="uav" if user is None else f"user:{user}",
+                            initial_flight_energy=flight,
+                            include_user_compute_energy=compute, master_seed=seed)
+        # budgets on, below and above the totals the rounds reach
+        probe = run_scenario(replace(sc, train=False))
+        totals = sorted(m.budget_total for rep in probe.repeats for m in rep.metrics)
+        grid = [max(totals[int(p * (len(totals) - 1))] * scale, 1e-9) for p, scale in picks]
+        largest = run_scenario(replace(sc, energy_budget=max(grid)))
+        for budget in grid:
+            read = largest.mean_best_accuracy_within(budget)
+            direct = run_scenario(replace(sc, energy_budget=budget)).mean_best_accuracy
+            assert read == direct or (math.isnan(read) and math.isnan(direct))
