@@ -12,7 +12,7 @@ from .energy import (CONTINUE, HALT, EnergyLedger, RoundEnergy, UavProfile,
                      user_compute_energy, user_compute_time)
 from .fedavg import FlConfig, FlState, aggregate, run_round, select_clients
 from .models import (Hyperparams, ModelSpec, evaluate, init_model,
-                     local_train, loss_and_grad, param_count)
+                     local_train, loss_and_grad, param_count, train_cohort)
 from .placement import (Area, Placement, SolverTrace, min_sum_dist, objective,
                         objective_grad, random_placement)
 from .scenario import (BlobSource, ExperimentResult, IdxSource, RepeatResult,

@@ -73,6 +73,11 @@ def _preflight_data(scenario) -> int:
     return 0
 
 
+def _halt_counts(reasons) -> str:
+    """How many repeats halted for each reason, e.g. `budget:18,max_rounds:2`."""
+    return ",".join(f"{r}:{reasons.count(r)}" for r in sorted(set(reasons)))
+
+
 def _cmd_run(args, extra) -> int:
     cfg = _load(args, extra)
     scenario = cfg.scenario
@@ -94,7 +99,8 @@ def _cmd_run(args, extra) -> int:
           f"rounds={result.common_rounds} "
           f"mean_cum_uav_energy_j={final_energy:.6g} "
           f"mean_best_acc={result.mean_best_accuracy:.4f} "
-          f"halt={result.halt_reasons[0]}")
+          f"halt={result.halt_reasons[0]} "
+          f"halts={_halt_counts(result.halt_reasons)}")
     return 0
 
 

@@ -200,12 +200,12 @@ def partition(data: Dataset, num_users: int, scheme: str = "iid",
     num_shards = num_users * shards_per_user
     shard_size = n // num_shards
     order = np.argsort(data.labels, kind="stable")
-    cuts = [order[i * shard_size:(i + 1) * shard_size] for i in range(num_shards - 1)]
-    cuts.append(order[(num_shards - 1) * shard_size:])
-    deal = gen.permutation(num_shards)
-    shards = []
-    for u in range(num_users):
-        mine = deal[u * shards_per_user:(u + 1) * shards_per_user]
-        shards.append(DataShard(owner=u,
-                                sample_indices=np.sort(np.concatenate([cuts[i] for i in mine]))))
-    return shards
+    deal = gen.permutation(num_shards).reshape(num_users, shards_per_user)
+    cuts = order[:num_shards * shard_size].reshape(num_shards, shard_size)
+    dealt = np.sort(cuts[deal].reshape(num_users, -1), axis=1)
+    indices = list(dealt)
+    remainder = order[num_shards * shard_size:]
+    if remainder.size:  # it belongs to the last shard
+        last = int(np.flatnonzero(deal == num_shards - 1)[0]) // shards_per_user
+        indices[last] = np.sort(np.concatenate([dealt[last], remainder]))
+    return [DataShard(owner=u, sample_indices=idx) for u, idx in enumerate(indices)]

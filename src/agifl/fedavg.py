@@ -3,11 +3,14 @@
 One round: sample a client cohort uniformly at random (`select_clients`),
 train each selected client from the current global parameters on its own
 shard, then replace the global model with the sample-count-weighted mean
-of the local results (`run_round`). The caller draws the cohort once per
-round and hands the same ids to the timing and energy model and to
-`run_round`; the round loop itself lives in `scenario.run_repeat`.
-Per-client training seeds are derived from (master seed, round, user id),
-so the outcome does not depend on the order clients are processed in.
+of the local results (`run_round`). The clients are independent, so the
+cohort trains as one set of stacked SGD lanes (`models.train_cohort`),
+each lane equal bit for bit to a `models.local_train` call. The caller
+draws the cohort once per round and hands the same ids to the timing and
+energy model and to `run_round`; the round loop itself lives in
+`scenario.run_repeat`. Per-client training seeds are derived from (master
+seed, round, user id), so the outcome does not depend on the order
+clients are processed in.
 """
 
 from dataclasses import dataclass, replace
@@ -15,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, DataShard
-from .models import Hyperparams, ModelSpec, local_train
+from .models import Hyperparams, ModelSpec, train_cohort
 from .seeding import child_seed
 
 __all__ = ["FlConfig", "FlState", "select_clients", "aggregate", "run_round"]
@@ -87,15 +90,12 @@ def run_round(state: FlState, config: FlConfig, shards: list[DataShard],
     """
     if len(shards) != config.num_users:
         raise ValueError("one shard per user is required")
-    updates = []
-    for user in selected:
-        shard = shards[user]
-        seed = child_seed(state.master_seed, state.round_index, int(user), "train")
-        params = local_train(state.global_params,
-                             data.features[shard.sample_indices],
-                             data.labels[shard.sample_indices],
-                             spec, config.hyper, seed)
-        updates.append((params, len(shard)))
+    lanes = [shards[user].sample_indices for user in selected]
+    seeds = [child_seed(state.master_seed, state.round_index, int(user), "train")
+             for user in selected]
+    trained = train_cohort(state.global_params, data.features, data.labels,
+                           lanes, spec, config.hyper, seeds)
+    updates = [(params, len(lane)) for params, lane in zip(trained, lanes)]
     new_state = replace(state, global_params=aggregate(updates),
                         round_index=state.round_index + 1)
     return new_state, updates

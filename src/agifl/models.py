@@ -1,11 +1,13 @@
 """Local training models: multinomial logistic regression and a small MLP.
 
 Both models classify via softmax cross-entropy and are trained with plain
-mini-batch SGD. Parameters live in a single flat float64 vector with a
-deterministic layout so that the federation layer can exchange and average
-them without knowing the architecture. Bias terms use the implicit
-appended-1 convention: a logistic model over d features holds a
-(d+1) x K weight matrix.
+mini-batch SGD: one client with `local_train`, a FedAvg cohort with
+`train_cohort`, which steps every client's SGD together as stacked lanes
+and gives each lane `local_train`'s result bit for bit. Parameters live
+in a single flat float64 vector with a deterministic layout so that the
+federation layer can exchange and average them without knowing the
+architecture. Bias terms use the implicit appended-1 convention: a
+logistic model over d features holds a (d+1) x K weight matrix.
 """
 
 from dataclasses import dataclass
@@ -21,6 +23,7 @@ __all__ = [
     "param_count",
     "init_model",
     "local_train",
+    "train_cohort",
     "evaluate",
     "loss_and_grad",
 ]
@@ -101,7 +104,13 @@ def _unpack(params: np.ndarray, spec: ModelSpec):
 
 
 def _append_ones(x: np.ndarray) -> np.ndarray:
-    return np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
+    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax over the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _forward(params, spec, x):
@@ -118,9 +127,7 @@ def _forward(params, spec, x):
         a1e = _append_ones(a1)
         logits = a1e @ w2
         cache = (xe, a1, a1e, w2)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return log_probs, cache
+    return _log_softmax(logits), cache
 
 
 def loss_and_grad(params: np.ndarray, spec: ModelSpec,
@@ -170,6 +177,102 @@ def local_train(params: np.ndarray, x: np.ndarray, y: np.ndarray,
             batch = order[start:start + bs]
             _, grad = loss_and_grad(w, spec, x[batch], y[batch])
             w -= lr * grad
+    return w
+
+
+def _lane_step(w: np.ndarray, spec: ModelSpec, xe: np.ndarray, y: np.ndarray,
+               lr: float) -> None:
+    """One SGD step on each lane, in place: `w` is (L, P), `xe` the (L, b, d+1)
+    batches with the bias column, `y` their (L, b) labels.
+
+    Every operation is `loss_and_grad`'s on each 2-D slice (stacked `matmul`
+    runs one GEMM per slice), so each lane takes `local_train`'s step bit for
+    bit; the loss itself is not needed and not computed.
+    """
+    lanes, b = y.shape
+    d, k = spec.input_dim, spec.num_classes
+    if spec.kind == "logistic":
+        w1 = w.reshape(lanes, d + 1, k)
+        log_probs = _log_softmax(xe @ w1)
+    else:
+        h = spec.hidden_dim
+        n1 = (d + 1) * h
+        w1 = w[:, :n1].reshape(lanes, d + 1, h)
+        w2 = w[:, n1:].reshape(lanes, h + 1, k)
+        a1 = np.tanh(xe @ w1)
+        a1e = _append_ones(a1)
+        log_probs = _log_softmax(a1e @ w2)
+
+    dlogits = np.exp(log_probs)
+    dlogits.reshape(lanes * b, k)[np.arange(lanes * b), y.ravel()] -= 1.0
+    dlogits /= b
+
+    if spec.kind == "logistic":
+        w1 -= lr * (xe.transpose(0, 2, 1) @ dlogits)
+        return
+    gw2 = a1e.transpose(0, 2, 1) @ dlogits
+    da1 = dlogits @ w2[:, :-1].transpose(0, 2, 1)
+    dz1 = da1 * (1.0 - a1 * a1)
+    gw1 = xe.transpose(0, 2, 1) @ dz1
+    w1 -= lr * gw1
+    w2 -= lr * gw2
+
+
+def train_cohort(params: np.ndarray, features: np.ndarray, labels: np.ndarray,
+                 lanes, spec: ModelSpec, hyper: Hyperparams, seeds) -> np.ndarray:
+    """`local_train` for a whole cohort at once, as stacked SGD lanes.
+
+    Lane l trains from `params` on the rows `lanes[l]` of `features`/`labels`
+    with the generator `default_rng(seeds[l])`; row l of the returned
+    (L, P) array equals `local_train(params, features[lanes[l]],
+    labels[lanes[l]], spec, hyper, seeds[l])` exactly. The lanes step
+    together: each epoch draws every lane's permutation in `local_train`'s
+    order, and each step takes one stacked batch per group of lanes with the
+    same batch size (lanes of unequal shards differ in their tail batch,
+    and a shorter shard runs out of steps earlier).
+    """
+    lanes = [np.asarray(lane) for lane in lanes]
+    if not lanes:
+        raise ValueError("cohort is empty")
+    if len(seeds) != len(lanes):
+        raise ValueError("one seed per lane is required")
+    if features.shape[0] != labels.shape[0]:
+        raise ValueError("feature/label count mismatch")
+    sizes = np.array([lane.size for lane in lanes])
+    if np.any(sizes == 0):
+        raise ValueError("training shard is empty")
+    if params.shape != (param_count(spec),):
+        raise ValueError(
+            f"parameter vector has length {params.shape}, expected {param_count(spec)}")
+    num_lanes, lr, bs = len(lanes), hyper.learning_rate, hyper.batch_size
+    w = np.tile(params, (num_lanes, 1))
+
+    rows = np.concatenate(lanes)
+    xe = _append_ones(features[rows])
+    y = labels[rows]
+    offsets = np.cumsum(sizes) - sizes
+    # (start, batch size, lanes or None for all) per step of an epoch
+    schedule = []
+    for start in range(0, int(sizes.max()), bs):
+        widths = np.minimum(sizes - start, bs)
+        for b in np.unique(widths[widths > 0]).tolist():
+            group = np.flatnonzero(widths == b)
+            schedule.append((start, b, None if group.size == num_lanes else group))
+
+    gens = [np.random.default_rng(seed) for seed in seeds]
+    order = np.zeros((num_lanes, int(sizes.max())), dtype=np.intp)
+    for _ in range(hyper.local_epochs):
+        for lane, (gen, n) in enumerate(zip(gens, sizes.tolist())):
+            order[lane, :n] = offsets[lane] + gen.permutation(n)
+        for start, b, group in schedule:
+            if group is None:
+                batch = order[:, start:start + b]
+                _lane_step(w, spec, xe[batch], y[batch], lr)
+            else:
+                batch = order[group, start:start + b]
+                sub = w[group]
+                _lane_step(sub, spec, xe[batch], y[batch], lr)
+                w[group] = sub
     return w
 
 

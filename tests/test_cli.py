@@ -6,8 +6,8 @@ import pytest
 
 from agifl import scenario as scenario_module
 from agifl.cli import main
-from agifl.config import ConfigError, load_config
-from agifl.scenario import load_corpus, load_source
+from agifl.config import ConfigError, load_config, parse_overrides
+from agifl.scenario import load_corpus, load_source, run_scenario
 
 SMALL_CONFIG = """\
 [scenario]
@@ -146,6 +146,20 @@ class TestRunCommand:
 
     def test_unknown_flag_exits_1(self, config_path, capsys):
         assert main(["run", str(config_path), "--frobnicate"]) == 1
+
+    def test_summary_counts_halt_reasons(self, config_path, tmp_path, capsys):
+        overrides = ["--scenario.repeats=4", "--scenario.max_rounds=6",
+                     "--scenario.placement=random", "--scenario.energy_budget_j=1"]
+        assert main(["run", str(config_path), "--out", str(tmp_path / "o")]
+                    + overrides) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        fields = dict(token.split("=", 1) for token in line.split()[1:])
+        sc = load_config(config_path, parse_overrides(o[2:] for o in overrides)).scenario
+        reasons = run_scenario(sc).halt_reasons
+        assert set(reasons) == {"budget", "max_rounds"}  # a mixed halt
+        assert fields["halt"] == reasons[0]
+        assert fields["halts"] == (f"budget:{reasons.count('budget')},"
+                                   f"max_rounds:{reasons.count('max_rounds')}")
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agifl.data import (Dataset, IMAGES_MAGIC, LABELS_MAGIC, load_idx,
                         partition, synth_blobs)
@@ -22,6 +24,20 @@ def write_idx_pair(tmp_path, pixels, labels, image_magic=IMAGES_MAGIC,
     labels_path.write_bytes(struct.pack(">II", label_magic, label_count)
                             + bytes(labels[:label_count]))
     return images_path, labels_path
+
+
+def sharded_reference(labels, num_users, shards_per_user, seed):
+    """The label-sharded scheme one user at a time: the last of the
+    num_users * shards_per_user label-sorted cuts absorbs the remainder."""
+    num_shards = num_users * shards_per_user
+    size = len(labels) // num_shards
+    order = np.argsort(labels, kind="stable")
+    cuts = [order[i * size:(i + 1) * size] for i in range(num_shards - 1)]
+    cuts.append(order[(num_shards - 1) * size:])
+    deal = np.random.default_rng(seed).permutation(num_shards)
+    return [np.sort(np.concatenate([cuts[i] for i in
+                                    deal[u * shards_per_user:(u + 1) * shards_per_user]]))
+            for u in range(num_users)]
 
 
 def labels_only_dataset(labels):
@@ -141,6 +157,23 @@ class TestPartition:
         shards = partition(data, 5, scheme="sharded", shards_per_user=2, seed=3)
         merged = np.concatenate([s.sample_indices for s in shards])
         assert np.array_equal(np.sort(merged), np.arange(101))
+
+    @settings(max_examples=200, deadline=None)
+    @given(num_users=st.integers(1, 40), shards_per_user=st.integers(1, 4),
+           extra=st.integers(0, 60), classes=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_sharded_matches_per_user_reference(self, num_users, shards_per_user, extra,
+                                                classes, seed, data):
+        n = num_users * shards_per_user + extra  # extra leaves a remainder or not
+        labels = np.array(data.draw(st.lists(st.integers(0, classes - 1),
+                                             min_size=n, max_size=n)), dtype=np.int64)
+        shards = partition(labels_only_dataset(labels), num_users, scheme="sharded",
+                           shards_per_user=shards_per_user, seed=seed)
+        expected = sharded_reference(labels, num_users, shards_per_user, seed)
+        assert [s.owner for s in shards] == list(range(num_users))
+        for shard, want in zip(shards, expected):
+            assert shard.sample_indices.dtype == want.dtype
+            assert np.array_equal(shard.sample_indices, want)
 
     def test_too_many_users(self):
         data = labels_only_dataset([0, 1, 0])

@@ -4,7 +4,7 @@ import pytest
 from agifl.data import partition, synth_blobs
 from agifl.fedavg import (FlConfig, FlState, aggregate, cohort_size,
                           run_round, select_clients)
-from agifl.models import Hyperparams, ModelSpec, init_model, local_train
+from agifl.models import Hyperparams, ModelSpec, init_model, local_train, train_cohort
 from agifl.oracles import weighted_mean_direct
 from agifl.seeding import child_seed, rng
 
@@ -174,16 +174,19 @@ class TestRunRound:
         shards = partition(data, 6, scheme="iid", seed=3)
         trained = []
 
-        def recording_train(params, features, labels, spec, hyper, seed):
-            trained.append((features.shape[0], seed))
-            return local_train(params, features, labels, spec, hyper, seed)
+        def recording_train(params, features, labels, lanes, spec, hyper, seeds):
+            trained.extend(zip(lanes, seeds))
+            return train_cohort(params, features, labels, lanes, spec, hyper, seeds)
 
-        monkeypatch.setattr(fedavg, "local_train", recording_train)
+        monkeypatch.setattr(fedavg, "train_cohort", recording_train)
         cohort = np.array([1, 4, 5])  # not the cohort select_clients draws
         assert not np.array_equal(cohort, select_clients(6, 0.5, rng(9, 0, "select")))
         state = FlState(init_model(spec), 0, master_seed=9)
         new_state, updates = run_round(state, config, shards, spec, data, cohort)
-        assert trained == [(len(shards[u]), child_seed(9, 0, u, "train")) for u in cohort]
+        assert [(len(lane), seed) for lane, seed in trained] == [
+            (len(shards[u]), child_seed(9, 0, u, "train")) for u in cohort]
+        assert all(np.array_equal(lane, shards[u].sample_indices)
+                   for (lane, _), u in zip(trained, cohort))
         assert [n for _, n in updates] == [len(shards[u]) for u in cohort]
         assert new_state.round_index == 1
 

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agifl.models import (Hyperparams, ModelSpec, evaluate, init_model,
-                          local_train, loss_and_grad, param_count)
+                          local_train, loss_and_grad, param_count, train_cohort)
 
 
 def finite_diff_grad(params, spec, x, y, h=1e-6):
@@ -113,6 +115,51 @@ class TestLocalTrain:
         with pytest.raises(ValueError):
             local_train(np.zeros(5), np.ones((3, 2)), np.array([0, 1, 0]),
                         spec, Hyperparams(), rng_seed=0)
+
+
+class TestTrainCohort:
+    """Each lane of `train_cohort` is a `local_train` call, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(["logistic", "mlp"]), input_dim=st.integers(1, 9),
+           num_classes=st.integers(2, 6), hidden_dim=st.integers(1, 7),
+           sizes=st.lists(st.integers(1, 30), min_size=1, max_size=8),
+           local_epochs=st.integers(0, 3), batch_size=st.integers(1, 12),
+           learning_rate=st.floats(1e-3, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_lanes_equal_local_train(self, kind, input_dim, num_classes, hidden_dim,
+                                     sizes, local_epochs, batch_size, learning_rate,
+                                     seed):
+        spec = ModelSpec(kind, input_dim=input_dim, num_classes=num_classes,
+                         hidden_dim=hidden_dim if kind == "mlp" else 0, init_seed=seed)
+        hyper = Hyperparams(learning_rate=learning_rate, local_epochs=local_epochs,
+                            batch_size=batch_size)
+        gen = np.random.default_rng(seed)
+        n = 60
+        x = gen.random((n, input_dim))
+        y = gen.integers(0, num_classes, size=n)
+        params = init_model(spec) + gen.normal(scale=0.3, size=param_count(spec))
+        lanes = [gen.choice(n, size=size, replace=False) for size in sizes]
+        seeds = [int(s) for s in gen.integers(0, 2**63, size=len(lanes))]
+        before = params.copy()
+
+        out = train_cohort(params, x, y, lanes, spec, hyper, seeds)
+        expected = np.stack([local_train(params, x[lane], y[lane], spec, hyper, s)
+                             for lane, s in zip(lanes, seeds)])
+        assert np.array_equal(out, expected)
+        assert np.array_equal(params, before)
+
+    def test_empty_lane_rejected(self):
+        spec = ModelSpec("logistic", input_dim=2, num_classes=2)
+        x, y = np.ones((4, 2)), np.array([0, 1, 0, 1])
+        with pytest.raises(ValueError, match="empty"):
+            train_cohort(init_model(spec), x, y, [np.arange(3), np.arange(0)],
+                         spec, Hyperparams(), seeds=[0, 1])
+
+    def test_dimension_mismatch_rejected(self):
+        spec = ModelSpec("logistic", input_dim=2, num_classes=2)
+        with pytest.raises(ValueError):
+            train_cohort(np.zeros(5), np.ones((3, 2)), np.array([0, 1, 0]),
+                         [np.arange(3)], spec, Hyperparams(), seeds=[0])
 
 
 class TestEvaluate:
