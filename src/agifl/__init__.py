@@ -4,7 +4,7 @@ server, with a physical link model, per-round energy accounting and
 hovering-placement optimization."""
 
 from .channel import (ChannelParams, LinkBudget, db_to_linear, dbm_to_watts,
-                      link_rate, linear_to_db, per_client_bandwidth, tx_time,
+                      link_rate, link_rates, linear_to_db, per_client_bandwidth, tx_time,
                       watts_to_dbm)
 from .data import DataShard, Dataset, load_idx, partition, synth_blobs
 from .energy import (CONTINUE, HALT, EnergyLedger, RoundEnergy, UavProfile,

@@ -14,6 +14,8 @@ converted once at the configuration boundary.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "ChannelParams",
     "LinkBudget",
@@ -22,6 +24,7 @@ __all__ = [
     "dbm_to_watts",
     "watts_to_dbm",
     "link_rate",
+    "link_rates",
     "tx_time",
     "per_client_bandwidth",
 ]
@@ -92,16 +95,28 @@ class LinkBudget:
             raise ValueError("link endpoints coincide")
 
 
+def _rate(bandwidth: float, gain: float, noise: float, dist_sq: float) -> float:
+    return bandwidth * math.log2(1.0 + gain / (noise * dist_sq))  # gain = ref_gain * p
+
+
 def link_rate(link: LinkBudget, params: ChannelParams) -> float:
     """Shannon rate of the link in bit/s."""
     dist_sq = link.altitude ** 2 + link.horizontal_distance ** 2
-    snr = params.ref_gain * link.tx_power / (params.noise * dist_sq)
-    return link.bandwidth * math.log2(1.0 + snr)
+    return _rate(link.bandwidth, params.ref_gain * link.tx_power, params.noise, dist_sq)
 
 
-def tx_time(payload_bits: float, rate: float) -> float:
-    """Seconds needed to push `payload_bits` through a link at `rate` bit/s."""
-    if rate <= 0:
+def link_rates(bandwidth: float, tx_power: float, dist_sq: np.ndarray,
+               params: ChannelParams) -> np.ndarray:
+    """`link_rate` of each link, given its squared distance, with `math.log2`
+    link by link (NumPy's vectorised log2 can differ in the last bit)."""
+    gain = params.ref_gain * tx_power
+    return np.fromiter((_rate(bandwidth, gain, params.noise, d) for d in dist_sq.tolist()),
+                       float, len(dist_sq))
+
+
+def tx_time(payload_bits: float, rate):
+    """Seconds to push `payload_bits` through each link at `rate` bit/s."""
+    if np.min(rate) <= 0:
         raise ValueError("rate must be positive")
     if payload_bits < 0:
         raise ValueError("payload_bits must be non-negative")

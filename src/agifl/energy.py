@@ -12,9 +12,9 @@ their upload; their compute energy (effective-capacitance model
 kappa * f^2 * cycles) is tracked only when enabled, since the headline
 comparison concerns the server's energy.
 
-`scenario.run_repeat` evaluates the per-user formulas once per user and
-repeat; `round_duration` and `uav_round_energy` are the scalar references
-its array arithmetic is tested against.
+`scenario.per_user_arrays` builds the per-user terms as arrays once per
+repeat; `user_compute_time`, `round_duration` and `uav_round_energy` are the
+scalar references its array arithmetic is tested against.
 """
 
 import math

@@ -29,10 +29,9 @@ def write_repeat_csv(path, metrics) -> None:
     """One row per completed round of a single repeat."""
     lines = [ROUND_CSV_HEADER]
     for m in metrics:
-        selected = ";".join(str(u) for u in m.selected)
         lines.append(",".join([str(m.round), _fmt(m.duration), _fmt(m.uav_energy),
                                _fmt(m.cum_uav_energy), _fmt(m.test_loss),
-                               _fmt(m.test_acc), selected]))
+                               _fmt(m.test_acc), ";".join(map(str, m.selected))]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

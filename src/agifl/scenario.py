@@ -16,12 +16,12 @@ training). That entity's running total never falls, so a run under a
 smaller budget keeps exactly the rounds of this run whose recorded total
 is within it: `best_accuracy_within` reads any smaller budget off one run.
 
-Every per-user time and energy is constant within a repeat, so they are
-computed once per user with the scalar models of `channel` and `energy`;
-a round is then a gather over its cohort, a max for the slowest client
-and a min for the worst downlink. Repeats are embarrassingly parallel;
-per-round means are reported over the rounds all repeats completed, so
-every mean covers exactly `repeats` instances.
+Every per-user time and energy is constant within a repeat, so
+`per_user_arrays` builds them once, equal entry for entry to the scalar
+models of `channel` and `energy`; a round is then a gather over its cohort
+and a max each for the slowest client and the slowest broadcast recipient.
+Repeats are embarrassingly parallel; per-round means are reported over the
+rounds all repeats completed, so every mean covers exactly `repeats` instances.
 """
 
 import functools
@@ -31,10 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, LinkBudget, link_rate, per_client_bandwidth, tx_time
+from .channel import ChannelParams, link_rates, per_client_bandwidth, tx_time
 from .data import Dataset, load_idx, partition, synth_blobs
 from .energy import (CONTINUE, EnergyLedger, RoundEnergy, UavProfile, apply_budget,
-                     entity_index, user_compute_energy, user_compute_time)
+                     entity_index, user_compute_energy)
 from .fedavg import FlConfig, FlState, cohort_size, run_round, select_clients
 from .models import ModelSpec, check_architecture, evaluate, init_model, param_count
 from .placement import Area, Placement, min_sum_dist, random_placement
@@ -53,6 +53,7 @@ __all__ = [
     "ExperimentResult",
     "build_topology",
     "place_server",
+    "per_user_arrays",
     "run_scenario",
 ]
 
@@ -308,6 +309,31 @@ def _model_spec(scenario: Scenario, train_data: Dataset, init_seed: int) -> Mode
                      init_seed=init_seed)
 
 
+def per_user_arrays(scenario: Scenario, repeat: int, topo: Topology, shards,
+                    payload_bits: int, bits_per_sample: int):
+    """Each user's compute + upload time, upload energy, compute energy and
+    broadcast receive time, fixed within a repeat as the cohort size (so the
+    uplink sub-band) is. Squares use Python's `**` as `link_rate` does (NumPy's
+    can differ in the last bit); the rest keeps the scalar models' operation order."""
+    fl, channel, n = scenario.fl, scenario.channel, scenario.fl.num_users
+    dist_sq = np.fromiter((v ** 2 + h ** 2 for v, h in zip(
+        topo.vertical_offsets().tolist(), topo.horizontal_distances().tolist())), float, n)
+    if not dist_sq.all():
+        raise ValueError(f"link endpoints coincide: user {(dist_sq == 0).argmax()} "
+                         f"is at the server's position in repeat {repeat}")
+    b_up = per_client_bandwidth(channel, cohort_size(n, fl.fraction))
+    t_up = tx_time(payload_bits, link_rates(b_up, channel.user_tx_power, dist_sq, channel))
+    cpu = _rng(scenario.master_seed, repeat, "cpu").uniform(*scenario.cpu_freq_range, size=n)
+    cycles = np.fromiter((fl.hyper.local_epochs * len(shard) * bits_per_sample
+                          * scenario.cycles_per_bit for shard in shards), float, n)
+    e_comp = (np.fromiter((user_compute_energy(f, c, scenario.kappa)
+                           for f, c in zip(cpu.tolist(), cycles.tolist())), float, n)
+              if scenario.include_user_compute_energy else np.zeros(n))
+    t_recv = tx_time(payload_bits, link_rates(channel.uav_downlink_bandwidth,
+                                              scenario.uav.tx_power, dist_sq, channel))
+    return cycles / cpu + t_up, channel.user_tx_power * t_up, e_comp, t_recv
+
+
 def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
     """Simulate one seeded instance of the scenario."""
     seed, fl, channel = scenario.master_seed, scenario.fl, scenario.channel
@@ -317,9 +343,6 @@ def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
 
     topo = build_topology(scenario, _rng(seed, repeat, "positions"))
     topo.placement = place_server(scenario, topo, _rng(seed, repeat, "placement"))
-    cpu = _rng(seed, repeat, "cpu").uniform(scenario.cpu_freq_range[0],
-                                            scenario.cpu_freq_range[1],
-                                            size=fl.num_users)
     shards = partition(train_data, fl.num_users,
                        scheme=scenario.partition_scheme,
                        shards_per_user=scenario.shards_per_user,
@@ -329,30 +352,8 @@ def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
     master = child_seed(seed, repeat)
     state = FlState(init_model(spec), 0, master) if scenario.train else None
 
-    # The cohort size, and with it the uplink sub-band, is fixed, so every
-    # per-user time and energy is constant within the repeat: evaluate the
-    # scalar models once per user (vectorised NumPy log2 and squaring can
-    # differ from them in the last bit).
-    b_up = per_client_bandwidth(channel, cohort_size(fl.num_users, fl.fraction))
-    epochs, bits = fl.hyper.local_epochs, train_data.bits_per_sample
-    t_client = np.empty(fl.num_users)  # compute + upload
-    e_tx = np.empty(fl.num_users)
-    e_comp = np.zeros(fl.num_users)
-    rate_down = np.empty(fl.num_users)
-    for u, (vert, horiz, freq) in enumerate(zip(topo.vertical_offsets().tolist(),
-                                                topo.horizontal_distances().tolist(),
-                                                cpu.tolist())):
-        samples = len(shards[u])
-        t_up = tx_time(payload_bits, link_rate(LinkBudget(b_up, channel.user_tx_power,
-                                                          vert, horiz), channel))
-        t_client[u] = user_compute_time(samples, bits, scenario.cycles_per_bit,
-                                        freq, epochs) + t_up
-        e_tx[u] = channel.user_tx_power * t_up
-        if scenario.include_user_compute_energy:
-            e_comp[u] = user_compute_energy(
-                freq, epochs * samples * bits * scenario.cycles_per_bit, scenario.kappa)
-        rate_down[u] = link_rate(LinkBudget(channel.uav_downlink_bandwidth,
-                                            scenario.uav.tx_power, vert, horiz), channel)
+    t_client, e_tx, e_comp, t_recv = per_user_arrays(
+        scenario, repeat, topo, shards, payload_bits, train_data.bits_per_sample)
     p_hover = np.where(topo.user_alt > 0, scenario.uav.propulsion_power, 0.0)
 
     ledger = EnergyLedger(fl.num_users)
@@ -364,7 +365,7 @@ def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
     for rnd in range(fl.max_rounds):
         selected = select_clients(fl.num_users, fl.fraction, _rng(master, rnd, "select"))
         recipients = slice(None) if scenario.broadcast_all else selected
-        t_down = tx_time(payload_bits, float(rate_down[recipients].min()))
+        t_down = float(t_recv[recipients].max())  # = payload / lowest rate, exactly
         duration = t_down + float(t_client[selected].max())
         entry = RoundEnergy(hover=scenario.uav.propulsion_power * duration,
                             uav_tx=scenario.uav.tx_power * t_down,

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from agifl.channel import (ChannelParams, LinkBudget, db_to_linear,
-                           dbm_to_watts, link_rate, per_client_bandwidth,
+                           dbm_to_watts, link_rate, link_rates, per_client_bandwidth,
                            tx_time, watts_to_dbm)
 
 PAPER = ChannelParams()  # case-study constants
@@ -69,6 +70,20 @@ class TestLinkRate:
         assert link_rate(LinkBudget(5e5, 0.1, 0.0, 100.0), PAPER) > 0
 
 
+class TestLinkRates:
+    def test_each_entry_equals_link_rate(self):
+        gen = np.random.default_rng(0)
+        altitudes = gen.choice([0.0, 90.0, 100.0], size=500)
+        horizontal = gen.uniform(0.5, 2000.0, size=500)
+        dist_sq = np.array([a ** 2 + h ** 2 for a, h in zip(altitudes.tolist(),
+                                                            horizontal.tolist())])
+        for bandwidth, power in [(5e5, 0.1), (1e6, 0.01)]:
+            rates = link_rates(bandwidth, power, dist_sq, PAPER)
+            assert rates.tolist() == [
+                link_rate(LinkBudget(bandwidth, power, a, h), PAPER)
+                for a, h in zip(altitudes.tolist(), horizontal.tolist())]
+
+
 class TestTxTime:
     def test_zero_payload(self):
         assert tx_time(0, 3.3e6) == 0.0
@@ -86,6 +101,12 @@ class TestTxTime:
     def test_zero_rate_rejected(self):
         with pytest.raises(ValueError):
             tx_time(100, 0.0)
+
+    def test_array_of_rates(self):
+        rates = np.array([1e6, 2.5e6, 3.3e6])
+        assert tx_time(1000, rates).tolist() == [tx_time(1000, r) for r in rates.tolist()]
+        with pytest.raises(ValueError):
+            tx_time(1000, np.array([1e6, 0.0]))
 
 
 class TestPerClientBandwidth:

@@ -2,8 +2,9 @@
 
 The `run` and `compare-placement` CSVs of configs/quick.ini, and the
 `compare-placement` CSVs of configs/case_study.ini, must hash to the values
-recorded in perfbench/golden.json; the demos that import the round-loop,
-energy and budget APIs must still run and write what they write.
+recorded in perfbench/golden.json; timing-only `run`s of case_study.ini at
+3000 users must hash to the values below; the demos that import the
+round-loop, energy and budget APIs must still run and write what they write.
 """
 
 import hashlib
@@ -38,6 +39,32 @@ def test_case_study_compare_matches_golden(tmp_path, capsys):
     assert main(["compare-placement", str(ROOT / "configs" / "case_study.ini"),
                  "--out", str(tmp_path)]) == 0
     assert csv_hashes(tmp_path) == expected
+
+
+# Timing-only runs at 3000 users: every round reads the per-user link, time
+# and energy arrays, so these hashes lock them in the last bit. Recorded from
+# the per-user scalar loop the arrays replaced.
+TIMING_ONLY_CSVS = {
+    "g2a": {
+        "min_sum_dist_mean.csv": "947d4f953f1a1e411b0ba35fb98865c863a326da45088a842cdaff3ecadf83d4",
+        "min_sum_dist_rep00.csv": "0ecd8a32f7d6ab8529f6006c3f6ddd6a82997d416ee33a171197176af4039d7c",
+        "min_sum_dist_rep01.csv": "240d25f85bcaa4db01c8db663a7e20a749707029176eae42faf7821198051515",
+    },
+    "mixed": {
+        "min_sum_dist_mean.csv": "b1c3fbd5aa2d0a0bd4a507bba99423527419e1ea413c3e2627840fb51892972f",
+        "min_sum_dist_rep00.csv": "0393bfb9cbb948fb673ed4979bb30f93dcad8ce022631b4c1ea0c67632c84322",
+        "min_sum_dist_rep01.csv": "9e7cc1d2024282a499e9a8d6700375781975653ca51b1b55d7d714898048e2dd",
+    },
+}
+
+
+@pytest.mark.parametrize("form", sorted(TIMING_ONLY_CSVS))
+def test_timing_only_run_matches_golden(form, tmp_path, capsys):
+    assert main(["run", str(ROOT / "configs" / "case_study.ini"), "--out", str(tmp_path),
+                 "--scenario.train=false", "--data.source=shape", "--fl.num_users=3000",
+                 "--fl.fraction=0.1", "--scenario.max_rounds=10", "--scenario.repeats=2",
+                 f"--scenario.form={form}"]) == 0
+    assert csv_hashes(tmp_path) == TIMING_ONLY_CSVS[form]
 
 
 DEMO_05_CSVS = {

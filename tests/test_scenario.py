@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agifl.channel import LinkBudget, link_rate, per_client_bandwidth, tx_time
+from agifl import scenario as scenario_module
+from agifl.channel import ChannelParams, LinkBudget, link_rate, per_client_bandwidth, tx_time
 from agifl.data import partition
 from agifl.energy import (UavProfile, round_duration, uav_round_energy,
                           user_compute_energy, user_compute_time)
-from agifl.fedavg import FlConfig, select_clients
+from agifl.fedavg import FlConfig, cohort_size, select_clients
 from agifl.models import Hyperparams
 from agifl.placement import Area, min_sum_dist
 from agifl.scenario import (FORMS, BlobSource, Scenario, ShapeSource, build_topology,
-                            load_source, place_server, run_repeat, run_scenario)
+                            load_source, per_user_arrays, place_server, run_repeat,
+                            run_scenario)
 from agifl.seeding import child_seed, rng
 
 
@@ -371,6 +373,60 @@ class TestRoundLoopReference:
                     for m in rep.metrics] == rows
             assert rep.ledger.total("uav") == uav
             assert [rep.ledger.total(f"user:{u}") for u in range(12)] == users
+
+
+class TestPerUserArrays:
+    """Every entry of the per-user arrays equals the scalar models, at a scale
+    where a vectorised log2 or square would differ in the last bit."""
+
+    @pytest.mark.parametrize("override, compute", [(None, False), (2.5e4, True)])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_every_entry_matches_scalar_models(self, form, override, compute):
+        n, repeat, payload = 20_000, 1, 251_200
+        sc = Scenario(fl=FlConfig(num_users=n, fraction=0.05,
+                                  hyper=Hyperparams(local_epochs=3)),
+                      source=ShapeSource(num_samples=70_001), train=False,
+                      partition_scheme="iid", form=form, master_seed=11,
+                      channel=ChannelParams(uplink_bandwidth_override=override),
+                      include_user_compute_energy=compute)
+        topo = build_topology(sc, rng(11, repeat, "positions"))
+        topo.placement = place_server(sc, topo, rng(11, repeat, "placement"))
+        train, _ = load_source(sc.source, 0)
+        shards = partition(train, n, scheme="iid", seed=7)
+        t_client, e_tx, e_comp, t_recv = per_user_arrays(
+            sc, repeat, topo, shards, payload, train.bits_per_sample)
+
+        ch, bits, epochs = sc.channel, train.bits_per_sample, sc.fl.hyper.local_epochs
+        b_up = per_client_bandwidth(ch, cohort_size(n, sc.fl.fraction))
+        cpu = rng(11, repeat, "cpu").uniform(*sc.cpu_freq_range, size=n).tolist()
+        expected = ([], [], [], [])
+        for u, (vert, horiz) in enumerate(zip(topo.vertical_offsets().tolist(),
+                                              topo.horizontal_distances().tolist())):
+            t_up = tx_time(payload, link_rate(LinkBudget(b_up, ch.user_tx_power,
+                                                         vert, horiz), ch))
+            expected[0].append(user_compute_time(len(shards[u]), bits, sc.cycles_per_bit,
+                                                 cpu[u], epochs) + t_up)
+            expected[1].append(ch.user_tx_power * t_up)
+            expected[2].append(user_compute_energy(cpu[u], epochs * len(shards[u]) * bits
+                                                   * sc.cycles_per_bit, sc.kappa)
+                               if compute else 0.0)
+            expected[3].append(tx_time(payload, link_rate(LinkBudget(
+                ch.uav_downlink_bandwidth, sc.uav.tx_power, vert, horiz), ch)))
+        assert t_client.tolist() == expected[0]
+        assert e_tx.tolist() == expected[1]
+        assert e_comp.tolist() == expected[2]
+        assert t_recv.tolist() == expected[3]
+
+    def test_coincident_user_raises_before_any_round(self, monkeypatch):
+        # a2a: the sum-distance optimum of three collinear users on the
+        # server's layer is the middle user, so its link has zero length
+        sc = small_scenario(form="a2a", user_positions=((0, 0), (50, 0), (100, 0)),
+                            fl=FlConfig(num_users=3, fraction=1.0, max_rounds=3))
+        monkeypatch.setattr(scenario_module, "select_clients",
+                            lambda *args: pytest.fail("a round started"))
+        for repeat in (0, 1):
+            with pytest.raises(ValueError, match=rf"coincide: user 1 .* repeat {repeat}$"):
+                run_repeat(sc, repeat)
 
 
 class TestBudgetsReadOffOneRun:
