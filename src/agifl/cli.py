@@ -46,8 +46,6 @@ def _split_overrides(extra):
 
 def _load(args, extra):
     overrides = _split_overrides(extra)
-    for pair in args.set or []:
-        overrides.update(parse_overrides([pair]))
     if args.seed is not None:
         overrides[("scenario", "master_seed")] = str(args.seed)
     cfg = load_config(args.config, overrides)
@@ -240,8 +238,6 @@ def main(argv=None) -> int:
                        help="parallel repeat processes")
         p.add_argument("--seed", type=int, default=None,
                        help="override scenario.master_seed")
-        p.add_argument("--set", action="append", metavar="SEC.KEY=VALUE",
-                       help="override a config value")
 
     args, extra = parser.parse_known_args(argv)
     try:

@@ -92,9 +92,7 @@ _SCHEMA = {
     "channel": {
         "bandwidth_hz": (_float, 1e6),
         "alpha0_db": (_float, -50.0),
-        "alpha0_linear": (_float, 0.0),  # 0 = use alpha0_db
         "noise_dbm": (_float, -90.0),
-        "noise_w": (_float, 0.0),  # 0 = use noise_dbm
         "user_tx_power_w": (_float, 0.1),
         "uav_downlink_bandwidth_hz": (_float, 1e6),
         "payload_bits_per_param": (int, 32),
@@ -209,10 +207,9 @@ def load_config(path, overrides=None) -> RunConfig:
     warnings: list[str] = []
 
     ch = values["channel"]
-    alpha0 = ch["alpha0_linear"] or db_to_linear(ch["alpha0_db"])
-    noise = ch["noise_w"] or dbm_to_watts(ch["noise_dbm"])
     channel = ChannelParams(
-        total_bandwidth=ch["bandwidth_hz"], ref_gain=alpha0, noise=noise,
+        total_bandwidth=ch["bandwidth_hz"], ref_gain=db_to_linear(ch["alpha0_db"]),
+        noise=dbm_to_watts(ch["noise_dbm"]),
         user_tx_power=ch["user_tx_power_w"],
         uav_downlink_bandwidth=ch["uav_downlink_bandwidth_hz"],
         payload_bits_per_param=ch["payload_bits_per_param"],

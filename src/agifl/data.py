@@ -5,8 +5,8 @@ blobs. A dataset carries a bits-per-sample figure used by the compute-time
 model: raw bytes times 8, label byte included, so a 784-pixel image costs
 (784 + 1) * 8 = 6280 bits.
 
-Partitioning produces index shards, one per user, that are pairwise
-disjoint and cover the dataset exactly. The IID scheme is a random
+Partitioning produces one sorted index array per user; the arrays are
+pairwise disjoint and cover the dataset exactly. The IID scheme is a random
 near-equal split; the label-sharded scheme sorts by label, cuts the order
 into num_users * shards_per_user contiguous shards and deals
 shards_per_user of them to each user, so each user sees few classes.
@@ -21,7 +21,6 @@ from .seeding import child_seed
 
 __all__ = [
     "Dataset",
-    "DataShard",
     "load_idx",
     "synth_blobs",
     "partition",
@@ -53,15 +52,6 @@ class Dataset:
     @property
     def input_dim(self) -> int:
         return self.features.shape[1]
-
-
-@dataclass(frozen=True)
-class DataShard:
-    owner: int
-    sample_indices: np.ndarray
-
-    def __len__(self):
-        return len(self.sample_indices)
 
 
 def _read_be32(f, path):
@@ -174,8 +164,9 @@ def check_partition(num_samples: int, num_users: int, scheme: str,
 
 
 def partition(data: Dataset, num_users: int, scheme: str = "iid",
-              shards_per_user: int = 2, seed: int = 0) -> list[DataShard]:
-    """Split a dataset's indices across users.
+              shards_per_user: int = 2, seed: int = 0) -> list[np.ndarray]:
+    """Split a dataset's indices across users: entry u is user u's sorted
+    sample indices.
 
     "iid": random near-equal split; the first (n mod num_users) users get
     one extra sample. "sharded": label-sorted indices cut into
@@ -189,13 +180,9 @@ def partition(data: Dataset, num_users: int, scheme: str = "iid",
     if scheme == "iid":
         order = gen.permutation(n)
         base, extra = divmod(n, num_users)
-        shards, start = [], 0
-        for u in range(num_users):
-            size = base + (1 if u < extra else 0)
-            shards.append(DataShard(owner=u,
-                                    sample_indices=np.sort(order[start:start + size])))
-            start += size
-        return shards
+        cut = extra * (base + 1)
+        return (list(np.sort(order[:cut].reshape(extra, base + 1), axis=1))
+                + list(np.sort(order[cut:].reshape(num_users - extra, base), axis=1)))
 
     num_shards = num_users * shards_per_user
     shard_size = n // num_shards
@@ -208,4 +195,4 @@ def partition(data: Dataset, num_users: int, scheme: str = "iid",
     if remainder.size:  # it belongs to the last shard
         last = int(np.flatnonzero(deal == num_shards - 1)[0]) // shards_per_user
         indices[last] = np.sort(np.concatenate([dealt[last], remainder]))
-    return [DataShard(owner=u, sample_indices=idx) for u, idx in enumerate(indices)]
+    return indices

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, DataShard
+from .data import Dataset
 from .models import Hyperparams, ModelSpec, train_cohort
 from .seeding import child_seed
 
@@ -81,7 +81,7 @@ def aggregate(updates) -> np.ndarray:
     return weights @ stacked
 
 
-def run_round(state: FlState, config: FlConfig, shards: list[DataShard],
+def run_round(state: FlState, config: FlConfig, shards: list[np.ndarray],
               spec: ModelSpec, data: Dataset, selected):
     """Execute one FedAvg round on the cohort `selected`.
 
@@ -90,7 +90,7 @@ def run_round(state: FlState, config: FlConfig, shards: list[DataShard],
     """
     if len(shards) != config.num_users:
         raise ValueError("one shard per user is required")
-    lanes = [shards[user].sample_indices for user in selected]
+    lanes = [shards[user] for user in selected]
     seeds = [child_seed(state.master_seed, state.round_index, int(user), "train")
              for user in selected]
     trained = train_cohort(state.global_params, data.features, data.labels,

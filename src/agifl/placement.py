@@ -4,8 +4,9 @@ Min_SumDist places the server at the point minimizing the summed slant
 distance to all users, sum_u sqrt((X-x_u)^2 + (Y-y_u)^2 + H^2). With H > 0
 the objective is smooth and strictly convex, so a Weiszfeld-style fixed
 point iteration converges from the centroid; a backtracking gradient step
-guards against the (never observed) case of an increasing iterate. The
-Random baseline draws a location uniformly over the deployment area.
+replaces an iterate whose objective rises, which rounding makes common at
+convergence (see `min_sum_dist`). The Random baseline draws a location
+uniformly over the deployment area.
 """
 
 from dataclasses import dataclass, field
@@ -90,8 +91,11 @@ def min_sum_dist(users, altitude: float, tol: float = 1e-6,
     Iterates the fixed point (x, y) <- sum(u_i / d_i) / sum(1 / d_i) starting
     from the user centroid until successive iterates move less than `tol`
     meters. Each step minimizes a quadratic majorizer of the objective, so
-    the objective never increases; if floating point ever breaks that, a
-    backtracking step along the negative gradient is taken instead.
+    in exact arithmetic the objective never increases. At convergence
+    rounding often raises it in the last bit (15 of 20 uniform 100-user
+    geometries at H = 100 m, final objective unchanged); such an iterate is
+    replaced by a backtracking step along the negative gradient and counted
+    in `trace.fallback_steps`.
     """
     users = np.asarray(users, dtype=float)
     if users.ndim != 2 or users.shape[0] == 0 or users.shape[1] != 2:

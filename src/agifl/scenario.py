@@ -324,8 +324,8 @@ def per_user_arrays(scenario: Scenario, repeat: int, topo: Topology, shards,
     b_up = per_client_bandwidth(channel, cohort_size(n, fl.fraction))
     t_up = tx_time(payload_bits, link_rates(b_up, channel.user_tx_power, dist_sq, channel))
     cpu = _rng(scenario.master_seed, repeat, "cpu").uniform(*scenario.cpu_freq_range, size=n)
-    cycles = np.fromiter((fl.hyper.local_epochs * len(shard) * bits_per_sample
-                          * scenario.cycles_per_bit for shard in shards), float, n)
+    cycles = np.fromiter((fl.hyper.local_epochs * size * bits_per_sample
+                          * scenario.cycles_per_bit for size in map(len, shards)), float, n)
     e_comp = (np.fromiter((user_compute_energy(f, c, scenario.kappa)
                            for f, c in zip(cpu.tolist(), cycles.tolist())), float, n)
               if scenario.include_user_compute_energy else np.zeros(n))

@@ -154,7 +154,7 @@ def test_criterion_5_fedavg_correctness():
     for _ in range(5):
         state, _ = run_round(state, config, shards, spec, data, [0])
     w = init_model(spec)
-    idx = shards[0].sample_indices
+    idx = shards[0]
     for rnd in range(5):
         w = local_train(w, data.features[idx], data.labels[idx], spec,
                         config.hyper, child_seed(321, rnd, 0, "train"))
@@ -335,7 +335,7 @@ def test_criterion_8_gradient_and_partition_suites():
     for seed in range(50):
         for scheme, kwargs in (("iid", {}), ("sharded", {"shards_per_user": 2})):
             shards = partition(data, 10, scheme=scheme, seed=seed, **kwargs)
-            merged = np.concatenate([s.sample_indices for s in shards])
+            merged = np.concatenate(shards)
             if len(merged) != data.num_samples:
                 failures.append(f"{scheme}/seed {seed}: not a covering split")
                 break

@@ -70,6 +70,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="uav_tx_power_w"):
             load_config(path)
 
+    @pytest.mark.parametrize("key", ["alpha0_linear", "noise_w"])
+    def test_channel_constants_have_one_key(self, key, tmp_path):
+        path = tmp_path / "old.ini"
+        path.write_text(f"[channel]\n{key} = 0\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            load_config(path)
+
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "typo.ini"
         path.write_text("[chanel]\nbandwidth_hz = 1e6\n")
@@ -197,6 +204,8 @@ class TestInvalidInputExits1:
                      "unknown model kind 'mpl'", id="unknown-model-kind"),
         pytest.param(["run", "quick.ini", "--model.kind=mlp", "--model.hidden_dim=0"],
                      "hidden_dim must be >= 1 for mlp", id="mlp-without-hidden-layer"),
+        pytest.param(["run", "quick.ini", "--set", "fl.fraction=0.5"],
+                     "unrecognized argument '--set'", id="removed-set-option"),
     ])
     def test_exit_1_with_one_error_line(self, argv, message, tmp_path, capsys):
         command, config, *rest = argv

@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from agifl.data import (Dataset, IMAGES_MAGIC, LABELS_MAGIC, load_idx,
@@ -38,6 +38,19 @@ def sharded_reference(labels, num_users, shards_per_user, seed):
     return [np.sort(np.concatenate([cuts[i] for i in
                                     deal[u * shards_per_user:(u + 1) * shards_per_user]]))
             for u in range(num_users)]
+
+
+def iid_reference(num_samples, num_users, seed):
+    """The IID scheme one user at a time: consecutive slices of one
+    permutation, the first (n mod num_users) users one sample larger."""
+    order = np.random.default_rng(seed).permutation(num_samples)
+    base, extra = divmod(num_samples, num_users)
+    shards, start = [], 0
+    for u in range(num_users):
+        size = base + (1 if u < extra else 0)
+        shards.append(np.sort(order[start:start + size]))
+        start += size
+    return shards
 
 
 def labels_only_dataset(labels):
@@ -133,7 +146,7 @@ class TestPartition:
     def test_partition_law(self, scheme, kwargs, seed):
         data = labels_only_dataset(np.arange(230) % 5)
         shards = partition(data, 10, scheme=scheme, seed=seed, **kwargs)
-        merged = np.concatenate([s.sample_indices for s in shards])
+        merged = np.concatenate(shards)
         assert np.array_equal(np.sort(merged), np.arange(230))
 
     def test_iid_sizes_differ_by_at_most_one(self):
@@ -150,12 +163,12 @@ class TestPartition:
             shards = partition(data, 6, scheme="sharded", shards_per_user=2,
                                seed=seed)
             for shard in shards:
-                assert len(np.unique(labels[shard.sample_indices])) <= 2
+                assert len(np.unique(labels[shard])) <= 2
 
     def test_sharded_remainder_absorbed(self):
         data = labels_only_dataset(np.arange(101) % 4)
         shards = partition(data, 5, scheme="sharded", shards_per_user=2, seed=3)
-        merged = np.concatenate([s.sample_indices for s in shards])
+        merged = np.concatenate(shards)
         assert np.array_equal(np.sort(merged), np.arange(101))
 
     @settings(max_examples=200, deadline=None)
@@ -170,10 +183,27 @@ class TestPartition:
         shards = partition(labels_only_dataset(labels), num_users, scheme="sharded",
                            shards_per_user=shards_per_user, seed=seed)
         expected = sharded_reference(labels, num_users, shards_per_user, seed)
-        assert [s.owner for s in shards] == list(range(num_users))
+        assert len(shards) == num_users
         for shard, want in zip(shards, expected):
-            assert shard.sample_indices.dtype == want.dtype
-            assert np.array_equal(shard.sample_indices, want)
+            assert shard.dtype == want.dtype
+            assert np.array_equal(shard, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(num_samples=st.integers(1, 300), divisible=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_iid_matches_per_user_reference(self, num_samples, divisible, seed, data):
+        # n mod U == 0: equal counts; otherwise the first users get one more
+        candidates = [u for u in range(1, num_samples + 1)
+                      if (num_samples % u == 0) == divisible]
+        assume(candidates)
+        num_users = data.draw(st.sampled_from(candidates))
+        shards = partition(labels_only_dataset(np.zeros(num_samples)), num_users,
+                           scheme="iid", seed=seed)
+        expected = iid_reference(num_samples, num_users, seed)
+        assert len(shards) == num_users
+        for shard, want in zip(shards, expected):
+            assert shard.dtype == want.dtype
+            assert np.array_equal(shard, want)
 
     def test_too_many_users(self):
         data = labels_only_dataset([0, 1, 0])

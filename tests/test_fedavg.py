@@ -104,7 +104,7 @@ class TestRunRound:
             state, _ = run_round(state, config, shards, spec, data, [0])
 
         w = init_model(spec)
-        idx = shards[0].sample_indices
+        idx = shards[0]
         for rnd in range(5):
             w = local_train(w, data.features[idx], data.labels[idx], spec,
                             config.hyper, child_seed(123, rnd, 0, "train"))
@@ -133,7 +133,7 @@ class TestRunRound:
 
         manual = []
         for user in selected:
-            idx = shards[user].sample_indices
+            idx = shards[user]
             w = local_train(state.global_params, data.features[idx],
                             data.labels[idx], spec, config.hyper,
                             child_seed(77, 0, int(user), "train"))
@@ -185,7 +185,7 @@ class TestRunRound:
         new_state, updates = run_round(state, config, shards, spec, data, cohort)
         assert [(len(lane), seed) for lane, seed in trained] == [
             (len(shards[u]), child_seed(9, 0, u, "train")) for u in cohort]
-        assert all(np.array_equal(lane, shards[u].sample_indices)
+        assert all(np.array_equal(lane, shards[u])
                    for (lane, _), u in zip(trained, cohort))
         assert [n for _, n in updates] == [len(shards[u]) for u in cohort]
         assert new_state.round_index == 1
