@@ -3,8 +3,10 @@
 Solves the minimum-sum-distance problem with the fixed-point solver,
 cross-checks it against the exhaustive grid oracle, and contrasts both
 with random placements. Writes the solver's descent curve to
-placement_descent.svg.
+out/placement_descent.svg.
 """
+
+from pathlib import Path
 
 import numpy as np
 
@@ -34,8 +36,10 @@ for seed in range(5):
     print(f"  seed {seed}: ({p.x:7.1f}, {p.y:7.1f}) objective {obj:9.1f} m "
           f"(+{obj - best_obj:7.1f})")
 
-svg_line_chart("placement_descent.svg",
+out = Path("out")
+out.mkdir(exist_ok=True)
+svg_line_chart(out / "placement_descent.svg",
                [("objective", list(range(len(trace.objective_history))),
                  trace.objective_history)],
                "Solver descent", "iteration", "summed slant distance (m)")
-print("\nwrote placement_descent.svg")
+print("\nwrote out/placement_descent.svg")

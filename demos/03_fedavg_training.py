@@ -3,9 +3,11 @@
 Runs the same federation twice, differing only in how the corpus is dealt
 to users, and charts the test accuracy per round. The label-sharded split
 gives every user two classes only, which slows and roughens convergence.
+Writes the chart to out/fedavg_accuracy.svg.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 from agifl import BlobSource, FlConfig, Hyperparams, Scenario, run_scenario
 from agifl.reports import svg_line_chart
@@ -31,6 +33,8 @@ for label, scenario in [("iid", base),
     print(f"{label:>10}: final mean accuracy {accs[-1]:.4f} "
           f"(best {result.mean_best_accuracy:.4f})")
 
-svg_line_chart("fedavg_accuracy.svg", curves,
+out = Path("out")
+out.mkdir(exist_ok=True)
+svg_line_chart(out / "fedavg_accuracy.svg", curves,
                "Test accuracy by partition scheme", "round", "accuracy")
-print("wrote fedavg_accuracy.svg")
+print("wrote out/fedavg_accuracy.svg")

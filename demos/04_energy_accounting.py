@@ -22,13 +22,15 @@ p = rep.placement
 print(f"hover point: ({p.x:.1f}, {p.y:.1f}) at {p.altitude:.0f} m\n")
 print(f"{'round':>5} {'selected':>12} {'duration s':>11} {'hover J':>9} "
       f"{'tx J':>9} {'cumulative J':>13}")
-for metrics, entry in zip(rep.metrics, rep.ledger.rounds):
+power = scenario.uav.propulsion_power
+for metrics in rep.metrics:
     chosen = ",".join(str(u) for u in metrics.selected)
+    hover = power * metrics.duration
     print(f"{metrics.round:>5} {chosen:>12} {metrics.duration:>11.4f} "
-          f"{entry.hover:>9.3f} {entry.uav_tx:>9.6f} "
+          f"{hover:>9.3f} {metrics.uav_energy - hover:>9.6f} "
           f"{metrics.cum_uav_energy:>13.3f}")
 
 total = rep.ledger.total("uav")
-hover = sum(e.hover for e in rep.ledger.rounds)
+hover = sum(power * m.duration for m in rep.metrics)
 print(f"\nhovering accounts for {hover / total:.2%} of the server's "
       f"{total:.1f} J: round length is the lever that matters.")

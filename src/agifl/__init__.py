@@ -7,8 +7,7 @@ from .channel import (ChannelParams, LinkBudget, db_to_linear, dbm_to_watts,
                       link_rate, link_rates, linear_to_db, per_client_bandwidth, tx_time,
                       watts_to_dbm)
 from .data import Dataset, load_idx, partition, synth_blobs
-from .energy import (CONTINUE, HALT, EnergyLedger, RoundEnergy, UavProfile,
-                     apply_budget, round_duration, uav_round_energy,
+from .energy import (EnergyLedger, UavProfile, round_duration, uav_round_energy,
                      user_compute_energy, user_compute_time)
 from .fedavg import FlConfig, FlState, aggregate, run_round, select_clients
 from .models import (Hyperparams, ModelSpec, evaluate, init_model,

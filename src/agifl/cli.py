@@ -48,10 +48,7 @@ def _load(args, extra):
     overrides = _split_overrides(extra)
     if args.seed is not None:
         overrides[("scenario", "master_seed")] = str(args.seed)
-    cfg = load_config(args.config, overrides)
-    for warning in cfg.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    return cfg
+    return load_config(args.config, overrides)
 
 
 def _preflight_data(scenario) -> int:

@@ -123,7 +123,6 @@ class RunConfig:
     scenario: Scenario
     compare_budgets: list = field(default_factory=list)
     compare_repeats: int = 5
-    warnings: list = field(default_factory=list)
 
 
 def parse_overrides(pairs) -> dict:
@@ -173,7 +172,7 @@ def _read_values(path, overrides):
     return values
 
 
-def _build_source(data, warnings):
+def _build_source(data):
     kind = data["source"]
     if kind == "shape":
         return ShapeSource(num_samples=data["num_samples"],
@@ -182,16 +181,9 @@ def _build_source(data, warnings):
                            bits_per_sample=data["bits_per_sample"])
     if kind == "idx":
         mnist_dir = data["mnist_dir"] or os.environ.get(MNIST_DIR_ENV, "")
-        if mnist_dir:
-            paths = [os.path.join(mnist_dir, name) for name in MNIST_FILES]
-            if all(os.path.exists(p) for p in paths):
-                return IdxSource(*paths)
-            warnings.append(f"MNIST files not found under {mnist_dir}; "
-                            "falling back to synthetic blobs")
-        else:
-            warnings.append("data.source=idx but no mnist_dir or "
-                            f"{MNIST_DIR_ENV} given; falling back to synthetic blobs")
-        kind = "blobs"
+        if not mnist_dir:
+            raise ConfigError(f"data.source=idx needs data.mnist_dir or {MNIST_DIR_ENV}")
+        return IdxSource(*(os.path.join(mnist_dir, name) for name in MNIST_FILES))
     if kind == "blobs":
         return BlobSource(num_classes=data["classes"],
                           samples_per_class=data["samples_per_class"],
@@ -204,7 +196,6 @@ def _build_source(data, warnings):
 def load_config(path, overrides=None) -> RunConfig:
     """Parse a config file plus overrides into a ready-to-run Scenario."""
     values = _read_values(path, overrides or {})
-    warnings: list[str] = []
 
     ch = values["channel"]
     channel = ChannelParams(
@@ -223,7 +214,7 @@ def load_config(path, overrides=None) -> RunConfig:
                                           local_epochs=fl["local_epochs"],
                                           batch_size=fl["batch_size"]),
                         max_rounds=sc["max_rounds"]),
-            source=_build_source(values["data"], warnings),
+            source=_build_source(values["data"]),
             model_kind=values["model"]["kind"],
             hidden_dim=values["model"]["hidden_dim"],
             channel=channel,
@@ -265,5 +256,4 @@ def load_config(path, overrides=None) -> RunConfig:
         raise ConfigError("compare.budget_repeats must be >= 1")
 
     return RunConfig(scenario=scenario, compare_budgets=budgets,
-                     compare_repeats=values["compare"]["budget_repeats"],
-                     warnings=warnings)
+                     compare_repeats=values["compare"]["budget_repeats"])

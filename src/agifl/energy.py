@@ -12,32 +12,28 @@ their upload; their compute energy (effective-capacitance model
 kappa * f^2 * cycles) is tracked only when enabled, since the headline
 comparison concerns the server's energy.
 
+`EnergyLedger` holds a run's energy budget on one entity and refuses a
+round that would take that entity over it, leaving every total as it was.
+
 `scenario.per_user_arrays` builds the per-user terms as arrays once per
 repeat; `user_compute_time`, `round_duration` and `uav_round_energy` are the
 scalar references its array arithmetic is tested against.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "UavProfile",
-    "RoundEnergy",
     "EnergyLedger",
     "entity_index",
-    "CONTINUE",
-    "HALT",
     "user_compute_time",
     "user_compute_energy",
     "round_duration",
     "uav_round_energy",
-    "apply_budget",
 ]
-
-CONTINUE = "continue"
-HALT = "halt"
 
 DEFAULT_KAPPA = 1e-28
 
@@ -55,26 +51,6 @@ class UavProfile:
             raise ValueError("UavProfile fields must be positive")
 
 
-@dataclass(frozen=True)
-class RoundEnergy:
-    """Energy breakdown of one completed round, joules.
-
-    The per-user arrays are aligned with `users`, the round's cohort. A
-    term that does not apply to a client is 0: compute energy when it is
-    not tracked, hover energy for a client on the ground.
-    """
-
-    hover: float = 0.0
-    uav_tx: float = 0.0
-    users: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    user_tx: np.ndarray = field(default_factory=lambda: np.empty(0))
-    user_compute: np.ndarray = field(default_factory=lambda: np.empty(0))
-    user_hover: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def server_total(self) -> float:
-        return self.hover + self.uav_tx
-
-
 def entity_index(entity: str, num_users: int) -> int | None:
     """None for "uav", the id for "user:<id>" with 0 <= id < num_users;
     anything else raises ValueError rather than reading as a zero total."""
@@ -89,17 +65,22 @@ def entity_index(entity: str, num_users: int) -> int | None:
 
 
 class EnergyLedger:
-    """Cumulative per-entity energy, updated once per completed round.
+    """Cumulative per-entity energy, updated once per counted round.
 
     Entities are "uav" (the server) and "user:<id>" for 0 <= id <
-    num_users. Rounds can be dropped again while a budget decision is
-    pending, so a round that would overdraw the budget is never counted.
-    One-off costs (such as a flat flight-to-hover-point charge) count
-    toward the totals without affecting the round count.
+    num_users. `add_round` refuses a round after which `entity`'s total
+    would exceed `budget` (an infinite budget refuses none), so a round
+    that would overdraw the budget is never counted. One-off costs (such
+    as a flat flight-to-hover-point charge) count toward the totals
+    without affecting the round count.
     """
 
-    def __init__(self, num_users: int):
-        self.rounds: list[RoundEnergy] = []
+    def __init__(self, num_users: int, budget: float = math.inf, entity: str = "uav"):
+        if budget <= 0:
+            raise ValueError("budget must be positive")
+        entity_index(entity, num_users)
+        self._budget = budget
+        self._entity = entity
         self._uav = 0.0
         self._users = np.zeros(num_users)
 
@@ -112,27 +93,28 @@ class EnergyLedger:
         else:
             self._users[user] += joules
 
-    def add_round(self, entry: RoundEnergy) -> None:
-        self.rounds.append(entry)
-        self._uav += entry.server_total()
+    def add_round(self, server: float, users: np.ndarray, user_tx: np.ndarray,
+                  user_compute: np.ndarray, user_hover: np.ndarray) -> bool:
+        """Count a round: `server` joules for the server and, aligned with
+        the cohort `users` (distinct ids), each user's transmit, compute and
+        hover joules. Returns False, with every total left as it was, when
+        the round would take the budget entity over the budget."""
+        uav, kept = self._uav, self._users[users]
+        self._uav += server
         # float addition is not associative: tx, then compute, then hover
         # fixes each user's total to the last bit
-        self._users[entry.users] += entry.user_tx
-        self._users[entry.users] += entry.user_compute
-        self._users[entry.users] += entry.user_hover
-
-    def drop_last_round(self) -> RoundEnergy:
-        entry = self.rounds.pop()
-        self._uav -= entry.server_total()
-        self._users[entry.users] -= entry.user_tx + entry.user_compute + entry.user_hover
-        return entry
+        self._users[users] += user_tx
+        self._users[users] += user_compute
+        self._users[users] += user_hover
+        if self.total(self._entity) > self._budget:
+            self._uav = uav
+            self._users[users] = kept
+            return False
+        return True
 
     def total(self, entity: str = "uav") -> float:
         user = entity_index(entity, len(self._users))
         return self._uav if user is None else float(self._users[user])
-
-    def __len__(self):
-        return len(self.rounds)
 
 
 def user_compute_time(samples: int, bits_per_sample: int, cycles_per_bit: int,
@@ -173,17 +155,3 @@ def uav_round_energy(t_round: float, t_down: float, profile: UavProfile) -> floa
     if t_down > t_round:
         raise ValueError("downlink time exceeds round duration")
     return profile.propulsion_power * t_round + profile.tx_power * t_down
-
-
-def apply_budget(ledger: EnergyLedger, budget: float, entity: str = "uav") -> str:
-    """Budget check after recording a round.
-
-    Returns HALT when the entity's cumulative energy, including the round
-    just recorded, exceeds the budget; the caller then drops that round so
-    a partial round is never counted. An infinite budget never halts.
-    """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    if math.isinf(budget):
-        return CONTINUE
-    return HALT if ledger.total(entity) > budget else CONTINUE

@@ -10,9 +10,9 @@ server and then runs the round loop (`run_repeat`):
     select cohort -> downlink broadcast -> parallel local compute + uplink
     -> account energy -> aggregate -> evaluate
 
-It halts on the round budget or when the monitored entity's energy budget
-would be exceeded (the partial round is then discarded before any
-training). That entity's running total never falls, so a run under a
+It halts on the round budget or when the ledger refuses a round because
+the monitored entity's energy budget would be exceeded (before that round
+trains). That entity's running total never falls, so a run under a
 smaller budget keeps exactly the rounds of this run whose recorded total
 is within it: `best_accuracy_within` reads any smaller budget off one run.
 
@@ -33,8 +33,7 @@ import numpy as np
 
 from .channel import ChannelParams, link_rates, per_client_bandwidth, tx_time
 from .data import Dataset, load_idx, partition, synth_blobs
-from .energy import (CONTINUE, EnergyLedger, RoundEnergy, UavProfile, apply_budget,
-                     entity_index, user_compute_energy)
+from .energy import EnergyLedger, UavProfile, entity_index, user_compute_energy
 from .fedavg import FlConfig, FlState, cohort_size, run_round, select_clients
 from .models import ModelSpec, check_architecture, evaluate, init_model, param_count
 from .placement import Area, Placement, min_sum_dist, random_placement
@@ -356,7 +355,7 @@ def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
         scenario, repeat, topo, shards, payload_bits, train_data.bits_per_sample)
     p_hover = np.where(topo.user_alt > 0, scenario.uav.propulsion_power, 0.0)
 
-    ledger = EnergyLedger(fl.num_users)
+    ledger = EnergyLedger(fl.num_users, scenario.energy_budget, scenario.budget_entity)
     if scenario.initial_flight_energy > 0:
         ledger.charge("uav", scenario.initial_flight_energy)
     metrics: list[RoundMetrics] = []
@@ -367,14 +366,9 @@ def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
         recipients = slice(None) if scenario.broadcast_all else selected
         t_down = float(t_recv[recipients].max())  # = payload / lowest rate, exactly
         duration = t_down + float(t_client[selected].max())
-        entry = RoundEnergy(hover=scenario.uav.propulsion_power * duration,
-                            uav_tx=scenario.uav.tx_power * t_down,
-                            users=selected, user_tx=e_tx[selected],
-                            user_compute=e_comp[selected],
-                            user_hover=p_hover[selected] * duration)
-        ledger.add_round(entry)
-        if apply_budget(ledger, scenario.energy_budget, scenario.budget_entity) != CONTINUE:
-            ledger.drop_last_round()
+        server = scenario.uav.propulsion_power * duration + scenario.uav.tx_power * t_down
+        if not ledger.add_round(server, selected, e_tx[selected], e_comp[selected],
+                                p_hover[selected] * duration):
             halt_reason = "budget"
             break
 
@@ -386,7 +380,7 @@ def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
                                                test_data.features, test_data.labels)
 
         metrics.append(RoundMetrics(
-            round=rnd + 1, duration=duration, uav_energy=entry.server_total(),
+            round=rnd + 1, duration=duration, uav_energy=server,
             cum_uav_energy=ledger.total("uav"), test_loss=test_loss,
             test_acc=test_acc, selected=tuple(selected.tolist()),
             budget_total=ledger.total(scenario.budget_entity)))

@@ -120,8 +120,11 @@ class TestRunCommand:
         path = tmp_path / "idx.ini"
         path.write_text(f"[data]\nsource = idx\nmnist_dir = {tmp_path}/nope\n"
                         "[scenario]\ntrain = false\nrepeats = 1\nmax_rounds = 1\n")
-        # the loader warns and falls back to blobs, so this succeeds; a
-        # corrupt idx file is the hard I/O failure
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: dataset:")
+        assert f"{tmp_path}/nope" in err[0]
+        # a corrupt idx file is an I/O failure too
         imgs = tmp_path / "bad-images"
         imgs.write_bytes(b"\x00\x00\x08\x02" + b"\x00" * 16)
         lbls = tmp_path / "bad-labels"
@@ -136,6 +139,13 @@ class TestRunCommand:
                         "[scenario]\nrepeats = 1\nmax_rounds = 1\n")
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "dataset" in capsys.readouterr().err
+
+    def test_idx_without_mnist_dir_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("AGIFL_MNIST_DIR", raising=False)
+        path = tmp_path / "idx.ini"
+        path.write_text("[data]\nsource = idx\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "mnist_dir" in capsys.readouterr().err
 
     def test_seed_flag_reproduces_bytes(self, config_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -2,21 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agifl.energy import (CONTINUE, HALT, EnergyLedger, RoundEnergy,
-                          UavProfile, apply_budget, entity_index,
-                          round_duration, uav_round_energy,
-                          user_compute_energy, user_compute_time)
+from agifl.energy import (EnergyLedger, UavProfile, entity_index, round_duration,
+                          uav_round_energy, user_compute_energy, user_compute_time)
 
 
-def round_entry(hover=0.0, uav_tx=0.0, user_tx=None):
-    """A RoundEnergy whose cohort pays the given transmit energy only."""
+def offer(ledger, server, user_tx=None):
+    """Offer a round whose cohort pays the given transmit energy only."""
     user_tx = user_tx or {}
     n = len(user_tx)
-    return RoundEnergy(hover=hover, uav_tx=uav_tx,
-                       users=np.array(list(user_tx), dtype=np.int64),
-                       user_tx=np.array(list(user_tx.values()), dtype=float),
-                       user_compute=np.zeros(n), user_hover=np.zeros(n))
+    return ledger.add_round(server, np.array(list(user_tx), dtype=np.int64),
+                            np.array(list(user_tx.values()), dtype=float),
+                            np.zeros(n), np.zeros(n))
 
 
 class TestComputeTime:
@@ -78,63 +77,53 @@ class TestUavEnergy:
 class TestLedgerAndBudget:
     def test_additivity(self):
         ledger = EnergyLedger(num_users=2)
-        per_round = [round_entry(hover=10.0, uav_tx=0.5, user_tx={0: 0.2}),
-                     round_entry(hover=12.0, uav_tx=0.25, user_tx={1: 0.1}),
-                     round_entry(hover=8.0, uav_tx=0.75, user_tx={0: 0.3})]
-        for entry in per_round:
-            ledger.add_round(entry)
-        assert ledger.total("uav") == sum(e.hover + e.uav_tx for e in per_round)
+        per_round = [(10.0 + 0.5, {0: 0.2}), (12.0 + 0.25, {1: 0.1}), (8.0 + 0.75, {0: 0.3})]
+        assert all(offer(ledger, server, user_tx) for server, user_tx in per_round)
+        assert ledger.total("uav") == sum(server for server, _ in per_round)
         assert ledger.total("user:0") == pytest.approx(0.5)
-        assert len(ledger) == 3
 
-    def test_drop_last_round(self):
-        ledger = EnergyLedger(num_users=4)
-        ledger.add_round(round_entry(hover=5.0, uav_tx=0.1))
-        ledger.add_round(round_entry(hover=7.0, uav_tx=0.2, user_tx={3: 1.0}))
-        ledger.drop_last_round()
-        assert len(ledger) == 1
-        assert ledger.total("uav") == pytest.approx(5.1)
-        assert ledger.total("user:3") == pytest.approx(0.0)
+    def test_refused_round_leaves_totals_unchanged(self):
+        ledger = EnergyLedger(num_users=4, budget=10.0)
+        assert offer(ledger, 5.0 + 0.1)
+        assert not offer(ledger, 7.0 + 0.2, {3: 1.0})
+        assert ledger.total("uav") == 5.0 + 0.1
+        assert ledger.total("user:3") == 0.0
 
     def test_budget_halts_after_fourth_round(self):
         # 24 J per round against a 100 J budget: 96 <= 100 < 120
-        ledger = EnergyLedger(num_users=1)
+        ledger = EnergyLedger(num_users=1, budget=100.0)
         completed = 0
         for _ in range(10):
-            ledger.add_round(RoundEnergy(hover=24.0))
-            if apply_budget(ledger, 100.0) == HALT:
-                ledger.drop_last_round()
+            if not offer(ledger, 24.0):
                 break
             completed += 1
         assert completed == 4
-        assert ledger.total("uav") == pytest.approx(96.0)
+        assert ledger.total("uav") == 96.0
 
     def test_infinite_budget_never_halts(self):
         ledger = EnergyLedger(num_users=1)
         for _ in range(1000):
-            ledger.add_round(RoundEnergy(hover=1e6))
-            assert apply_budget(ledger, math.inf) == CONTINUE
+            assert offer(ledger, 1e6)
 
     def test_budget_below_first_round(self):
-        ledger = EnergyLedger(num_users=1)
-        ledger.add_round(RoundEnergy(hover=24.0))
-        assert apply_budget(ledger, 10.0) == HALT
-        ledger.drop_last_round()
-        assert len(ledger) == 0
+        ledger = EnergyLedger(num_users=1, budget=10.0)
+        assert not offer(ledger, 24.0)
+        assert ledger.total("uav") == 0.0
 
     def test_invalid_budget(self):
-        with pytest.raises(ValueError):
-            apply_budget(EnergyLedger(num_users=1), 0.0)
+        for budget in (0.0, -1.0):
+            with pytest.raises(ValueError, match="budget must be positive"):
+                EnergyLedger(num_users=1, budget=budget)
 
     def test_unknown_entity_raises(self):
         ledger = EnergyLedger(num_users=3)
-        ledger.add_round(round_entry(hover=5.0, user_tx={2: 1.0}))
+        offer(ledger, 5.0, {2: 1.0})
         assert ledger.total("user:2") == 1.0
         for entity in ("uva", "user:3", "user:-1", "user:x", "user:", "server"):
             with pytest.raises(ValueError, match="unknown energy entity"):
                 ledger.total(entity)
             with pytest.raises(ValueError, match="unknown energy entity"):
-                apply_budget(ledger, 1.0, entity)
+                EnergyLedger(num_users=3, budget=1.0, entity=entity)
 
     def test_entity_index(self):
         assert entity_index("uav", 0) is None
@@ -145,20 +134,60 @@ class TestLedgerAndBudget:
 
     def test_per_user_terms_add_in_order(self):
         # tx, then compute, then hover: each user's total is that running
-        # sum; a dropped round subtracts the user's round total
-        ledger = EnergyLedger(num_users=3)
+        # sum; a refused round leaves every total as it was
+        ledger = EnergyLedger(num_users=3, budget=1.0, entity="user:0")
         users = np.array([0, 2])
         tx, comp, hover = np.array([0.1, 0.2]), np.array([0.7, 0.0]), np.array([0.0, 0.3])
         ledger.charge("user:2", 0.05)
-        ledger.add_round(RoundEnergy(hover=1.0, uav_tx=0.5, users=users, user_tx=tx,
-                                     user_compute=comp, user_hover=hover))
+        assert ledger.add_round(1.5, users, tx, comp, hover)
         assert ledger.total("user:0") == 0.0 + 0.1 + 0.7 + 0.0
         assert ledger.total("user:1") == 0.0
         assert ledger.total("user:2") == 0.05 + 0.2 + 0.0 + 0.3
-        ledger.drop_last_round()
-        assert ledger.total("user:0") == (0.1 + 0.7) - (0.1 + 0.7 + 0.0)
-        assert ledger.total("user:2") == (0.05 + 0.2 + 0.3) - (0.2 + 0.0 + 0.3)
-        assert ledger.total("uav") == 0.0
+        assert not ledger.add_round(1.5, users, tx, comp, hover)  # user 0 would reach 1.6
+        assert ledger.total("user:0") == 0.0 + 0.1 + 0.7 + 0.0
+        assert ledger.total("user:2") == 0.05 + 0.2 + 0.0 + 0.3
+        assert ledger.total("uav") == 1.5
+
+
+joules = st.floats(0.0, 10.0)
+
+
+@st.composite
+def ledger_rounds(draw):
+    """(num_users, entity, budget, flight charge, rounds); a round is
+    (server joules, cohort of distinct ids, [(tx, compute, hover) per member])."""
+    n = draw(st.integers(1, 6))
+    entity = draw(st.sampled_from(["uav"] + [f"user:{u}" for u in range(n)]))
+    budget = draw(st.floats(1e-6, 60.0) | st.just(math.inf))
+    rounds = []
+    for _ in range(draw(st.integers(0, 12))):
+        cohort = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        terms = draw(st.lists(st.tuples(joules, joules, joules),
+                              min_size=len(cohort), max_size=len(cohort)))
+        rounds.append((draw(joules), cohort, terms))
+    return n, entity, budget, draw(joules), rounds
+
+
+class TestLedgerProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(case=ledger_rounds())
+    def test_refuses_exactly_when_a_sequential_reference_overdraws(self, case):
+        n, entity, budget, flight, rounds = case
+        ledger = EnergyLedger(n, budget, entity)
+        ledger.charge("uav", flight)
+        uav, users = flight, [0.0] * n
+        for server, cohort, terms in rounds:
+            next_uav, next_users = uav + server, list(users)
+            for u, (tx, comp, hover) in zip(cohort, terms):
+                next_users[u] = next_users[u] + tx + comp + hover
+            spent = next_uav if entity == "uav" else next_users[entity_index(entity, n)]
+            kept = not spent > budget
+            if kept:
+                uav, users = next_uav, next_users
+            tx, comp, hover = np.array(terms).T
+            assert ledger.add_round(server, np.array(cohort), tx, comp, hover) == kept
+            assert ledger.total("uav") == uav
+            assert [ledger.total(f"user:{u}") for u in range(n)] == users
 
 
 class TestProfilesAndUserEnergy:

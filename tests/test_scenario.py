@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from agifl import scenario as scenario_module
@@ -12,7 +12,7 @@ from agifl.data import partition
 from agifl.energy import (UavProfile, round_duration, uav_round_energy,
                           user_compute_energy, user_compute_time)
 from agifl.fedavg import FlConfig, cohort_size, select_clients
-from agifl.models import Hyperparams
+from agifl.models import Hyperparams, param_count
 from agifl.placement import Area, min_sum_dist
 from agifl.scenario import (FORMS, BlobSource, Scenario, ShapeSource, build_topology,
                             load_source, per_user_arrays, place_server, run_repeat,
@@ -33,6 +33,20 @@ def small_scenario(**kwargs):
     )
     defaults.update(kwargs)
     return Scenario(**defaults)
+
+
+def repeat_arrays(sc, repeat=0):
+    """`per_user_arrays` on the geometry, shards and payload `run_repeat` uses."""
+    seed = sc.master_seed
+    topo = build_topology(sc, rng(seed, repeat, "positions"))
+    topo.placement = place_server(sc, topo, rng(seed, repeat, "placement"))
+    train, _ = load_source(sc.source, child_seed(seed, "data"))
+    shards = partition(train, sc.fl.num_users, scheme=sc.partition_scheme,
+                       shards_per_user=sc.shards_per_user,
+                       seed=child_seed(seed, repeat, "partition"))
+    spec = scenario_module._model_spec(sc, train, init_seed=0)
+    payload = param_count(spec) * sc.channel.payload_bits_per_param
+    return per_user_arrays(sc, repeat, topo, shards, payload, train.bits_per_sample)
 
 
 class TestTopology:
@@ -190,10 +204,13 @@ class TestRunScenario:
     def test_aerial_clients_pay_hover_energy(self):
         sc = small_scenario(form="a2g", train=False, repeats=1)
         rep = run_repeat(sc, 0)
-        selected = rep.metrics[0].selected
-        entry = rep.ledger.rounds[0]
-        assert tuple(entry.users.tolist()) == selected
-        assert all(hover > 0 for hover in entry.user_hover)
+        e_tx = repeat_arrays(sc)[1]
+        for u in range(sc.fl.num_users):
+            spent = 0.0
+            for m in rep.metrics:  # tx, no compute, hover for the whole round
+                if u in m.selected:
+                    spent = spent + e_tx[u] + 0.0 + sc.uav.propulsion_power * m.duration
+            assert rep.ledger.total(f"user:{u}") == spent
 
     def test_initial_flight_energy_counts_toward_budget(self):
         probe = run_scenario(small_scenario(train=False, repeats=1))
@@ -208,21 +225,24 @@ class TestRunScenario:
         assert rep.ledger.total("uav") <= full
 
     def test_per_user_budget_entity(self):
-        probe = run_scenario(small_scenario(train=False, repeats=1))
-        entry = probe.repeats[0].ledger.rounds[0]
-        user, spent = int(entry.users[0]), float(entry.user_tx[0])
-        capped = run_scenario(small_scenario(train=False, repeats=1,
-                                             budget_entity=f"user:{user}",
-                                             energy_budget=spent / 2))
+        sc = small_scenario(train=False, repeats=1)
+        user = run_repeat(sc, 0).metrics[0].selected[0]
+        spent = float(repeat_arrays(sc)[1][user])
+        capped = run_scenario(replace(sc, budget_entity=f"user:{user}",
+                                      energy_budget=spent / 2))
         assert capped.repeats[0].halt_reason == "budget"
         assert len(capped.repeats[0].metrics) == 0
 
     def test_user_compute_energy_opt_in(self):
-        off = run_repeat(small_scenario(train=False, repeats=1), 0)
-        on = run_repeat(small_scenario(train=False, repeats=1,
-                                       include_user_compute_energy=True), 0)
-        assert not off.ledger.rounds[0].user_compute.any()
-        assert on.ledger.rounds[0].user_compute.all()
+        off_sc = small_scenario(train=False, repeats=1)
+        on_sc = replace(off_sc, include_user_compute_energy=True)
+        off, on = run_repeat(off_sc, 0), run_repeat(on_sc, 0)
+        assert not repeat_arrays(off_sc)[2].any()
+        assert repeat_arrays(on_sc)[2].all()
+        selected = {u for m in off.metrics for u in m.selected}
+        for u in range(6):
+            spent_off, spent_on = off.ledger.total(f"user:{u}"), on.ledger.total(f"user:{u}")
+            assert spent_on > spent_off if u in selected else spent_on == spent_off == 0.0
 
     def test_mean_best_accuracy_reported(self):
         result = run_scenario(small_scenario())
@@ -231,19 +251,21 @@ class TestRunScenario:
     def test_server_tx_power_sets_downlink_rate_and_energy(self):
         low = run_repeat(small_scenario(train=False), 0)
         high = run_repeat(small_scenario(train=False, uav=UavProfile(tx_power=1.0)), 0)
-        for a, b in zip(low.ledger.rounds, high.ledger.rounds):
-            t_down_low, t_down_high = a.uav_tx / 0.01, b.uav_tx / 1.0
+        for a, b in zip(low.metrics, high.metrics):
+            tx_low = a.uav_energy - 100.0 * a.duration
+            tx_high = b.uav_energy - 100.0 * b.duration
+            t_down_low, t_down_high = tx_low / 0.01, tx_high / 1.0
             assert t_down_high < t_down_low  # a faster downlink
-            assert b.uav_tx != a.uav_tx
+            assert tx_high != tx_low
         assert all(b.duration < a.duration for a, b in zip(low.metrics, high.metrics))
 
     def test_budget_total_tracks_the_budget_entity(self):
         uav = run_repeat(small_scenario(train=False, initial_flight_energy=0.5), 0)
         assert [m.budget_total for m in uav.metrics] == [m.cum_uav_energy
                                                          for m in uav.metrics]
-        user = run_repeat(small_scenario(train=False, budget_entity="user:2"), 0)
-        running = np.cumsum([entry.user_tx[entry.users == 2].sum()
-                             for entry in user.ledger.rounds])
+        sc = small_scenario(train=False, budget_entity="user:2")
+        user, e_tx = run_repeat(sc, 0), repeat_arrays(sc)[1]
+        running = np.cumsum([e_tx[2] if 2 in m.selected else 0.0 for m in user.metrics])
         assert running[-1] > 0
         assert [m.budget_total for m in user.metrics] == running.tolist()
         assert user.metrics[-1].budget_total == user.ledger.total("user:2")
@@ -311,12 +333,13 @@ def reference_repeat(sc, rep):
     epochs, bits = fl.hyper.local_epochs, train.bits_per_sample
 
     cohorts = [m.selected for m in rep.metrics]
-    if rep.halt_reason == "budget":  # the round that was recorded, then dropped
+    if rep.halt_reason == "budget":  # the round the ledger refused
         gen = rng(child_seed(seed, rep.repeat), len(cohorts), "select")
         cohorts.append(tuple(select_clients(fl.num_users, fl.fraction, gen).tolist()))
 
     uav, users, rows = sc.initial_flight_energy, [0.0] * fl.num_users, []
     for selected in cohorts:
+        kept = uav, list(users)
         b_up = per_client_bandwidth(ch, len(selected))
         per_client = []
         for u in selected:
@@ -332,7 +355,6 @@ def reference_repeat(sc, rep):
         duration = round_duration(t_down, per_client)
         energy = uav_round_energy(duration, t_down, sc.uav)
         uav += energy
-        spent = {}
         for u, (_, t_up) in zip(selected, per_client):
             tx = ch.user_tx_power * t_up
             comp = (user_compute_energy(cpu[u], epochs * len(shards[u]) * bits
@@ -340,14 +362,11 @@ def reference_repeat(sc, rep):
                     if sc.include_user_compute_energy else 0.0)
             hover = sc.uav.propulsion_power * duration if topo.user_alt[u] > 0 else 0.0
             users[u] = users[u] + tx + comp + hover
-            spent[u] = tx + comp + hover
         rows.append((duration, energy, uav))
 
     if rep.halt_reason == "budget":
         rows.pop()
-        uav -= energy
-        for u, joules in spent.items():
-            users[u] -= joules
+        uav, users = kept
     return rows, uav, users
 
 
@@ -363,7 +382,7 @@ class TestRoundLoopReference:
                       broadcast_all=broadcast_all, include_user_compute_energy=compute,
                       initial_flight_energy=0.7)
         unbounded = run_scenario(sc)
-        # halt on the fifth round, so one round is recorded and dropped
+        # halt on the fifth round, so the ledger refuses one round
         budget = unbounded.repeats[0].metrics[3].cum_uav_energy
         halted = run_scenario(replace(sc, energy_budget=budget))
         assert halted.halt_reasons[0] == "budget"
@@ -455,3 +474,27 @@ class TestBudgetsReadOffOneRun:
             read = largest.mean_best_accuracy_within(budget)
             direct = run_scenario(replace(sc, energy_budget=budget)).mean_best_accuracy
             assert read == direct or (math.isnan(read) and math.isnan(direct))
+
+
+class TestBudgetHaltTotals:
+    """A budget-halted repeat's ledger totals are those of its last kept
+    round, bit for bit: the refused round leaves no trace."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(form=st.sampled_from(FORMS), user=st.none() | st.integers(0, 5),
+           flight=st.sampled_from([0.0, 0.7]), compute=st.booleans(),
+           seed=st.integers(0, 5), pick=st.floats(0.0, 1.0))
+    # budgets where adding the refused round and subtracting it again is inexact
+    @example(form="g2a", user=None, flight=0.0, compute=False, seed=2, pick=0.0)
+    @example(form="g2a", user=2, flight=0.0, compute=False, seed=1, pick=1.0)
+    def test_totals_equal_the_last_kept_round(self, form, user, flight, compute, seed, pick):
+        sc = small_scenario(form=form, train=False, initial_flight_energy=flight,
+                            budget_entity="uav" if user is None else f"user:{user}",
+                            include_user_compute_energy=compute, master_seed=seed)
+        totals = [m.budget_total for m in run_repeat(sc, 0).metrics[:-1]
+                  if m.budget_total > 0]
+        assume(totals)
+        rep = run_repeat(replace(sc, energy_budget=totals[int(pick * (len(totals) - 1))]), 0)
+        assume(rep.halt_reason == "budget")
+        assert rep.ledger.total("uav") == rep.metrics[-1].cum_uav_energy
+        assert rep.ledger.total(sc.budget_entity) == rep.metrics[-1].budget_total
