@@ -28,7 +28,7 @@ curves = []
 for label, scenario in [("iid", base),
                         ("sharded(2)", replace(base, partition_scheme="sharded"))]:
     result = run_scenario(scenario)
-    accs = result.mean_test_acc
+    accs = result.mean("test_acc")
     curves.append((label, list(range(1, len(accs) + 1)), list(accs)))
     print(f"{label:>10}: final mean accuracy {accs[-1]:.4f} "
           f"(best {result.mean_best_accuracy:.4f})")

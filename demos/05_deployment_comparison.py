@@ -28,7 +28,7 @@ timing = Scenario(
 energy = {}
 for scheme in ("min_sum_dist", "random"):
     energy[scheme] = run_scenario(replace(timing, placement_scheme=scheme)) \
-        .mean_cum_uav_energy
+        .mean("cum_uav_energy")
 rounds = list(range(1, 101))
 write_series_csv(out / "deployment_energy.csv", "round", rounds,
                  [(f"{s}_cum_energy_j", energy[s]) for s in energy])

@@ -4,12 +4,11 @@ server, with a physical link model, per-round energy accounting and
 hovering-placement optimization."""
 
 from .channel import (ChannelParams, LinkBudget, db_to_linear, dbm_to_watts,
-                      link_rate, link_rates, linear_to_db, per_client_bandwidth, tx_time,
-                      watts_to_dbm)
+                      link_rate, link_rates, per_client_bandwidth, tx_time, watts_to_dbm)
 from .data import Dataset, load_idx, partition, synth_blobs
 from .energy import (EnergyLedger, UavProfile, round_duration, uav_round_energy,
                      user_compute_energy, user_compute_time)
-from .fedavg import FlConfig, FlState, aggregate, run_round, select_clients
+from .fedavg import FlConfig, aggregate, run_round, select_clients
 from .models import (Hyperparams, ModelSpec, evaluate, init_model,
                      local_train, loss_and_grad, param_count, train_cohort)
 from .placement import (Area, Placement, SolverTrace, min_sum_dist, objective,

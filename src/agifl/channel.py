@@ -20,7 +20,6 @@ __all__ = [
     "ChannelParams",
     "LinkBudget",
     "db_to_linear",
-    "linear_to_db",
     "dbm_to_watts",
     "watts_to_dbm",
     "link_rate",
@@ -32,10 +31,6 @@ __all__ = [
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
 
 
 def dbm_to_watts(x_dbm: float) -> float:

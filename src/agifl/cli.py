@@ -88,7 +88,7 @@ def _cmd_run(args, extra) -> int:
         write_repeat_csv(out / f"{scheme}_rep{rep.repeat:02d}.csv", rep.metrics)
     write_mean_csv(out / f"{scheme}_mean.csv", result)
 
-    final_energy = (result.mean_cum_uav_energy[-1]
+    final_energy = (result.mean("cum_uav_energy")[-1]
                     if result.common_rounds else 0.0)
     print(f"run: scheme={scheme} repeats={scenario.repeats} "
           f"rounds={result.common_rounds} "
@@ -118,7 +118,7 @@ def _cmd_compare(args, extra) -> int:
     for label, scheme in schemes:
         result = run_scenario(replace(base, placement_scheme=scheme, train=False),
                               jobs=args.jobs)
-        energy_curves.append((label, result.mean_cum_uav_energy))
+        energy_curves.append((label, result.mean("cum_uav_energy")))
     rounds = list(range(1, min(len(c) for _, c in energy_curves) + 1))
     write_series_csv(out / "compare_energy.csv", "round", rounds,
                      [(f"{label}_cum_energy_j", curve) for label, curve in energy_curves])

@@ -42,7 +42,18 @@ def _bool(raw: str) -> bool:
 
 
 def _float(raw: str) -> float:
-    return float(raw)  # accepts inf
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
+def _budget(raw: str) -> float:
+    """A float that may be inf, the "no budget" value, but not NaN."""
+    value = float(raw)
+    if math.isnan(value):
+        raise ValueError(f"not a budget: {raw!r} (inf means no budget)")
+    return value
 
 
 # section -> key -> (parser, default)
@@ -52,7 +63,7 @@ _SCHEMA = {
         "repeats": (int, 20),
         "master_seed": (int, 0),
         "max_rounds": (int, 100),
-        "energy_budget_j": (_float, math.inf),
+        "energy_budget_j": (_budget, math.inf),
         "budget_entity": (str, "uav"),
         "placement": (str, "min_sum_dist"),
         "fixed_x_m": (_float, 500.0),
@@ -87,7 +98,6 @@ _SCHEMA = {
         "shards_per_user": (int, 2),
         "mnist_dir": (str, ""),
         "num_samples": (int, 60000),  # shape source
-        "bits_per_sample": (int, 0),  # shape source; 0 = auto
     },
     "channel": {
         "bandwidth_hz": (_float, 1e6),
@@ -177,8 +187,7 @@ def _build_source(data):
     if kind == "shape":
         return ShapeSource(num_samples=data["num_samples"],
                            input_dim=data["input_dim"],
-                           num_classes=data["classes"],
-                           bits_per_sample=data["bits_per_sample"])
+                           num_classes=data["classes"])
     if kind == "idx":
         mnist_dir = data["mnist_dir"] or os.environ.get(MNIST_DIR_ENV, "")
         if not mnist_dir:

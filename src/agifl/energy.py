@@ -76,7 +76,7 @@ class EnergyLedger:
     """
 
     def __init__(self, num_users: int, budget: float = math.inf, entity: str = "uav"):
-        if budget <= 0:
+        if not budget > 0:
             raise ValueError("budget must be positive")
         entity_index(entity, num_users)
         self._budget = budget

@@ -37,14 +37,12 @@ def write_repeat_csv(path, metrics) -> None:
 
 def write_mean_csv(path, result) -> None:
     """Per-round means across repeats, over the rounds all repeats reached."""
-    lines = ["round,duration_s,uav_energy_j,cum_uav_energy_j,test_loss,test_acc"]
-    for i in range(result.common_rounds):
-        lines.append(",".join([str(i + 1), _fmt(result.mean_duration[i]),
-                               _fmt(result.mean_uav_energy[i]),
-                               _fmt(result.mean_cum_uav_energy[i]),
-                               _fmt(result.mean_test_loss[i]),
-                               _fmt(result.mean_test_acc[i])]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_series_csv(path, "round", range(1, result.common_rounds + 1), [
+        ("duration_s", result.mean("duration")),
+        ("uav_energy_j", result.mean("uav_energy")),
+        ("cum_uav_energy_j", result.mean("cum_uav_energy")),
+        ("test_loss", result.mean("test_loss")),
+        ("test_acc", result.mean("test_acc"))])
 
 
 def write_series_csv(path, x_name: str, xs, columns) -> None:

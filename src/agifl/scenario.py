@@ -20,21 +20,22 @@ Every per-user time and energy is constant within a repeat, so
 `per_user_arrays` builds them once, equal entry for entry to the scalar
 models of `channel` and `energy`; a round is then a gather over its cohort
 and a max each for the slowest client and the slowest broadcast recipient.
-Repeats are embarrassingly parallel; per-round means are reported over the
-rounds all repeats completed, so every mean covers exactly `repeats` instances.
+Repeats are embarrassingly parallel; `ExperimentResult.mean` averages a
+per-round field over the rounds all repeats completed, so every mean covers
+exactly `repeats` instances.
 """
 
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelParams, link_rates, per_client_bandwidth, tx_time
 from .data import Dataset, load_idx, partition, synth_blobs
 from .energy import EnergyLedger, UavProfile, entity_index, user_compute_energy
-from .fedavg import FlConfig, FlState, cohort_size, run_round, select_clients
+from .fedavg import FlConfig, cohort_size, run_round, select_clients
 from .models import ModelSpec, check_architecture, evaluate, init_model, param_count
 from .placement import Area, Placement, min_sum_dist, random_placement
 from .seeding import child_seed, rng as _rng
@@ -85,15 +86,15 @@ class IdxSource:
 class ShapeSource:
     """Data described only by its shape, for timing-only runs.
 
-    Carries the counts the timing model needs (shard sizes, bits per
-    sample) without materializing features. Training and evaluation are
-    impossible with this source.
+    Carries the counts the timing model needs (shard sizes, and bits per
+    sample as (input_dim + 1) * 8, as for blobs and IDX) without
+    materializing features. Training and evaluation are impossible with
+    this source.
     """
 
     num_samples: int = 60_000
     input_dim: int = 784
     num_classes: int = 10
-    bits_per_sample: int = 0  # 0 = (input_dim + 1) * 8
 
 
 def load_source(source, seed: int):
@@ -110,10 +111,9 @@ def load_source(source, seed: int):
         return (load_idx(source.train_images, source.train_labels),
                 load_idx(source.test_images, source.test_labels))
     if isinstance(source, ShapeSource):
-        bits = source.bits_per_sample or (source.input_dim + 1) * 8
         labels = np.arange(source.num_samples, dtype=np.int64) % source.num_classes
-        train = Dataset(features=np.empty((source.num_samples, 0)),
-                        labels=labels, bits_per_sample=bits)
+        train = Dataset(features=np.empty((source.num_samples, 0)), labels=labels,
+                        bits_per_sample=(source.input_dim + 1) * 8)
         return train, None
     raise TypeError(f"unknown data source {type(source).__name__}")
 
@@ -164,7 +164,7 @@ class Scenario:
             raise ValueError("repeats must be >= 1")
         if self.eval_stride < 1:
             raise ValueError("eval_stride must be >= 1")
-        if self.energy_budget <= 0:
+        if not self.energy_budget > 0:
             raise ValueError("energy_budget must be positive")
         if self.train and isinstance(self.source, ShapeSource):
             raise ValueError("ShapeSource supports timing-only runs (train=False)")
@@ -273,13 +273,18 @@ class RepeatResult:
 @dataclass
 class ExperimentResult:
     repeats: list[RepeatResult]
-    common_rounds: int
-    mean_duration: np.ndarray = field(default_factory=lambda: np.empty(0))
-    mean_uav_energy: np.ndarray = field(default_factory=lambda: np.empty(0))
-    mean_cum_uav_energy: np.ndarray = field(default_factory=lambda: np.empty(0))
-    std_cum_uav_energy: np.ndarray = field(default_factory=lambda: np.empty(0))
-    mean_test_loss: np.ndarray = field(default_factory=lambda: np.empty(0))
-    mean_test_acc: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    @property
+    def common_rounds(self) -> int:
+        """Rounds every repeat completed."""
+        return min((len(r.metrics) for r in self.repeats), default=0)
+
+    def mean(self, field: str) -> np.ndarray:
+        """Per-round mean over the repeats of a `RoundMetrics` field, for
+        each of the common rounds."""
+        common = self.common_rounds
+        return np.array([[getattr(m, field) for m in r.metrics[:common]]
+                         for r in self.repeats]).mean(axis=0)
 
     @property
     def halt_reasons(self) -> list[str]:
@@ -349,7 +354,7 @@ def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
     spec = _model_spec(scenario, train_data, child_seed(seed, repeat, "init"))
     payload_bits = param_count(spec) * channel.payload_bits_per_param
     master = child_seed(seed, repeat)
-    state = FlState(init_model(spec), 0, master) if scenario.train else None
+    params = init_model(spec) if scenario.train else None
 
     t_client, e_tx, e_comp, t_recv = per_user_arrays(
         scenario, repeat, topo, shards, payload_bits, train_data.bits_per_sample)
@@ -374,10 +379,11 @@ def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
 
         test_loss = test_acc = math.nan
         if scenario.train:
-            state, _ = run_round(state, fl, shards, spec, train_data, selected)
+            params = run_round(params, fl, shards, spec, train_data, selected,
+                               master, rnd)
             if (rnd + 1) % scenario.eval_stride == 0:
-                test_loss, test_acc = evaluate(state.global_params, spec,
-                                               test_data.features, test_data.labels)
+                test_loss, test_acc = evaluate(params, spec, test_data.features,
+                                               test_data.labels)
 
         metrics.append(RoundMetrics(
             round=rnd + 1, duration=duration, uav_energy=server,
@@ -389,28 +395,8 @@ def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
                         placement=topo.placement, ledger=ledger)
 
 
-def _summarize(repeats: list[RepeatResult]) -> ExperimentResult:
-    common = min((len(r.metrics) for r in repeats), default=0)
-    result = ExperimentResult(repeats=repeats, common_rounds=common)
-    if common == 0:
-        return result
-
-    def grid(attr):
-        return np.array([[getattr(m, attr) for m in r.metrics[:common]]
-                         for r in repeats])
-
-    result.mean_duration = grid("duration").mean(axis=0)
-    result.mean_uav_energy = grid("uav_energy").mean(axis=0)
-    cum = grid("cum_uav_energy")
-    result.mean_cum_uav_energy = cum.mean(axis=0)
-    result.std_cum_uav_energy = cum.std(axis=0)
-    result.mean_test_loss = grid("test_loss").mean(axis=0)
-    result.mean_test_acc = grid("test_acc").mean(axis=0)
-    return result
-
-
 def run_scenario(scenario: Scenario, jobs: int = 1) -> ExperimentResult:
-    """Run all repeats (optionally in parallel) and aggregate the metrics.
+    """Run all repeats, optionally in parallel.
 
     The result is deterministic for a fixed master seed regardless of
     `jobs`: every repeat derives its own seed streams and the merge is by
@@ -424,4 +410,4 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> ExperimentResult:
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, scenario.repeats)) as pool:
             repeats = list(pool.map(run_repeat, [scenario] * scenario.repeats, indices))
-    return _summarize(repeats)
+    return ExperimentResult(repeats)

@@ -16,7 +16,7 @@ import pytest
 
 from agifl.cli import main
 from agifl.data import partition, synth_blobs
-from agifl.fedavg import FlConfig, FlState, aggregate, run_round
+from agifl.fedavg import FlConfig, aggregate, run_round
 from agifl.models import (Hyperparams, ModelSpec, evaluate, init_model,
                           local_train, loss_and_grad, param_count)
 from agifl.oracles import grid_placement, rate_direct, weighted_mean_direct
@@ -95,7 +95,7 @@ def test_criterion_3_energy_comparison_over_rounds():
 
     opt = run_scenario(base)
     rand = run_scenario(replace(base, placement_scheme="random"))
-    mo, mr = opt.mean_cum_uav_energy, rand.mean_cum_uav_energy
+    mo, mr = opt.mean("cum_uav_energy"), rand.mean("cum_uav_energy")
     if len(mo) != 100 or len(mr) != 100:
         failures.append("runs did not complete 100 rounds")
     if not np.all(mo < mr):
@@ -150,15 +150,15 @@ def test_criterion_5_fedavg_correctness():
                       hyper=Hyperparams(local_epochs=2, batch_size=8),
                       max_rounds=5)
     shards = partition(data, 1, scheme="iid", seed=0)
-    state = FlState(init_model(spec), 0, master_seed=321)
-    for _ in range(5):
-        state, _ = run_round(state, config, shards, spec, data, [0])
+    params = init_model(spec)
+    for rnd in range(5):
+        params = run_round(params, config, shards, spec, data, [0], 321, rnd)
     w = init_model(spec)
     idx = shards[0]
     for rnd in range(5):
         w = local_train(w, data.features[idx], data.labels[idx], spec,
                         config.hyper, child_seed(321, rnd, 0, "train"))
-    if np.abs(state.global_params - w).max() > 1e-12:
+    if np.abs(params - w).max() > 1e-12:
         failures.append("one-client FedAvg deviates from sequential SGD")
 
     # (b) weighted means against the hand rule
@@ -167,14 +167,15 @@ def test_criterion_5_fedavg_correctness():
         ([(np.array([2.0, -2.0]), 5), (np.array([2.0, -2.0]), 7)], [2.0, -2.0]),
         ([(np.array([1.0, 0.0]), 1)], [1.0, 0.0]),
     ]:
-        if list(aggregate(updates)) != expected:
+        if list(aggregate(np.stack([v for v, _ in updates]),
+                          [n for _, n in updates])) != expected:
             failures.append(f"hand aggregate mismatch for {updates}")
     gen = np.random.default_rng(55)
     for _ in range(100):
         k = int(gen.integers(1, 9))
         updates = [(gen.normal(size=5), int(gen.integers(1, 200)))
                    for _ in range(k)]
-        ours = aggregate(updates)
+        ours = aggregate(np.stack([v for v, _ in updates]), [n for _, n in updates])
         ref = np.array(weighted_mean_direct([(list(v), n) for v, n in updates]))
         if not np.allclose(ours, ref, rtol=1e-13, atol=0):
             failures.append("aggregate drifted from independent recomputation")
@@ -186,7 +187,7 @@ def test_criterion_5_fedavg_correctness():
         updates = [(gen.normal(size=3), int(gen.integers(1, 50)))
                    for _ in range(k)]
         stacked = np.stack([v for v, _ in updates])
-        out = aggregate(updates)
+        out = aggregate(stacked, [n for _, n in updates])
         if np.any(out < stacked.min(axis=0)) or np.any(out > stacked.max(axis=0)):
             failures.append("aggregate escaped the coordinate-wise hull")
             break

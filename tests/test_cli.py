@@ -77,6 +77,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             load_config(path)
 
+    def test_shape_source_derives_bits_per_sample(self, tmp_path):
+        path = tmp_path / "old.ini"
+        path.write_text("[data]\nsource = shape\nbits_per_sample = 0\n")
+        with pytest.raises(ConfigError, match="unknown key 'bits_per_sample'"):
+            load_config(path)
+
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "typo.ini"
         path.write_text("[chanel]\nbandwidth_hz = 1e6\n")
@@ -216,6 +222,24 @@ class TestInvalidInputExits1:
                      "hidden_dim must be >= 1 for mlp", id="mlp-without-hidden-layer"),
         pytest.param(["run", "quick.ini", "--set", "fl.fraction=0.5"],
                      "unrecognized argument '--set'", id="removed-set-option"),
+        pytest.param(["run", "quick.ini", "--scenario.energy_budget_j=nan"],
+                     "bad value for scenario.energy_budget_j", id="nan-budget"),
+        pytest.param(["run", "quick.ini", "--uav.altitude_m=nan"],
+                     "bad value for uav.altitude_m: not a finite number", id="nan-altitude"),
+        pytest.param(["run", "quick.ini", "--uav.altitude_m=inf"],
+                     "bad value for uav.altitude_m: not a finite number", id="inf-altitude"),
+        pytest.param(["run", "quick.ini", "--channel.bandwidth_hz=nan"],
+                     "bad value for channel.bandwidth_hz: not a finite number",
+                     id="nan-bandwidth"),
+        pytest.param(["run", "quick.ini", "--channel.bandwidth_hz=inf"],
+                     "bad value for channel.bandwidth_hz: not a finite number",
+                     id="inf-bandwidth"),
+        pytest.param(["run", "quick.ini", "--scenario.area_width_m=nan"],
+                     "bad value for scenario.area_width_m: not a finite number",
+                     id="nan-area-width"),
+        pytest.param(["run", "quick.ini", "--scenario.area_width_m=inf"],
+                     "bad value for scenario.area_width_m: not a finite number",
+                     id="inf-area-width"),
     ])
     def test_exit_1_with_one_error_line(self, argv, message, tmp_path, capsys):
         command, config, *rest = argv

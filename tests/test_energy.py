@@ -115,6 +115,10 @@ class TestLedgerAndBudget:
             with pytest.raises(ValueError, match="budget must be positive"):
                 EnergyLedger(num_users=1, budget=budget)
 
+    def test_nan_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            EnergyLedger(3, budget=math.nan)
+
     def test_unknown_entity_raises(self):
         ledger = EnergyLedger(num_users=3)
         offer(ledger, 5.0, {2: 1.0})

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from agifl.data import partition, synth_blobs
-from agifl.fedavg import (FlConfig, FlState, aggregate, cohort_size,
-                          run_round, select_clients)
+from agifl.fedavg import FlConfig, aggregate, cohort_size, run_round, select_clients
 from agifl.models import Hyperparams, ModelSpec, init_model, local_train, train_cohort
 from agifl.oracles import weighted_mean_direct
 from agifl.seeding import child_seed, rng
@@ -44,21 +43,23 @@ class TestSelectClients:
 class TestAggregate:
     def test_singleton_returns_input_exactly(self):
         w = np.random.default_rng(0).normal(size=11)
-        assert np.array_equal(aggregate([(w, 17)]), w)
+        assert np.array_equal(aggregate(w[None, :], [17]), w)
 
     def test_equal_weights_arithmetic_mean(self):
-        out = aggregate([(np.array([0.0]), 5), (np.array([4.0]), 5)])
+        out = aggregate(np.array([[0.0], [4.0]]), [5, 5])
         assert out[0] == 2.0
 
     def test_hand_weighted_mean(self):
-        out = aggregate([(np.array([0.0]), 1), (np.array([4.0]), 3)])
+        out = aggregate(np.array([[0.0], [4.0]]), [1, 3])
         assert out[0] == 3.0  # (0*1 + 4*3) / 4
 
     def test_matches_hand_rule_oracle(self):
         gen = np.random.default_rng(4)
         updates = [(gen.normal(size=6), int(n)) for n in gen.integers(1, 50, size=5)]
         expected = weighted_mean_direct([(list(w), n) for w, n in updates])
-        np.testing.assert_allclose(aggregate(updates), expected, rtol=1e-12)
+        stacked = np.stack([w for w, _ in updates])
+        np.testing.assert_allclose(aggregate(stacked, [n for _, n in updates]),
+                                   expected, rtol=1e-12)
 
     def test_convex_hull_containment(self):
         gen = np.random.default_rng(5)
@@ -67,28 +68,42 @@ class TestAggregate:
             updates = [(gen.normal(size=4), int(gen.integers(1, 100)))
                        for _ in range(k)]
             stacked = np.stack([w for w, _ in updates])
-            out = aggregate(updates)
+            out = aggregate(stacked, [n for _, n in updates])
             assert np.all(out >= stacked.min(axis=0))
             assert np.all(out <= stacked.max(axis=0))
 
     def test_count_scale_invariance(self):
         gen = np.random.default_rng(6)
-        updates = [(gen.normal(size=5), int(n)) for n in (1, 2, 5)]
-        scaled = [(w, 7 * n) for w, n in updates]
-        assert np.array_equal(aggregate(updates), aggregate(scaled))
+        stacked = gen.normal(size=(3, 5))
+        counts = np.array([1, 2, 5])
+        assert np.array_equal(aggregate(stacked, counts), aggregate(stacked, 7 * counts))
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            aggregate([])
+            aggregate(np.zeros((0, 3)), [])
         with pytest.raises(ValueError):
-            aggregate([(np.zeros(3), 1), (np.zeros(4), 1)])
+            aggregate(np.zeros((2, 3)), [1])
         with pytest.raises(ValueError):
-            aggregate([(np.zeros(3), 0)])
+            aggregate(np.zeros((1, 3)), [0])
 
 
 def make_corpus(seed=0):
     return synth_blobs(num_classes=3, samples_per_class=40, input_dim=4,
                        spread=0.1, seed=seed)
+
+
+def record_counts(monkeypatch):
+    """Record the sample counts each `aggregate` call inside `run_round` weights by."""
+    import agifl.fedavg as fedavg
+
+    calls = []
+
+    def recording_aggregate(params, counts):
+        calls.append(list(counts))
+        return aggregate(params, counts)
+
+    monkeypatch.setattr(fedavg, "aggregate", recording_aggregate)
+    return calls
 
 
 class TestRunRound:
@@ -99,16 +114,16 @@ class TestRunRound:
                           hyper=Hyperparams(local_epochs=2, batch_size=8),
                           max_rounds=5)
         shards = partition(data, 1, scheme="iid", seed=0)
-        state = FlState(init_model(spec), 0, master_seed=123)
-        for _ in range(5):
-            state, _ = run_round(state, config, shards, spec, data, [0])
+        params = init_model(spec)
+        for rnd in range(5):
+            params = run_round(params, config, shards, spec, data, [0], 123, rnd)
 
         w = init_model(spec)
         idx = shards[0]
         for rnd in range(5):
             w = local_train(w, data.features[idx], data.labels[idx], spec,
                             config.hyper, child_seed(123, rnd, 0, "train"))
-        np.testing.assert_allclose(state.global_params, w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(params, w, rtol=0, atol=1e-12)
 
     def test_identical_shards_and_seeds_aggregate_to_single_update(self):
         data = make_corpus()
@@ -117,44 +132,44 @@ class TestRunRound:
         start = init_model(spec) + 0.1
         one = local_train(start, data.features, data.labels, spec, hyper, rng_seed=5)
         two = local_train(start, data.features, data.labels, spec, hyper, rng_seed=5)
-        agg = aggregate([(one, data.num_samples), (two, data.num_samples)])
+        agg = aggregate(np.stack([one, two]), [data.num_samples, data.num_samples])
         assert np.array_equal(agg, one)
 
-    def test_two_clients_match_manual_weighted_mean(self):
+    def test_two_clients_match_manual_weighted_mean(self, monkeypatch):
         data = make_corpus(seed=2)
         spec = ModelSpec("logistic", input_dim=4, num_classes=3)
         config = FlConfig(num_users=2, fraction=1.0,
                           hyper=Hyperparams(local_epochs=1, batch_size=7),
                           max_rounds=1)
         shards = partition(data, 2, scheme="iid", seed=1)
-        state = FlState(init_model(spec), 0, master_seed=77)
+        start = init_model(spec)
         selected = select_clients(2, 1.0, rng(77, 0, "select"))
-        new_state, updates = run_round(state, config, shards, spec, data, selected)
+        counts = record_counts(monkeypatch)
+        new_params = run_round(start, config, shards, spec, data, selected, 77, 0)
 
         manual = []
         for user in selected:
             idx = shards[user]
-            w = local_train(state.global_params, data.features[idx],
+            w = local_train(start, data.features[idx],
                             data.labels[idx], spec, config.hyper,
                             child_seed(77, 0, int(user), "train"))
             manual.append((list(w), len(idx)))
         expected = weighted_mean_direct(manual)
-        np.testing.assert_allclose(new_state.global_params, expected, rtol=1e-12)
-        assert new_state.round_index == 1
-        assert [n for _, n in updates] == [len(shards[u]) for u in selected]
+        np.testing.assert_allclose(new_params, expected, rtol=1e-12)
+        assert counts == [[len(shards[u]) for u in selected]]
 
     def test_round_is_deterministic(self):
         data = make_corpus(seed=3)
         spec = ModelSpec("logistic", input_dim=4, num_classes=3)
         config = FlConfig(num_users=5, fraction=0.4, max_rounds=1)
         shards = partition(data, 5, scheme="iid", seed=2)
-        state = FlState(init_model(spec), 0, master_seed=9)
+        start = init_model(spec)
         sel_a = select_clients(5, 0.4, rng(9, 0, "select"))
         sel_b = select_clients(5, 0.4, rng(9, 0, "select"))
-        a, _ = run_round(state, config, shards, spec, data, sel_a)
-        b, _ = run_round(state, config, shards, spec, data, sel_b)
+        a = run_round(start, config, shards, spec, data, sel_a, 9, 0)
+        b = run_round(start, config, shards, spec, data, sel_b, 9, 0)
         assert np.array_equal(sel_a, sel_b)
-        assert np.array_equal(a.global_params, b.global_params)
+        assert np.array_equal(a, b)
 
     def test_shard_count_must_match_users(self):
         data = make_corpus()
@@ -162,8 +177,7 @@ class TestRunRound:
         config = FlConfig(num_users=3, fraction=1.0)
         shards = partition(data, 2, scheme="iid", seed=0)
         with pytest.raises(ValueError):
-            run_round(FlState(init_model(spec), 0, 0), config, shards, spec, data,
-                      [0, 1, 2])
+            run_round(init_model(spec), config, shards, spec, data, [0, 1, 2], 0, 0)
 
     def test_trains_exactly_the_given_cohort(self, monkeypatch):
         import agifl.fedavg as fedavg
@@ -181,14 +195,13 @@ class TestRunRound:
         monkeypatch.setattr(fedavg, "train_cohort", recording_train)
         cohort = np.array([1, 4, 5])  # not the cohort select_clients draws
         assert not np.array_equal(cohort, select_clients(6, 0.5, rng(9, 0, "select")))
-        state = FlState(init_model(spec), 0, master_seed=9)
-        new_state, updates = run_round(state, config, shards, spec, data, cohort)
+        counts = record_counts(monkeypatch)
+        run_round(init_model(spec), config, shards, spec, data, cohort, 9, 2)
         assert [(len(lane), seed) for lane, seed in trained] == [
-            (len(shards[u]), child_seed(9, 0, u, "train")) for u in cohort]
+            (len(shards[u]), child_seed(9, 2, u, "train")) for u in cohort]
         assert all(np.array_equal(lane, shards[u])
                    for (lane, _), u in zip(trained, cohort))
-        assert [n for _, n in updates] == [len(shards[u]) for u in cohort]
-        assert new_state.round_index == 1
+        assert counts == [[len(shards[u]) for u in cohort]]
 
 
 class TestConfigValidation:

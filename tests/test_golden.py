@@ -3,8 +3,9 @@
 The `run` and `compare-placement` CSVs of configs/quick.ini, and the
 `compare-placement` CSVs of configs/case_study.ini, must hash to the values
 recorded in perfbench/golden.json; timing-only `run`s of case_study.ini at
-3000 users must hash to the values below; the demos must still run and
-write what they write, under out/.
+3000 users, and a budget-halted MLP `run` of quick.ini, must hash to the
+values below; the demos must still run and write what they write, under
+out/.
 """
 
 import hashlib
@@ -65,6 +66,25 @@ def test_timing_only_run_matches_golden(form, tmp_path, capsys):
                  "--fl.fraction=0.1", "--scenario.max_rounds=10", "--scenario.repeats=2",
                  f"--scenario.form={form}"]) == 0
     assert csv_hashes(tmp_path) == TIMING_ONLY_CSVS[form]
+
+
+# A mixed-form MLP training run whose three repeats halt on the budget after
+# 7, 7 and 6 rounds, over shards of 13 and 14 samples: these hashes lock
+# `aggregate` over unequal shards and a mean CSV cut to the common rounds.
+MIXED_HALT_CSVS = {
+    "min_sum_dist_mean.csv": "2294b21bf91df920cc4fbc8b02d405e4b1dcaadc4d1ff242d7af2faa88469e6f",
+    "min_sum_dist_rep00.csv": "ff89b5b50983c47935fa6d220b9d0ed9a71ddd5fd7d07394368cb14b68df9b79",
+    "min_sum_dist_rep01.csv": "7335f39efd860fb2678321ac12e511fe65c99ec5bd2e42847a5a42e344b2e0ef",
+    "min_sum_dist_rep02.csv": "85be5658cc8a05e4cf6a6e590188c6e5ffc843c2a14c98e77e1c6cf61b33c022",
+}
+
+
+def test_budget_halted_mlp_run_matches_golden(tmp_path, capsys):
+    assert main(["run", str(ROOT / "configs" / "quick.ini"), "--out", str(tmp_path),
+                 "--model.kind=mlp", "--scenario.form=mixed", "--fl.num_users=30",
+                 "--scenario.energy_budget_j=30"]) == 0
+    assert "halts=budget:3" in capsys.readouterr().out
+    assert csv_hashes(tmp_path) == MIXED_HALT_CSVS
 
 
 DEMO_05_CSVS = {

@@ -110,7 +110,7 @@ class TestRunScenario:
         for ra, rb in zip(a.repeats, b.repeats):
             assert ra.metrics == rb.metrics
             assert ra.halt_reason == rb.halt_reason
-        assert np.array_equal(a.mean_cum_uav_energy, b.mean_cum_uav_energy)
+        assert np.array_equal(a.mean("cum_uav_energy"), b.mean("cum_uav_energy"))
 
     def test_parallel_jobs_match_serial(self):
         sc = small_scenario(repeats=3)
@@ -137,7 +137,7 @@ class TestRunScenario:
                               fl=FlConfig(num_users=20, fraction=0.1, max_rounds=10))
         opt = run_scenario(base)
         rand = run_scenario(replace(base, placement_scheme="random"))
-        assert np.all(opt.mean_cum_uav_energy < rand.mean_cum_uav_energy)
+        assert np.all(opt.mean("cum_uav_energy") < rand.mean("cum_uav_energy"))
         for ro, rr in zip(opt.repeats, rand.repeats):
             assert ro.metrics[-1].cum_uav_energy < rr.metrics[-1].cum_uav_energy
 
@@ -288,6 +288,11 @@ class TestValidation:
     def test_unknown_budget_entity(self, entity):
         with pytest.raises(ValueError, match="unknown energy entity"):
             small_scenario(budget_entity=entity, energy_budget=5.0)
+
+    def test_nan_energy_budget_rejected(self):
+        with pytest.raises(ValueError, match="energy_budget must be positive"):
+            small_scenario(energy_budget=math.nan)
+        small_scenario(energy_budget=math.inf)  # no budget
 
     def test_known_budget_entities(self):
         small_scenario(budget_entity="uav")
