@@ -4,7 +4,7 @@ server, with a physical link model, per-round energy accounting and
 hovering-placement optimization."""
 
 from .channel import (ChannelParams, LinkBudget, db_to_linear, dbm_to_watts,
-                      link_rate, link_rates, per_client_bandwidth, tx_time, watts_to_dbm)
+                      link_rate, link_rates, per_client_bandwidth, tx_time)
 from .data import Dataset, load_idx, partition, synth_blobs
 from .energy import (EnergyLedger, UavProfile, round_duration, uav_round_energy,
                      user_compute_energy, user_compute_time)

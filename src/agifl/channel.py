@@ -21,7 +21,6 @@ __all__ = [
     "LinkBudget",
     "db_to_linear",
     "dbm_to_watts",
-    "watts_to_dbm",
     "link_rate",
     "link_rates",
     "tx_time",
@@ -35,10 +34,6 @@ def db_to_linear(x_db: float) -> float:
 
 def dbm_to_watts(x_dbm: float) -> float:
     return 10.0 ** (x_dbm / 10.0) * 1e-3
-
-
-def watts_to_dbm(x_w: float) -> float:
-    return 10.0 * math.log10(x_w / 1e-3)
 
 
 @dataclass(frozen=True)
@@ -62,10 +57,12 @@ class ChannelParams:
     def __post_init__(self):
         for name in ("total_bandwidth", "ref_gain", "noise", "user_tx_power",
                      "uav_downlink_bandwidth"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.payload_bits_per_param < 1:
             raise ValueError("payload_bits_per_param must be >= 1")
+        if self.uplink_bandwidth_override is not None and not self.uplink_bandwidth_override > 0:
+            raise ValueError("uplink_bandwidth_override must be positive")
 
 
 @dataclass(frozen=True)

@@ -33,19 +33,8 @@ from .seeding import child_seed
 __all__ = ["main"]
 
 
-def _split_overrides(extra):
-    pairs = []
-    for token in extra:
-        if token.startswith("--") and "=" in token:
-            pairs.append(token[2:])
-        else:
-            raise ConfigError(f"unrecognized argument {token!r} "
-                              "(overrides look like --section.key=value)")
-    return parse_overrides(pairs)
-
-
 def _load(args, extra):
-    overrides = _split_overrides(extra)
+    overrides = parse_overrides(extra)
     if args.seed is not None:
         overrides[("scenario", "master_seed")] = str(args.seed)
     return load_config(args.config, overrides)

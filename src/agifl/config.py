@@ -5,8 +5,8 @@ library modules. Every key is optional and defaults to the reference
 case-study values; unknown sections or keys are rejected so typos fail
 loudly. dB/dBm quantities carry explicit unit suffixes in their key names
 (alpha0_db, noise_dbm) and are converted to linear SI units here, at the
-boundary. Command-line overrides of the form section.key=value win over
-the file.
+boundary. Command-line overrides of the form --section.key=value win over
+the file; `parse_overrides` is their one parser.
 """
 
 import configparser
@@ -135,16 +135,16 @@ class RunConfig:
     compare_repeats: int = 5
 
 
-def parse_overrides(pairs) -> dict:
-    """Turn ["fl.fraction=0.05", ...] into {("fl", "fraction"): "0.05"}."""
+def parse_overrides(tokens) -> dict:
+    """Turn command-line tokens ["--fl.fraction=0.05", ...] into
+    {("fl", "fraction"): "0.05"}; any other token is a ConfigError."""
     out = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override {pair!r} is not of the form section.key=value")
-        key, value = pair.split("=", 1)
-        if "." not in key:
-            raise ConfigError(f"override key {key!r} must be section.key")
-        section, name = key.split(".", 1)
+    for token in tokens:
+        key, eq, value = token.partition("=")
+        if not (key.startswith("--") and eq and "." in key):
+            raise ConfigError(f"unrecognized argument {token!r} "
+                              "(overrides look like --section.key=value)")
+        section, name = key[2:].split(".", 1)
         out[(section.strip(), name.strip())] = value.strip()
     return out
 
@@ -206,16 +206,7 @@ def load_config(path, overrides=None) -> RunConfig:
     """Parse a config file plus overrides into a ready-to-run Scenario."""
     values = _read_values(path, overrides or {})
 
-    ch = values["channel"]
-    channel = ChannelParams(
-        total_bandwidth=ch["bandwidth_hz"], ref_gain=db_to_linear(ch["alpha0_db"]),
-        noise=dbm_to_watts(ch["noise_dbm"]),
-        user_tx_power=ch["user_tx_power_w"],
-        uav_downlink_bandwidth=ch["uav_downlink_bandwidth_hz"],
-        payload_bits_per_param=ch["payload_bits_per_param"],
-        uplink_bandwidth_override=ch["uplink_bandwidth_hz"] or None)
-
-    sc, fl, en = values["scenario"], values["fl"], values["energy"]
+    sc, fl, en, ch = values["scenario"], values["fl"], values["energy"], values["channel"]
     try:
         scenario = Scenario(
             fl=FlConfig(num_users=fl["num_users"], fraction=fl["fraction"],
@@ -226,7 +217,13 @@ def load_config(path, overrides=None) -> RunConfig:
             source=_build_source(values["data"]),
             model_kind=values["model"]["kind"],
             hidden_dim=values["model"]["hidden_dim"],
-            channel=channel,
+            channel=ChannelParams(
+                total_bandwidth=ch["bandwidth_hz"], ref_gain=db_to_linear(ch["alpha0_db"]),
+                noise=dbm_to_watts(ch["noise_dbm"]),
+                user_tx_power=ch["user_tx_power_w"],
+                uav_downlink_bandwidth=ch["uav_downlink_bandwidth_hz"],
+                payload_bits_per_param=ch["payload_bits_per_param"],
+                uplink_bandwidth_override=ch["uplink_bandwidth_hz"] or None),
             uav=UavProfile(tx_power=values["uav"]["tx_power_w"],
                            propulsion_power=values["uav"]["propulsion_power_w"],
                            altitude=values["uav"]["altitude_m"]),

@@ -1,9 +1,9 @@
 """Datasets and per-user partitioning.
 
 Two corpora are supported: MNIST-style IDX files and synthetic Gaussian
-blobs. A dataset carries a bits-per-sample figure used by the compute-time
-model: raw bytes times 8, label byte included, so a 784-pixel image costs
-(784 + 1) * 8 = 6280 bits.
+blobs. A dataset holds features and labels only; its bits per sample, used
+by the compute-time model, derives from them: raw bytes times 8, label byte
+included, so a 784-pixel image costs (784 + 1) * 8 = 6280 bits.
 
 Partitioning produces one sorted index array per user; the arrays are
 pairwise disjoint and cover the dataset exactly. The IID scheme is a random
@@ -35,15 +35,14 @@ LABELS_MAGIC = 0x00000801
 
 @dataclass
 class Dataset:
+    """Features and labels; every other corpus figure derives from them."""
+
     features: np.ndarray  # (n, d) float64 in [0, 1]
     labels: np.ndarray  # (n,) int64
-    bits_per_sample: int
 
     def __post_init__(self):
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("feature rows and label count differ")
-        if self.bits_per_sample <= 0:
-            raise ValueError("bits_per_sample must be positive")
 
     @property
     def num_samples(self) -> int:
@@ -52,6 +51,14 @@ class Dataset:
     @property
     def input_dim(self) -> int:
         return self.features.shape[1]
+
+    @property
+    def num_classes(self) -> int:
+        return int(self.labels.max()) + 1
+
+    @property
+    def bits_per_sample(self) -> int:
+        return (self.input_dim + 1) * 8
 
 
 def _read_be32(f, path):
@@ -95,10 +102,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise ValueError(
             f"count mismatch: {count} images vs {label_count} labels")
 
-    input_dim = rows * cols
-    features = pixels.astype(np.float64).reshape(count, input_dim) / 255.0
-    return Dataset(features=features, labels=labels,
-                   bits_per_sample=(input_dim + 1) * 8)
+    features = pixels.astype(np.float64).reshape(count, rows * cols) / 255.0
+    return Dataset(features=features, labels=labels)
 
 
 def _blob_centers(num_classes: int, input_dim: int) -> np.ndarray:
@@ -141,8 +146,7 @@ def synth_blobs(num_classes: int, samples_per_class: int, input_dim: int,
                                                   size=(samples_per_class, input_dim))
         labels[block] = c
     np.clip(features, 0.0, 1.0, out=features)
-    return Dataset(features=features, labels=labels,
-                   bits_per_sample=(input_dim + 1) * 8)
+    return Dataset(features=features, labels=labels)
 
 
 def check_partition(num_samples: int, num_users: int, scheme: str,

@@ -47,7 +47,7 @@ class UavProfile:
     altitude: float = 100.0
 
     def __post_init__(self):
-        if self.tx_power <= 0 or self.propulsion_power <= 0 or self.altitude <= 0:
+        if not (self.tx_power > 0 and self.propulsion_power > 0 and self.altitude > 0):
             raise ValueError("UavProfile fields must be positive")
 
 

@@ -36,7 +36,7 @@ class Area:
     height: float = 1000.0
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
+        if not (self.width > 0 and self.height > 0):
             raise ValueError("area dimensions must be positive")
 
 

@@ -71,6 +71,16 @@ class BlobSource:
     input_dim: int = 32
     spread: float = 0.18
 
+    def __post_init__(self):
+        if self.num_classes < 2:
+            raise ValueError("blob source needs at least 2 classes")
+        if self.samples_per_class < 1 or self.test_samples_per_class < 1:
+            raise ValueError("blob source needs at least 1 train and 1 test sample per class")
+        if self.input_dim < 1:
+            raise ValueError("blob source needs input_dim >= 1")
+        if not self.spread > 0:
+            raise ValueError("blob source needs a positive spread")
+
 
 @dataclass(frozen=True)
 class IdxSource:
@@ -86,19 +96,24 @@ class IdxSource:
 class ShapeSource:
     """Data described only by its shape, for timing-only runs.
 
-    Carries the counts the timing model needs (shard sizes, and bits per
-    sample as (input_dim + 1) * 8, as for blobs and IDX) without
-    materializing features. Training and evaluation are impossible with
-    this source.
+    Loads as a Dataset whose features hold no memory, from which the timing
+    model reads its figures as from any corpus; it cannot train or evaluate.
     """
 
     num_samples: int = 60_000
     input_dim: int = 784
     num_classes: int = 10
 
+    def __post_init__(self):
+        if self.input_dim < 1:
+            raise ValueError("shape source needs input_dim >= 1")
+        if not 2 <= self.num_classes <= self.num_samples:
+            raise ValueError("shape source needs 2 <= classes <= num_samples")
+
 
 def load_source(source, seed: int):
-    """Materialize (train, test) datasets; test is None for ShapeSource."""
+    """Materialize (train, test) datasets. A ShapeSource has no test set, and
+    its train features are a zero-stride view that holds no memory."""
     if isinstance(source, BlobSource):
         train = synth_blobs(source.num_classes, source.samples_per_class,
                             source.input_dim, source.spread,
@@ -112,9 +127,8 @@ def load_source(source, seed: int):
                 load_idx(source.test_images, source.test_labels))
     if isinstance(source, ShapeSource):
         labels = np.arange(source.num_samples, dtype=np.int64) % source.num_classes
-        train = Dataset(features=np.empty((source.num_samples, 0)), labels=labels,
-                        bits_per_sample=(source.input_dim + 1) * 8)
-        return train, None
+        features = np.broadcast_to(0.0, (source.num_samples, source.input_dim))
+        return Dataset(features=features, labels=labels), None
     raise TypeError(f"unknown data source {type(source).__name__}")
 
 
@@ -174,6 +188,11 @@ class Scenario:
             raise ValueError("cycles_per_bit must be >= 1")
         if not 0 < self.cpu_freq_range[0] <= self.cpu_freq_range[1]:
             raise ValueError("cpu_freq_range must satisfy 0 < min <= max")
+        for name in ("initial_flight_energy", "ground_height", "kappa"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not 0 <= self.aerial_fraction <= 1:
+            raise ValueError("aerial_fraction must be in [0, 1]")
 
 
 @dataclass
@@ -265,10 +284,6 @@ class RepeatResult:
                 if m.budget_total <= budget and not math.isnan(m.test_acc)]
         return max(accs) if accs else math.nan
 
-    @property
-    def best_accuracy(self) -> float:
-        return self.best_accuracy_within(math.inf)
-
 
 @dataclass
 class ExperimentResult:
@@ -296,21 +311,6 @@ class ExperimentResult:
     @property
     def mean_best_accuracy(self) -> float:
         return self.mean_best_accuracy_within(math.inf)
-
-
-def _model_spec(scenario: Scenario, train_data: Dataset, init_seed: int) -> ModelSpec:
-    """The model the scenario trains, or stands in for on timing-only runs.
-
-    Its parameter count sets the payload. A ShapeSource declares its
-    dimensions; a materialized corpus has them in its arrays.
-    """
-    if isinstance(scenario.source, ShapeSource):
-        d, k = scenario.source.input_dim, scenario.source.num_classes
-    else:
-        d, k = train_data.input_dim, int(train_data.labels.max()) + 1
-    return ModelSpec(kind=scenario.model_kind, input_dim=d, num_classes=k,
-                     hidden_dim=scenario.hidden_dim if scenario.model_kind == "mlp" else 0,
-                     init_seed=init_seed)
 
 
 def per_user_arrays(scenario: Scenario, repeat: int, topo: Topology, shards,
@@ -342,8 +342,6 @@ def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
     """Simulate one seeded instance of the scenario."""
     seed, fl, channel = scenario.master_seed, scenario.fl, scenario.channel
     train_data, test_data = load_corpus(scenario.source, child_seed(seed, "data"))
-    if scenario.train and test_data is None:
-        raise ValueError("training runs need a held-out test dataset")
 
     topo = build_topology(scenario, _rng(seed, repeat, "positions"))
     topo.placement = place_server(scenario, topo, _rng(seed, repeat, "placement"))
@@ -351,7 +349,9 @@ def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
                        scheme=scenario.partition_scheme,
                        shards_per_user=scenario.shards_per_user,
                        seed=child_seed(seed, repeat, "partition"))
-    spec = _model_spec(scenario, train_data, child_seed(seed, repeat, "init"))
+    # the model trained, or stood in for on timing-only runs: its size sets the payload
+    spec = ModelSpec(scenario.model_kind, train_data.input_dim, train_data.num_classes,
+                     scenario.hidden_dim, init_seed=child_seed(seed, repeat, "init"))
     payload_bits = param_count(spec) * channel.payload_bits_per_param
     master = child_seed(seed, repeat)
     params = init_model(spec) if scenario.train else None
@@ -361,8 +361,7 @@ def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
     p_hover = np.where(topo.user_alt > 0, scenario.uav.propulsion_power, 0.0)
 
     ledger = EnergyLedger(fl.num_users, scenario.energy_budget, scenario.budget_entity)
-    if scenario.initial_flight_energy > 0:
-        ledger.charge("uav", scenario.initial_flight_energy)
+    ledger.charge("uav", scenario.initial_flight_energy)
     metrics: list[RoundMetrics] = []
     halt_reason = "max_rounds"
 

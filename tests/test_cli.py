@@ -177,7 +177,7 @@ class TestRunCommand:
                     + overrides) == 0
         line = capsys.readouterr().out.splitlines()[-1]
         fields = dict(token.split("=", 1) for token in line.split()[1:])
-        sc = load_config(config_path, parse_overrides(o[2:] for o in overrides)).scenario
+        sc = load_config(config_path, parse_overrides(overrides)).scenario
         reasons = run_scenario(sc).halt_reasons
         assert set(reasons) == {"budget", "max_rounds"}  # a mixed halt
         assert fields["halt"] == reasons[0]
@@ -240,6 +240,52 @@ class TestInvalidInputExits1:
         pytest.param(["run", "quick.ini", "--scenario.area_width_m=inf"],
                      "bad value for scenario.area_width_m: not a finite number",
                      id="inf-area-width"),
+        pytest.param(["run", "quick.ini", "--channel.bandwidth_hz=-1"],
+                     "total_bandwidth must be positive", id="negative-bandwidth"),
+        pytest.param(["run", "quick.ini", "--channel.user_tx_power_w=0"],
+                     "user_tx_power must be positive", id="zero-user-tx-power"),
+        pytest.param(["run", "quick.ini", "--channel.payload_bits_per_param=0"],
+                     "payload_bits_per_param must be >= 1", id="zero-payload-bits"),
+        pytest.param(["run", "quick.ini", "--channel.uplink_bandwidth_hz=-5"],
+                     "uplink_bandwidth_override must be positive",
+                     id="negative-uplink-bandwidth"),
+        pytest.param(["run", "quick.ini", "--data.classes=1"],
+                     "blob source needs at least 2 classes", id="one-blob-class"),
+        pytest.param(["run", "quick.ini", "--data.spread=0"],
+                     "blob source needs a positive spread", id="zero-spread"),
+        pytest.param(["run", "quick.ini", "--data.samples_per_class=0"],
+                     "sample per class", id="zero-samples-per-class"),
+        pytest.param(["run", "quick.ini", "--data.input_dim=0"],
+                     "blob source needs input_dim >= 1", id="zero-blob-input-dim"),
+        pytest.param(["run", "quick.ini", "--data.source=shape", "--scenario.train=false",
+                      "--data.num_samples=-5"],
+                     "shape source needs 2 <= classes <= num_samples",
+                     id="negative-shape-samples"),
+        pytest.param(["run", "quick.ini", "--data.source=shape", "--scenario.train=false",
+                      "--data.num_samples=20", "--data.classes=30"],
+                     "shape source needs 2 <= classes <= num_samples",
+                     id="more-shape-classes-than-samples"),
+        pytest.param(["run", "quick.ini", "--data.source=shape", "--scenario.train=false",
+                      "--data.input_dim=0"],
+                     "shape source needs input_dim >= 1", id="zero-shape-input-dim"),
+        pytest.param(["run", "quick.ini", "--energy.initial_flight_energy_j=-3"],
+                     "initial_flight_energy must be >= 0", id="negative-flight-energy"),
+        pytest.param(["run", "quick.ini", "--energy.kappa=-1",
+                      "--energy.include_user_compute=true"],
+                     "kappa must be >= 0", id="negative-kappa"),
+        pytest.param(["run", "quick.ini", "--scenario.form=mixed",
+                      "--scenario.aerial_fraction=1.5"],
+                     "aerial_fraction must be in [0, 1]", id="aerial-fraction-above-1"),
+        pytest.param(["run", "quick.ini", "--scenario.form=mixed",
+                      "--scenario.aerial_fraction=-1"],
+                     "aerial_fraction must be in [0, 1]", id="negative-aerial-fraction"),
+        pytest.param(["run", "quick.ini", "--scenario.form=a2g",
+                      "--scenario.ground_height_m=-10"],
+                     "ground_height must be >= 0", id="server-below-ground"),
+        pytest.param(["run", "quick.ini", "--fraction=0.1"],
+                     "unrecognized argument '--fraction=0.1'", id="override-without-section"),
+        pytest.param(["run", "quick.ini", "--fl.fraction"],
+                     "unrecognized argument '--fl.fraction'", id="override-without-value"),
     ])
     def test_exit_1_with_one_error_line(self, argv, message, tmp_path, capsys):
         command, config, *rest = argv

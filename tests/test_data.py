@@ -55,8 +55,7 @@ def iid_reference(num_samples, num_users, seed):
 
 def labels_only_dataset(labels):
     labels = np.asarray(labels, dtype=np.int64)
-    return Dataset(features=np.zeros((len(labels), 1)), labels=labels,
-                   bits_per_sample=16)
+    return Dataset(features=np.zeros((len(labels), 1)), labels=labels)
 
 
 class TestIdxLoader:

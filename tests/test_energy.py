@@ -207,5 +207,7 @@ class TestProfilesAndUserEnergy:
     def test_profile_validation(self):
         # the per-client checks (cpu frequency, cycles per bit) are
         # Scenario's: tests/test_scenario.py::TestValidation
-        with pytest.raises(ValueError):
-            UavProfile(propulsion_power=0.0)
+        for field in ("tx_power", "propulsion_power", "altitude"):
+            for bad in (0.0, -1.0, math.nan):
+                with pytest.raises(ValueError, match="must be positive"):
+                    UavProfile(**{field: bad})

@@ -107,6 +107,7 @@ def test_demo_runs(demo, csvs, svgs, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error"  # the suite's filterwarnings policy, which subprocesses skip
     done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -107,6 +107,12 @@ class TestRandomPlacement:
             assert 0.0 <= p.x <= 300.0
             assert 0.0 <= p.y <= 700.0
 
+    @pytest.mark.parametrize("width, height", [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0),
+                                               (1.0, math.nan)])
+    def test_area_rejects_non_positive_and_nan(self, width, height):
+        with pytest.raises(ValueError, match="must be positive"):
+            Area(width=width, height=height)
+
     def test_deterministic_per_seed(self):
         a = random_placement(Area(), np.random.default_rng(5))
         b = random_placement(Area(), np.random.default_rng(5))

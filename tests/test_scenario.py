@@ -12,7 +12,7 @@ from agifl.data import partition
 from agifl.energy import (UavProfile, round_duration, uav_round_energy,
                           user_compute_energy, user_compute_time)
 from agifl.fedavg import FlConfig, cohort_size, select_clients
-from agifl.models import Hyperparams, param_count
+from agifl.models import Hyperparams, ModelSpec, param_count
 from agifl.placement import Area, min_sum_dist
 from agifl.scenario import (FORMS, BlobSource, Scenario, ShapeSource, build_topology,
                             load_source, per_user_arrays, place_server, run_repeat,
@@ -44,7 +44,7 @@ def repeat_arrays(sc, repeat=0):
     shards = partition(train, sc.fl.num_users, scheme=sc.partition_scheme,
                        shards_per_user=sc.shards_per_user,
                        seed=child_seed(seed, repeat, "partition"))
-    spec = scenario_module._model_spec(sc, train, init_seed=0)
+    spec = ModelSpec(sc.model_kind, train.input_dim, train.num_classes, sc.hidden_dim)
     payload = param_count(spec) * sc.channel.payload_bits_per_param
     return per_user_arrays(sc, repeat, topo, shards, payload, train.bits_per_sample)
 
@@ -313,6 +313,64 @@ class TestValidation:
         with pytest.raises(ValueError, match="hidden_dim"):
             small_scenario(model_kind="mlp", hidden_dim=0)
         small_scenario(model_kind="logistic", hidden_dim=0)  # no hidden layer to size
+
+    @pytest.mark.parametrize("field, bad", [
+        ("initial_flight_energy", -3.0), ("ground_height", -10.0), ("kappa", -1.0),
+        ("aerial_fraction", 1.5), ("aerial_fraction", -1.0),
+    ] + [(field, math.nan) for field in ("initial_flight_energy", "ground_height",
+                                         "kappa", "aerial_fraction")])
+    def test_physics_out_of_range(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            small_scenario(**{field: bad})
+
+    def test_physics_range_ends_are_legal(self):
+        small_scenario(initial_flight_energy=0.0, ground_height=0.0, kappa=0.0,
+                       aerial_fraction=0.0)
+        small_scenario(aerial_fraction=1.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(num_classes=1), "at least 2 classes"),
+        (dict(samples_per_class=0), "sample per class"),
+        (dict(test_samples_per_class=0), "sample per class"),
+        (dict(input_dim=0), "input_dim >= 1"),
+        (dict(spread=0.0), "positive spread"),
+        (dict(spread=math.nan), "positive spread"),
+    ])
+    def test_blob_source_checks(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            BlobSource(**kwargs)
+
+    def test_shape_source_checks(self):
+        with pytest.raises(ValueError, match="input_dim >= 1"):
+            ShapeSource(input_dim=0)
+        with pytest.raises(ValueError, match="2 <= classes <= num_samples"):
+            ShapeSource(num_classes=1)
+        ShapeSource(num_samples=2, input_dim=1, num_classes=2)
+
+
+class TestDerivedCorpus:
+    """A loaded corpus's figures derive from its arrays and match its source."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(classes=st.integers(2, 12), dim=st.integers(1, 40),
+           per_class=st.integers(1, 4), extra=st.integers(0, 60))
+    def test_figures_match_the_source(self, classes, dim, per_class, extra):
+        blobs = BlobSource(num_classes=classes, samples_per_class=per_class,
+                           test_samples_per_class=1, input_dim=dim, spread=0.1)
+        shape = ShapeSource(num_samples=classes + extra, input_dim=dim, num_classes=classes)
+        for source in (blobs, shape):
+            train, _ = load_source(source, seed=0)
+            assert (train.input_dim, train.num_classes) == (dim, classes)
+            assert train.bits_per_sample == (dim + 1) * 8
+            assert type(train.bits_per_sample) is int  # keeps the cycle product exact
+        assert train.features.shape == (classes + extra, dim)
+        assert train.features.strides == (0, 0)  # the shape corpus holds no features
+
+    @given(classes=st.integers(2, 12), samples=st.integers(-5, 11))
+    def test_shape_source_needs_a_sample_per_class(self, classes, samples):
+        assume(samples < classes)
+        with pytest.raises(ValueError, match="classes <= num_samples"):
+            ShapeSource(num_samples=samples, input_dim=4, num_classes=classes)
 
 
 def reference_repeat(sc, rep):
