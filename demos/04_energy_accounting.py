@@ -19,7 +19,7 @@ scenario = Scenario(
 
 rep = run_repeat(scenario, 0)
 p = rep.placement
-print(f"hover point: ({p.x:.1f}, {p.y:.1f}) at {p.altitude:.0f} m\n")
+print(f"hover point: ({p.x:.1f}, {p.y:.1f}) at {scenario.uav.altitude:.0f} m\n")
 print(f"{'round':>5} {'selected':>12} {'duration s':>11} {'hover J':>9} "
       f"{'tx J':>9} {'cumulative J':>13}")
 power = scenario.uav.propulsion_power

@@ -28,7 +28,6 @@ from .data import check_partition
 from .oracles import grid_placement, rate_direct, weighted_mean_direct
 from .reports import svg_line_chart, write_mean_csv, write_repeat_csv, write_series_csv
 from .scenario import load_corpus, run_scenario
-from .seeding import child_seed
 
 __all__ = ["main"]
 
@@ -45,7 +44,7 @@ def _preflight_data(scenario) -> int:
     2 if it cannot be read, and raises ConfigError if it cannot be
     partitioned as configured."""
     try:
-        train, _ = load_corpus(scenario.source, child_seed(scenario.master_seed, "data"))
+        train, _ = load_corpus(scenario.source, scenario.master_seed)
     except (OSError, ValueError) as exc:
         print(f"error: dataset: {exc}", file=sys.stderr)
         return 2

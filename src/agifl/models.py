@@ -3,7 +3,9 @@
 Both models classify via softmax cross-entropy and are trained with plain
 mini-batch SGD: one client with `local_train`, a FedAvg cohort with
 `train_cohort`, which steps every client's SGD together as stacked lanes
-and gives each lane `local_train`'s result bit for bit. Parameters live
+and gives each lane `local_train`'s result bit for bit. One forward and one
+backward pass, written for stacked (lanes, ...) arrays, serve a client (one
+lane), a cohort and evaluation (one lane). Parameters live
 in a single flat float64 vector with a deterministic layout so that the
 federation layer can exchange and average them without knowing the
 architecture. Bias terms use the implicit appended-1 convention: a
@@ -91,16 +93,10 @@ def init_model(spec: ModelSpec) -> np.ndarray:
     return np.concatenate([w1.ravel(), w2.ravel()])
 
 
-def _unpack(params: np.ndarray, spec: ModelSpec):
+def _check_params(params: np.ndarray, spec: ModelSpec) -> None:
     if params.shape != (param_count(spec),):
         raise ValueError(
             f"parameter vector has length {params.shape}, expected {param_count(spec)}")
-    d, k = spec.input_dim, spec.num_classes
-    if spec.kind == "logistic":
-        return (params.reshape(d + 1, k),)
-    h = spec.hidden_dim
-    n1 = (d + 1) * h
-    return params[:n1].reshape(d + 1, h), params[n1:].reshape(h + 1, k)
 
 
 def _append_ones(x: np.ndarray) -> np.ndarray:
@@ -108,51 +104,67 @@ def _append_ones(x: np.ndarray) -> np.ndarray:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax over the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    """Row-wise log-softmax over the last axis, in place: no large temporaries."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    return logits
 
 
-def _forward(params, spec, x):
-    """Returns (log-probabilities, cache for backprop)."""
+def _forward(w: np.ndarray, spec: ModelSpec, xe: np.ndarray):
+    """Forward pass of L models at once: `w` is (L, P), `xe` the (L, b, d+1)
+    inputs with the bias column. Returns the (L, b, K) log-probabilities,
+    the weight matrices as views of `w`, and the MLP's hidden activations
+    without and with their bias column (None for logistic).
+
+    Stacked `matmul` runs one GEMM per 2-D slice, so a one-lane call gives
+    the single model's result bit for bit.
+    """
+    d, k = spec.input_dim, spec.num_classes
     if spec.kind == "logistic":
-        (w,) = _unpack(params, spec)
-        xe = _append_ones(x)
-        logits = xe @ w
-        cache = (xe,)
-    else:
-        w1, w2 = _unpack(params, spec)
-        xe = _append_ones(x)
-        a1 = np.tanh(xe @ w1)
-        a1e = _append_ones(a1)
-        logits = a1e @ w2
-        cache = (xe, a1, a1e, w2)
-    return _log_softmax(logits), cache
+        w1 = w.reshape(-1, d + 1, k)
+        return _log_softmax(xe @ w1), (w1,), None
+    h = spec.hidden_dim
+    n1 = (d + 1) * h
+    w1 = w[:, :n1].reshape(-1, d + 1, h)
+    w2 = w[:, n1:].reshape(-1, h + 1, k)
+    a1 = np.tanh(xe @ w1)
+    a1e = _append_ones(a1)
+    return _log_softmax(a1e @ w2), (w1, w2), (a1, a1e)
+
+
+def _gradients(w: np.ndarray, spec: ModelSpec, xe: np.ndarray, y: np.ndarray):
+    """Forward and backward pass of each lane's mean cross-entropy over its
+    (L, b) labels `y`: the log-probabilities and one (weight view, gradient)
+    pair per weight matrix."""
+    log_probs, weights, hidden = _forward(w, spec, xe)
+    lanes, b = y.shape
+    dlogits = np.exp(log_probs)
+    dlogits.reshape(lanes * b, -1)[np.arange(lanes * b), y.ravel()] -= 1.0
+    dlogits /= b
+    if hidden is None:
+        return log_probs, [(weights[0], xe.transpose(0, 2, 1) @ dlogits)]
+    (w1, w2), (a1, a1e) = weights, hidden
+    gw2 = a1e.transpose(0, 2, 1) @ dlogits
+    dz1 = (dlogits @ w2[:, :-1].transpose(0, 2, 1)) * (1.0 - a1 * a1)
+    return log_probs, [(w1, xe.transpose(0, 2, 1) @ dz1), (w2, gw2)]
+
+
+def _lane_step(w: np.ndarray, spec: ModelSpec, xe: np.ndarray, y: np.ndarray,
+               lr: float) -> None:
+    """One SGD step on each lane of `w`, in place."""
+    for weight, grad in _gradients(w, spec, xe, y)[1]:
+        grad *= lr
+        weight -= grad
 
 
 def loss_and_grad(params: np.ndarray, spec: ModelSpec,
                   x: np.ndarray, y: np.ndarray):
     """Mean softmax cross-entropy over the batch and its gradient,
     flattened to match the parameter layout."""
-    n = x.shape[0]
-    log_probs, cache = _forward(params, spec, x)
-    loss = -float(log_probs[np.arange(n), y].mean())
-
-    dlogits = np.exp(log_probs)
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
-
-    if spec.kind == "logistic":
-        (xe,) = cache
-        grad = (xe.T @ dlogits).ravel()
-    else:
-        xe, a1, a1e, w2 = cache
-        gw2 = a1e.T @ dlogits
-        da1 = dlogits @ w2[:-1].T
-        dz1 = da1 * (1.0 - a1 * a1)
-        gw1 = xe.T @ dz1
-        grad = np.concatenate([gw1.ravel(), gw2.ravel()])
-    return loss, grad
+    _check_params(params, spec)
+    log_probs, grads = _gradients(params[None], spec, _append_ones(x)[None], y[None])
+    loss = -float(log_probs[0, np.arange(x.shape[0]), y].mean())
+    return loss, np.concatenate([grad.ravel() for _, grad in grads])
 
 
 def local_train(params: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -168,54 +180,17 @@ def local_train(params: np.ndarray, x: np.ndarray, y: np.ndarray,
         raise ValueError("training shard is empty")
     if y.shape[0] != n:
         raise ValueError("feature/label count mismatch")
+    _check_params(params, spec)
     w = params.copy()
+    xe = _append_ones(x)
     gen = np.random.default_rng(rng_seed)
     lr, bs = hyper.learning_rate, hyper.batch_size
     for _ in range(hyper.local_epochs):
         order = gen.permutation(n)
         for start in range(0, n, bs):
-            batch = order[start:start + bs]
-            _, grad = loss_and_grad(w, spec, x[batch], y[batch])
-            w -= lr * grad
+            batch = order[None, start:start + bs]
+            _lane_step(w[None], spec, xe[batch], y[batch], lr)
     return w
-
-
-def _lane_step(w: np.ndarray, spec: ModelSpec, xe: np.ndarray, y: np.ndarray,
-               lr: float) -> None:
-    """One SGD step on each lane, in place: `w` is (L, P), `xe` the (L, b, d+1)
-    batches with the bias column, `y` their (L, b) labels.
-
-    Every operation is `loss_and_grad`'s on each 2-D slice (stacked `matmul`
-    runs one GEMM per slice), so each lane takes `local_train`'s step bit for
-    bit; the loss itself is not needed and not computed.
-    """
-    lanes, b = y.shape
-    d, k = spec.input_dim, spec.num_classes
-    if spec.kind == "logistic":
-        w1 = w.reshape(lanes, d + 1, k)
-        log_probs = _log_softmax(xe @ w1)
-    else:
-        h = spec.hidden_dim
-        n1 = (d + 1) * h
-        w1 = w[:, :n1].reshape(lanes, d + 1, h)
-        w2 = w[:, n1:].reshape(lanes, h + 1, k)
-        a1 = np.tanh(xe @ w1)
-        a1e = _append_ones(a1)
-        log_probs = _log_softmax(a1e @ w2)
-
-    dlogits = np.exp(log_probs)
-    dlogits.reshape(lanes * b, k)[np.arange(lanes * b), y.ravel()] -= 1.0
-    dlogits /= b
-
-    if spec.kind == "logistic":
-        w1 -= lr * (xe.transpose(0, 2, 1) @ dlogits)
-        return
-    gw2 = a1e.transpose(0, 2, 1) @ dlogits
-    da1 = dlogits @ w2[:, :-1].transpose(0, 2, 1)
-    dz1 = da1 * (1.0 - a1 * a1)
-    gw1 = xe.transpose(0, 2, 1) @ dz1
-    w1 -= lr * gw1
-    w2 -= lr * gw2
 
 
 def train_cohort(params: np.ndarray, features: np.ndarray, labels: np.ndarray,
@@ -241,9 +216,7 @@ def train_cohort(params: np.ndarray, features: np.ndarray, labels: np.ndarray,
     sizes = np.array([lane.size for lane in lanes])
     if np.any(sizes == 0):
         raise ValueError("training shard is empty")
-    if params.shape != (param_count(spec),):
-        raise ValueError(
-            f"parameter vector has length {params.shape}, expected {param_count(spec)}")
+    _check_params(params, spec)
     num_lanes, lr, bs = len(lanes), hyper.learning_rate, hyper.batch_size
     w = np.tile(params, (num_lanes, 1))
 
@@ -281,7 +254,8 @@ def evaluate(params: np.ndarray, spec: ModelSpec,
     """Mean cross-entropy and top-1 accuracy over a dataset."""
     if x.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    log_probs, _ = _forward(params, spec, x)
+    _check_params(params, spec)
+    log_probs = _forward(params[None], spec, _append_ones(x)[None])[0][0]
     loss = -float(log_probs[np.arange(x.shape[0]), y].mean())
     accuracy = float((log_probs.argmax(axis=1) == y).mean())
     return loss, accuracy

@@ -42,9 +42,10 @@ class Area:
 
 @dataclass(frozen=True)
 class Placement:
+    """The server's hovering point; its altitude is `Topology.server_alt`."""
+
     x: float
     y: float
-    altitude: float
 
 
 @dataclass
@@ -84,9 +85,10 @@ def objective_grad(users, vertical, x: float, y: float) -> np.ndarray:
     return np.array([gx, gy])
 
 
-def min_sum_dist(users, altitude: float, tol: float = 1e-6,
+def min_sum_dist(users, vertical, tol: float = 1e-6,
                  max_iter: int = 10_000, trace: SolverTrace | None = None) -> Placement:
-    """Solve the minimum-sum-distance placement at fixed flying height.
+    """Solve the minimum-sum-distance placement at fixed flying height;
+    `vertical` is as in `objective`.
 
     Iterates the fixed point (x, y) <- sum(u_i / d_i) / sum(1 / d_i) starting
     from the user centroid until successive iterates move less than `tol`
@@ -102,7 +104,7 @@ def min_sum_dist(users, altitude: float, tol: float = 1e-6,
         raise ValueError("users must be a non-empty (n, 2) array")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    vertical = np.asarray(altitude, dtype=float)
+    vertical = np.asarray(vertical, dtype=float)
 
     x, y = users.mean(axis=0)
     obj = objective(users, vertical, x, y)
@@ -133,7 +135,7 @@ def min_sum_dist(users, altitude: float, tol: float = 1e-6,
         if trace is not None:
             trace.converged = False
 
-    return Placement(x=x, y=y, altitude=float(np.max(vertical)))
+    return Placement(x=x, y=y)
 
 
 def _backtracking_step(users, vertical, x, y, obj):
@@ -148,9 +150,8 @@ def _backtracking_step(users, vertical, x, y, obj):
     return x, y, obj
 
 
-def random_placement(area: Area, generator: np.random.Generator,
-                     altitude: float = 100.0) -> Placement:
+def random_placement(area: Area, generator: np.random.Generator) -> Placement:
     """Uniform hovering location over the deployment area."""
     x = float(generator.uniform(0.0, area.width))
     y = float(generator.uniform(0.0, area.height))
-    return Placement(x=x, y=y, altitude=altitude)
+    return Placement(x=x, y=y)

@@ -27,11 +27,13 @@ def _fmt(x: float) -> str:
 
 def write_repeat_csv(path, metrics) -> None:
     """One row per completed round of a single repeat."""
+    top = max((max(m.selected, default=-1) for m in metrics), default=-1)
+    ids = [str(u) for u in range(top + 1)]  # each id's string, built once per file
     lines = [ROUND_CSV_HEADER]
     for m in metrics:
         lines.append(",".join([str(m.round), _fmt(m.duration), _fmt(m.uav_energy),
                                _fmt(m.cum_uav_energy), _fmt(m.test_loss),
-                               _fmt(m.test_acc), ";".join(map(str, m.selected))]))
+                               _fmt(m.test_acc), ";".join([ids[u] for u in m.selected])]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -133,10 +133,11 @@ def load_source(source, seed: int):
 
 
 @functools.lru_cache(maxsize=1)
-def load_corpus(source, seed: int):
-    """`load_source`, keeping the last corpus: the CLI's preflight and every
-    repeat of every run in a process (and its forked workers) share one load."""
-    return load_source(source, seed)
+def load_corpus(source, master_seed: int):
+    """The (train, test) corpus of a scenario, keeping the last one: the CLI's
+    preflight and every repeat of every run in a process (and its forked
+    workers) share one load."""
+    return load_source(source, child_seed(master_seed, "data"))
 
 
 @dataclass(frozen=True)
@@ -248,13 +249,11 @@ def place_server(scenario: Scenario, topo: Topology,
                  generator: np.random.Generator) -> Placement:
     """Apply the configured hovering-placement scheme to a topology."""
     if scenario.placement_scheme == "min_sum_dist":
-        p = min_sum_dist(topo.user_xy, topo.vertical_offsets(), tol=1e-6)
-        return Placement(p.x, p.y, topo.server_alt)
+        return min_sum_dist(topo.user_xy, topo.vertical_offsets(), tol=1e-6)
     if scenario.placement_scheme == "random":
-        p = random_placement(scenario.area, generator)
-        return Placement(p.x, p.y, topo.server_alt)
+        return random_placement(scenario.area, generator)
     x, y = scenario.fixed_position
-    return Placement(float(x), float(y), topo.server_alt)
+    return Placement(float(x), float(y))
 
 
 @dataclass(frozen=True)
@@ -341,7 +340,7 @@ def per_user_arrays(scenario: Scenario, repeat: int, topo: Topology, shards,
 def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
     """Simulate one seeded instance of the scenario."""
     seed, fl, channel = scenario.master_seed, scenario.fl, scenario.channel
-    train_data, test_data = load_corpus(scenario.source, child_seed(seed, "data"))
+    train_data, test_data = load_corpus(scenario.source, seed)
 
     topo = build_topology(scenario, _rng(seed, repeat, "positions"))
     topo.placement = place_server(scenario, topo, _rng(seed, repeat, "placement"))

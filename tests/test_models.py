@@ -155,11 +155,20 @@ class TestTrainCohort:
             train_cohort(init_model(spec), x, y, [np.arange(3), np.arange(0)],
                          spec, Hyperparams(), seeds=[0, 1])
 
-    def test_dimension_mismatch_rejected(self):
+
+class TestParameterCheck:
+    """The shared check rejects a parameter vector of the wrong length."""
+
+    @pytest.mark.parametrize("call", [
+        lambda spec, w, x, y: loss_and_grad(w, spec, x, y),
+        lambda spec, w, x, y: evaluate(w, spec, x, y),
+        lambda spec, w, x, y: train_cohort(w, x, y, [np.arange(3)], spec,
+                                           Hyperparams(), seeds=[0]),
+    ], ids=["loss_and_grad", "evaluate", "train_cohort"])
+    def test_wrong_length_rejected(self, call):
         spec = ModelSpec("logistic", input_dim=2, num_classes=2)
-        with pytest.raises(ValueError):
-            train_cohort(np.zeros(5), np.ones((3, 2)), np.array([0, 1, 0]),
-                         [np.arange(3)], spec, Hyperparams(), seeds=[0])
+        with pytest.raises(ValueError, match="parameter vector has length"):
+            call(spec, np.zeros(5), np.ones((3, 2)), np.array([0, 1, 0]))
 
 
 class TestEvaluate:

@@ -54,7 +54,7 @@ class TestTopology:
         sc = small_scenario(placement_scheme="fixed", fixed_position=(500.0, 500.0))
         topo = build_topology(sc, rng(0, "pos"))
         placement = place_server(sc, topo, rng(0, "placement"))
-        assert (placement.x, placement.y, placement.altitude) == (500.0, 500.0, 100.0)
+        assert (placement.x, placement.y, topo.server_alt) == (500.0, 500.0, 100.0)
         assert np.all(topo.user_alt == 0.0)
         assert np.all(topo.vertical_offsets() == 100.0)
 
