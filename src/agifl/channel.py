@@ -47,8 +47,8 @@ class ChannelParams:
     """
 
     total_bandwidth: float = 1e6
-    ref_gain: float = 1e-5
-    noise: float = 1e-12
+    ref_gain: float = db_to_linear(-50.0)
+    noise: float = dbm_to_watts(-90.0)
     user_tx_power: float = 0.1
     uav_downlink_bandwidth: float = 1e6
     payload_bits_per_param: int = 32

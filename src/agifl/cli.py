@@ -220,7 +220,7 @@ def main(argv=None) -> int:
         p.add_argument("config", help="path to the INI run configuration")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel repeat processes")
+                       help="processes over the lockstep groups of repeats")
         p.add_argument("--seed", type=int, default=None,
                        help="override scenario.master_seed")
 

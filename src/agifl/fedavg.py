@@ -9,9 +9,13 @@ each lane equal bit for bit to a `models.local_train` call, and the mean
 is one product of the weights with that (L, P) array (`aggregate`). The
 caller draws the cohort once per round and hands the same ids to the
 timing and energy model and to `run_round`; the round loop itself, with
-the round index and the global vector, lives in `scenario.run_repeat`.
-Per-client training seeds are derived from (master seed, round, user id),
-so the outcome does not depend on the order clients are processed in.
+the round index and the global vectors, lives in `scenario`. `run_round`
+also runs one round of several independent repeats in lockstep: their
+cohorts train as the lanes of one `train_cohort` call, each lane from its
+own repeat's global vector, and each repeat's lanes are aggregated alone.
+Per-client training seeds are derived from (repeat seed, round, user id),
+so the outcome does not depend on the order clients are processed in or on
+which repeats share the call.
 """
 
 from dataclasses import dataclass
@@ -71,15 +75,30 @@ def aggregate(params: np.ndarray, counts) -> np.ndarray:
     return (counts / counts.sum()) @ params
 
 
-def run_round(params: np.ndarray, config: FlConfig, shards: list[np.ndarray],
-              spec: ModelSpec, data: Dataset, selected, seed: int,
-              rnd: int) -> np.ndarray:
+def run_round(params: np.ndarray, config: FlConfig, shards, spec: ModelSpec,
+              data: Dataset, selected, seed, rnd: int) -> np.ndarray:
     """Execute FedAvg round `rnd` on the cohort `selected`, training user u
-    with `child_seed(seed, rnd, u, "train")`; returns the new global vector."""
-    if len(shards) != config.num_users:
+    with `child_seed(seed, rnd, u, "train")`; returns the new global vector.
+
+    Several repeats run the round in lockstep when `params` is an (R, P)
+    array of their global vectors and `shards`, `selected` and `seed` each
+    hold one entry per repeat: every repeat's cohort trains as lanes of one
+    `train_cohort` call, each lane from its own repeat's vector, and each
+    repeat's lanes are reduced by their own `aggregate` call (a product per
+    repeat, so the (R, P) result equals R one-repeat rounds bit for bit).
+    """
+    if params.ndim == 1:
+        return run_round(params[None], config, [shards], spec, data, [selected],
+                         [seed], rnd)[0]
+    if any(len(repeat_shards) != config.num_users for repeat_shards in shards):
         raise ValueError("one shard per user is required")
-    lanes = [shards[user] for user in selected]
-    seeds = [child_seed(seed, rnd, int(user), "train") for user in selected]
-    trained = train_cohort(params, data.features, data.labels, lanes, spec,
-                           config.hyper, seeds)
-    return aggregate(trained, [len(lane) for lane in lanes])
+    lanes = [repeat_shards[user] for repeat_shards, cohort in zip(shards, selected)
+             for user in cohort]
+    seeds = [child_seed(repeat_seed, rnd, int(user), "train")
+             for repeat_seed, cohort in zip(seed, selected) for user in cohort]
+    sizes = [len(cohort) for cohort in selected]
+    trained = train_cohort(np.repeat(params, sizes, axis=0), data.features, data.labels,
+                           lanes, spec, config.hyper, seeds)
+    bounds = np.cumsum([0] + sizes).tolist()
+    return np.stack([aggregate(trained[a:b], [len(lane) for lane in lanes[a:b]])
+                     for a, b in zip(bounds, bounds[1:])])

@@ -197,9 +197,10 @@ def train_cohort(params: np.ndarray, features: np.ndarray, labels: np.ndarray,
                  lanes, spec: ModelSpec, hyper: Hyperparams, seeds) -> np.ndarray:
     """`local_train` for a whole cohort at once, as stacked SGD lanes.
 
-    Lane l trains from `params` on the rows `lanes[l]` of `features`/`labels`
-    with the generator `default_rng(seeds[l])`; row l of the returned
-    (L, P) array equals `local_train(params, features[lanes[l]],
+    Lane l trains from `params`, or from its own start row `params[l]` when
+    `params` is an (L, P) array, on the rows `lanes[l]` of
+    `features`/`labels` with the generator `default_rng(seeds[l])`; row l of
+    the returned (L, P) array equals `local_train(start, features[lanes[l]],
     labels[lanes[l]], spec, hyper, seeds[l])` exactly. The lanes step
     together: each epoch draws every lane's permutation in `local_train`'s
     order, and each step takes one stacked batch per group of lanes with the
@@ -216,9 +217,11 @@ def train_cohort(params: np.ndarray, features: np.ndarray, labels: np.ndarray,
     sizes = np.array([lane.size for lane in lanes])
     if np.any(sizes == 0):
         raise ValueError("training shard is empty")
-    _check_params(params, spec)
     num_lanes, lr, bs = len(lanes), hyper.learning_rate, hyper.batch_size
-    w = np.tile(params, (num_lanes, 1))
+    if params.ndim == 2 and params.shape[0] != num_lanes:
+        raise ValueError("one start row per lane is required")
+    _check_params(params[-1] if params.ndim == 2 else params, spec)
+    w = np.broadcast_to(params, (num_lanes, params.shape[-1])).copy()
 
     rows = np.concatenate(lanes)
     xe = _append_ones(features[rows])

@@ -4,31 +4,44 @@ A Scenario fixes everything about one experiment: the topology form (which
 layer hosts the server and the clients), the training task and federation
 settings, the channel and energy constants, the server placement scheme
 and the energy budget. `run_scenario` executes `repeats` independent
-instances with seeds derived from the master seed. Each repeat places the
-server and then runs the round loop (`run_repeat`):
+instances with seeds derived from the master seed. Each round of a repeat
+is
 
     select cohort -> downlink broadcast -> parallel local compute + uplink
     -> account energy -> aggregate -> evaluate
 
-It halts on the round budget or when the ledger refuses a round because
-the monitored entity's energy budget would be exceeded (before that round
-trains). That entity's running total never falls, so a run under a
-smaller budget keeps exactly the rounds of this run whose recorded total
-is within it: `best_accuracy_within` reads any smaller budget off one run.
+A repeat halts on the round budget or when the ledger refuses a round
+because the monitored entity's energy budget would be exceeded (before
+that round trains). That entity's running total never falls, so a run
+under a smaller budget keeps exactly the rounds of this run whose recorded
+total is within it: `best_accuracy_within` reads any smaller budget off
+one run.
+
+Nothing in the network model reads the parameters: cohorts come from the
+round's seed, and durations, energies and the ledger's refusal from the
+geometry and the cohort. So a repeat runs in two passes. The network pass
+places the server and runs the round loop without training, which fixes
+every kept round, its cohort and the halt. The learning pass then trains
+those cohorts. Repeats are grouped into lockstep groups of contiguous
+repeats whose cohorts together hold at most LANE_CEILING lanes (a group
+holds at least one repeat); round r of a group trains the cohorts of
+every repeat that kept more than r rounds as the lanes of one
+`fedavg.run_round` call, and evaluates each repeat on its own. Every lane
+equals a lone client's training bit for bit, so the grouping changes no
+output. The group is the unit of work: `run_scenario` runs the groups in
+order or over a process pool (`jobs`), and `run_repeat` is a group of one.
 
 Every per-user time and energy is constant within a repeat, so
 `per_user_arrays` builds them once, equal entry for entry to the scalar
 models of `channel` and `energy`; a round is then a gather over its cohort
 and a max each for the slowest client and the slowest broadcast recipient.
-Repeats are embarrassingly parallel; `ExperimentResult.mean` averages a
-per-round field over the rounds all repeats completed, so every mean covers
-exactly `repeats` instances.
+`ExperimentResult.mean` averages a per-round field over the rounds all
+repeats completed, so every mean covers exactly `repeats` instances.
 """
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,6 +72,9 @@ __all__ = [
 
 FORMS = ("g2a", "a2g", "a2a", "mixed")
 PLACEMENT_SCHEMES = ("min_sum_dist", "random", "fixed")
+# Lanes per lockstep train_cohort call: the per-lane cost stops falling at
+# about 8-16 lanes, while the call's memory keeps growing with the lanes.
+LANE_CEILING = 16
 
 
 @dataclass(frozen=True)
@@ -337,23 +353,19 @@ def per_user_arrays(scenario: Scenario, repeat: int, topo: Topology, shards,
     return cycles / cpu + t_up, channel.user_tx_power * t_up, e_comp, t_recv
 
 
-def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
-    """Simulate one seeded instance of the scenario."""
+def _network_pass(scenario: Scenario, repeat: int, spec: ModelSpec, train_data: Dataset):
+    """Place the server and run the round loop of one repeat without training:
+    the repeat's result with NaN test metrics, and its shards. Nothing here
+    reads the parameters, so the kept rounds and their cohorts are final."""
     seed, fl, channel = scenario.master_seed, scenario.fl, scenario.channel
-    train_data, test_data = load_corpus(scenario.source, seed)
-
     topo = build_topology(scenario, _rng(seed, repeat, "positions"))
     topo.placement = place_server(scenario, topo, _rng(seed, repeat, "placement"))
     shards = partition(train_data, fl.num_users,
                        scheme=scenario.partition_scheme,
                        shards_per_user=scenario.shards_per_user,
                        seed=child_seed(seed, repeat, "partition"))
-    # the model trained, or stood in for on timing-only runs: its size sets the payload
-    spec = ModelSpec(scenario.model_kind, train_data.input_dim, train_data.num_classes,
-                     scenario.hidden_dim, init_seed=child_seed(seed, repeat, "init"))
     payload_bits = param_count(spec) * channel.payload_bits_per_param
     master = child_seed(seed, repeat)
-    params = init_model(spec) if scenario.train else None
 
     t_client, e_tx, e_comp, t_recv = per_user_arrays(
         scenario, repeat, topo, shards, payload_bits, train_data.bits_per_sample)
@@ -374,38 +386,86 @@ def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
                                 p_hover[selected] * duration):
             halt_reason = "budget"
             break
-
-        test_loss = test_acc = math.nan
-        if scenario.train:
-            params = run_round(params, fl, shards, spec, train_data, selected,
-                               master, rnd)
-            if (rnd + 1) % scenario.eval_stride == 0:
-                test_loss, test_acc = evaluate(params, spec, test_data.features,
-                                               test_data.labels)
-
         metrics.append(RoundMetrics(
             round=rnd + 1, duration=duration, uav_energy=server,
-            cum_uav_energy=ledger.total("uav"), test_loss=test_loss,
-            test_acc=test_acc, selected=tuple(selected.tolist()),
+            cum_uav_energy=ledger.total("uav"), test_loss=math.nan,
+            test_acc=math.nan, selected=tuple(selected.tolist()),
             budget_total=ledger.total(scenario.budget_entity)))
 
-    return RepeatResult(repeat=repeat, metrics=metrics, halt_reason=halt_reason,
-                        placement=topo.placement, ledger=ledger)
+    result = RepeatResult(repeat=repeat, metrics=metrics, halt_reason=halt_reason,
+                          placement=topo.placement, ledger=ledger)
+    return result, shards
+
+
+def _learning_pass(scenario: Scenario, spec: ModelSpec, reps, shards,
+                   train_data: Dataset, test_data: Dataset) -> None:
+    """Train the repeats of a group in lockstep and fill in their test
+    metrics: round `rnd` trains the cohorts of every repeat that kept more
+    than `rnd` rounds in one `run_round` call."""
+    seed = scenario.master_seed
+    params = np.stack([
+        init_model(replace(spec, init_seed=child_seed(seed, rep.repeat, "init")))
+        for rep in reps])
+    masters = [child_seed(seed, rep.repeat) for rep in reps]
+    for rnd in range(max(len(rep.metrics) for rep in reps)):
+        live = [i for i, rep in enumerate(reps) if len(rep.metrics) > rnd]
+        params[live] = run_round(params[live], scenario.fl, [shards[i] for i in live], spec,
+                                 train_data, [reps[i].metrics[rnd].selected for i in live],
+                                 [masters[i] for i in live], rnd)
+        if (rnd + 1) % scenario.eval_stride:
+            continue
+        for i in live:
+            test_loss, test_acc = evaluate(params[i], spec, test_data.features,
+                                           test_data.labels)
+            reps[i].metrics[rnd] = replace(reps[i].metrics[rnd], test_loss=test_loss,
+                                           test_acc=test_acc)
+
+
+def _run_group(scenario: Scenario, repeats) -> list[RepeatResult]:
+    """Simulate a lockstep group of repeats: each repeat's network pass, then
+    one learning pass over all of them."""
+    train_data, test_data = load_corpus(scenario.source, scenario.master_seed)
+    # the model trained, or stood in for on timing-only runs: its size sets the payload
+    spec = ModelSpec(scenario.model_kind, train_data.input_dim, train_data.num_classes,
+                     scenario.hidden_dim)
+    reps, shards = zip(*(_network_pass(scenario, r, spec, train_data) for r in repeats))
+    if scenario.train:
+        _learning_pass(scenario, spec, reps, shards, train_data, test_data)
+    return list(reps)
+
+
+def _groups(scenario: Scenario) -> list[list[int]]:
+    """The lockstep groups: contiguous runs of repeats of near-equal size, as
+    few as keep every group's cohorts within LANE_CEILING lanes (a group
+    holds at least one repeat)."""
+    per_group = max(1, LANE_CEILING // cohort_size(scenario.fl.num_users,
+                                                   scenario.fl.fraction))
+    count = -(-scenario.repeats // per_group)
+    return [chunk.tolist() for chunk in np.array_split(np.arange(scenario.repeats), count)]
+
+
+def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
+    """Simulate one seeded instance of the scenario."""
+    return _run_group(scenario, [repeat])[0]
 
 
 def run_scenario(scenario: Scenario, jobs: int = 1) -> ExperimentResult:
-    """Run all repeats, optionally in parallel.
+    """Run all repeats in lockstep groups, optionally in parallel processes.
 
     The result is deterministic for a fixed master seed regardless of
-    `jobs`: every repeat derives its own seed streams and the merge is by
-    repeat index.
+    `jobs` and of the grouping: every repeat derives its own seed streams,
+    every lane of a lockstep call equals a lone client's training bit for
+    bit, and the merge is by repeat index.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    indices = range(scenario.repeats)
-    if jobs == 1 or scenario.repeats == 1:
-        repeats = [run_repeat(scenario, r) for r in indices]
+    groups = _groups(scenario)
+    if jobs == 1 or len(groups) == 1:
+        results = [_run_group(scenario, group) for group in groups]
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, scenario.repeats)) as pool:
-            repeats = list(pool.map(run_repeat, [scenario] * scenario.repeats, indices))
-    return ExperimentResult(repeats)
+        # imported here: the pool machinery is a large share of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
+            results = list(pool.map(_run_group, [scenario] * len(groups), groups))
+    return ExperimentResult([rep for group in results for rep in group])

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from agifl import scenario as scenario_module
+from agifl.channel import ChannelParams
 from agifl.cli import main
 from agifl.config import ConfigError, load_config, parse_overrides
 from agifl.scenario import load_corpus, load_source, run_scenario
@@ -49,8 +53,8 @@ class TestConfig:
         assert sc.fl.hyper.local_epochs == 5
         assert sc.fl.hyper.batch_size == 10
         assert sc.channel.total_bandwidth == 1e6
-        assert sc.channel.ref_gain == pytest.approx(1e-5)
-        assert sc.channel.noise == pytest.approx(1e-12)
+        assert sc.channel.ref_gain == ChannelParams().ref_gain
+        assert sc.channel.noise == ChannelParams().noise
         assert sc.channel.user_tx_power == 0.1
         assert sc.uav.tx_power == 0.01
         assert sc.uav.propulsion_power == 100.0
@@ -318,6 +322,14 @@ class TestCorpusLoadedOnce:
     def test_one_load_per_invocation(self, command, loads, tmp_path, capsys):
         assert main([command, str(CONFIGS / "quick.ini"), "--out", str(tmp_path)]) == 0
         assert len(loads) == 1
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    code = "import sys, agifl.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 class TestComparePlacement:

@@ -158,6 +158,34 @@ class TestRunRound:
         np.testing.assert_allclose(new_params, expected, rtol=1e-12)
         assert counts == [[len(shards[u]) for u in selected]]
 
+    def test_lockstep_repeats_equal_one_repeat_rounds(self, monkeypatch):
+        import agifl.fedavg as fedavg
+
+        data = make_corpus(seed=5)
+        spec = ModelSpec("mlp", input_dim=4, num_classes=3, hidden_dim=5)
+        config = FlConfig(num_users=7, fraction=0.5,
+                          hyper=Hyperparams(local_epochs=2, batch_size=7))
+        shards = [partition(data, 7, scheme="iid", seed=r) for r in range(3)]
+        starts = np.stack([init_model(ModelSpec("mlp", 4, 3, 5, init_seed=r))
+                           for r in range(3)])
+        selected = [select_clients(7, 0.5, rng(r, 4, "select")) for r in range(3)]
+        seeds = [11, 12, 13]
+        alone = [run_round(starts[r], config, shards[r], spec, data, selected[r],
+                           seeds[r], 4) for r in range(3)]
+
+        lanes = []
+
+        def recording_train(params, features, labels, lanes_, spec, hyper, seeds_):
+            lanes.append(len(lanes_))
+            return train_cohort(params, features, labels, lanes_, spec, hyper, seeds_)
+
+        monkeypatch.setattr(fedavg, "train_cohort", recording_train)
+        counts = record_counts(monkeypatch)
+        together = run_round(starts, config, shards, spec, data, selected, seeds, 4)
+        assert np.array_equal(together, np.stack(alone))
+        assert lanes == [3 * 4]
+        assert counts == [[len(shards[r][u]) for u in selected[r]] for r in range(3)]
+
     def test_round_is_deterministic(self):
         data = make_corpus(seed=3)
         spec = ModelSpec("logistic", input_dim=4, num_classes=3)

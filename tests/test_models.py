@@ -118,17 +118,19 @@ class TestLocalTrain:
 
 
 class TestTrainCohort:
-    """Each lane of `train_cohort` is a `local_train` call, bit for bit."""
+    """Each lane of `train_cohort` is a `local_train` call, bit for bit, from
+    the shared start vector or from the lane's own start row."""
 
     @settings(max_examples=120, deadline=None)
     @given(kind=st.sampled_from(["logistic", "mlp"]), input_dim=st.integers(1, 9),
            num_classes=st.integers(2, 6), hidden_dim=st.integers(1, 7),
            sizes=st.lists(st.integers(1, 30), min_size=1, max_size=8),
            local_epochs=st.integers(0, 3), batch_size=st.integers(1, 12),
-           learning_rate=st.floats(1e-3, 1.0), seed=st.integers(0, 2**32 - 1))
+           learning_rate=st.floats(1e-3, 1.0), seed=st.integers(0, 2**32 - 1),
+           start_rows=st.booleans())
     def test_lanes_equal_local_train(self, kind, input_dim, num_classes, hidden_dim,
                                      sizes, local_epochs, batch_size, learning_rate,
-                                     seed):
+                                     seed, start_rows):
         spec = ModelSpec(kind, input_dim=input_dim, num_classes=num_classes,
                          hidden_dim=hidden_dim if kind == "mlp" else 0, init_seed=seed)
         hyper = Hyperparams(learning_rate=learning_rate, local_epochs=local_epochs,
@@ -137,14 +139,16 @@ class TestTrainCohort:
         n = 60
         x = gen.random((n, input_dim))
         y = gen.integers(0, num_classes, size=n)
-        params = init_model(spec) + gen.normal(scale=0.3, size=param_count(spec))
+        shape = (len(sizes), param_count(spec)) if start_rows else param_count(spec)
+        params = init_model(spec) + gen.normal(scale=0.3, size=shape)
         lanes = [gen.choice(n, size=size, replace=False) for size in sizes]
         seeds = [int(s) for s in gen.integers(0, 2**63, size=len(lanes))]
         before = params.copy()
 
         out = train_cohort(params, x, y, lanes, spec, hyper, seeds)
-        expected = np.stack([local_train(params, x[lane], y[lane], spec, hyper, s)
-                             for lane, s in zip(lanes, seeds)])
+        starts = params if start_rows else [params] * len(lanes)
+        expected = np.stack([local_train(start, x[lane], y[lane], spec, hyper, s)
+                             for start, lane, s in zip(starts, lanes, seeds)])
         assert np.array_equal(out, expected)
         assert np.array_equal(params, before)
 
@@ -155,6 +159,14 @@ class TestTrainCohort:
             train_cohort(init_model(spec), x, y, [np.arange(3), np.arange(0)],
                          spec, Hyperparams(), seeds=[0, 1])
 
+    def test_one_start_row_per_lane(self):
+        spec = ModelSpec("logistic", input_dim=2, num_classes=2)
+        x, y = np.ones((4, 2)), np.array([0, 1, 0, 1])
+        rows = np.stack([init_model(spec)] * 3)
+        with pytest.raises(ValueError, match="one start row per lane"):
+            train_cohort(rows, x, y, [np.arange(3), np.arange(2)], spec, Hyperparams(),
+                         seeds=[0, 1])
+
 
 class TestParameterCheck:
     """The shared check rejects a parameter vector of the wrong length."""
@@ -164,7 +176,9 @@ class TestParameterCheck:
         lambda spec, w, x, y: evaluate(w, spec, x, y),
         lambda spec, w, x, y: train_cohort(w, x, y, [np.arange(3)], spec,
                                            Hyperparams(), seeds=[0]),
-    ], ids=["loss_and_grad", "evaluate", "train_cohort"])
+        lambda spec, w, x, y: train_cohort(w[None], x, y, [np.arange(3)], spec,
+                                           Hyperparams(), seeds=[0]),
+    ], ids=["loss_and_grad", "evaluate", "train_cohort", "train_cohort_rows"])
     def test_wrong_length_rejected(self, call):
         spec = ModelSpec("logistic", input_dim=2, num_classes=2)
         with pytest.raises(ValueError, match="parameter vector has length"):

@@ -561,3 +561,71 @@ class TestBudgetHaltTotals:
         assume(rep.halt_reason == "budget")
         assert rep.ledger.total("uav") == rep.metrics[-1].cum_uav_energy
         assert rep.ledger.total(sc.budget_entity) == rep.metrics[-1].budget_total
+
+
+def ledger_totals(rep, num_users):
+    return [rep.ledger.total(e) for e in ["uav"] + [f"user:{u}" for u in range(num_users)]]
+
+
+class TestLockstepGroups:
+    """A repeat trained with others in a lockstep group, serially or through
+    the pool, equals the repeat run alone, and no lockstep call holds more
+    than LANE_CEILING lanes unless one repeat's cohort alone does."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(form=st.sampled_from(FORMS), partition_scheme=st.sampled_from(["iid", "sharded"]),
+           kind=st.sampled_from(["logistic", "mlp"]), eval_stride=st.sampled_from([1, 3]),
+           # cohorts of 3 (five repeats to a group) and of 18 (one repeat to a group)
+           users=st.sampled_from([(6, 0.5), (20, 0.9)]), repeats=st.integers(1, 7),
+           pick=st.floats(0.3, 1.0), seed=st.integers(0, 3))
+    def test_group_members_equal_lone_repeats(self, form, partition_scheme, kind,
+                                              eval_stride, users, repeats, pick, seed):
+        num_users, fraction = users
+        sc = small_scenario(
+            fl=FlConfig(num_users=num_users, fraction=fraction,
+                        hyper=Hyperparams(local_epochs=1, batch_size=10), max_rounds=7),
+            source=BlobSource(num_classes=3, samples_per_class=40,
+                              test_samples_per_class=10, input_dim=4, spread=0.1),
+            form=form, partition_scheme=partition_scheme, model_kind=kind, hidden_dim=3,
+            eval_stride=eval_stride, repeats=repeats, master_seed=seed)
+        # a budget under which the repeats halt at different rounds, or not at all
+        probe = run_scenario(replace(sc, train=False))
+        sc = replace(sc, energy_budget=pick * max(rep.metrics[-1].budget_total
+                                                  for rep in probe.repeats))
+        alone = [run_repeat(sc, r) for r in range(repeats)]
+        for jobs in (1, 2):
+            grouped = run_scenario(sc, jobs=jobs).repeats
+            assert [rep.repeat for rep in grouped] == list(range(repeats))
+            for got, want in zip(grouped, alone):
+                assert repr(got.metrics) == repr(want.metrics)  # NaN-safe, bit for bit
+                assert got.halt_reason == want.halt_reason
+                assert got.placement == want.placement
+                assert ledger_totals(got, num_users) == ledger_totals(want, num_users)
+
+    @pytest.mark.parametrize("num_users, fraction, repeats, calls_per_round", [
+        (100, 0.02, 20, 3),  # cohorts of 2: groups of 7, 7 and 6 repeats
+        (70, 0.1, 5, 3),     # cohorts of 7: groups of 2, 2 and 1
+        (20, 0.9, 3, 3),     # a cohort of 18 exceeds the ceiling alone
+    ])
+    def test_lockstep_calls_within_lane_ceiling(self, monkeypatch, num_users, fraction,
+                                                repeats, calls_per_round):
+        import agifl.fedavg as fedavg
+
+        real_train, lanes = fedavg.train_cohort, []
+
+        def recording_train(params, features, labels, lanes_, *args):
+            lanes.append(len(lanes_))
+            return real_train(params, features, labels, lanes_, *args)
+
+        monkeypatch.setattr(fedavg, "train_cohort", recording_train)
+        sc = small_scenario(fl=FlConfig(num_users=num_users, fraction=fraction,
+                                        hyper=Hyperparams(local_epochs=1), max_rounds=2),
+                            source=BlobSource(num_classes=3, samples_per_class=100,
+                                              test_samples_per_class=5, input_dim=4),
+                            repeats=repeats)
+        result = run_scenario(sc)
+        cohort = cohort_size(num_users, fraction)
+        assert len(lanes) == 2 * calls_per_round
+        assert max(lanes) <= max(scenario_module.LANE_CEILING, cohort)
+        assert sum(lanes) == sum(len(m.selected) for rep in result.repeats
+                                 for m in rep.metrics)
