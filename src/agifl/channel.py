@@ -99,11 +99,12 @@ def link_rate(link: LinkBudget, params: ChannelParams) -> float:
 
 def link_rates(bandwidth: float, tx_power: float, dist_sq: np.ndarray,
                params: ChannelParams) -> np.ndarray:
-    """`link_rate` of each link, given its squared distance, with `math.log2`
-    link by link (NumPy's vectorised log2 can differ in the last bit)."""
-    gain = params.ref_gain * tx_power
-    return np.fromiter((_rate(bandwidth, gain, params.noise, d) for d in dist_sq.tolist()),
-                       float, len(dist_sq))
+    """`link_rate` of each link, given its squared distance. NumPy does the
+    product, quotient, sum and scaling, each one correctly rounded operation
+    as in `_rate`; `math.log2` runs link by link (NumPy's vectorised log2 can
+    differ in the last bit)."""
+    snr = 1.0 + params.ref_gain * tx_power / (params.noise * dist_sq)
+    return bandwidth * np.fromiter(map(math.log2, snr.tolist()), float, len(dist_sq))
 
 
 def tx_time(payload_bits: float, rate):

@@ -7,8 +7,9 @@
 `run` executes the configured scenario and writes one CSV per repeat plus a
 per-round mean CSV. `compare-placement` runs the min-sum-distance and
 random hovering schemes on paired seeds and emits the energy-versus-rounds
-and accuracy-versus-budget comparisons as CSV and SVG; each scheme trains
-once, under the largest budget, and every budget is read off that run.
+and accuracy-versus-budget comparisons as CSV and SVG; each scheme runs
+once, under the largest budget, and every budget is read off that run. The
+schemes share their cohorts and training (see `scenario`).
 `oracle` prints independently computed reference values (direct rate
 formula, grid-search placement, hand-rule weighted mean) for checking the
 simulator against.

@@ -31,6 +31,29 @@ equals a lone client's training bit for bit, so the grouping changes no
 output. The group is the unit of work: `run_scenario` runs the groups in
 order or over a process pool (`jobs`), and `run_repeat` is a group of one.
 
+Within a process, each cohort is drawn and each repeat trained once per
+federation, and every run of it reads its rounds off that shared work:
+`compare-placement` runs the same repeats under two placements, several
+budgets and with and without training. Two stores, each keeping only the
+last federation (`functools.lru_cache(maxsize=1)`, as `load_corpus` does),
+hold that work:
+
+- the cohort store, keyed `(master_seed, num_users, fraction)`, holds each
+  repeat's cohorts drawn so far in round order; the network pass draws a
+  round's cohort only past the store's end, so no round is drawn that the
+  round loop would not reach;
+- the trajectory store, keyed by the scenario with the fields that cannot
+  change what a repeat trains set to one value (placement scheme, fixed
+  position, energy budget and its entity, repeat count, `fl.max_rounds`;
+  every other field stays in the key), holds each repeat's global vector
+  after the rounds trained so far and each round's test metrics. The
+  learning pass copies the rounds the store holds and trains only beyond
+  them, from the stored vector, so a lockstep group's repeats may start at
+  different rounds.
+
+Pool workers inherit the stores when they start, and what they add stays
+in the worker.
+
 Every per-user time and energy is constant within a repeat, so
 `per_user_arrays` builds them once, equal entry for entry to the scalar
 models of `channel` and `energy`; a round is then a gather over its cohort
@@ -39,9 +62,10 @@ and a max each for the slowest client and the slowest broadcast recipient.
 repeats completed, so every mean covers exactly `repeats` instances.
 """
 
+import collections
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -353,6 +377,40 @@ def per_user_arrays(scenario: Scenario, repeat: int, topo: Topology, shards,
     return cycles / cpu + t_up, channel.user_tx_power * t_up, e_comp, t_recv
 
 
+@functools.lru_cache(maxsize=1)
+def _cohorts(master_seed: int, num_users: int, fraction: float) -> dict:
+    """The cohorts drawn so far for each repeat, in round order, keeping the
+    last federation's: a repeat's round draws its cohort from the master
+    seed alone, whatever the placement, budget or repeat count. Each is the
+    tuple its rounds' RoundMetrics hold, so the store adds no copy."""
+    return collections.defaultdict(list)
+
+
+@dataclass
+class _Trajectory:
+    """A repeat's training so far: its global vector after the rounds trained,
+    and each round's (test_loss, test_acc), None where eval_stride skips it."""
+
+    params: np.ndarray
+    tests: list = field(default_factory=list)
+
+
+def _federation(scenario: Scenario) -> Scenario:
+    """The scenario with one value for each field that cannot change what its
+    repeats train: the placement (the hover point), the budget and its entity
+    (the halts), the repeat count and the round budget. Every other field
+    keys the trajectory store."""
+    return replace(scenario, placement_scheme="fixed", fixed_position=(0.0, 0.0),
+                   energy_budget=math.inf, budget_entity="uav", repeats=1,
+                   fl=replace(scenario.fl, max_rounds=0))
+
+
+@functools.lru_cache(maxsize=1)
+def _trajectories(federation: Scenario) -> dict:
+    """Each repeat's _Trajectory, keeping the last federation's."""
+    return {}
+
+
 def _network_pass(scenario: Scenario, repeat: int, spec: ModelSpec, train_data: Dataset):
     """Place the server and run the round loop of one repeat without training:
     the repeat's result with NaN test metrics, and its shards. Nothing here
@@ -375,9 +433,14 @@ def _network_pass(scenario: Scenario, repeat: int, spec: ModelSpec, train_data: 
     ledger.charge("uav", scenario.initial_flight_energy)
     metrics: list[RoundMetrics] = []
     halt_reason = "max_rounds"
+    drawn = _cohorts(seed, fl.num_users, fl.fraction)[repeat]
 
     for rnd in range(fl.max_rounds):
-        selected = select_clients(fl.num_users, fl.fraction, _rng(master, rnd, "select"))
+        if rnd == len(drawn):
+            selected = select_clients(fl.num_users, fl.fraction, _rng(master, rnd, "select"))
+            drawn.append(tuple(selected.tolist()))
+        else:
+            selected = np.array(drawn[rnd])
         recipients = slice(None) if scenario.broadcast_all else selected
         t_down = float(t_recv[recipients].max())  # = payload / lowest rate, exactly
         duration = t_down + float(t_client[selected].max())
@@ -389,7 +452,7 @@ def _network_pass(scenario: Scenario, repeat: int, spec: ModelSpec, train_data: 
         metrics.append(RoundMetrics(
             round=rnd + 1, duration=duration, uav_energy=server,
             cum_uav_energy=ledger.total("uav"), test_loss=math.nan,
-            test_acc=math.nan, selected=tuple(selected.tolist()),
+            test_acc=math.nan, selected=drawn[rnd],
             budget_total=ledger.total(scenario.budget_entity)))
 
     result = RepeatResult(repeat=repeat, metrics=metrics, halt_reason=halt_reason,
@@ -400,25 +463,37 @@ def _network_pass(scenario: Scenario, repeat: int, spec: ModelSpec, train_data: 
 def _learning_pass(scenario: Scenario, spec: ModelSpec, reps, shards,
                    train_data: Dataset, test_data: Dataset) -> None:
     """Train the repeats of a group in lockstep and fill in their test
-    metrics: round `rnd` trains the cohorts of every repeat that kept more
-    than `rnd` rounds in one `run_round` call."""
-    seed = scenario.master_seed
-    params = np.stack([
-        init_model(replace(spec, init_seed=child_seed(seed, rep.repeat, "init")))
-        for rep in reps])
+    metrics. Each repeat continues its stored trajectory, so only the kept
+    rounds beyond it train: round `rnd` trains, in one `run_round` call, the
+    cohorts of every repeat that kept more than `rnd` rounds and has trained
+    exactly `rnd`."""
+    seed, stride = scenario.master_seed, scenario.eval_stride
+    store = _trajectories(_federation(scenario))
+    for rep in reps:
+        if rep.repeat not in store:
+            store[rep.repeat] = _Trajectory(init_model(
+                replace(spec, init_seed=child_seed(seed, rep.repeat, "init"))))
+    trajs = [store[rep.repeat] for rep in reps]
     masters = [child_seed(seed, rep.repeat) for rep in reps]
-    for rnd in range(max(len(rep.metrics) for rep in reps)):
-        live = [i for i, rep in enumerate(reps) if len(rep.metrics) > rnd]
-        params[live] = run_round(params[live], scenario.fl, [shards[i] for i in live], spec,
-                                 train_data, [reps[i].metrics[rnd].selected for i in live],
-                                 [masters[i] for i in live], rnd)
-        if (rnd + 1) % scenario.eval_stride:
+    kept = [len(rep.metrics) for rep in reps]
+    for rnd in range(min(len(t.tests) for t in trajs), max(kept)):
+        live = [i for i, t in enumerate(trajs) if len(t.tests) == rnd < kept[i]]
+        if not live:
             continue
-        for i in live:
-            test_loss, test_acc = evaluate(params[i], spec, test_data.features,
-                                           test_data.labels)
-            reps[i].metrics[rnd] = replace(reps[i].metrics[rnd], test_loss=test_loss,
-                                           test_acc=test_acc)
+        trained = run_round(np.stack([trajs[i].params for i in live]), scenario.fl,
+                            [shards[i] for i in live], spec, train_data,
+                            [reps[i].metrics[rnd].selected for i in live],
+                            [masters[i] for i in live], rnd)
+        for i, params in zip(live, trained):
+            test = (evaluate(params, spec, test_data.features, test_data.labels)
+                    if (rnd + 1) % stride == 0 else None)
+            trajs[i].params = params
+            trajs[i].tests.append(test)
+    for rep, traj in zip(reps, trajs):
+        for rnd in range(stride - 1, len(rep.metrics), stride):
+            test_loss, test_acc = traj.tests[rnd]
+            rep.metrics[rnd] = replace(rep.metrics[rnd], test_loss=test_loss,
+                                       test_acc=test_acc)
 
 
 def _run_group(scenario: Scenario, repeats) -> list[RepeatResult]:
@@ -434,13 +509,17 @@ def _run_group(scenario: Scenario, repeats) -> list[RepeatResult]:
     return list(reps)
 
 
-def _groups(scenario: Scenario) -> list[list[int]]:
+def _groups(scenario: Scenario, jobs: int) -> list[list[int]]:
     """The lockstep groups: contiguous runs of repeats of near-equal size, as
     few as keep every group's cohorts within LANE_CEILING lanes (a group
-    holds at least one repeat)."""
+    holds at least one repeat). Over several processes the count is rounded
+    up to a multiple of the processes the repeats can keep busy, so each
+    trains an equal share."""
     per_group = max(1, LANE_CEILING // cohort_size(scenario.fl.num_users,
                                                    scenario.fl.fraction))
     count = -(-scenario.repeats // per_group)
+    workers = min(jobs, scenario.repeats)
+    count = min(scenario.repeats, -(-count // workers) * workers)
     return [chunk.tolist() for chunk in np.array_split(np.arange(scenario.repeats), count)]
 
 
@@ -453,13 +532,13 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> ExperimentResult:
     """Run all repeats in lockstep groups, optionally in parallel processes.
 
     The result is deterministic for a fixed master seed regardless of
-    `jobs` and of the grouping: every repeat derives its own seed streams,
-    every lane of a lockstep call equals a lone client's training bit for
-    bit, and the merge is by repeat index.
+    `jobs`, of the grouping and of what earlier runs stored: every repeat
+    derives its own seed streams, every lane of a lockstep call equals a
+    lone client's training bit for bit, and the merge is by repeat index.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    groups = _groups(scenario)
+    groups = _groups(scenario, jobs)
     if jobs == 1 or len(groups) == 1:
         results = [_run_group(scenario, group) for group in groups]
     else:

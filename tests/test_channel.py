@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agifl.channel import (ChannelParams, LinkBudget, db_to_linear,
                            dbm_to_watts, link_rate, link_rates, per_client_bandwidth,
@@ -78,6 +80,15 @@ class TestLinkRates:
             assert rates.tolist() == [
                 link_rate(LinkBudget(bandwidth, power, a, h), PAPER)
                 for a, h in zip(altitudes.tolist(), horizontal.tolist())]
+
+    @settings(max_examples=60, deadline=None)
+    @given(links=st.lists(st.tuples(st.just(0.0) | st.floats(1e-3, 1e5),
+                                    st.floats(1e-3, 1e5)), min_size=1, max_size=200),
+           bandwidth=st.floats(1e3, 1e7), power=st.floats(1e-3, 10.0))
+    def test_equals_link_rate_from_a_millimetre_to_100_km(self, links, bandwidth, power):
+        dist_sq = np.array([a ** 2 + h ** 2 for a, h in links])
+        assert link_rates(bandwidth, power, dist_sq, PAPER).tolist() == [
+            link_rate(LinkBudget(bandwidth, power, a, h), PAPER) for a, h in links]
 
 
 class TestTxTime:

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from agifl.energy import (UavProfile, round_duration, uav_round_energy,
 from agifl.fedavg import FlConfig, cohort_size, select_clients
 from agifl.models import Hyperparams, ModelSpec, param_count
 from agifl.placement import Area, min_sum_dist
-from agifl.scenario import (FORMS, BlobSource, Scenario, ShapeSource, build_topology,
-                            load_source, per_user_arrays, place_server, run_repeat,
-                            run_scenario)
+from agifl.scenario import (FORMS, PLACEMENT_SCHEMES, BlobSource, Scenario, ShapeSource,
+                            build_topology, load_source, per_user_arrays, place_server,
+                            run_repeat, run_scenario)
 from agifl.seeding import child_seed, rng
 
 
@@ -567,6 +568,16 @@ def ledger_totals(rep, num_users):
     return [rep.ledger.total(e) for e in ["uav"] + [f"user:{u}" for u in range(num_users)]]
 
 
+def assert_same_repeats(got, want, num_users):
+    """Bit for bit: metrics (NaN-safe), halt, placement and ledger totals."""
+    assert [rep.repeat for rep in got] == [rep.repeat for rep in want]
+    for a, b in zip(got, want):
+        assert repr(a.metrics) == repr(b.metrics)
+        assert a.halt_reason == b.halt_reason
+        assert a.placement == b.placement
+        assert ledger_totals(a, num_users) == ledger_totals(b, num_users)
+
+
 class TestLockstepGroups:
     """A repeat trained with others in a lockstep group, serially or through
     the pool, equals the repeat run alone, and no lockstep call holds more
@@ -594,13 +605,8 @@ class TestLockstepGroups:
                                                   for rep in probe.repeats))
         alone = [run_repeat(sc, r) for r in range(repeats)]
         for jobs in (1, 2):
-            grouped = run_scenario(sc, jobs=jobs).repeats
-            assert [rep.repeat for rep in grouped] == list(range(repeats))
-            for got, want in zip(grouped, alone):
-                assert repr(got.metrics) == repr(want.metrics)  # NaN-safe, bit for bit
-                assert got.halt_reason == want.halt_reason
-                assert got.placement == want.placement
-                assert ledger_totals(got, num_users) == ledger_totals(want, num_users)
+            clear_stores()  # so the groups train, not read what the lone repeats trained
+            assert_same_repeats(run_scenario(sc, jobs=jobs).repeats, alone, num_users)
 
     @pytest.mark.parametrize("num_users, fraction, repeats, calls_per_round", [
         (100, 0.02, 20, 3),  # cohorts of 2: groups of 7, 7 and 6 repeats
@@ -629,3 +635,156 @@ class TestLockstepGroups:
         assert max(lanes) <= max(scenario_module.LANE_CEILING, cohort)
         assert sum(lanes) == sum(len(m.selected) for rep in result.repeats
                                  for m in rep.metrics)
+
+    @pytest.mark.parametrize("num_users, fraction, repeats, jobs, sizes", [
+        (100, 0.02, 20, 1, [7, 7, 6]),  # the case study's cohorts of 2
+        (100, 0.02, 20, 2, [5, 5, 5, 5]),  # 3 rounded up to a multiple of 2
+        (100, 0.02, 20, 3, [7, 7, 6]),
+        (70, 0.1, 20, 1, [2] * 10),  # cohorts of 7
+        (70, 0.1, 20, 2, [2] * 10),  # already a multiple of the processes
+        (20, 0.9, 5, 3, [1] * 5),  # never an empty group
+        (100, 0.02, 3, 8, [1, 1, 1]),  # no more processes than repeats
+    ])
+    def test_groups_fill_the_processes(self, num_users, fraction, repeats, jobs, sizes):
+        sc = small_scenario(fl=FlConfig(num_users=num_users, fraction=fraction),
+                            repeats=repeats)
+        groups = scenario_module._groups(sc, jobs)
+        assert [len(group) for group in groups] == sizes
+        assert [r for group in groups for r in group] == list(range(repeats))
+
+
+def clear_stores():
+    scenario_module._cohorts.cache_clear()
+    scenario_module._trajectories.cache_clear()
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of cohort draws, trained repeat-rounds and evaluations."""
+    counts = {"select_clients": 0, "trained": 0, "evaluate": 0}
+    select_clients_, run_round_, evaluate_ = (scenario_module.select_clients,
+                                              scenario_module.run_round,
+                                              scenario_module.evaluate)
+
+    def counting_select(*args):
+        counts["select_clients"] += 1
+        return select_clients_(*args)
+
+    def counting_round(params, *args):
+        counts["trained"] += len(params)
+        return run_round_(params, *args)
+
+    def counting_evaluate(*args):
+        counts["evaluate"] += 1
+        return evaluate_(*args)
+
+    monkeypatch.setattr(scenario_module, "select_clients", counting_select)
+    monkeypatch.setattr(scenario_module, "run_round", counting_round)
+    monkeypatch.setattr(scenario_module, "evaluate", counting_evaluate)
+    return counts
+
+
+def work_of(run, counts):
+    """The result of `run()` and the work it counted."""
+    before = dict(counts)
+    result = run()
+    return result, {key: counts[key] - before[key] for key in counts}
+
+
+STORE_RUN = st.fixed_dictionaries({
+    "placement_scheme": st.sampled_from(PLACEMENT_SCHEMES),
+    "user": st.none() | st.integers(0, 5),  # the budget entity: the server or a user
+    "pick": st.none() | st.floats(0.2, 1.0),  # the budget, a share of the largest total
+    "repeats": st.integers(1, 4),
+    "max_rounds": st.integers(0, 6),
+    "train": st.booleans(),
+    "eval_stride": st.sampled_from([1, 2]),
+    "jobs": st.sampled_from([1, 2]),
+    "learning_rate": st.sampled_from([0.01, 0.05]),  # a keyed field: nothing is shared
+})
+
+
+class TestFederationStores:
+    """Every run of a federation reads the cohorts drawn and the rounds
+    trained by earlier runs in the process, draws and trains only beyond
+    them, and equals the same run from cold stores bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 3), kind=st.sampled_from(["logistic", "mlp"]),
+           runs=st.lists(STORE_RUN, min_size=2, max_size=4))
+    # a later run needs more rounds, and more repeats, than the stores hold
+    @example(seed=0, kind="logistic", runs=[
+        dict(placement_scheme="random", user=None, pick=0.5, repeats=2, max_rounds=3,
+             train=True, eval_stride=1, jobs=1, learning_rate=0.01),
+        dict(placement_scheme="min_sum_dist", user=None, pick=None, repeats=3,
+             max_rounds=6, train=True, eval_stride=1, jobs=1, learning_rate=0.01)])
+    # a keyed field changes between two training runs
+    @example(seed=1, kind="mlp", runs=[
+        dict(placement_scheme="min_sum_dist", user=None, pick=None, repeats=2, max_rounds=4,
+             train=True, eval_stride=1, jobs=1, learning_rate=lr) for lr in (0.01, 0.05)])
+    def test_each_run_equals_a_run_from_cold_stores(self, seed, kind, runs):
+        base = small_scenario(
+            fl=FlConfig(num_users=6, fraction=0.5,
+                        hyper=Hyperparams(local_epochs=1, batch_size=10), max_rounds=6),
+            model_kind=kind, hidden_dim=3, master_seed=seed)
+        clear_stores()
+        probe = run_scenario(replace(base, train=False, repeats=4))
+        scenarios = []
+        for run in runs:
+            entity = "uav" if run["user"] is None else f"user:{run['user']}"
+            largest = max(rep.ledger.total(entity) for rep in probe.repeats)
+            scenarios.append(replace(
+                base, placement_scheme=run["placement_scheme"], budget_entity=entity,
+                energy_budget=(math.inf if run["pick"] is None
+                               else max(run["pick"] * largest, 1e-9)),
+                repeats=run["repeats"], train=run["train"], eval_stride=run["eval_stride"],
+                fl=replace(base.fl, max_rounds=run["max_rounds"],
+                           hyper=replace(base.fl.hyper, learning_rate=run["learning_rate"]))))
+        cold = []
+        for sc in scenarios:
+            clear_stores()
+            cold.append(run_scenario(sc).repeats)
+        clear_stores()
+        for sc, run, want in zip(scenarios, runs, cold):
+            assert_same_repeats(run_scenario(sc, jobs=run["jobs"]).repeats, want, 6)
+
+    def test_compare_placement_draws_and_trains_once(self, work, tmp_path):
+        from agifl import cli
+
+        config = Path(__file__).resolve().parents[1] / "configs" / "case_study.ini"
+        assert cli.main(["compare-placement", str(config), "--seed", "0",
+                         "--out", str(tmp_path)]) == 0
+        # panel A draws 20 repeats x 100 rounds once for both schemes; panel
+        # B's random repeats keep at most the rounds min_sum_dist trained
+        assert work == {"select_clients": 2000, "trained": 319, "evaluate": 319}
+
+    def test_continuation_draws_and_trains_only_new_rounds(self, work):
+        sc = small_scenario(repeats=2, fl=replace(small_scenario().fl, max_rounds=3))
+        work_of(lambda: run_scenario(sc), work)
+        longer = replace(sc, placement_scheme="random", repeats=3,
+                         fl=replace(sc.fl, max_rounds=5))
+        warm, warm_work = work_of(lambda: run_scenario(longer), work)
+        # two more rounds for repeats 0 and 1, five for the new repeat 2
+        assert warm_work == {"select_clients": 9, "trained": 9, "evaluate": 9}
+        clear_stores()
+        cold, cold_work = work_of(lambda: run_scenario(longer), work)
+        assert cold_work == {"select_clients": 15, "trained": 15, "evaluate": 15}
+        assert_same_repeats(warm.repeats, cold.repeats, 6)
+
+    @pytest.mark.parametrize("change, redraws", [
+        (lambda sc: replace(sc, fl=replace(sc.fl, hyper=replace(sc.fl.hyper,
+                                                                learning_rate=0.02))), False),
+        (lambda sc: replace(sc, partition_scheme="sharded", shards_per_user=1), False),
+        (lambda sc: replace(sc, eval_stride=2), False),
+        (lambda sc: replace(sc, fl=replace(sc.fl, fraction=1 / 3)), True),
+        (lambda sc: replace(sc, master_seed=sc.master_seed + 1), True),
+    ], ids=["learning_rate", "partition_scheme", "eval_stride", "fraction", "master_seed"])
+    def test_a_keyed_field_reuses_nothing(self, work, change, redraws):
+        sc = small_scenario()
+        work_of(lambda: run_scenario(sc), work)
+        warm, warm_work = work_of(lambda: run_scenario(change(sc)), work)
+        clear_stores()
+        cold, cold_work = work_of(lambda: run_scenario(change(sc)), work)
+        assert warm_work["trained"] == cold_work["trained"] > 0
+        assert (warm_work["select_clients"] == cold_work["select_clients"]) == redraws
+        assert_same_repeats(warm.repeats, cold.repeats, 6)
