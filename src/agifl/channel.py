@@ -57,12 +57,13 @@ class ChannelParams:
     def __post_init__(self):
         for name in ("total_bandwidth", "ref_gain", "noise", "user_tx_power",
                      "uav_downlink_bandwidth"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.payload_bits_per_param < 1:
             raise ValueError("payload_bits_per_param must be >= 1")
-        if self.uplink_bandwidth_override is not None and not self.uplink_bandwidth_override > 0:
-            raise ValueError("uplink_bandwidth_override must be positive")
+        if self.uplink_bandwidth_override is not None and not (
+                0 < self.uplink_bandwidth_override < math.inf):
+            raise ValueError("uplink_bandwidth_override must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Run configuration files.
 
 An experiment is described by a flat INI file whose sections mirror the
-library modules. Every key is optional and defaults to the reference
-case-study values; unknown sections or keys are rejected so typos fail
-loudly. dB/dBm quantities carry explicit unit suffixes in their key names
-(alpha0_db, noise_dbm) and are converted to linear SI units here, at the
+library modules. Each key sets one field of a `RunConfig`, and every key
+left out keeps its dataclass default, so an empty file runs `RunConfig()`;
+unknown sections or keys are rejected so typos fail loudly. dB/dBm
+quantities carry explicit unit suffixes in their key names (alpha0_db,
+noise_dbm) and are converted to linear SI units by their parsers, at the
 boundary. Command-line overrides of the form --section.key=value win over
 the file; `parse_overrides` is their one parser.
 """
@@ -12,13 +13,9 @@ the file; `parse_overrides` is their one parser.
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
-from .channel import ChannelParams, db_to_linear, dbm_to_watts
-from .energy import UavProfile
-from .fedavg import FlConfig
-from .models import Hyperparams
-from .placement import Area
+from .channel import db_to_linear, dbm_to_watts
 from .scenario import BlobSource, IdxSource, Scenario, ShapeSource
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_overrides"]
@@ -26,6 +23,7 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "parse_overrides"]
 MNIST_DIR_ENV = "AGIFL_MNIST_DIR"
 MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
+_SOURCES = {"blobs": BlobSource, "idx": IdxSource, "shape": ShapeSource}
 
 
 class ConfigError(ValueError):
@@ -56,83 +54,102 @@ def _budget(raw: str) -> float:
     return value
 
 
-# section -> key -> (parser, default)
+def _source(raw: str) -> type:
+    if raw not in _SOURCES:
+        raise ValueError(f"unknown data source {raw!r}")
+    return _SOURCES[raw]
+
+
+# section -> key -> (parser, target): the target is the field the value sets,
+# a dotted path from RunConfig in which a number indexes a tuple. mnist_dir
+# is a deployment setting with no field: it locates an idx source's files.
 _SCHEMA = {
     "scenario": {
-        "form": (str, "g2a"),
-        "repeats": (int, 20),
-        "master_seed": (int, 0),
-        "max_rounds": (int, 100),
-        "energy_budget_j": (_budget, math.inf),
-        "budget_entity": (str, "uav"),
-        "placement": (str, "min_sum_dist"),
-        "fixed_x_m": (_float, 500.0),
-        "fixed_y_m": (_float, 500.0),
-        "eval_stride": (int, 1),
-        "train": (_bool, True),
-        "broadcast_all": (_bool, False),
-        "area_width_m": (_float, 1000.0),
-        "area_height_m": (_float, 1000.0),
-        "ground_height_m": (_float, 10.0),
-        "aerial_fraction": (_float, 0.5),
+        "form": (str, "scenario.form"),
+        "repeats": (int, "scenario.repeats"),
+        "master_seed": (int, "scenario.master_seed"),
+        "max_rounds": (int, "scenario.fl.max_rounds"),
+        "energy_budget_j": (_budget, "scenario.energy_budget"),
+        "budget_entity": (str, "scenario.budget_entity"),
+        "placement": (str, "scenario.placement_scheme"),
+        "fixed_x_m": (_float, "scenario.fixed_position.0"),
+        "fixed_y_m": (_float, "scenario.fixed_position.1"),
+        "eval_stride": (int, "scenario.eval_stride"),
+        "train": (_bool, "scenario.train"),
+        "broadcast_all": (_bool, "scenario.broadcast_all"),
+        "area_width_m": (_float, "scenario.area.width"),
+        "area_height_m": (_float, "scenario.area.height"),
+        "ground_height_m": (_float, "scenario.ground_height"),
+        "aerial_fraction": (_float, "scenario.aerial_fraction"),
     },
     "fl": {
-        "num_users": (int, 100),
-        "fraction": (_float, 0.02),
-        "learning_rate": (_float, 0.01),
-        "local_epochs": (int, 5),
-        "batch_size": (int, 10),
+        "num_users": (int, "scenario.fl.num_users"),
+        "fraction": (_float, "scenario.fl.fraction"),
+        "learning_rate": (_float, "scenario.fl.hyper.learning_rate"),
+        "local_epochs": (int, "scenario.fl.hyper.local_epochs"),
+        "batch_size": (int, "scenario.fl.hyper.batch_size"),
     },
     "model": {
-        "kind": (str, "logistic"),
-        "hidden_dim": (int, 32),
+        "kind": (str, "scenario.model_kind"),
+        "hidden_dim": (int, "scenario.hidden_dim"),
     },
-    "data": {
-        "source": (str, "blobs"),  # blobs | idx | shape
-        "classes": (int, 10),
-        "samples_per_class": (int, 600),
-        "test_samples_per_class": (int, 100),
-        "input_dim": (int, 32),
-        "spread": (_float, 0.18),
-        "partition": (str, "sharded"),
-        "shards_per_user": (int, 2),
-        "mnist_dir": (str, ""),
-        "num_samples": (int, 60000),  # shape source
+    "data": {  # the source's class reads only its own fields
+        "source": (_source, "scenario.source.__class__"),
+        "classes": (int, "scenario.source.num_classes"),
+        "samples_per_class": (int, "scenario.source.samples_per_class"),
+        "test_samples_per_class": (int, "scenario.source.test_samples_per_class"),
+        "input_dim": (int, "scenario.source.input_dim"),
+        "spread": (_float, "scenario.source.spread"),
+        "partition": (str, "scenario.partition_scheme"),
+        "shards_per_user": (int, "scenario.shards_per_user"),
+        "mnist_dir": (str, None),
+        "num_samples": (int, "scenario.source.num_samples"),
     },
     "channel": {
-        "bandwidth_hz": (_float, 1e6),
-        "alpha0_db": (_float, -50.0),
-        "noise_dbm": (_float, -90.0),
-        "user_tx_power_w": (_float, 0.1),
-        "uav_downlink_bandwidth_hz": (_float, 1e6),
-        "payload_bits_per_param": (int, 32),
-        "uplink_bandwidth_hz": (_float, 0.0),  # 0 = total bandwidth / cohort
+        "bandwidth_hz": (_float, "scenario.channel.total_bandwidth"),
+        "alpha0_db": (lambda raw: db_to_linear(_float(raw)), "scenario.channel.ref_gain"),
+        "noise_dbm": (lambda raw: dbm_to_watts(_float(raw)), "scenario.channel.noise"),
+        "user_tx_power_w": (_float, "scenario.channel.user_tx_power"),
+        "uav_downlink_bandwidth_hz": (_float, "scenario.channel.uav_downlink_bandwidth"),
+        "payload_bits_per_param": (int, "scenario.channel.payload_bits_per_param"),
+        # 0 = total bandwidth / cohort, the field's None
+        "uplink_bandwidth_hz": (lambda raw: _float(raw) or None,
+                                "scenario.channel.uplink_bandwidth_override"),
     },
     "uav": {
-        "altitude_m": (_float, 100.0),
-        "propulsion_power_w": (_float, 100.0),
-        "tx_power_w": (_float, 0.01),  # downlink rate and transmit energy
+        "altitude_m": (_float, "scenario.uav.altitude"),
+        "propulsion_power_w": (_float, "scenario.uav.propulsion_power"),
+        "tx_power_w": (_float, "scenario.uav.tx_power"),  # downlink rate and transmit energy
     },
     "energy": {
-        "cycles_per_bit": (int, 10),
-        "cpu_freq_min_hz": (_float, 1.8e9),
-        "cpu_freq_max_hz": (_float, 2.0e9),
-        "include_user_compute": (_bool, False),
-        "kappa": (_float, 1e-28),
-        "initial_flight_energy_j": (_float, 0.0),
+        "cycles_per_bit": (int, "scenario.cycles_per_bit"),
+        "cpu_freq_min_hz": (_float, "scenario.cpu_freq_range.0"),
+        "cpu_freq_max_hz": (_float, "scenario.cpu_freq_range.1"),
+        "include_user_compute": (_bool, "scenario.include_user_compute_energy"),
+        "kappa": (_float, "scenario.kappa"),
+        "initial_flight_energy_j": (_float, "scenario.initial_flight_energy"),
     },
     "compare": {
-        "budget_grid_j": (str, "25,50,100,200"),
-        "budget_repeats": (int, 5),
+        "budget_grid_j": (lambda raw: tuple(float(tok) for tok in raw.split(",")
+                                            if tok.strip()), "compare_budgets"),
+        "budget_repeats": (int, "compare_repeats"),
     },
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    scenario: Scenario
-    compare_budgets: list = field(default_factory=list)
+    """A scenario plus the budget sweep of `compare-placement`'s panel B."""
+
+    scenario: Scenario = Scenario()
+    compare_budgets: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0)
     compare_repeats: int = 5
+
+    def __post_init__(self):
+        if not all(b > 0 for b in self.compare_budgets):
+            raise ValueError(f"compare.budget_grid_j must be positive: {self.compare_budgets}")
+        if self.compare_repeats < 1:
+            raise ValueError("compare.budget_repeats must be >= 1")
 
 
 def parse_overrides(tokens) -> dict:
@@ -149,7 +166,8 @@ def parse_overrides(tokens) -> dict:
     return out
 
 
-def _read_values(path, overrides):
+def _read_values(path, overrides) -> dict:
+    """The parsed value of every key given, by its target."""
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=(";", "#"))
     try:
@@ -160,17 +178,16 @@ def _read_values(path, overrides):
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
-    values = {section: dict(defaults) for section, defaults in
-              ((s, {k: d for k, (_, d) in keys.items()}) for s, keys in _SCHEMA.items())}
+    values = {}
 
     def assign(section, key, raw, origin):
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section {section!r} in {origin}")
         if key not in _SCHEMA[section]:
             raise ConfigError(f"unknown key {key!r} in section [{section}] of {origin}")
-        parse = _SCHEMA[section][key][0]
+        parse, target = _SCHEMA[section][key]
         try:
-            values[section][key] = parse(raw)
+            values[target] = parse(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
 
@@ -182,84 +199,40 @@ def _read_values(path, overrides):
     return values
 
 
-def _build_source(data):
-    kind = data["source"]
-    if kind == "shape":
-        return ShapeSource(num_samples=data["num_samples"],
-                           input_dim=data["input_dim"],
-                           num_classes=data["classes"])
-    if kind == "idx":
-        mnist_dir = data["mnist_dir"] or os.environ.get(MNIST_DIR_ENV, "")
-        if not mnist_dir:
-            raise ConfigError(f"data.source=idx needs data.mnist_dir or {MNIST_DIR_ENV}")
-        return IdxSource(*(os.path.join(mnist_dir, name) for name in MNIST_FILES))
-    if kind == "blobs":
-        return BlobSource(num_classes=data["classes"],
-                          samples_per_class=data["samples_per_class"],
-                          test_samples_per_class=data["test_samples_per_class"],
-                          input_dim=data["input_dim"],
-                          spread=data["spread"])
-    raise ConfigError(f"unknown data source {kind!r}")
+def _build(default, given):
+    """`default` with the given values: `given` is a leaf value, or a tree of
+    field name (or tuple index) -> subtree. Each dataclass is built once, from
+    the given fields of its class (the tree's `__class__`, else the
+    default's), and its own defaults fill the rest."""
+    if not isinstance(given, dict):
+        return given
+    if isinstance(default, tuple):
+        return tuple(given.get(str(i), item) for i, item in enumerate(default))
+    cls = given.get("__class__", type(default))
+    return cls(**{f.name: _build(getattr(default, f.name, None), given[f.name])
+                  for f in fields(cls) if f.name in given})
 
 
 def load_config(path, overrides=None) -> RunConfig:
-    """Parse a config file plus overrides into a ready-to-run Scenario."""
+    """Parse a config file plus overrides into a ready-to-run RunConfig."""
     values = _read_values(path, overrides or {})
+    mnist_dir = values.pop(None, "")  # the one key that sets no field
+    tree = {}
+    for target, value in values.items():
+        *parents, name = target.split(".")
+        node = tree
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[name] = value
 
-    sc, fl, en, ch = values["scenario"], values["fl"], values["energy"], values["channel"]
+    source = tree.get("scenario", {}).get("source", {})
+    if source.get("__class__") is IdxSource:
+        mnist_dir = mnist_dir or os.environ.get(MNIST_DIR_ENV, "")
+        if not mnist_dir:
+            raise ConfigError(f"data.source=idx needs data.mnist_dir or {MNIST_DIR_ENV}")
+        source.update((f.name, os.path.join(mnist_dir, name))
+                      for f, name in zip(fields(IdxSource), MNIST_FILES))
     try:
-        scenario = Scenario(
-            fl=FlConfig(num_users=fl["num_users"], fraction=fl["fraction"],
-                        hyper=Hyperparams(learning_rate=fl["learning_rate"],
-                                          local_epochs=fl["local_epochs"],
-                                          batch_size=fl["batch_size"]),
-                        max_rounds=sc["max_rounds"]),
-            source=_build_source(values["data"]),
-            model_kind=values["model"]["kind"],
-            hidden_dim=values["model"]["hidden_dim"],
-            channel=ChannelParams(
-                total_bandwidth=ch["bandwidth_hz"], ref_gain=db_to_linear(ch["alpha0_db"]),
-                noise=dbm_to_watts(ch["noise_dbm"]),
-                user_tx_power=ch["user_tx_power_w"],
-                uav_downlink_bandwidth=ch["uav_downlink_bandwidth_hz"],
-                payload_bits_per_param=ch["payload_bits_per_param"],
-                uplink_bandwidth_override=ch["uplink_bandwidth_hz"] or None),
-            uav=UavProfile(tx_power=values["uav"]["tx_power_w"],
-                           propulsion_power=values["uav"]["propulsion_power_w"],
-                           altitude=values["uav"]["altitude_m"]),
-            area=Area(width=sc["area_width_m"], height=sc["area_height_m"]),
-            form=sc["form"],
-            placement_scheme=sc["placement"],
-            fixed_position=(sc["fixed_x_m"], sc["fixed_y_m"]),
-            partition_scheme=values["data"]["partition"],
-            shards_per_user=values["data"]["shards_per_user"],
-            energy_budget=sc["energy_budget_j"],
-            budget_entity=sc["budget_entity"],
-            repeats=sc["repeats"],
-            master_seed=sc["master_seed"],
-            eval_stride=sc["eval_stride"],
-            train=sc["train"],
-            broadcast_all=sc["broadcast_all"],
-            cpu_freq_range=(en["cpu_freq_min_hz"], en["cpu_freq_max_hz"]),
-            cycles_per_bit=en["cycles_per_bit"],
-            include_user_compute_energy=en["include_user_compute"],
-            kappa=en["kappa"],
-            initial_flight_energy=en["initial_flight_energy_j"],
-            ground_height=sc["ground_height_m"],
-            aerial_fraction=sc["aerial_fraction"],
-        )
+        return _build(RunConfig(), tree)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    raw_budgets = values["compare"]["budget_grid_j"]
-    try:
-        budgets = [float(tok) for tok in raw_budgets.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad value for compare.budget_grid_j: {exc}") from exc
-    if not all(b > 0 for b in budgets):
-        raise ConfigError(f"compare.budget_grid_j must be positive: {raw_budgets!r}")
-    if values["compare"]["budget_repeats"] < 1:
-        raise ConfigError("compare.budget_repeats must be >= 1")
-
-    return RunConfig(scenario=scenario, compare_budgets=budgets,
-                     compare_repeats=values["compare"]["budget_repeats"])

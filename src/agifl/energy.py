@@ -47,8 +47,9 @@ class UavProfile:
     altitude: float = 100.0
 
     def __post_init__(self):
-        if not (self.tx_power > 0 and self.propulsion_power > 0 and self.altitude > 0):
-            raise ValueError("UavProfile fields must be positive")
+        if not all(0 < v < math.inf for v in (self.tx_power, self.propulsion_power,
+                                              self.altitude)):
+            raise ValueError("UavProfile fields must be positive and finite")
 
 
 def entity_index(entity: str, num_users: int) -> int | None:

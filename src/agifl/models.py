@@ -12,6 +12,7 @@ architecture. Bias terms use the implicit appended-1 convention: a
 logistic model over d features holds a (d+1) x K weight matrix.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,8 @@ class Hyperparams:
     batch_size: int = 10
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.local_epochs < 0:
             raise ValueError("local_epochs must be >= 0")
         if self.batch_size < 1:

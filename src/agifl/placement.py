@@ -9,6 +9,7 @@ convergence (see `min_sum_dist`). The Random baseline draws a location
 uniformly over the deployment area.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +37,8 @@ class Area:
     height: float = 1000.0
 
     def __post_init__(self):
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("area dimensions must be positive")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError("area dimensions must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,10 @@ hold that work:
   them, from the stored vector, so a lockstep group's repeats may start at
   different rounds.
 
-Pool workers inherit the stores when they start, and what they add stays
-in the worker.
+A pool worker returns its group's store entries with its repeats, and the
+parent installs them, so its next run reads what the workers drew and
+trained (a forked worker starts from the parent's stores, so its entries
+extend the parent's).
 
 Every per-user time and energy is constant within a repeat, so
 `per_user_arrays` builds them once, equal entry for entry to the scalar
@@ -141,7 +143,7 @@ class ShapeSource:
     """
 
     num_samples: int = 60_000
-    input_dim: int = 784
+    input_dim: int = 32
     num_classes: int = 10
 
     def __post_init__(self):
@@ -227,11 +229,17 @@ class Scenario:
         check_architecture(self.model_kind, self.hidden_dim)
         if self.cycles_per_bit < 1:
             raise ValueError("cycles_per_bit must be >= 1")
-        if not 0 < self.cpu_freq_range[0] <= self.cpu_freq_range[1]:
-            raise ValueError("cpu_freq_range must satisfy 0 < min <= max")
+        if not 0 < self.cpu_freq_range[0] <= self.cpu_freq_range[1] < math.inf:
+            raise ValueError("cpu_freq_range must satisfy 0 < min <= max < inf")
+        if not all(map(math.isfinite, self.fixed_position)):
+            raise ValueError("fixed_position must be finite")
+        if self.user_positions is not None and not (
+                np.shape(self.user_positions) == (self.fl.num_users, 2)
+                and np.isfinite(self.user_positions).all()):
+            raise ValueError("user_positions must hold one finite (x, y) per user")
         for name in ("initial_flight_energy", "ground_height", "kappa"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite")
         if not 0 <= self.aerial_fraction <= 1:
             raise ValueError("aerial_fraction must be in [0, 1]")
 
@@ -260,8 +268,6 @@ def build_topology(scenario: Scenario, generator: np.random.Generator) -> Topolo
     num_users = scenario.fl.num_users
     if scenario.user_positions is not None:
         user_xy = np.asarray(scenario.user_positions, dtype=float)
-        if user_xy.shape != (num_users, 2):
-            raise ValueError("user_positions shape does not match num_users")
     else:
         user_xy = np.column_stack([
             generator.uniform(0.0, scenario.area.width, size=num_users),
@@ -496,9 +502,17 @@ def _learning_pass(scenario: Scenario, spec: ModelSpec, reps, shards,
                                        test_acc=test_acc)
 
 
-def _run_group(scenario: Scenario, repeats) -> list[RepeatResult]:
+def _stores(scenario: Scenario):
+    """The cohort store and, for a training run, the trajectory store that a
+    run of the scenario reads."""
+    return (_cohorts(scenario.master_seed, scenario.fl.num_users, scenario.fl.fraction),
+            _trajectories(_federation(scenario)) if scenario.train else {})
+
+
+def _run_group(scenario: Scenario, repeats):
     """Simulate a lockstep group of repeats: each repeat's network pass, then
-    one learning pass over all of them."""
+    one learning pass over all of them. Returns their results and their
+    entries of the two stores, by repeat."""
     train_data, test_data = load_corpus(scenario.source, scenario.master_seed)
     # the model trained, or stood in for on timing-only runs: its size sets the payload
     spec = ModelSpec(scenario.model_kind, train_data.input_dim, train_data.num_classes,
@@ -506,7 +520,9 @@ def _run_group(scenario: Scenario, repeats) -> list[RepeatResult]:
     reps, shards = zip(*(_network_pass(scenario, r, spec, train_data) for r in repeats))
     if scenario.train:
         _learning_pass(scenario, spec, reps, shards, train_data, test_data)
-    return list(reps)
+    cohorts, trajs = _stores(scenario)
+    return (list(reps), {r: cohorts[r] for r in repeats},
+            {r: trajs[r] for r in repeats if r in trajs})
 
 
 def _groups(scenario: Scenario, jobs: int) -> list[list[int]]:
@@ -525,7 +541,7 @@ def _groups(scenario: Scenario, jobs: int) -> list[list[int]]:
 
 def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
     """Simulate one seeded instance of the scenario."""
-    return _run_group(scenario, [repeat])[0]
+    return _run_group(scenario, [repeat])[0][0]
 
 
 def run_scenario(scenario: Scenario, jobs: int = 1) -> ExperimentResult:
@@ -540,11 +556,16 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> ExperimentResult:
         raise ValueError("jobs must be >= 1")
     groups = _groups(scenario, jobs)
     if jobs == 1 or len(groups) == 1:
-        results = [_run_group(scenario, group) for group in groups]
+        results = [_run_group(scenario, group)[0] for group in groups]
     else:
         # imported here: the pool machinery is a large share of start-up
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
-            results = list(pool.map(_run_group, [scenario] * len(groups), groups))
+            outputs = list(pool.map(_run_group, [scenario] * len(groups), groups))
+        cohorts, trajs = _stores(scenario)
+        for _, group_cohorts, group_trajs in outputs:
+            cohorts.update(group_cohorts)
+            trajs.update(group_trajs)
+        results = [reps for reps, _, _ in outputs]
     return ExperimentResult([rep for group in results for rep in group])

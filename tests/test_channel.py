@@ -133,7 +133,7 @@ class TestPerClientBandwidth:
 class TestChannelParams:
     @pytest.mark.parametrize("field", ["total_bandwidth", "ref_gain", "noise", "user_tx_power",
                                        "uav_downlink_bandwidth", "uplink_bandwidth_override"])
-    @pytest.mark.parametrize("bad", [0.0, -5.0, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, -5.0, math.nan, math.inf])
     def test_non_positive_and_nan_rejected(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be positive"):
             ChannelParams(**{field: bad})

@@ -1,3 +1,5 @@
+import configparser
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,7 +12,7 @@ import pytest
 from agifl import scenario as scenario_module
 from agifl.channel import ChannelParams
 from agifl.cli import main
-from agifl.config import ConfigError, load_config, parse_overrides
+from agifl.config import _SCHEMA, ConfigError, RunConfig, load_config, parse_overrides
 from agifl.scenario import load_corpus, load_source, run_scenario
 
 SMALL_CONFIG = """\
@@ -42,7 +44,115 @@ def config_path(tmp_path):
     return path
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHAPE = {("data", "source"): "shape", ("scenario", "train"): "false"}
+
+# every config key: a valid non-default value, the RunConfig field it must
+# set (written out here, not read from the schema), and the keys it needs
+KEY_FIELDS = {
+    ("scenario", "form"): ("a2g", "scenario.form", {}),
+    ("scenario", "repeats"): ("3", "scenario.repeats", {}),
+    ("scenario", "master_seed"): ("4", "scenario.master_seed", {}),
+    ("scenario", "max_rounds"): ("7", "scenario.fl.max_rounds", {}),
+    ("scenario", "energy_budget_j"): ("100", "scenario.energy_budget", {}),
+    ("scenario", "budget_entity"): ("user:0", "scenario.budget_entity", {}),
+    ("scenario", "placement"): ("random", "scenario.placement_scheme", {}),
+    ("scenario", "fixed_x_m"): ("100", "scenario.fixed_position.0", {}),
+    ("scenario", "fixed_y_m"): ("200", "scenario.fixed_position.1", {}),
+    ("scenario", "eval_stride"): ("2", "scenario.eval_stride", {}),
+    ("scenario", "train"): ("false", "scenario.train", {}),
+    ("scenario", "broadcast_all"): ("true", "scenario.broadcast_all", {}),
+    ("scenario", "area_width_m"): ("600", "scenario.area.width", {}),
+    ("scenario", "area_height_m"): ("700", "scenario.area.height", {}),
+    ("scenario", "ground_height_m"): ("20", "scenario.ground_height", {}),
+    ("scenario", "aerial_fraction"): ("0.25", "scenario.aerial_fraction", {}),
+    ("fl", "num_users"): ("50", "scenario.fl.num_users", {}),
+    ("fl", "fraction"): ("0.1", "scenario.fl.fraction", {}),
+    ("fl", "learning_rate"): ("0.05", "scenario.fl.hyper.learning_rate", {}),
+    ("fl", "local_epochs"): ("2", "scenario.fl.hyper.local_epochs", {}),
+    ("fl", "batch_size"): ("5", "scenario.fl.hyper.batch_size", {}),
+    ("model", "kind"): ("mlp", "scenario.model_kind", {}),
+    ("model", "hidden_dim"): ("16", "scenario.hidden_dim", {}),
+    ("data", "source"): ("shape", "scenario.source.__class__",
+                         {("scenario", "train"): "false"}),
+    ("data", "classes"): ("5", "scenario.source.num_classes", {}),
+    ("data", "samples_per_class"): ("50", "scenario.source.samples_per_class", {}),
+    ("data", "test_samples_per_class"): ("20", "scenario.source.test_samples_per_class", {}),
+    ("data", "input_dim"): ("8", "scenario.source.input_dim", {}),
+    ("data", "spread"): ("0.3", "scenario.source.spread", {}),
+    ("data", "partition"): ("iid", "scenario.partition_scheme", {}),
+    ("data", "shards_per_user"): ("3", "scenario.shards_per_user", {}),
+    ("data", "mnist_dir"): ("/data/mnist", None, {}),  # locates idx files only
+    ("data", "num_samples"): ("1000", "scenario.source.num_samples", SHAPE),
+    ("channel", "bandwidth_hz"): ("2e6", "scenario.channel.total_bandwidth", {}),
+    ("channel", "alpha0_db"): ("-40", "scenario.channel.ref_gain", {}),
+    ("channel", "noise_dbm"): ("-80", "scenario.channel.noise", {}),
+    ("channel", "user_tx_power_w"): ("0.2", "scenario.channel.user_tx_power", {}),
+    ("channel", "uav_downlink_bandwidth_hz"): ("2e6",
+                                               "scenario.channel.uav_downlink_bandwidth", {}),
+    ("channel", "payload_bits_per_param"): ("16", "scenario.channel.payload_bits_per_param",
+                                            {}),
+    ("channel", "uplink_bandwidth_hz"): ("5e4", "scenario.channel.uplink_bandwidth_override",
+                                         {}),
+    ("uav", "altitude_m"): ("50", "scenario.uav.altitude", {}),
+    ("uav", "propulsion_power_w"): ("80", "scenario.uav.propulsion_power", {}),
+    ("uav", "tx_power_w"): ("0.02", "scenario.uav.tx_power", {}),
+    ("energy", "cycles_per_bit"): ("20", "scenario.cycles_per_bit", {}),
+    ("energy", "cpu_freq_min_hz"): ("1.5e9", "scenario.cpu_freq_range.0", {}),
+    ("energy", "cpu_freq_max_hz"): ("2.5e9", "scenario.cpu_freq_range.1", {}),
+    ("energy", "include_user_compute"): ("true", "scenario.include_user_compute_energy", {}),
+    ("energy", "kappa"): ("1e-27", "scenario.kappa", {}),
+    ("energy", "initial_flight_energy_j"): ("5", "scenario.initial_flight_energy", {}),
+    ("compare", "budget_grid_j"): ("10,20", "compare_budgets", {}),
+    ("compare", "budget_repeats"): ("3", "compare_repeats", {}),
+}
+
+
+def _fields(obj, path=""):
+    """Dotted path -> value of every leaf of a (nested) RunConfig, with each
+    dataclass's class under `__class__` and each tuple entry under its index."""
+    if dataclasses.is_dataclass(obj):
+        out = {f"{path}__class__": type(obj)}
+        for f in dataclasses.fields(obj):
+            out.update(_fields(getattr(obj, f.name), f"{path}{f.name}."))
+        return out
+    if isinstance(obj, tuple):
+        return {k: v for i, item in enumerate(obj)
+                for k, v in _fields(item, f"{path}{i}.").items()}
+    return {path[:-1]: obj}
+
+
 class TestConfig:
+    def test_empty_file_and_case_study_are_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "empty.ini"
+        path.write_text("")
+        assert load_config(path) == load_config(CONFIGS / "case_study.ini") == RunConfig()
+
+    def test_case_study_names_every_key(self):
+        parser = configparser.ConfigParser(interpolation=None,
+                                           inline_comment_prefixes=(";", "#"))
+        parser.read(CONFIGS / "case_study.ini")
+        named = {(s, k) for s in parser.sections() for k in parser[s]}
+        assert named == {(s, k) for s, keys in _SCHEMA.items() for k in keys}
+
+    def test_every_key_has_a_field_case(self):
+        assert set(KEY_FIELDS) == {(s, k) for s, keys in _SCHEMA.items() for k in keys}
+
+    @pytest.mark.parametrize("key", list(KEY_FIELDS), ids=".".join)
+    def test_each_key_sets_exactly_its_field(self, key, tmp_path):
+        value, target, base = KEY_FIELDS[key]
+        path = tmp_path / "empty.ini"
+        path.write_text("")
+        before = _fields(load_config(path, base))
+        after = _fields(load_config(path, {**base, key: value}))
+        # a field only one of two source classes has is not compared
+        changed = {p for p in before.keys() & after.keys() if before[p] != after[p]}
+        if target is None:
+            assert changed == set()
+        else:
+            assert changed and all(p == target or p.startswith(target + ".")
+                                   for p in changed), changed
+
     def test_defaults_mirror_case_study(self, tmp_path):
         path = tmp_path / "empty.ini"
         path.write_text("")
@@ -187,9 +297,6 @@ class TestRunCommand:
         assert fields["halt"] == reasons[0]
         assert fields["halts"] == (f"budget:{reasons.count('budget')},"
                                    f"max_rounds:{reasons.count('max_rounds')}")
-
-
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestInvalidInputExits1:

@@ -208,6 +208,6 @@ class TestProfilesAndUserEnergy:
         # the per-client checks (cpu frequency, cycles per bit) are
         # Scenario's: tests/test_scenario.py::TestValidation
         for field in ("tx_power", "propulsion_power", "altitude"):
-            for bad in (0.0, -1.0, math.nan):
+            for bad in (0.0, -1.0, math.nan, math.inf):
                 with pytest.raises(ValueError, match="must be positive"):
                     UavProfile(**{field: bad})

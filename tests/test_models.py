@@ -28,6 +28,13 @@ def softmax_rows(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
+class TestHyperparams:
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -0.1])
+    def test_learning_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+            Hyperparams(learning_rate=rate)
+
+
 class TestInit:
     def test_logistic_zero_init(self):
         spec = ModelSpec("logistic", input_dim=784, num_classes=10)

@@ -108,7 +108,7 @@ class TestRandomPlacement:
             assert 0.0 <= p.y <= 700.0
 
     @pytest.mark.parametrize("width, height", [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0),
-                                               (1.0, math.nan)])
+                                               (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
     def test_area_rejects_non_positive_and_nan(self, width, height):
         with pytest.raises(ValueError, match="must be positive"):
             Area(width=width, height=height)

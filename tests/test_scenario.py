@@ -308,6 +308,22 @@ class TestValidation:
                 small_scenario(cpu_freq_range=cpu_range)
         small_scenario(cpu_freq_range=(2e9, 2e9))
 
+    @pytest.mark.parametrize("position", [(math.nan, 0.0), (0.0, math.inf)])
+    def test_fixed_position_must_be_finite(self, position):
+        with pytest.raises(ValueError, match="fixed_position must be finite"):
+            small_scenario(placement_scheme="fixed", fixed_position=position)
+
+    @pytest.mark.parametrize("positions", [((0.0, 0.0),) * 5,
+                                           ((math.nan, 0.0),) + ((1.0, 1.0),) * 5])
+    def test_user_positions_checked_when_built(self, positions):
+        with pytest.raises(ValueError, match="user_positions must hold one finite"):
+            small_scenario(user_positions=positions)
+
+    @pytest.mark.parametrize("cpu_range", [(1e9, math.inf), (math.inf, math.inf)])
+    def test_cpu_freq_range_must_be_finite(self, cpu_range):
+        with pytest.raises(ValueError, match="cpu_freq_range must satisfy"):
+            small_scenario(cpu_freq_range=cpu_range)
+
     def test_model_architecture_checked_with_the_scenario(self):
         with pytest.raises(ValueError, match="unknown model kind 'mpl'"):
             small_scenario(model_kind="mpl")
@@ -318,8 +334,8 @@ class TestValidation:
     @pytest.mark.parametrize("field, bad", [
         ("initial_flight_energy", -3.0), ("ground_height", -10.0), ("kappa", -1.0),
         ("aerial_fraction", 1.5), ("aerial_fraction", -1.0),
-    ] + [(field, math.nan) for field in ("initial_flight_energy", "ground_height",
-                                         "kappa", "aerial_fraction")])
+    ] + [(field, bad) for field in ("initial_flight_energy", "ground_height", "kappa",
+                                    "aerial_fraction") for bad in (math.nan, math.inf)])
     def test_physics_out_of_range(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be"):
             small_scenario(**{field: bad})
@@ -468,7 +484,7 @@ class TestPerUserArrays:
         n, repeat, payload = 20_000, 1, 251_200
         sc = Scenario(fl=FlConfig(num_users=n, fraction=0.05,
                                   hyper=Hyperparams(local_epochs=3)),
-                      source=ShapeSource(num_samples=70_001), train=False,
+                      source=ShapeSource(num_samples=70_001, input_dim=784), train=False,
                       partition_scheme="iid", form=form, master_seed=11,
                       channel=ChannelParams(uplink_bandwidth_override=override),
                       include_user_compute_energy=compute)
@@ -770,6 +786,24 @@ class TestFederationStores:
         cold, cold_work = work_of(lambda: run_scenario(longer), work)
         assert cold_work == {"select_clients": 15, "trained": 15, "evaluate": 15}
         assert_same_repeats(warm.repeats, cold.repeats, 6)
+
+    def test_pool_workers_hand_back_their_store_entries(self):
+        sc = small_scenario(repeats=4)
+        assert len(scenario_module._groups(sc, 2)) == 2
+        stores = []
+        for jobs in (1, 2):
+            clear_stores()
+            run_scenario(sc, jobs=jobs)
+            stores.append((scenario_module._cohorts(sc.master_seed, sc.fl.num_users,
+                                                    sc.fl.fraction),
+                           scenario_module._trajectories(scenario_module._federation(sc))))
+        (cohorts, trajs), (pooled_cohorts, pooled_trajs) = stores
+        assert sorted(pooled_cohorts) == sorted(cohorts) == list(range(4))
+        assert all(pooled_cohorts[r] == cohorts[r] for r in cohorts)
+        assert sorted(pooled_trajs) == sorted(trajs) == list(range(4))
+        for r in trajs:
+            assert np.array_equal(pooled_trajs[r].params, trajs[r].params)
+            assert pooled_trajs[r].tests == trajs[r].tests
 
     @pytest.mark.parametrize("change, redraws", [
         (lambda sc: replace(sc, fl=replace(sc.fl, hyper=replace(sc.fl.hyper,
