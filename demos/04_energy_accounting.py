@@ -24,7 +24,7 @@ print(f"{'round':>5} {'selected':>12} {'duration s':>11} {'hover J':>9} "
       f"{'tx J':>9} {'cumulative J':>13}")
 power = scenario.uav.propulsion_power
 for metrics in rep.metrics:
-    chosen = ",".join(str(u) for u in metrics.selected)
+    chosen = ",".join(map(str, metrics.selected.tolist()))
     hover = power * metrics.duration
     print(f"{metrics.round:>5} {chosen:>12} {metrics.duration:>11.4f} "
           f"{hover:>9.3f} {metrics.uav_energy - hover:>9.6f} "

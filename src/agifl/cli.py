@@ -24,7 +24,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, load_config, parse_overrides
+from .config import ConfigError, _float, load_config, parse_overrides
 from .data import check_partition
 from .oracles import grid_placement, rate_direct, weighted_mean_direct
 from .reports import svg_line_chart, write_mean_csv, write_repeat_csv, write_series_csv
@@ -154,11 +154,7 @@ def _parse_kv(tokens, schema):
 
 
 def _parse_users(raw):
-    users = []
-    for point in raw.split(";"):
-        x, y = point.split(",")
-        users.append((float(x), float(y)))
-    return users
+    return [(_float(x), _float(y)) for x, y in (point.split(",") for point in raw.split(";"))]
 
 
 def _cmd_oracle(tokens) -> int:
@@ -170,12 +166,12 @@ def _cmd_oracle(tokens) -> int:
     try:
         if sub == "rate":
             v = _parse_kv(rest, {
-                "bandwidth_hz": (float, 5e5),
-                "tx_power_w": (float, 0.1),
-                "altitude_m": (float, 100.0),
-                "horizontal_m": (float, 0.0),
-                "alpha0_linear": (float, 1e-5),
-                "noise_w": (float, 1e-12),
+                "bandwidth_hz": (_float, 5e5),
+                "tx_power_w": (_float, 0.1),
+                "altitude_m": (_float, 100.0),
+                "horizontal_m": (_float, 0.0),
+                "alpha0_linear": (_float, 1e-5),
+                "noise_w": (_float, 1e-12),
             })
             rate = rate_direct(v["bandwidth_hz"], v["tx_power_w"], v["altitude_m"],
                                v["horizontal_m"], v["alpha0_linear"], v["noise_w"])
@@ -183,9 +179,9 @@ def _cmd_oracle(tokens) -> int:
         elif sub == "placement":
             v = _parse_kv(rest, {
                 "users": (_parse_users, None),
-                "altitude_m": (float, 100.0),
-                "grid_m": (float, 1.0),
-                "refine_m": (float, 0.01),
+                "altitude_m": (_float, 100.0),
+                "grid_m": (_float, 1.0),
+                "refine_m": (_float, 0.01),
             })
             if v["users"] is None:
                 raise ValueError("placement needs users=x1,y1;x2,y2;...")
@@ -193,11 +189,9 @@ def _cmd_oracle(tokens) -> int:
                                        v["grid_m"], v["refine_m"])
             print(f"{format(x, '.10g')} {format(y, '.10g')} {format(obj, '.10g')}")
         elif sub == "aggregate":
-            updates = []
-            for token in rest:
-                body, _, count = token.partition("x")
-                values = [float(t) for t in body.strip("[]").split(",")]
-                updates.append((values, int(count)))
+            parts = [token.partition("x") for token in rest]
+            updates = [([_float(t) for t in body.strip("[]").split(",")], int(count))
+                       for body, _, count in parts]
             result = weighted_mean_direct(updates)
             print("[" + ", ".join(format(v, ".10g") for v in result) + "]")
         else:

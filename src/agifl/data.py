@@ -5,11 +5,12 @@ blobs. A dataset holds features and labels only; its bits per sample, used
 by the compute-time model, derives from them: raw bytes times 8, label byte
 included, so a 784-pixel image costs (784 + 1) * 8 = 6280 bits.
 
-Partitioning produces one sorted index array per user; the arrays are
-pairwise disjoint and cover the dataset exactly. The IID scheme is a random
-near-equal split; the label-sharded scheme sorts by label, cuts the order
-into num_users * shards_per_user contiguous shards and deals
-shards_per_user of them to each user, so each user sees few classes.
+Partitioning produces one CSR index pair: user u's sorted shard is
+`indices[offsets[u]:offsets[u + 1]]`; the shards are disjoint and cover the
+dataset. The IID scheme is a random near-equal split; the label-sharded
+scheme sorts by label, cuts the order into num_users * shards_per_user
+contiguous shards and deals shards_per_user of them to each user, so each
+user sees few classes.
 """
 
 import struct
@@ -168,9 +169,9 @@ def check_partition(num_samples: int, num_users: int, scheme: str,
 
 
 def partition(data: Dataset, num_users: int, scheme: str = "iid",
-              shards_per_user: int = 2, seed: int = 0) -> list[np.ndarray]:
-    """Split a dataset's indices across users: entry u is user u's sorted
-    sample indices.
+              shards_per_user: int = 2, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Split a dataset's indices across users: the CSR pair `(indices,
+    offsets)` of the module docstring, with shard sizes `np.diff(offsets)`.
 
     "iid": random near-equal split; the first (n mod num_users) users get
     one extra sample. "sharded": label-sorted indices cut into
@@ -180,23 +181,25 @@ def partition(data: Dataset, num_users: int, scheme: str = "iid",
     n = data.num_samples
     check_partition(n, num_users, scheme, shards_per_user)
     gen = np.random.default_rng(seed)
+    users = np.arange(num_users + 1)
 
     if scheme == "iid":
-        order = gen.permutation(n)
+        indices = gen.permutation(n)
         base, extra = divmod(n, num_users)
         cut = extra * (base + 1)
-        return (list(np.sort(order[:cut].reshape(extra, base + 1), axis=1))
-                + list(np.sort(order[cut:].reshape(num_users - extra, base), axis=1)))
+        indices[:cut].reshape(extra, base + 1).sort(axis=1)
+        indices[cut:].reshape(num_users - extra, base).sort(axis=1)
+        return indices, users * base + np.minimum(users, extra)
 
     num_shards = num_users * shards_per_user
-    shard_size = n // num_shards
+    width = shards_per_user * (n // num_shards)  # a user's samples before the remainder
     order = np.argsort(data.labels, kind="stable")
     deal = gen.permutation(num_shards).reshape(num_users, shards_per_user)
-    cuts = order[:num_shards * shard_size].reshape(num_shards, shard_size)
-    dealt = np.sort(cuts[deal].reshape(num_users, -1), axis=1)
-    indices = list(dealt)
-    remainder = order[num_shards * shard_size:]
-    if remainder.size:  # it belongs to the last shard
-        last = int(np.flatnonzero(deal == num_shards - 1)[0]) // shards_per_user
-        indices[last] = np.sort(np.concatenate([dealt[last], remainder]))
-    return indices
+    dealt = order[:num_users * width].reshape(num_shards, -1)[deal].reshape(num_users, width)
+    dealt.sort(axis=1)
+    remainder = order[num_users * width:]  # it belongs to the last shard
+    last = int(np.flatnonzero(deal == num_shards - 1)[0]) // shards_per_user
+    end = (last + 1) * width
+    indices = np.insert(dealt.ravel(), end, remainder)
+    indices[end - width:end + remainder.size].sort()
+    return indices, users * width + np.where(users > last, remainder.size, 0)

@@ -1,21 +1,21 @@
 """The FedAvg protocol engine.
 
 One round: sample a client cohort uniformly at random (`select_clients`),
-train each selected client from the global parameter vector on its own
-shard, then replace the global vector with the sample-count-weighted mean
-of the local results (`run_round`). The clients are independent, so the
-cohort trains as one set of stacked SGD lanes (`models.train_cohort`),
-each lane equal bit for bit to a `models.local_train` call, and the mean
-is one product of the weights with that (L, P) array (`aggregate`). The
-caller draws the cohort once per round and hands the same ids to the
-timing and energy model and to `run_round`; the round loop itself, with
-the round index and the global vectors, lives in `scenario`. `run_round`
-also runs one round of several independent repeats in lockstep: their
-cohorts train as the lanes of one `train_cohort` call, each lane from its
-own repeat's global vector, and each repeat's lanes are aggregated alone.
-Per-client training seeds are derived from (repeat seed, round, user id),
-so the outcome does not depend on the order clients are processed in or on
-which repeats share the call.
+train each selected client from the global parameter vector on its shard,
+its slice of the `data.partition` CSR pair, then replace the global vector
+with the sample-count-weighted mean of the local results (`run_round`).
+The clients are independent, so the cohort trains as one set of stacked
+SGD lanes (`models.train_cohort`), each lane equal bit for bit to a
+`models.local_train` call, and the mean is one product of the weights with
+that (L, P) array (`aggregate`). The caller draws the cohort once per
+round and hands the same ids to the timing and energy model and to
+`run_round`; the round loop itself, with the round index and the global
+vectors, lives in `scenario`. `run_round` also runs one round of several
+independent repeats in lockstep: their cohorts train as the lanes of one
+`train_cohort` call, each lane from its own repeat's global vector, and
+each repeat's lanes are aggregated alone. Per-client training seeds are
+derived from (repeat seed, round, user id), so the outcome does not depend
+on the order clients are processed in or on which repeats share the call.
 """
 
 from dataclasses import dataclass
@@ -78,7 +78,8 @@ def aggregate(params: np.ndarray, counts) -> np.ndarray:
 def run_round(params: np.ndarray, config: FlConfig, shards, spec: ModelSpec,
               data: Dataset, selected, seed, rnd: int) -> np.ndarray:
     """Execute FedAvg round `rnd` on the cohort `selected`, training user u
-    with `child_seed(seed, rnd, u, "train")`; returns the new global vector.
+    on its `shards` slice with `child_seed(seed, rnd, u, "train")`; returns
+    the new global vector.
 
     Several repeats run the round in lockstep when `params` is an (R, P)
     array of their global vectors and `shards`, `selected` and `seed` each
@@ -90,10 +91,10 @@ def run_round(params: np.ndarray, config: FlConfig, shards, spec: ModelSpec,
     if params.ndim == 1:
         return run_round(params[None], config, [shards], spec, data, [selected],
                          [seed], rnd)[0]
-    if any(len(repeat_shards) != config.num_users for repeat_shards in shards):
+    if any(len(offsets) != config.num_users + 1 for _, offsets in shards):
         raise ValueError("one shard per user is required")
-    lanes = [repeat_shards[user] for repeat_shards, cohort in zip(shards, selected)
-             for user in cohort]
+    lanes = [indices[offsets[user]:offsets[user + 1]]
+             for (indices, offsets), cohort in zip(shards, selected) for user in cohort]
     seeds = [child_seed(repeat_seed, rnd, int(user), "train")
              for repeat_seed, cohort in zip(seed, selected) for user in cohort]
     sizes = [len(cohort) for cohort in selected]

@@ -39,9 +39,9 @@ last federation (`functools.lru_cache(maxsize=1)`, as `load_corpus` does),
 hold that work:
 
 - the cohort store, keyed `(master_seed, num_users, fraction)`, holds each
-  repeat's cohorts drawn so far in round order; the network pass draws a
-  round's cohort only past the store's end, so no round is drawn that the
-  round loop would not reach;
+  repeat's cohorts drawn so far in round order, the read-only arrays their
+  RoundMetrics hold; the network pass draws a round's cohort only past the
+  store's end, so no round is drawn that the round loop would not reach;
 - the trajectory store, keyed by the scenario with the fields that cannot
   change what a repeat trains set to one value (placement scheme, fixed
   position, energy budget and its entity, repeat count, `fl.max_rounds`;
@@ -52,9 +52,9 @@ hold that work:
   different rounds.
 
 A pool worker returns its group's store entries with its repeats, and the
-parent installs them, so its next run reads what the workers drew and
-trained (a forked worker starts from the parent's stores, so its entries
-extend the parent's).
+parent installs them, cohorts read-only again, so its next run reads what
+the workers drew and trained (a forked worker starts from the parent's
+stores, so its entries extend the parent's).
 
 Every per-user time and energy is constant within a repeat, so
 `per_user_arrays` builds them once, equal entry for entry to the scalar
@@ -310,7 +310,7 @@ class RoundMetrics:
     cum_uav_energy: float
     test_loss: float
     test_acc: float
-    selected: tuple[int, ...]
+    selected: np.ndarray  # the sorted, read-only cohort of the cohort store
     budget_total: float  # the budget entity's running total after this round
 
 
@@ -358,12 +358,13 @@ class ExperimentResult:
         return self.mean_best_accuracy_within(math.inf)
 
 
-def per_user_arrays(scenario: Scenario, repeat: int, topo: Topology, shards,
+def per_user_arrays(scenario: Scenario, repeat: int, topo: Topology, shard_sizes,
                     payload_bits: int, bits_per_sample: int):
     """Each user's compute + upload time, upload energy, compute energy and
     broadcast receive time, fixed within a repeat as the cohort size (so the
-    uplink sub-band) is. Squares use Python's `**` as `link_rate` does (NumPy's
-    can differ in the last bit); the rest keeps the scalar models' operation order."""
+    uplink sub-band) is. Cycle counts are Python-int products, which int64 could
+    overflow; squares use Python's `**` as `link_rate` does (NumPy's can
+    differ in the last bit); the rest keeps the scalar models' operation order."""
     fl, channel, n = scenario.fl, scenario.channel, scenario.fl.num_users
     dist_sq = np.fromiter((v ** 2 + h ** 2 for v, h in zip(
         topo.vertical_offsets().tolist(), topo.horizontal_distances().tolist())), float, n)
@@ -374,7 +375,7 @@ def per_user_arrays(scenario: Scenario, repeat: int, topo: Topology, shards,
     t_up = tx_time(payload_bits, link_rates(b_up, channel.user_tx_power, dist_sq, channel))
     cpu = _rng(scenario.master_seed, repeat, "cpu").uniform(*scenario.cpu_freq_range, size=n)
     cycles = np.fromiter((fl.hyper.local_epochs * size * bits_per_sample
-                          * scenario.cycles_per_bit for size in map(len, shards)), float, n)
+                          * scenario.cycles_per_bit for size in shard_sizes.tolist()), float, n)
     e_comp = (np.fromiter((user_compute_energy(f, c, scenario.kappa)
                            for f, c in zip(cpu.tolist(), cycles.tolist())), float, n)
               if scenario.include_user_compute_energy else np.zeros(n))
@@ -388,7 +389,7 @@ def _cohorts(master_seed: int, num_users: int, fraction: float) -> dict:
     """The cohorts drawn so far for each repeat, in round order, keeping the
     last federation's: a repeat's round draws its cohort from the master
     seed alone, whatever the placement, budget or repeat count. Each is the
-    tuple its rounds' RoundMetrics hold, so the store adds no copy."""
+    read-only array its round's RoundMetrics holds, so the store adds no copy."""
     return collections.defaultdict(list)
 
 
@@ -419,8 +420,8 @@ def _trajectories(federation: Scenario) -> dict:
 
 def _network_pass(scenario: Scenario, repeat: int, spec: ModelSpec, train_data: Dataset):
     """Place the server and run the round loop of one repeat without training:
-    the repeat's result with NaN test metrics, and its shards. Nothing here
-    reads the parameters, so the kept rounds and their cohorts are final."""
+    the repeat's result with NaN test metrics, and its `partition` pair.
+    Nothing here reads the parameters, so the kept rounds and cohorts are final."""
     seed, fl, channel = scenario.master_seed, scenario.fl, scenario.channel
     topo = build_topology(scenario, _rng(seed, repeat, "positions"))
     topo.placement = place_server(scenario, topo, _rng(seed, repeat, "placement"))
@@ -432,7 +433,7 @@ def _network_pass(scenario: Scenario, repeat: int, spec: ModelSpec, train_data: 
     master = child_seed(seed, repeat)
 
     t_client, e_tx, e_comp, t_recv = per_user_arrays(
-        scenario, repeat, topo, shards, payload_bits, train_data.bits_per_sample)
+        scenario, repeat, topo, np.diff(shards[1]), payload_bits, train_data.bits_per_sample)
     p_hover = np.where(topo.user_alt > 0, scenario.uav.propulsion_power, 0.0)
 
     ledger = EnergyLedger(fl.num_users, scenario.energy_budget, scenario.budget_entity)
@@ -443,10 +444,9 @@ def _network_pass(scenario: Scenario, repeat: int, spec: ModelSpec, train_data: 
 
     for rnd in range(fl.max_rounds):
         if rnd == len(drawn):
-            selected = select_clients(fl.num_users, fl.fraction, _rng(master, rnd, "select"))
-            drawn.append(tuple(selected.tolist()))
-        else:
-            selected = np.array(drawn[rnd])
+            drawn.append(select_clients(fl.num_users, fl.fraction, _rng(master, rnd, "select")))
+            drawn[rnd].flags.writeable = False
+        selected = drawn[rnd]
         recipients = slice(None) if scenario.broadcast_all else selected
         t_down = float(t_recv[recipients].max())  # = payload / lowest rate, exactly
         duration = t_down + float(t_client[selected].max())
@@ -458,7 +458,7 @@ def _network_pass(scenario: Scenario, repeat: int, spec: ModelSpec, train_data: 
         metrics.append(RoundMetrics(
             round=rnd + 1, duration=duration, uav_energy=server,
             cum_uav_energy=ledger.total("uav"), test_loss=math.nan,
-            test_acc=math.nan, selected=drawn[rnd],
+            test_acc=math.nan, selected=selected,
             budget_total=ledger.total(scenario.budget_entity)))
 
     result = RepeatResult(repeat=repeat, metrics=metrics, halt_reason=halt_reason,
@@ -565,6 +565,8 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> ExperimentResult:
             outputs = list(pool.map(_run_group, [scenario] * len(groups), groups))
         cohorts, trajs = _stores(scenario)
         for _, group_cohorts, group_trajs in outputs:
+            for cohort in (c for drawn in group_cohorts.values() for c in drawn):
+                cohort.flags.writeable = False
             cohorts.update(group_cohorts)
             trajs.update(group_trajs)
         results = [reps for reps, _, _ in outputs]

@@ -154,7 +154,8 @@ def test_criterion_5_fedavg_correctness():
     for rnd in range(5):
         params = run_round(params, config, shards, spec, data, [0], 321, rnd)
     w = init_model(spec)
-    idx = shards[0]
+    indices, offsets = shards
+    idx = indices[offsets[0]:offsets[1]]
     for rnd in range(5):
         w = local_train(w, data.features[idx], data.labels[idx], spec,
                         config.hyper, child_seed(321, rnd, 0, "train"))
@@ -335,8 +336,8 @@ def test_criterion_8_gradient_and_partition_suites():
     data = synth_blobs(5, 41, 3, spread=0.2, seed=1)  # 205 samples
     for seed in range(50):
         for scheme, kwargs in (("iid", {}), ("sharded", {"shards_per_user": 2})):
-            shards = partition(data, 10, scheme=scheme, seed=seed, **kwargs)
-            merged = np.concatenate(shards)
+            indices, offsets = partition(data, 10, scheme=scheme, seed=seed, **kwargs)
+            merged = np.concatenate(np.split(indices, offsets[1:-1]))
             if len(merged) != data.num_samples:
                 failures.append(f"{scheme}/seed {seed}: not a covering split")
                 break

@@ -537,6 +537,21 @@ class TestOracle:
         assert main(["oracle"]) == 1
         assert main(["oracle", "launch"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["rate", "bandwidth_hz=nan"],
+        ["rate", "tx_power_w=inf"],
+        ["rate", "horizontal_m=-inf"],
+        ["placement", "users=0,0;nan,5"],
+        ["placement", "users=1,2", "grid_m=nan"],
+        ["aggregate", "[1,nan]x2"],
+        ["aggregate", "[0]x1", "[inf]x3"],
+    ], ids=["nan", "inf", "minus-inf", "nan-user", "nan-grid", "nan-update", "inf-update"])
+    def test_non_finite_number_exits_1(self, argv, capsys):
+        assert main(["oracle"] + argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: not a finite number") and err.count("\n") == 1
+
 
 class TestDeterministicSvg:
     def test_svg_bytes_stable(self, tmp_path):

@@ -53,6 +53,29 @@ def iid_reference(num_samples, num_users, seed):
     return shards
 
 
+def split_shards(shards):
+    """The per-user index arrays of a `partition` pair."""
+    indices, offsets = shards
+    return np.split(indices, offsets[1:-1])
+
+
+def assert_csr_matches(shards, expected, num_samples):
+    """A `partition` pair is a CSR layout of the per-user reference: offsets
+    from 0 to n, each slice sorted and equal to its user's reference, and
+    every sample index in exactly one slice."""
+    indices, offsets = shards
+    assert indices.dtype == offsets.dtype == np.int64
+    assert offsets.shape == (len(expected) + 1,)
+    assert offsets[0] == 0 and offsets[-1] == num_samples
+    for u, want in enumerate(expected):
+        shard = indices[offsets[u]:offsets[u + 1]]
+        assert np.all(shard[1:] > shard[:-1])
+        assert shard.dtype == want.dtype
+        assert np.array_equal(shard, want)
+    assert np.array_equal(np.bincount(indices, minlength=num_samples),
+                          np.ones(num_samples, dtype=np.int64))
+
+
 def labels_only_dataset(labels):
     labels = np.asarray(labels, dtype=np.int64)
     return Dataset(features=np.zeros((len(labels), 1)), labels=labels)
@@ -133,7 +156,7 @@ class TestSynthBlobs:
 class TestPartition:
     def test_iid_equal_split(self):
         data = labels_only_dataset(np.arange(60000) % 10)
-        shards = partition(data, 100, scheme="iid", seed=4)
+        shards = split_shards(partition(data, 100, scheme="iid", seed=4))
         assert len(shards) == 100
         assert all(len(s) == 600 for s in shards)
 
@@ -144,13 +167,13 @@ class TestPartition:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_partition_law(self, scheme, kwargs, seed):
         data = labels_only_dataset(np.arange(230) % 5)
-        shards = partition(data, 10, scheme=scheme, seed=seed, **kwargs)
+        shards = split_shards(partition(data, 10, scheme=scheme, seed=seed, **kwargs))
         merged = np.concatenate(shards)
         assert np.array_equal(np.sort(merged), np.arange(230))
 
     def test_iid_sizes_differ_by_at_most_one(self):
         data = labels_only_dataset(np.arange(103) % 3)
-        sizes = [len(s) for s in partition(data, 10, scheme="iid", seed=0)]
+        sizes = np.diff(partition(data, 10, scheme="iid", seed=0)[1]).tolist()
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == 103
 
@@ -159,14 +182,15 @@ class TestPartition:
         labels = np.repeat(np.arange(4), 300)
         data = labels_only_dataset(labels)
         for seed in range(5):
-            shards = partition(data, 6, scheme="sharded", shards_per_user=2,
-                               seed=seed)
+            shards = split_shards(partition(data, 6, scheme="sharded",
+                                            shards_per_user=2, seed=seed))
             for shard in shards:
                 assert len(np.unique(labels[shard])) <= 2
 
     def test_sharded_remainder_absorbed(self):
         data = labels_only_dataset(np.arange(101) % 4)
-        shards = partition(data, 5, scheme="sharded", shards_per_user=2, seed=3)
+        shards = split_shards(partition(data, 5, scheme="sharded", shards_per_user=2,
+                                        seed=3))
         merged = np.concatenate(shards)
         assert np.array_equal(np.sort(merged), np.arange(101))
 
@@ -182,10 +206,7 @@ class TestPartition:
         shards = partition(labels_only_dataset(labels), num_users, scheme="sharded",
                            shards_per_user=shards_per_user, seed=seed)
         expected = sharded_reference(labels, num_users, shards_per_user, seed)
-        assert len(shards) == num_users
-        for shard, want in zip(shards, expected):
-            assert shard.dtype == want.dtype
-            assert np.array_equal(shard, want)
+        assert_csr_matches(shards, expected, n)
 
     @settings(max_examples=200, deadline=None)
     @given(num_samples=st.integers(1, 300), divisible=st.booleans(),
@@ -199,10 +220,7 @@ class TestPartition:
         shards = partition(labels_only_dataset(np.zeros(num_samples)), num_users,
                            scheme="iid", seed=seed)
         expected = iid_reference(num_samples, num_users, seed)
-        assert len(shards) == num_users
-        for shard, want in zip(shards, expected):
-            assert shard.dtype == want.dtype
-            assert np.array_equal(shard, want)
+        assert_csr_matches(shards, expected, num_samples)
 
     def test_too_many_users(self):
         data = labels_only_dataset([0, 1, 0])

@@ -8,6 +8,12 @@ from agifl.oracles import weighted_mean_direct
 from agifl.seeding import child_seed, rng
 
 
+def split_shards(shards):
+    """The per-user index arrays of a `partition` pair."""
+    indices, offsets = shards
+    return np.split(indices, offsets[1:-1])
+
+
 class TestSelectClients:
     def test_paper_cohort_two_of_hundred(self):
         selected = select_clients(100, 0.02, rng(0, "sel"))
@@ -119,7 +125,7 @@ class TestRunRound:
             params = run_round(params, config, shards, spec, data, [0], 123, rnd)
 
         w = init_model(spec)
-        idx = shards[0]
+        idx = split_shards(shards)[0]
         for rnd in range(5):
             w = local_train(w, data.features[idx], data.labels[idx], spec,
                             config.hyper, child_seed(123, rnd, 0, "train"))
@@ -148,15 +154,16 @@ class TestRunRound:
         new_params = run_round(start, config, shards, spec, data, selected, 77, 0)
 
         manual = []
+        users = split_shards(shards)
         for user in selected:
-            idx = shards[user]
+            idx = users[user]
             w = local_train(start, data.features[idx],
                             data.labels[idx], spec, config.hyper,
                             child_seed(77, 0, int(user), "train"))
             manual.append((list(w), len(idx)))
         expected = weighted_mean_direct(manual)
         np.testing.assert_allclose(new_params, expected, rtol=1e-12)
-        assert counts == [[len(shards[u]) for u in selected]]
+        assert counts == [[len(users[u]) for u in selected]]
 
     def test_lockstep_repeats_equal_one_repeat_rounds(self, monkeypatch):
         import agifl.fedavg as fedavg
@@ -184,7 +191,8 @@ class TestRunRound:
         together = run_round(starts, config, shards, spec, data, selected, seeds, 4)
         assert np.array_equal(together, np.stack(alone))
         assert lanes == [3 * 4]
-        assert counts == [[len(shards[r][u]) for u in selected[r]] for r in range(3)]
+        assert counts == [[len(split_shards(shards[r])[u]) for u in selected[r]]
+                          for r in range(3)]
 
     def test_round_is_deterministic(self):
         data = make_corpus(seed=3)
@@ -225,11 +233,12 @@ class TestRunRound:
         assert not np.array_equal(cohort, select_clients(6, 0.5, rng(9, 0, "select")))
         counts = record_counts(monkeypatch)
         run_round(init_model(spec), config, shards, spec, data, cohort, 9, 2)
+        users = split_shards(shards)
         assert [(len(lane), seed) for lane, seed in trained] == [
-            (len(shards[u]), child_seed(9, 2, u, "train")) for u in cohort]
-        assert all(np.array_equal(lane, shards[u])
+            (len(users[u]), child_seed(9, 2, u, "train")) for u in cohort]
+        assert all(np.array_equal(lane, users[u])
                    for (lane, _), u in zip(trained, cohort))
-        assert counts == [[len(shards[u]) for u in cohort]]
+        assert counts == [[len(users[u]) for u in cohort]]
 
 
 class TestConfigValidation:

@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,20 @@ from agifl.energy import (UavProfile, round_duration, uav_round_energy,
 from agifl.fedavg import FlConfig, cohort_size, select_clients
 from agifl.models import Hyperparams, ModelSpec, param_count
 from agifl.placement import Area, min_sum_dist
-from agifl.scenario import (FORMS, PLACEMENT_SCHEMES, BlobSource, Scenario, ShapeSource,
-                            build_topology, load_source, per_user_arrays, place_server,
-                            run_repeat, run_scenario)
+from agifl.scenario import (FORMS, PLACEMENT_SCHEMES, BlobSource, RoundMetrics, Scenario,
+                            ShapeSource, build_topology, load_corpus, load_source,
+                            per_user_arrays, place_server, run_repeat, run_scenario)
 from agifl.seeding import child_seed, rng
+
+
+def assert_same_metrics(got, want):
+    """Every RoundMetrics field equal, `selected` by value: an array field
+    makes `RoundMetrics ==` raise."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in fields(RoundMetrics):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert np.array_equal(x, y) if f.name == "selected" else x == y, f.name
 
 
 def small_scenario(**kwargs):
@@ -47,7 +58,8 @@ def repeat_arrays(sc, repeat=0):
                        seed=child_seed(seed, repeat, "partition"))
     spec = ModelSpec(sc.model_kind, train.input_dim, train.num_classes, sc.hidden_dim)
     payload = param_count(spec) * sc.channel.payload_bits_per_param
-    return per_user_arrays(sc, repeat, topo, shards, payload, train.bits_per_sample)
+    return per_user_arrays(sc, repeat, topo, np.diff(shards[1]), payload,
+                           train.bits_per_sample)
 
 
 class TestTopology:
@@ -109,7 +121,7 @@ class TestRunScenario:
         a = run_scenario(sc)
         b = run_scenario(sc)
         for ra, rb in zip(a.repeats, b.repeats):
-            assert ra.metrics == rb.metrics
+            assert_same_metrics(ra.metrics, rb.metrics)
             assert ra.halt_reason == rb.halt_reason
         assert np.array_equal(a.mean("cum_uav_energy"), b.mean("cum_uav_energy"))
 
@@ -117,8 +129,9 @@ class TestRunScenario:
         sc = small_scenario(repeats=3)
         serial = run_scenario(sc, jobs=1)
         parallel = run_scenario(sc, jobs=3)
+        assert len(serial.repeats) == len(parallel.repeats) == 3
         for ra, rb in zip(serial.repeats, parallel.repeats):
-            assert ra.metrics == rb.metrics
+            assert_same_metrics(ra.metrics, rb.metrics)
 
     def test_metric_sanity(self):
         result = run_scenario(small_scenario())
@@ -406,9 +419,10 @@ def reference_repeat(sc, rep):
     cpu = rng(seed, rep.repeat, "cpu").uniform(*sc.cpu_freq_range,
                                                 size=fl.num_users).tolist()
     train, _ = load_source(sc.source, child_seed(seed, "data"))
-    shards = partition(train, fl.num_users, scheme=sc.partition_scheme,
-                       shards_per_user=sc.shards_per_user,
-                       seed=child_seed(seed, rep.repeat, "partition"))
+    indices, offsets = partition(train, fl.num_users, scheme=sc.partition_scheme,
+                                 shards_per_user=sc.shards_per_user,
+                                 seed=child_seed(seed, rep.repeat, "partition"))
+    shards = np.split(indices, offsets[1:-1])
     payload = (784 + 1) * 10 * ch.payload_bits_per_param  # logistic, 784 -> 10
     epochs, bits = fl.hyper.local_epochs, train.bits_per_sample
 
@@ -491,9 +505,10 @@ class TestPerUserArrays:
         topo = build_topology(sc, rng(11, repeat, "positions"))
         topo.placement = place_server(sc, topo, rng(11, repeat, "placement"))
         train, _ = load_source(sc.source, 0)
-        shards = partition(train, n, scheme="iid", seed=7)
+        indices, offsets = partition(train, n, scheme="iid", seed=7)
         t_client, e_tx, e_comp, t_recv = per_user_arrays(
-            sc, repeat, topo, shards, payload, train.bits_per_sample)
+            sc, repeat, topo, np.diff(offsets), payload, train.bits_per_sample)
+        shards = np.split(indices, offsets[1:-1])
 
         ch, bits, epochs = sc.channel, train.bits_per_sample, sc.fl.hyper.local_epochs
         b_up = per_client_bandwidth(ch, cohort_size(n, sc.fl.fraction))
@@ -793,17 +808,42 @@ class TestFederationStores:
         stores = []
         for jobs in (1, 2):
             clear_stores()
-            run_scenario(sc, jobs=jobs)
+            result = run_scenario(sc, jobs=jobs)
             stores.append((scenario_module._cohorts(sc.master_seed, sc.fl.num_users,
                                                     sc.fl.fraction),
                            scenario_module._trajectories(scenario_module._federation(sc))))
         (cohorts, trajs), (pooled_cohorts, pooled_trajs) = stores
         assert sorted(pooled_cohorts) == sorted(cohorts) == list(range(4))
-        assert all(pooled_cohorts[r] == cohorts[r] for r in cohorts)
+        for r in cohorts:
+            assert len(pooled_cohorts[r]) == len(cohorts[r]) == sc.fl.max_rounds
+            assert all(np.array_equal(p, c) for p, c in zip(pooled_cohorts[r], cohorts[r]))
+        # a stored cohort is read-only, also where a pool worker handed it
+        # back: unpickled arrays come back writeable
+        stored = [c for store in (cohorts, pooled_cohorts) for drawn in store.values()
+                  for c in drawn]
+        for cohort in stored + [m.selected for rep in result.repeats for m in rep.metrics]:
+            assert not cohort.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                cohort[0] = -1
         assert sorted(pooled_trajs) == sorted(trajs) == list(range(4))
         for r in trajs:
             assert np.array_equal(pooled_trajs[r].params, trajs[r].params)
             assert pooled_trajs[r].tests == trajs[r].tests
+
+    def test_stored_cohorts_keep_at_most_16_bytes_per_id(self):
+        # an int64 array keeps 8 B per id; a tuple of Python ints kept about 40
+        sc = Scenario(fl=FlConfig(num_users=5000, fraction=0.2, max_rounds=50),
+                      source=ShapeSource(), train=False, repeats=2, partition_scheme="iid")
+        load_corpus(sc.source, sc.master_seed)  # the corpus cache is not the run's
+        tracemalloc.start()
+        try:
+            result = run_scenario(sc)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        ids = sum(len(m.selected) for rep in result.repeats for m in rep.metrics)
+        assert ids == 2 * 50 * 1000
+        assert kept <= 16 * ids
 
     @pytest.mark.parametrize("change, redraws", [
         (lambda sc: replace(sc, fl=replace(sc.fl, hyper=replace(sc.fl.hyper,
