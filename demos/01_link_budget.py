@@ -6,8 +6,9 @@ upload times for a 7850-parameter classifier (251200 bits at 32 bits per
 parameter).
 """
 
-from agifl import (ChannelParams, LinkBudget, UavProfile, link_rate, per_client_bandwidth,
-                   tx_time)
+import numpy as np
+
+from agifl import ChannelParams, UavProfile, link_rates, per_client_bandwidth, tx_time
 
 channel = ChannelParams()  # 1 MHz uplink pool, -50 dB gain, -90 dBm noise
 uav = UavProfile()  # 10 mW server transmitter
@@ -19,12 +20,11 @@ print(f"model payload: {payload_bits} bits")
 print()
 print(f"{'horizontal m':>12} {'uplink Mbit/s':>14} {'upload s':>10} "
       f"{'downlink Mbit/s':>16}")
-for horizontal in (0, 100, 250, 500, 750, 1000, 1400):
-    up = link_rate(LinkBudget(uplink_bw, channel.user_tx_power, 100.0,
-                              horizontal), channel)
-    down = link_rate(LinkBudget(channel.uav_downlink_bandwidth,
-                                uav.tx_power, 100.0, horizontal),
-                     channel)
+horizontals = [0, 100, 250, 500, 750, 1000, 1400]
+dist_sq = np.array([100.0 ** 2 + h ** 2 for h in horizontals])  # server at 100 m
+ups = link_rates(uplink_bw, channel.user_tx_power, dist_sq, channel)
+downs = link_rates(channel.uav_downlink_bandwidth, uav.tx_power, dist_sq, channel)
+for horizontal, up, down in zip(horizontals, ups, downs):
     print(f"{horizontal:>12} {up / 1e6:>14.4f} {tx_time(payload_bits, up):>10.4f} "
           f"{down / 1e6:>16.4f}")
 

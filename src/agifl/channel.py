@@ -18,10 +18,8 @@ import numpy as np
 
 __all__ = [
     "ChannelParams",
-    "LinkBudget",
     "db_to_linear",
     "dbm_to_watts",
-    "link_rate",
     "link_rates",
     "tx_time",
     "per_client_bandwidth",
@@ -66,44 +64,13 @@ class ChannelParams:
             raise ValueError("uplink_bandwidth_override must be positive and finite")
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Per-link quantities: bandwidth, transmit power and geometry."""
-
-    bandwidth: float
-    tx_power: float
-    altitude: float
-    horizontal_distance: float
-
-    def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.tx_power <= 0:
-            raise ValueError("tx_power must be positive")
-        # altitude 0 is allowed for same-layer links as long as the nodes
-        # are not co-located
-        if self.altitude < 0 or self.horizontal_distance < 0:
-            raise ValueError("distances must be non-negative")
-        if self.altitude == 0 and self.horizontal_distance == 0:
-            raise ValueError("link endpoints coincide")
-
-
-def _rate(bandwidth: float, gain: float, noise: float, dist_sq: float) -> float:
-    return bandwidth * math.log2(1.0 + gain / (noise * dist_sq))  # gain = ref_gain * p
-
-
-def link_rate(link: LinkBudget, params: ChannelParams) -> float:
-    """Shannon rate of the link in bit/s."""
-    dist_sq = link.altitude ** 2 + link.horizontal_distance ** 2
-    return _rate(link.bandwidth, params.ref_gain * link.tx_power, params.noise, dist_sq)
-
-
 def link_rates(bandwidth: float, tx_power: float, dist_sq: np.ndarray,
                params: ChannelParams) -> np.ndarray:
-    """`link_rate` of each link, given its squared distance. NumPy does the
+    """Shannon rate in bit/s of each link, given its squared distance: equal
+    bit for bit to the scalar formula `oracles.rate_direct`. NumPy does the
     product, quotient, sum and scaling, each one correctly rounded operation
-    as in `_rate`; `math.log2` runs link by link (NumPy's vectorised log2 can
-    differ in the last bit)."""
+    in the scalar order; `math.log2` runs link by link (NumPy's vectorised
+    log2 can differ in the last bit)."""
     snr = 1.0 + params.ref_gain * tx_power / (params.noise * dist_sq)
     return bandwidth * np.fromiter(map(math.log2, snr.tolist()), float, len(dist_sq))
 

@@ -15,9 +15,9 @@ comparison concerns the server's energy.
 `EnergyLedger` holds a run's energy budget on one entity and refuses a
 round that would take that entity over it, leaving every total as it was.
 
-`scenario.per_user_arrays` builds the per-user terms as arrays once per
-repeat; `user_compute_time`, `round_duration` and `uav_round_energy` are the
-scalar references its array arithmetic is tested against.
+`scenario` builds the per-user terms as arrays once per repeat, and each
+round's duration and energy from them; its arithmetic is tested against
+the scalar references in `oracles`.
 """
 
 import math
@@ -29,13 +29,8 @@ __all__ = [
     "UavProfile",
     "EnergyLedger",
     "entity_index",
-    "user_compute_time",
     "user_compute_energy",
-    "round_duration",
-    "uav_round_energy",
 ]
-
-DEFAULT_KAPPA = 1e-28
 
 
 @dataclass(frozen=True)
@@ -118,41 +113,6 @@ class EnergyLedger:
         return self._uav if user is None else float(self._users[user])
 
 
-def user_compute_time(samples: int, bits_per_sample: int, cycles_per_bit: int,
-                      cpu_freq: float, epochs: int) -> float:
-    """Seconds a user spends on local training.
-
-    Every bit of the local data costs `cycles_per_bit` CPU cycles, once per
-    epoch: epochs * samples * bits_per_sample * cycles_per_bit / cpu_freq.
-    """
-    if cpu_freq <= 0:
-        raise ValueError("cpu_freq must be positive")
-    return epochs * samples * bits_per_sample * cycles_per_bit / cpu_freq
-
-
-def user_compute_energy(cpu_freq: float, total_cycles: float,
-                        kappa: float = DEFAULT_KAPPA) -> float:
+def user_compute_energy(cpu_freq: float, total_cycles: float, kappa: float) -> float:
     """Effective-capacitance compute energy: kappa * f^2 * cycles."""
     return kappa * cpu_freq ** 2 * total_cycles
-
-
-def round_duration(t_down: float, per_client) -> float:
-    """t_down + max over clients of (t_comp + t_up).
-
-    Clients compute and upload in parallel; uploads use orthogonal
-    sub-bands, so the slowest client gates the round.
-    """
-    per_client = list(per_client)
-    if not per_client:
-        raise ValueError("round has no clients")
-    if t_down < 0 or any(tc < 0 or tu < 0 for tc, tu in per_client):
-        raise ValueError("times must be non-negative")
-    return t_down + max(tc + tu for tc, tu in per_client)
-
-
-def uav_round_energy(t_round: float, t_down: float, profile: UavProfile) -> float:
-    """Server energy for one round: hover the whole round, transmit during
-    the downlink only."""
-    if t_down > t_round:
-        raise ValueError("downlink time exceeds round duration")
-    return profile.propulsion_power * t_round + profile.tx_power * t_down

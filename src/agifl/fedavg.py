@@ -5,12 +5,11 @@ train each selected client from the global parameter vector on its shard,
 its slice of the `data.partition` CSR pair, then replace the global vector
 with the sample-count-weighted mean of the local results (`run_round`).
 The clients are independent, so the cohort trains as one set of stacked
-SGD lanes (`models.train_cohort`), each lane equal bit for bit to a
-`models.local_train` call, and the mean is one product of the weights with
-that (L, P) array (`aggregate`). The caller draws the cohort once per
-round and hands the same ids to the timing and energy model and to
-`run_round`; the round loop itself, with the round index and the global
-vectors, lives in `scenario`. `run_round` also runs one round of several
+SGD lanes (`models.train_cohort`), and the mean is one product of the
+weights with that (L, P) array (`aggregate`). The caller draws the cohort
+once per round and hands the same ids to the timing and energy model and
+to `run_round`; the round loop itself, with the round index and the global
+vectors, lives in `scenario`. `run_round` runs one round of one or more
 independent repeats in lockstep: their cohorts train as the lanes of one
 `train_cohort` call, each lane from its own repeat's global vector, and
 each repeat's lanes are aggregated alone. Per-client training seeds are
@@ -77,20 +76,20 @@ def aggregate(params: np.ndarray, counts) -> np.ndarray:
 
 def run_round(params: np.ndarray, config: FlConfig, shards, spec: ModelSpec,
               data: Dataset, selected, seed, rnd: int) -> np.ndarray:
-    """Execute FedAvg round `rnd` on the cohort `selected`, training user u
-    on its `shards` slice with `child_seed(seed, rnd, u, "train")`; returns
-    the new global vector.
+    """Execute FedAvg round `rnd` for R repeats in lockstep; returns their
+    new (R, P) global vectors.
 
-    Several repeats run the round in lockstep when `params` is an (R, P)
-    array of their global vectors and `shards`, `selected` and `seed` each
-    hold one entry per repeat: every repeat's cohort trains as lanes of one
-    `train_cohort` call, each lane from its own repeat's vector, and each
-    repeat's lanes are reduced by their own `aggregate` call (a product per
-    repeat, so the (R, P) result equals R one-repeat rounds bit for bit).
+    `params` is the (R, P) array of the repeats' global vectors, and
+    `shards`, `selected` and `seed` hold one entry per repeat: repeat r
+    trains each user u of its cohort `selected[r]` on u's `shards[r]` slice
+    with `child_seed(seed[r], rnd, u, "train")`. Every repeat's cohort
+    trains as lanes of one `train_cohort` call, each lane from its own
+    repeat's vector, and each repeat's lanes are reduced by their own
+    `aggregate` call (a product per repeat, so the result equals R
+    one-repeat rounds bit for bit).
     """
-    if params.ndim == 1:
-        return run_round(params[None], config, [shards], spec, data, [selected],
-                         [seed], rnd)[0]
+    if params.ndim != 2:
+        raise ValueError("params must be an (R, P) array: one global vector per repeat")
     if any(len(offsets) != config.num_users + 1 for _, offsets in shards):
         raise ValueError("one shard per user is required")
     lanes = [indices[offsets[user]:offsets[user + 1]]

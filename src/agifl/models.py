@@ -1,14 +1,13 @@
 """Local training models: multinomial logistic regression and a small MLP.
 
 Both models classify via softmax cross-entropy and are trained with plain
-mini-batch SGD: one client with `local_train`, a FedAvg cohort with
-`train_cohort`, which steps every client's SGD together as stacked lanes
-and gives each lane `local_train`'s result bit for bit. One forward and one
-backward pass, written for stacked (lanes, ...) arrays, serve a client (one
-lane), a cohort and evaluation (one lane). Parameters live
-in a single flat float64 vector with a deterministic layout so that the
-federation layer can exchange and average them without knowing the
-architecture. Bias terms use the implicit appended-1 convention: a
+mini-batch SGD. `train_cohort` steps a FedAvg cohort's SGD together as
+stacked lanes, each equal bit for bit to one client's own SGD loop
+(`oracles.local_train`). One forward and one backward pass, written for
+stacked (lanes, ...) arrays, serve the cohort and evaluation (one lane).
+Parameters live in one flat float64 vector with a deterministic layout,
+so the federation layer can exchange and average them without knowing
+the architecture. Bias terms use the implicit appended-1 convention: a
 logistic model over d features holds a (d+1) x K weight matrix.
 """
 
@@ -25,10 +24,8 @@ __all__ = [
     "Hyperparams",
     "param_count",
     "init_model",
-    "local_train",
     "train_cohort",
     "evaluate",
-    "loss_and_grad",
 ]
 
 
@@ -134,79 +131,42 @@ def _forward(w: np.ndarray, spec: ModelSpec, xe: np.ndarray):
 
 
 def _gradients(w: np.ndarray, spec: ModelSpec, xe: np.ndarray, y: np.ndarray):
-    """Forward and backward pass of each lane's mean cross-entropy over its
-    (L, b) labels `y`: the log-probabilities and one (weight view, gradient)
-    pair per weight matrix."""
+    """Backward pass of each lane's mean cross-entropy over its (L, b)
+    labels `y`: one (weight view, gradient) pair per weight matrix."""
     log_probs, weights, hidden = _forward(w, spec, xe)
     lanes, b = y.shape
     dlogits = np.exp(log_probs)
     dlogits.reshape(lanes * b, -1)[np.arange(lanes * b), y.ravel()] -= 1.0
     dlogits /= b
     if hidden is None:
-        return log_probs, [(weights[0], xe.transpose(0, 2, 1) @ dlogits)]
+        return [(weights[0], xe.transpose(0, 2, 1) @ dlogits)]
     (w1, w2), (a1, a1e) = weights, hidden
     gw2 = a1e.transpose(0, 2, 1) @ dlogits
     dz1 = (dlogits @ w2[:, :-1].transpose(0, 2, 1)) * (1.0 - a1 * a1)
-    return log_probs, [(w1, xe.transpose(0, 2, 1) @ dz1), (w2, gw2)]
+    return [(w1, xe.transpose(0, 2, 1) @ dz1), (w2, gw2)]
 
 
 def _lane_step(w: np.ndarray, spec: ModelSpec, xe: np.ndarray, y: np.ndarray,
                lr: float) -> None:
     """One SGD step on each lane of `w`, in place."""
-    for weight, grad in _gradients(w, spec, xe, y)[1]:
+    for weight, grad in _gradients(w, spec, xe, y):
         grad *= lr
         weight -= grad
 
 
-def loss_and_grad(params: np.ndarray, spec: ModelSpec,
-                  x: np.ndarray, y: np.ndarray):
-    """Mean softmax cross-entropy over the batch and its gradient,
-    flattened to match the parameter layout."""
-    _check_params(params, spec)
-    log_probs, grads = _gradients(params[None], spec, _append_ones(x)[None], y[None])
-    loss = -float(log_probs[0, np.arange(x.shape[0]), y].mean())
-    return loss, np.concatenate([grad.ravel() for _, grad in grads])
-
-
-def local_train(params: np.ndarray, x: np.ndarray, y: np.ndarray,
-                spec: ModelSpec, hyper: Hyperparams, rng_seed: int) -> np.ndarray:
-    """Run `local_epochs` passes of mini-batch SGD on one client's shard.
-
-    The shard is reshuffled each epoch from a generator seeded with
-    `rng_seed`, so the result depends only on the arguments. The input
-    parameter vector is not modified.
-    """
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("training shard is empty")
-    if y.shape[0] != n:
-        raise ValueError("feature/label count mismatch")
-    _check_params(params, spec)
-    w = params.copy()
-    xe = _append_ones(x)
-    gen = np.random.default_rng(rng_seed)
-    lr, bs = hyper.learning_rate, hyper.batch_size
-    for _ in range(hyper.local_epochs):
-        order = gen.permutation(n)
-        for start in range(0, n, bs):
-            batch = order[None, start:start + bs]
-            _lane_step(w[None], spec, xe[batch], y[batch], lr)
-    return w
-
-
 def train_cohort(params: np.ndarray, features: np.ndarray, labels: np.ndarray,
                  lanes, spec: ModelSpec, hyper: Hyperparams, seeds) -> np.ndarray:
-    """`local_train` for a whole cohort at once, as stacked SGD lanes.
+    """Mini-batch SGD for a whole cohort at once, as stacked lanes.
 
-    Lane l trains from `params`, or from its own start row `params[l]` when
-    `params` is an (L, P) array, on the rows `lanes[l]` of
-    `features`/`labels` with the generator `default_rng(seeds[l])`; row l of
-    the returned (L, P) array equals `local_train(start, features[lanes[l]],
+    Lane l trains from its start row `params[l]` of the (L, P) array
+    `params` on the rows `lanes[l]` of `features`/`labels` with the
+    generator `default_rng(seeds[l])`; row l of the returned (L, P) array
+    equals `oracles.local_train(params[l], features[lanes[l]],
     labels[lanes[l]], spec, hyper, seeds[l])` exactly. The lanes step
-    together: each epoch draws every lane's permutation in `local_train`'s
-    order, and each step takes one stacked batch per group of lanes with the
-    same batch size (lanes of unequal shards differ in their tail batch,
-    and a shorter shard runs out of steps earlier).
+    together: each epoch draws every lane's permutation in lane order, and
+    each step takes one stacked batch per group of lanes with the same
+    batch size (lanes of unequal shards differ in their tail batch, and a
+    shorter shard runs out of steps earlier).
     """
     lanes = [np.asarray(lane) for lane in lanes]
     if not lanes:
@@ -219,10 +179,10 @@ def train_cohort(params: np.ndarray, features: np.ndarray, labels: np.ndarray,
     if np.any(sizes == 0):
         raise ValueError("training shard is empty")
     num_lanes, lr, bs = len(lanes), hyper.learning_rate, hyper.batch_size
-    if params.ndim == 2 and params.shape[0] != num_lanes:
-        raise ValueError("one start row per lane is required")
-    _check_params(params[-1] if params.ndim == 2 else params, spec)
-    w = np.broadcast_to(params, (num_lanes, params.shape[-1])).copy()
+    if params.ndim != 2 or params.shape[0] != num_lanes:
+        raise ValueError("one start row per lane is required: params must be (L, P)")
+    _check_params(params[0], spec)
+    w = params.copy()
 
     rows = np.concatenate(lanes)
     xe = _append_ones(features[rows])

@@ -58,8 +58,8 @@ stores, so its entries extend the parent's).
 
 Every per-user time and energy is constant within a repeat, so
 `per_user_arrays` builds them once, equal entry for entry to the scalar
-models of `channel` and `energy`; a round is then a gather over its cohort
-and a max each for the slowest client and the slowest broadcast recipient.
+references in `oracles`; a round is then a gather over its cohort and a
+max each for the slowest client and the slowest broadcast recipient.
 `ExperimentResult.mean` averages a per-round field over the rounds all
 repeats completed, so every mean covers exactly `repeats` instances.
 """
@@ -363,8 +363,9 @@ def per_user_arrays(scenario: Scenario, repeat: int, topo: Topology, shard_sizes
     """Each user's compute + upload time, upload energy, compute energy and
     broadcast receive time, fixed within a repeat as the cohort size (so the
     uplink sub-band) is. Cycle counts are Python-int products, which int64 could
-    overflow; squares use Python's `**` as `link_rate` does (NumPy's can
-    differ in the last bit); the rest keeps the scalar models' operation order."""
+    overflow; squares use Python's `**` as `oracles.rate_direct` does (NumPy's
+    can differ in the last bit); the rest keeps the scalar references'
+    operation order."""
     fl, channel, n = scenario.fl, scenario.channel, scenario.fl.num_users
     dist_sq = np.fromiter((v ** 2 + h ** 2 for v, h in zip(
         topo.vertical_offsets().tolist(), topo.horizontal_distances().tolist())), float, n)
@@ -539,6 +540,7 @@ def _groups(scenario: Scenario, jobs: int) -> list[list[int]]:
     return [chunk.tolist() for chunk in np.array_split(np.arange(scenario.repeats), count)]
 
 
+# No production path calls this; perfbench/launch.py binds it by name.
 def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
     """Simulate one seeded instance of the scenario."""
     return _run_group(scenario, [repeat])[0][0]

@@ -17,9 +17,9 @@ import pytest
 from agifl.cli import main
 from agifl.data import partition, synth_blobs
 from agifl.fedavg import FlConfig, aggregate, run_round
-from agifl.models import (Hyperparams, ModelSpec, evaluate, init_model,
-                          local_train, loss_and_grad, param_count)
-from agifl.oracles import grid_placement, rate_direct, weighted_mean_direct
+from agifl.models import Hyperparams, ModelSpec, evaluate, init_model, param_count
+from agifl.oracles import (grid_placement, local_train, loss_and_grad, rate_direct,
+                           weighted_mean_direct)
 from agifl.placement import SolverTrace, min_sum_dist, objective, objective_grad
 from agifl.scenario import (BlobSource, IdxSource, Scenario, ShapeSource,
                             load_source, run_scenario)
@@ -46,16 +46,19 @@ def test_criterion_1_link_rate_oracle():
         (5e5, 0.1, 100.0, 100.0, 5e5 * math.log2(51)),
         (1e6, 0.01, 100.0, 0.0, 1e6 * math.log2(11)),
     ]
-    from agifl.channel import ChannelParams, LinkBudget, link_rate
+    from agifl.channel import ChannelParams, link_rates
     params = ChannelParams()
     for bw, power, alt, horiz, expected in cases:
-        got = link_rate(LinkBudget(bw, power, alt, horiz), params)
+        got = float(link_rates(bw, power, np.array([alt ** 2 + horiz ** 2]), params)[0])
         direct = rate_direct(bw, power, alt, horiz)
         if abs(got - expected) > 1e-9 * expected:
-            failures.append(f"link_rate({bw}, {power}, {alt}, {horiz}) = {got}, "
+            failures.append(f"link_rates({bw}, {power}, {alt}, {horiz}) = {got}, "
                             f"expected {expected}")
         if abs(direct - expected) > 1e-9 * expected:
             failures.append("oracle drifted from the closed form")
+        if got != rate_direct(bw, power, alt, horiz, params.ref_gain, params.noise):
+            failures.append(f"link_rates({bw}, {power}, {alt}, {horiz}) differs from "
+                            f"rate_direct at the same constants")
     report(1, "link rate matches hand-derived values", failures, started, limit=1.0)
 
 
@@ -150,16 +153,16 @@ def test_criterion_5_fedavg_correctness():
                       hyper=Hyperparams(local_epochs=2, batch_size=8),
                       max_rounds=5)
     shards = partition(data, 1, scheme="iid", seed=0)
-    params = init_model(spec)
+    params = init_model(spec)[None]
     for rnd in range(5):
-        params = run_round(params, config, shards, spec, data, [0], 321, rnd)
+        params = run_round(params, config, [shards], spec, data, [[0]], [321], rnd)
     w = init_model(spec)
     indices, offsets = shards
     idx = indices[offsets[0]:offsets[1]]
     for rnd in range(5):
         w = local_train(w, data.features[idx], data.labels[idx], spec,
                         config.hyper, child_seed(321, rnd, 0, "train"))
-    if np.abs(params - w).max() > 1e-12:
+    if np.abs(params[0] - w).max() > 1e-12:
         failures.append("one-client FedAvg deviates from sequential SGD")
 
     # (b) weighted means against the hand rule

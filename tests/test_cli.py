@@ -510,6 +510,15 @@ budget_grid_j =
         assert np.array_equal(rows[:, 1], rows[:, 2])
 
 
+def oracle_error(argv, capsys):
+    """Run `agifl oracle` on `argv`, check that it exits 1 with nothing on
+    stdout and one line on stderr, and return that line."""
+    assert main(["oracle"] + argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    return err
+
+
 class TestOracle:
     def test_rate_defaults_match_uplink(self, capsys):
         assert main(["oracle", "rate"]) == 0
@@ -547,10 +556,15 @@ class TestOracle:
         ["aggregate", "[0]x1", "[inf]x3"],
     ], ids=["nan", "inf", "minus-inf", "nan-user", "nan-grid", "nan-update", "inf-update"])
     def test_non_finite_number_exits_1(self, argv, capsys):
-        assert main(["oracle"] + argv) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: not a finite number") and err.count("\n") == 1
+        assert oracle_error(argv, capsys).startswith("error: not a finite number")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["aggregate", "[1,2]x0"], "all sample counts must be >= 1"),
+        (["aggregate", "[1,2]x-1", "[3,4]x2"], "all sample counts must be >= 1"),
+        (["aggregate", "[1,2]x1", "[3,4,5]x1"], "all updates must have the same length"),
+    ], ids=["zero-count", "negative-count", "unequal-length"])
+    def test_invalid_update_exits_1(self, argv, message, capsys):
+        assert oracle_error(argv, capsys) == f"error: {message}\n"
 
 
 class TestDeterministicSvg:

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agifl.energy import (EnergyLedger, UavProfile, entity_index, round_duration,
-                          uav_round_energy, user_compute_energy, user_compute_time)
+from agifl.energy import EnergyLedger, UavProfile, entity_index, user_compute_energy
+from agifl.oracles import round_duration, uav_round_energy, user_compute_time
+from agifl.scenario import Scenario
+
+SERVER = UavProfile()
 
 
 def offer(ledger, server, user_tx=None):
@@ -58,20 +61,19 @@ class TestRoundDuration:
 
 class TestUavEnergy:
     def test_hand_value(self):
-        e = uav_round_energy(1.0, 0.1, UavProfile())
+        e = uav_round_energy(1.0, 0.1, SERVER.propulsion_power, SERVER.tx_power)
         assert abs(e - 100.001) < 1e-12
 
     def test_zero_durations(self):
-        assert uav_round_energy(0.0, 0.0, UavProfile()) == 0.0
+        assert uav_round_energy(0.0, 0.0, SERVER.propulsion_power, SERVER.tx_power) == 0.0
 
     def test_monotone_in_round_time(self):
-        profile = UavProfile()
-        assert (uav_round_energy(2.0, 0.1, profile)
-                > uav_round_energy(1.0, 0.1, profile))
+        powers = SERVER.propulsion_power, SERVER.tx_power
+        assert uav_round_energy(2.0, 0.1, *powers) > uav_round_energy(1.0, 0.1, *powers)
 
     def test_downlink_longer_than_round_rejected(self):
         with pytest.raises(ValueError):
-            uav_round_energy(0.5, 0.6, UavProfile())
+            uav_round_energy(0.5, 0.6, SERVER.propulsion_power, SERVER.tx_power)
 
 
 class TestLedgerAndBudget:
@@ -196,13 +198,14 @@ class TestLedgerProperties:
 
 class TestProfilesAndUserEnergy:
     def test_compute_energy_quadratic_in_frequency(self):
-        slow = user_compute_energy(1.0e9, 1e9)
-        fast = user_compute_energy(2.0e9, 1e9)
+        slow = user_compute_energy(1.0e9, 1e9, Scenario().kappa)
+        fast = user_compute_energy(2.0e9, 1e9, Scenario().kappa)
         assert fast == pytest.approx(4 * slow)
 
     def test_default_kappa_value(self):
         # kappa * f^2 * cycles = 1e-28 * (2e9)^2 * 1e9
-        assert user_compute_energy(2.0e9, 1e9) == pytest.approx(1e-28 * 4e18 * 1e9)
+        assert user_compute_energy(2.0e9, 1e9, Scenario().kappa) == pytest.approx(
+            1e-28 * 4e18 * 1e9)
 
     def test_profile_validation(self):
         # the per-client checks (cpu frequency, cycles per bit) are

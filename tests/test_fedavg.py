@@ -3,8 +3,8 @@ import pytest
 
 from agifl.data import partition, synth_blobs
 from agifl.fedavg import FlConfig, aggregate, cohort_size, run_round, select_clients
-from agifl.models import Hyperparams, ModelSpec, init_model, local_train, train_cohort
-from agifl.oracles import weighted_mean_direct
+from agifl.models import Hyperparams, ModelSpec, init_model, train_cohort
+from agifl.oracles import local_train, weighted_mean_direct
 from agifl.seeding import child_seed, rng
 
 
@@ -120,16 +120,16 @@ class TestRunRound:
                           hyper=Hyperparams(local_epochs=2, batch_size=8),
                           max_rounds=5)
         shards = partition(data, 1, scheme="iid", seed=0)
-        params = init_model(spec)
+        params = init_model(spec)[None]
         for rnd in range(5):
-            params = run_round(params, config, shards, spec, data, [0], 123, rnd)
+            params = run_round(params, config, [shards], spec, data, [[0]], [123], rnd)
 
         w = init_model(spec)
         idx = split_shards(shards)[0]
         for rnd in range(5):
             w = local_train(w, data.features[idx], data.labels[idx], spec,
                             config.hyper, child_seed(123, rnd, 0, "train"))
-        np.testing.assert_allclose(params, w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(params[0], w, rtol=0, atol=1e-12)
 
     def test_identical_shards_and_seeds_aggregate_to_single_update(self):
         data = make_corpus()
@@ -151,7 +151,8 @@ class TestRunRound:
         start = init_model(spec)
         selected = select_clients(2, 1.0, rng(77, 0, "select"))
         counts = record_counts(monkeypatch)
-        new_params = run_round(start, config, shards, spec, data, selected, 77, 0)
+        new_params = run_round(start[None], config, [shards], spec, data, [selected],
+                               [77], 0)[0]
 
         manual = []
         users = split_shards(shards)
@@ -177,8 +178,8 @@ class TestRunRound:
                            for r in range(3)])
         selected = [select_clients(7, 0.5, rng(r, 4, "select")) for r in range(3)]
         seeds = [11, 12, 13]
-        alone = [run_round(starts[r], config, shards[r], spec, data, selected[r],
-                           seeds[r], 4) for r in range(3)]
+        alone = [run_round(starts[r:r + 1], config, shards[r:r + 1], spec, data,
+                           selected[r:r + 1], seeds[r:r + 1], 4)[0] for r in range(3)]
 
         lanes = []
 
@@ -202,8 +203,8 @@ class TestRunRound:
         start = init_model(spec)
         sel_a = select_clients(5, 0.4, rng(9, 0, "select"))
         sel_b = select_clients(5, 0.4, rng(9, 0, "select"))
-        a = run_round(start, config, shards, spec, data, sel_a, 9, 0)
-        b = run_round(start, config, shards, spec, data, sel_b, 9, 0)
+        a = run_round(start[None], config, [shards], spec, data, [sel_a], [9], 0)
+        b = run_round(start[None], config, [shards], spec, data, [sel_b], [9], 0)
         assert np.array_equal(sel_a, sel_b)
         assert np.array_equal(a, b)
 
@@ -213,7 +214,16 @@ class TestRunRound:
         config = FlConfig(num_users=3, fraction=1.0)
         shards = partition(data, 2, scheme="iid", seed=0)
         with pytest.raises(ValueError):
-            run_round(init_model(spec), config, shards, spec, data, [0, 1, 2], 0, 0)
+            run_round(init_model(spec)[None], config, [shards], spec, data, [[0, 1, 2]],
+                      [0], 0)
+
+    def test_one_vector_start_rejected(self):
+        data = make_corpus()
+        spec = ModelSpec("logistic", input_dim=4, num_classes=3)
+        config = FlConfig(num_users=2, fraction=1.0)
+        shards = partition(data, 2, scheme="iid", seed=0)
+        with pytest.raises(ValueError, match=r"\(R, P\) array"):
+            run_round(init_model(spec), config, [shards], spec, data, [[0, 1]], [0], 0)
 
     def test_trains_exactly_the_given_cohort(self, monkeypatch):
         import agifl.fedavg as fedavg
@@ -232,7 +242,7 @@ class TestRunRound:
         cohort = np.array([1, 4, 5])  # not the cohort select_clients draws
         assert not np.array_equal(cohort, select_clients(6, 0.5, rng(9, 0, "select")))
         counts = record_counts(monkeypatch)
-        run_round(init_model(spec), config, shards, spec, data, cohort, 9, 2)
+        run_round(init_model(spec)[None], config, [shards], spec, data, [cohort], [9], 2)
         users = split_shards(shards)
         assert [(len(lane), seed) for lane, seed in trained] == [
             (len(users[u]), child_seed(9, 2, u, "train")) for u in cohort]

@@ -4,8 +4,8 @@ The `run` and `compare-placement` CSVs of configs/quick.ini, and the
 `compare-placement` CSVs of configs/case_study.ini, must hash to the values
 recorded in perfbench/golden.json; timing-only `run`s of case_study.ini at
 3000 users, and a budget-halted MLP `run` of quick.ini, must hash to the
-values below; the demos must still run and write what they write, under
-out/.
+values below; the demos must still run, print what they print (their stdout
+hashes to the values below) and write what they write, under out/.
 """
 
 import hashlib
@@ -93,6 +93,16 @@ DEMO_05_CSVS = {
 }
 
 
+DEMO_STDOUT = {
+    "01_link_budget.py": "61a5420e4205fba4c78559153b355646315399d99a6de5b2dd4d6e88f9b34dae",
+    "02_placement.py": "26f91d7501f5d98fde7d7e980ab3778c6fd1013cd4065fc2992dab0a22446704",
+    "03_fedavg_training.py": "659cc5a72995b97ad98ab9a2380da20977f184b3b86bc74cd3aa649fb718f7a0",
+    "04_energy_accounting.py": "49795ff7505d09f2ec0734d121d3bdf8127a4052c585e7e752970a2ee850c860",
+    "05_deployment_comparison.py":
+        "0b4fe57ea6ecd8c546dd2de01e2d825fcf381c2be0bab79a61e95d043ed18b79",
+}
+
+
 @pytest.mark.parametrize("demo, csvs, svgs", [
     pytest.param("01_link_budget.py", {}, [], id="01_link_budget.py"),
     pytest.param("02_placement.py", {}, ["placement_descent.svg"], id="02_placement.py"),
@@ -112,6 +122,7 @@ def test_demo_runs(demo, csvs, svgs, tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == DEMO_STDOUT[demo]
     written = sorted(path.relative_to(tmp_path).as_posix()
                      for path in tmp_path.rglob("*") if path.is_file())
     assert written == sorted(f"out/{name}" for name in [*csvs, *svgs])

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agifl.models import (Hyperparams, ModelSpec, evaluate, init_model,
-                          local_train, loss_and_grad, param_count, train_cohort)
+from agifl.models import (Hyperparams, ModelSpec, evaluate, init_model, param_count,
+                          train_cohort)
+from agifl.oracles import local_train, loss_and_grad
 
 
 def finite_diff_grad(params, spec, x, y, h=1e-6):
@@ -21,6 +22,12 @@ def finite_diff_grad(params, spec, x, y, h=1e-6):
         grad[i] = (loss_and_grad(plus, spec, x, y)[0]
                    - loss_and_grad(minus, spec, x, y)[0]) / (2 * h)
     return grad
+
+
+def train_one(params, x, y, spec, hyper, rng_seed):
+    """One client's local SGD: a one-lane `train_cohort` call."""
+    return train_cohort(params[None], x, y, [np.arange(x.shape[0])], spec, hyper,
+                        [rng_seed])[0]
 
 
 def softmax_rows(z):
@@ -70,13 +77,15 @@ class TestInit:
 
 
 class TestLocalTrain:
+    """One client's local SGD, as a one-lane `train_cohort` call."""
+
     def test_zero_epochs_is_identity(self):
         spec = ModelSpec("logistic", input_dim=3, num_classes=2)
         params = np.linspace(-1, 1, param_count(spec))
         x = np.random.default_rng(0).random((5, 3))
         y = np.array([0, 1, 0, 1, 1])
-        out = local_train(params, x, y, spec,
-                          Hyperparams(local_epochs=0), rng_seed=0)
+        out = train_one(params, x, y, spec,
+                        Hyperparams(local_epochs=0), rng_seed=0)
         assert np.array_equal(out, params)
 
     def test_single_sample_step_matches_hand_gradient(self):
@@ -93,9 +102,9 @@ class TestLocalTrain:
         probs[2] -= 1.0
         expected = params - 0.01 * np.outer(x_ext, probs).ravel()
 
-        out = local_train(params, x, y, spec,
-                          Hyperparams(learning_rate=0.01, local_epochs=1,
-                                      batch_size=1), rng_seed=3)
+        out = train_one(params, x, y, spec,
+                        Hyperparams(learning_rate=0.01, local_epochs=1,
+                                    batch_size=1), rng_seed=3)
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-15)
 
     def test_deterministic_and_pure(self):
@@ -106,27 +115,27 @@ class TestLocalTrain:
         x = rng.random((17, 4))
         y = rng.integers(0, 3, size=17)
         hyper = Hyperparams(local_epochs=3, batch_size=5)
-        a = local_train(params, x, y, spec, hyper, rng_seed=99)
-        b = local_train(params, x, y, spec, hyper, rng_seed=99)
+        a = train_one(params, x, y, spec, hyper, rng_seed=99)
+        b = train_one(params, x, y, spec, hyper, rng_seed=99)
         assert np.array_equal(a, b)
         assert np.array_equal(params, before)
 
     def test_empty_shard_rejected(self):
         spec = ModelSpec("logistic", input_dim=2, num_classes=2)
         with pytest.raises(ValueError):
-            local_train(init_model(spec), np.empty((0, 2)), np.empty(0, dtype=int),
-                        spec, Hyperparams(), rng_seed=0)
+            train_one(init_model(spec), np.empty((0, 2)), np.empty(0, dtype=int),
+                      spec, Hyperparams(), rng_seed=0)
 
     def test_dimension_mismatch_rejected(self):
         spec = ModelSpec("logistic", input_dim=2, num_classes=2)
         with pytest.raises(ValueError):
-            local_train(np.zeros(5), np.ones((3, 2)), np.array([0, 1, 0]),
-                        spec, Hyperparams(), rng_seed=0)
+            train_one(np.zeros(5), np.ones((3, 2)), np.array([0, 1, 0]),
+                      spec, Hyperparams(), rng_seed=0)
 
 
 class TestTrainCohort:
-    """Each lane of `train_cohort` is a `local_train` call, bit for bit, from
-    the shared start vector or from the lane's own start row."""
+    """Each lane of `train_cohort` is an `oracles.local_train` call, bit for
+    bit, from a start row shared by every lane or from its own."""
 
     @settings(max_examples=120, deadline=None)
     @given(kind=st.sampled_from(["logistic", "mlp"]), input_dim=st.integers(1, 9),
@@ -146,16 +155,17 @@ class TestTrainCohort:
         n = 60
         x = gen.random((n, input_dim))
         y = gen.integers(0, num_classes, size=n)
-        shape = (len(sizes), param_count(spec)) if start_rows else param_count(spec)
+        shape = (len(sizes) if start_rows else 1, param_count(spec))
         params = init_model(spec) + gen.normal(scale=0.3, size=shape)
+        if not start_rows:
+            params = np.repeat(params, len(sizes), axis=0)
         lanes = [gen.choice(n, size=size, replace=False) for size in sizes]
         seeds = [int(s) for s in gen.integers(0, 2**63, size=len(lanes))]
         before = params.copy()
 
         out = train_cohort(params, x, y, lanes, spec, hyper, seeds)
-        starts = params if start_rows else [params] * len(lanes)
         expected = np.stack([local_train(start, x[lane], y[lane], spec, hyper, s)
-                             for start, lane, s in zip(starts, lanes, seeds)])
+                             for start, lane, s in zip(params, lanes, seeds)])
         assert np.array_equal(out, expected)
         assert np.array_equal(params, before)
 
@@ -163,28 +173,30 @@ class TestTrainCohort:
         spec = ModelSpec("logistic", input_dim=2, num_classes=2)
         x, y = np.ones((4, 2)), np.array([0, 1, 0, 1])
         with pytest.raises(ValueError, match="empty"):
-            train_cohort(init_model(spec), x, y, [np.arange(3), np.arange(0)],
-                         spec, Hyperparams(), seeds=[0, 1])
+            train_cohort(np.stack([init_model(spec)] * 2), x, y,
+                         [np.arange(3), np.arange(0)], spec, Hyperparams(), seeds=[0, 1])
 
     def test_one_start_row_per_lane(self):
         spec = ModelSpec("logistic", input_dim=2, num_classes=2)
         x, y = np.ones((4, 2)), np.array([0, 1, 0, 1])
-        rows = np.stack([init_model(spec)] * 3)
-        with pytest.raises(ValueError, match="one start row per lane"):
-            train_cohort(rows, x, y, [np.arange(3), np.arange(2)], spec, Hyperparams(),
-                         seeds=[0, 1])
+        # three rows for two lanes, and one vector with no lane axis
+        for start in (np.stack([init_model(spec)] * 3), init_model(spec)):
+            with pytest.raises(ValueError, match="one start row per lane"):
+                train_cohort(start, x, y, [np.arange(3), np.arange(2)], spec,
+                             Hyperparams(), seeds=[0, 1])
 
 
 class TestParameterCheck:
-    """The shared check rejects a parameter vector of the wrong length."""
+    """Each model entry point rejects a parameter vector of the wrong length."""
 
     @pytest.mark.parametrize("call", [
         lambda spec, w, x, y: loss_and_grad(w, spec, x, y),
         lambda spec, w, x, y: evaluate(w, spec, x, y),
-        lambda spec, w, x, y: train_cohort(w, x, y, [np.arange(3)], spec,
-                                           Hyperparams(), seeds=[0]),
         lambda spec, w, x, y: train_cohort(w[None], x, y, [np.arange(3)], spec,
                                            Hyperparams(), seeds=[0]),
+        lambda spec, w, x, y: train_cohort(np.stack([w, w]), x, y,
+                                           [np.arange(3), np.arange(2)], spec,
+                                           Hyperparams(), seeds=[0, 1]),
     ], ids=["loss_and_grad", "evaluate", "train_cohort", "train_cohort_rows"])
     def test_wrong_length_rejected(self, call):
         spec = ModelSpec("logistic", input_dim=2, num_classes=2)
@@ -247,8 +259,8 @@ class TestGradients:
         x = rng.random((30, 3))
         y = rng.integers(0, 4, size=30)
         loss0, _ = loss_and_grad(params, spec, x, y)
-        stepped = local_train(params, x, y, spec,
-                              Hyperparams(learning_rate=1e-4, local_epochs=1,
-                                          batch_size=30), rng_seed=0)
+        stepped = train_one(params, x, y, spec,
+                            Hyperparams(learning_rate=1e-4, local_epochs=1,
+                                        batch_size=30), rng_seed=0)
         loss1, _ = loss_and_grad(stepped, spec, x, y)
         assert loss1 <= loss0

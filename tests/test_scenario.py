@@ -9,12 +9,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from agifl import scenario as scenario_module
-from agifl.channel import ChannelParams, LinkBudget, link_rate, per_client_bandwidth, tx_time
+from agifl.channel import ChannelParams, per_client_bandwidth, tx_time
 from agifl.data import partition
-from agifl.energy import (UavProfile, round_duration, uav_round_energy,
-                          user_compute_energy, user_compute_time)
+from agifl.energy import UavProfile, user_compute_energy
 from agifl.fedavg import FlConfig, cohort_size, select_clients
 from agifl.models import Hyperparams, ModelSpec, param_count
+from agifl.oracles import rate_direct, round_duration, uav_round_energy, user_compute_time
 from agifl.placement import Area, min_sum_dist
 from agifl.scenario import (FORMS, PLACEMENT_SCHEMES, BlobSource, RoundMetrics, Scenario,
                             ShapeSource, build_topology, load_corpus, load_source,
@@ -406,7 +406,8 @@ class TestDerivedCorpus:
 def reference_repeat(sc, rep):
     """Recompute a repeat's rounds and ledger totals from its `selected` ids.
 
-    Uses only the scalar models, one client at a time, on the same seeded
+    Uses only the scalar models (the `oracles` references, `tx_time` and
+    `user_compute_energy`), one client at a time, on the same seeded
     geometry, CPU draws and shards as `run_repeat`. Returns the (duration,
     uav_energy, cum_uav_energy) of each kept round, the ledger's final "uav"
     total and the per-user totals.
@@ -437,17 +438,18 @@ def reference_repeat(sc, rep):
         b_up = per_client_bandwidth(ch, len(selected))
         per_client = []
         for u in selected:
-            t_up = tx_time(payload, link_rate(LinkBudget(b_up, ch.user_tx_power,
-                                                         vert[u], horiz[u]), ch))
+            t_up = tx_time(payload, rate_direct(b_up, ch.user_tx_power, vert[u], horiz[u],
+                                                ch.ref_gain, ch.noise))
             t_comp = user_compute_time(len(shards[u]), bits, sc.cycles_per_bit,
                                        cpu[u], epochs)
             per_client.append((t_comp, t_up))
         recipients = range(fl.num_users) if sc.broadcast_all else selected
         t_down = tx_time(payload, min(
-            link_rate(LinkBudget(ch.uav_downlink_bandwidth, sc.uav.tx_power,
-                                 vert[u], horiz[u]), ch) for u in recipients))
+            rate_direct(ch.uav_downlink_bandwidth, sc.uav.tx_power, vert[u], horiz[u],
+                        ch.ref_gain, ch.noise) for u in recipients))
         duration = round_duration(t_down, per_client)
-        energy = uav_round_energy(duration, t_down, sc.uav)
+        energy = uav_round_energy(duration, t_down, sc.uav.propulsion_power,
+                                  sc.uav.tx_power)
         uav += energy
         for u, (_, t_up) in zip(selected, per_client):
             tx = ch.user_tx_power * t_up
@@ -516,16 +518,17 @@ class TestPerUserArrays:
         expected = ([], [], [], [])
         for u, (vert, horiz) in enumerate(zip(topo.vertical_offsets().tolist(),
                                               topo.horizontal_distances().tolist())):
-            t_up = tx_time(payload, link_rate(LinkBudget(b_up, ch.user_tx_power,
-                                                         vert, horiz), ch))
+            t_up = tx_time(payload, rate_direct(b_up, ch.user_tx_power, vert, horiz,
+                                                ch.ref_gain, ch.noise))
             expected[0].append(user_compute_time(len(shards[u]), bits, sc.cycles_per_bit,
                                                  cpu[u], epochs) + t_up)
             expected[1].append(ch.user_tx_power * t_up)
             expected[2].append(user_compute_energy(cpu[u], epochs * len(shards[u]) * bits
                                                    * sc.cycles_per_bit, sc.kappa)
                                if compute else 0.0)
-            expected[3].append(tx_time(payload, link_rate(LinkBudget(
-                ch.uav_downlink_bandwidth, sc.uav.tx_power, vert, horiz), ch)))
+            expected[3].append(tx_time(payload, rate_direct(
+                ch.uav_downlink_bandwidth, sc.uav.tx_power, vert, horiz, ch.ref_gain,
+                ch.noise)))
         assert t_client.tolist() == expected[0]
         assert e_tx.tolist() == expected[1]
         assert e_comp.tolist() == expected[2]
