@@ -6,7 +6,7 @@ hovering-placement optimization."""
 from .channel import (ChannelParams, db_to_linear, dbm_to_watts, link_rates,
                       per_client_bandwidth, tx_time)
 from .data import Dataset, load_idx, partition, synth_blobs
-from .energy import EnergyLedger, UavProfile, user_compute_energy
+from .energy import EnergyLedger, UavProfile
 from .fedavg import FlConfig, aggregate, run_round, select_clients
 from .models import (Hyperparams, ModelSpec, evaluate, init_model, param_count,
                      train_cohort)

@@ -29,7 +29,6 @@ __all__ = [
     "UavProfile",
     "EnergyLedger",
     "entity_index",
-    "user_compute_energy",
 ]
 
 
@@ -111,8 +110,3 @@ class EnergyLedger:
     def total(self, entity: str = "uav") -> float:
         user = entity_index(entity, len(self._users))
         return self._uav if user is None else float(self._users[user])
-
-
-def user_compute_energy(cpu_freq: float, total_cycles: float, kappa: float) -> float:
-    """Effective-capacitance compute energy: kappa * f^2 * cycles."""
-    return kappa * cpu_freq ** 2 * total_cycles

@@ -2,27 +2,33 @@
 
 They back the `agifl oracle` subcommand and the verification suite, and
 import no `agifl` module: the rate formula is evaluated directly with
-`math`; compute time, round duration and the server's round energy are
-scalar arithmetic in the production operation order; local SGD is a plain
-2-D per-client loop with its own forward and backward pass, reading `spec`
-and `hyper` by attribute and using the flat parameter layout of `models`;
-the placement optimum comes from exhaustive grid search; and the weighted
-mean is plain Python arithmetic.
+`math`; a user's compute time and energy, round duration and the server's
+round energy are scalar arithmetic in the production operation order;
+local SGD is a plain 2-D per-client loop with its own forward and backward
+pass, reading `spec` and `hyper` by attribute and using the flat parameter
+layout of `models`; the placement optimum comes from exhaustive grid
+search; and the weighted mean is plain Python arithmetic.
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["rate_direct", "user_compute_time", "round_duration", "uav_round_energy",
-           "loss_and_grad", "local_train", "grid_placement", "weighted_mean_direct"]
+__all__ = ["rate_direct", "user_compute_time", "user_compute_energy", "round_duration",
+           "uav_round_energy", "loss_and_grad", "local_train", "grid_placement",
+           "weighted_mean_direct"]
 
 
 def rate_direct(bandwidth: float, tx_power: float, altitude: float,
                 horizontal: float, ref_gain: float = 1e-5,
                 noise: float = 1e-12) -> float:
     """Direct evaluation of the link rate formula, bit/s."""
-    snr = ref_gain * tx_power / (noise * (altitude ** 2 + horizontal ** 2))
+    if not all(0 < v < math.inf for v in (bandwidth, tx_power, ref_gain, noise)):
+        raise ValueError("bandwidth, transmit power, gain and noise must be positive and finite")
+    dist_sq = altitude ** 2 + horizontal ** 2
+    if not (altitude >= 0 and horizontal >= 0 and dist_sq > 0):
+        raise ValueError("altitude and horizontal distance must be >= 0, slant distance > 0")
+    snr = ref_gain * tx_power / (noise * dist_sq)
     return bandwidth * math.log2(1.0 + snr)
 
 
@@ -36,6 +42,11 @@ def user_compute_time(samples: int, bits_per_sample: int, cycles_per_bit: int,
     if cpu_freq <= 0:
         raise ValueError("cpu_freq must be positive")
     return epochs * samples * bits_per_sample * cycles_per_bit / cpu_freq
+
+
+def user_compute_energy(cpu_freq: float, total_cycles: float, kappa: float) -> float:
+    """Effective-capacitance compute energy: kappa * f^2 * cycles."""
+    return kappa * cpu_freq ** 2 * total_cycles
 
 
 def round_duration(t_down: float, per_client) -> float:
@@ -152,6 +163,8 @@ def grid_placement(users, altitude: float, coarse_step: float = 1.0,
     users = [(float(x), float(y)) for x, y in users]
     if not users:
         raise ValueError("users must be non-empty")
+    if not (coarse_step > 0 and refine_step > 0):
+        raise ValueError("grid steps must be positive")
     xs_lo = min(x for x, _ in users)
     xs_hi = max(x for x, _ in users)
     ys_lo = min(y for _, y in users)

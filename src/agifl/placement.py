@@ -59,9 +59,9 @@ class SolverTrace:
     fallback_steps: int = 0
 
 
-def _distances(users: np.ndarray, vertical: np.ndarray | float, x: float, y: float) -> np.ndarray:
-    dx = x - users[:, 0]
-    dy = y - users[:, 1]
+def _distances(columns: np.ndarray, vertical, x: float, y: float) -> np.ndarray:
+    dx = x - columns[0]
+    dy = y - columns[1]
     return np.sqrt(dx * dx + dy * dy + np.square(vertical))
 
 
@@ -74,13 +74,13 @@ def objective(users, vertical, x: float, y: float) -> float:
     users = np.asarray(users, dtype=float)
     if users.ndim != 2 or users.shape[0] == 0 or users.shape[1] != 2:
         raise ValueError("users must be a non-empty (n, 2) array")
-    return float(_distances(users, np.asarray(vertical, dtype=float), x, y).sum())
+    return float(_distances(users.T, np.asarray(vertical, dtype=float), x, y).sum())
 
 
 def objective_grad(users, vertical, x: float, y: float) -> np.ndarray:
     """Gradient of `objective` with respect to (x, y)."""
     users = np.asarray(users, dtype=float)
-    d = np.maximum(_distances(users, np.asarray(vertical, dtype=float), x, y), _DIST_FLOOR)
+    d = np.maximum(_distances(users.T, np.asarray(vertical, dtype=float), x, y), _DIST_FLOOR)
     gx = ((x - users[:, 0]) / d).sum()
     gy = ((y - users[:, 1]) / d).sum()
     return np.array([gx, gy])
@@ -106,22 +106,25 @@ def min_sum_dist(users, vertical, tol: float = 1e-6,
     if tol <= 0:
         raise ValueError("tol must be positive")
     vertical = np.asarray(vertical, dtype=float)
+    columns = users.T.copy()  # each coordinate contiguous
 
     x, y = users.mean(axis=0)
-    obj = objective(users, vertical, x, y)
+    dist = _distances(columns, vertical, x, y)
+    obj = float(dist.sum())
     if trace is not None:
         trace.objective_history.append(obj)
 
     for it in range(max_iter):
-        d = np.maximum(_distances(users, vertical, x, y), _DIST_FLOOR)
-        inv = 1.0 / d
+        inv = 1.0 / np.maximum(dist, _DIST_FLOOR)
         denom = inv.sum()
-        nx = float((users[:, 0] * inv).sum() / denom)
-        ny = float((users[:, 1] * inv).sum() / denom)
-        new_obj = objective(users, vertical, nx, ny)
+        nx = float((columns[0] * inv).sum() / denom)
+        ny = float((columns[1] * inv).sum() / denom)
+        dist = _distances(columns, vertical, nx, ny)
+        new_obj = float(dist.sum())
 
         if new_obj > obj:
             nx, ny, new_obj = _backtracking_step(users, vertical, x, y, obj)
+            dist = _distances(columns, vertical, nx, ny)
             if trace is not None:
                 trace.fallback_steps += 1
 

@@ -8,6 +8,8 @@ are self-contained static SVG so the package needs no plotting dependency.
 import math
 from pathlib import Path
 
+import numpy as np
+
 __all__ = [
     "ROUND_CSV_HEADER",
     "write_repeat_csv",
@@ -28,13 +30,13 @@ def _fmt(x: float) -> str:
 def write_repeat_csv(path, metrics) -> None:
     """One row per completed round of a single repeat, written as it goes."""
     top = max((int(m.selected.max()) for m in metrics), default=-1)
-    ids = [str(u) for u in range(top + 1)]  # each id's string, built once per file
+    ids = np.array([str(u) for u in range(top + 1)], dtype=object)  # built once per file
     with Path(path).open("w") as f:
         f.write(ROUND_CSV_HEADER + "\n")
         for m in metrics:
             f.write(",".join([str(m.round), _fmt(m.duration), _fmt(m.uav_energy),
                               _fmt(m.cum_uav_energy), _fmt(m.test_loss), _fmt(m.test_acc),
-                              ";".join([ids[u] for u in m.selected.tolist()])]) + "\n")
+                              ";".join(ids[m.selected].tolist())]) + "\n")
 
 
 def write_mean_csv(path, result) -> None:

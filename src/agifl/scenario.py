@@ -66,6 +66,7 @@ repeats completed, so every mean covers exactly `repeats` instances.
 
 import collections
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -73,7 +74,7 @@ import numpy as np
 
 from .channel import ChannelParams, link_rates, per_client_bandwidth, tx_time
 from .data import Dataset, load_idx, partition, synth_blobs
-from .energy import EnergyLedger, UavProfile, entity_index, user_compute_energy
+from .energy import EnergyLedger, UavProfile, entity_index
 from .fedavg import FlConfig, cohort_size, run_round, select_clients
 from .models import ModelSpec, check_architecture, evaluate, init_model, param_count
 from .placement import Area, Placement, min_sum_dist, random_placement
@@ -362,27 +363,30 @@ def per_user_arrays(scenario: Scenario, repeat: int, topo: Topology, shard_sizes
                     payload_bits: int, bits_per_sample: int):
     """Each user's compute + upload time, upload energy, compute energy and
     broadcast receive time, fixed within a repeat as the cohort size (so the
-    uplink sub-band) is. Cycle counts are Python-int products, which int64 could
-    overflow; squares use Python's `**` as `oracles.rate_direct` does (NumPy's
-    can differ in the last bit); the rest keeps the scalar references'
-    operation order."""
+    uplink sub-band) is. Cycle counts are Python-int products (int64 could
+    overflow), one per shard size; squares are libm `pow`, as Python's `**`
+    in `oracles` (NumPy's `x * x` can differ in the last bit); the rest keeps
+    the scalar references' operation order."""
     fl, channel, n = scenario.fl, scenario.channel, scenario.fl.num_users
-    dist_sq = np.fromiter((v ** 2 + h ** 2 for v, h in zip(
-        topo.vertical_offsets().tolist(), topo.horizontal_distances().tolist())), float, n)
+    dist_sq = _squares(topo.vertical_offsets()) + _squares(topo.horizontal_distances())
     if not dist_sq.all():
         raise ValueError(f"link endpoints coincide: user {(dist_sq == 0).argmax()} "
                          f"is at the server's position in repeat {repeat}")
     b_up = per_client_bandwidth(channel, cohort_size(n, fl.fraction))
     t_up = tx_time(payload_bits, link_rates(b_up, channel.user_tx_power, dist_sq, channel))
     cpu = _rng(scenario.master_seed, repeat, "cpu").uniform(*scenario.cpu_freq_range, size=n)
-    cycles = np.fromiter((fl.hyper.local_epochs * size * bits_per_sample
-                          * scenario.cycles_per_bit for size in shard_sizes.tolist()), float, n)
-    e_comp = (np.fromiter((user_compute_energy(f, c, scenario.kappa)
-                           for f, c in zip(cpu.tolist(), cycles.tolist())), float, n)
-              if scenario.include_user_compute_energy else np.zeros(n))
+    sizes, where = np.unique(shard_sizes, return_inverse=True)
+    cycles = np.array([fl.hyper.local_epochs * size * bits_per_sample * scenario.cycles_per_bit
+                       for size in sizes.tolist()], float)[where]
+    e_comp = (scenario.kappa * _squares(cpu) * cycles if scenario.include_user_compute_energy
+              else np.zeros(n))
     t_recv = tx_time(payload_bits, link_rates(channel.uav_downlink_bandwidth,
                                               scenario.uav.tx_power, dist_sq, channel))
     return cycles / cpu + t_up, channel.user_tx_power * t_up, e_comp, t_recv
+
+
+def _squares(values: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.pow, values.tolist(), itertools.repeat(2.0)), float, len(values))
 
 
 @functools.lru_cache(maxsize=1)

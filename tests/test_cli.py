@@ -566,6 +566,25 @@ class TestOracle:
     def test_invalid_update_exits_1(self, argv, message, capsys):
         assert oracle_error(argv, capsys) == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["rate", "altitude_m=0", "horizontal_m=0"], "slant distance > 0"),
+        (["rate", "altitude_m=1e-200"], "slant distance > 0"),
+        (["rate", "altitude_m=-5"], "must be >= 0"),
+        (["rate", "horizontal_m=-1"], "must be >= 0"),
+        (["rate", "bandwidth_hz=-5"], "must be positive and finite"),
+        (["rate", "tx_power_w=0"], "must be positive and finite"),
+        (["rate", "alpha0_linear=-1e-5"], "must be positive and finite"),
+        (["rate", "noise_w=0"], "must be positive and finite"),
+        (["placement", "users=1,2", "grid_m=0"], "grid steps must be positive"),
+        (["placement", "users=1,2", "grid_m=-1"], "grid steps must be positive"),
+        (["placement", "users=1,2", "refine_m=0"], "grid steps must be positive"),
+    ], ids=["zero-distance", "underflowing-distance", "negative-altitude",
+            "negative-horizontal", "negative-bandwidth", "zero-power", "negative-gain",
+            "zero-noise", "zero-grid", "negative-grid", "zero-refine"])
+    def test_out_of_range_argument_exits_1(self, argv, message, capsys):
+        err = oracle_error(argv, capsys)
+        assert err.startswith("error: ") and message in err
+
 
 class TestDeterministicSvg:
     def test_svg_bytes_stable(self, tmp_path):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agifl.energy import EnergyLedger, UavProfile, entity_index, user_compute_energy
-from agifl.oracles import round_duration, uav_round_energy, user_compute_time
+from agifl.energy import EnergyLedger, UavProfile, entity_index
+from agifl.oracles import round_duration, uav_round_energy, user_compute_energy, user_compute_time
 from agifl.scenario import Scenario
 
 SERVER = UavProfile()

@@ -3,9 +3,10 @@
 The `run` and `compare-placement` CSVs of configs/quick.ini, and the
 `compare-placement` CSVs of configs/case_study.ini, must hash to the values
 recorded in perfbench/golden.json; timing-only `run`s of case_study.ini at
-3000 users, and a budget-halted MLP `run` of quick.ini, must hash to the
-values below; the demos must still run, print what they print (their stdout
-hashes to the values below) and write what they write, under out/.
+3000 users in three forms, and a budget-halted MLP `run` of quick.ini, must
+hash to the values below; the demos must still run, print what they print
+(their stdout hashes to the values below) and write what they write, under
+out/.
 """
 
 import hashlib
@@ -56,7 +57,18 @@ TIMING_ONLY_CSVS = {
         "min_sum_dist_rep00.csv": "0393bfb9cbb948fb673ed4979bb30f93dcad8ce022631b4c1ea0c67632c84322",
         "min_sum_dist_rep01.csv": "9e7cc1d2024282a499e9a8d6700375781975653ca51b1b55d7d714898048e2dd",
     },
+    "a2g": {
+        "min_sum_dist_mean.csv": "b5a48036be5d4629f27b54340cee2ff411a4fe32deec8d8c5591d5aed7ae7610",
+        "min_sum_dist_rep00.csv": "c6acb49fa97289e6f41eb5fb0dfab2be7da590bc062a96825c5cd8cbf2e00784",
+        "min_sum_dist_rep01.csv": "4872707ab82a0ae54cb965e3a9ffb15d277ea859878f180747a3210a192ba381",
+    },
 }
+# Every a2g user flies 90 m above the server, and 70,001 samples split IID
+# give shards of 23 and 24; the users' compute energy is on. Recorded from
+# the per-user generators that squared each distance and multiplied each
+# user's cycle count in Python.
+TIMING_ONLY_ARGS = {"a2g": ["--data.num_samples=70001", "--data.partition=iid",
+                            "--energy.include_user_compute=true"]}
 
 
 @pytest.mark.parametrize("form", sorted(TIMING_ONLY_CSVS))
@@ -64,7 +76,7 @@ def test_timing_only_run_matches_golden(form, tmp_path, capsys):
     assert main(["run", str(ROOT / "configs" / "case_study.ini"), "--out", str(tmp_path),
                  "--scenario.train=false", "--data.source=shape", "--fl.num_users=3000",
                  "--fl.fraction=0.1", "--scenario.max_rounds=10", "--scenario.repeats=2",
-                 f"--scenario.form={form}"]) == 0
+                 f"--scenario.form={form}", *TIMING_ONLY_ARGS.get(form, [])]) == 0
     assert csv_hashes(tmp_path) == TIMING_ONLY_CSVS[form]
 
 

@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from agifl import placement
 from agifl.oracles import grid_placement
 from agifl.placement import (Area, SolverTrace, min_sum_dist, objective,
                              objective_grad, random_placement)
@@ -97,6 +99,64 @@ class TestMinSumDist:
             min_sum_dist(np.empty((0, 2)), 100.0)
         with pytest.raises(ValueError):
             min_sum_dist([[0.0, 0.0]], 100.0, tol=0.0)
+
+
+def seeded_geometry(seed, num_users, vertical):
+    """Uniform users over a 1 km square; `vertical` is a scalar offset,
+    "two" (each user at 0 m or 100 m below the server, as in the mixed
+    form) or "uniform" (0-200 m per user)."""
+    gen = np.random.default_rng(seed)
+    users = gen.uniform(0.0, 1000.0, size=(num_users, 2))
+    if vertical == "two":
+        vertical = np.where(gen.random(num_users) < 0.5, 0.0, 100.0)
+    elif vertical == "uniform":
+        vertical = gen.uniform(0.0, 200.0, size=num_users)
+    return users, vertical
+
+
+class TestSolverPinned:
+    """The solver's iterates, to the last bit, over seeded geometries."""
+
+    # (seed, users, vertical) -> sha256 of the placement and the whole
+    # SolverTrace, recorded from the solver that evaluated every distance
+    # twice per iterate; the three 100- and 1000-user geometries take one
+    # backtracking fallback each
+    PINNED = {
+        (0, 3, 100.0): "b7c0917e36214b6fd5c14998fd3ec6692d2f0003593f13718e9f1bef7f3ef1e3",
+        (1, 100, 100.0): "e1e79479c3e87aae860438b4bc12802164ded4717fe1c91f5ef0fb5e0883fcfc",
+        (2, 100, 0.0): "ffac777c94daeeb46abe6f70660d716d6e7249c3ab6e08034dc026d321f5bf4b",
+        (3, 1000, "two"): "e0117902694d2df1ca428cedb45cbfc36c42a4710bba5be3992803463cf9e434",
+        (4, 20, "uniform"): "dd9c3a080e58c4614d102b8dc6f6fa28996a897ac6a23ba3dbfaa156f197cffa",
+        (5, 30_000, 90.0): "29d6907fba5738caec03308d03b95e9ce63b6b6df8318c9c378c91e1895ff62e",
+        (6, 30_000, "two"): "8e8ada49b769843d3f45a73392d6b68188ab0715dfdbe24ee99944eec7a210b7",
+    }
+
+    @pytest.mark.parametrize("geometry", sorted(PINNED, key=repr), ids=repr)
+    def test_placement_and_trace_match_pinned_hash(self, geometry):
+        trace = SolverTrace()
+        p = min_sum_dist(*seeded_geometry(*geometry), tol=1e-6, trace=trace)
+        record = [float(p.x).hex(), float(p.y).hex(),
+                  [float(v).hex() for v in trace.objective_history],
+                  trace.iterations, trace.converged, trace.fallback_steps]
+        assert hashlib.sha256(repr(record).encode()).hexdigest() == self.PINNED[geometry]
+
+    @pytest.mark.parametrize("geometry", [(0, 3, 100.0), (4, 20, "uniform"),
+                                          (5, 30_000, 90.0)], ids=repr)
+    def test_one_distance_pass_per_iterate(self, geometry, monkeypatch):
+        # the distances at an iterate give its objective and the next
+        # step's weights, so only a fallback costs another pass
+        calls = []
+        distances = placement._distances
+
+        def counted(*args):
+            calls.append(None)
+            return distances(*args)
+
+        monkeypatch.setattr(placement, "_distances", counted)
+        trace = SolverTrace()
+        min_sum_dist(*seeded_geometry(*geometry), tol=1e-6, trace=trace)
+        assert trace.fallback_steps == 0 and trace.iterations > 5
+        assert len(calls) <= trace.iterations + 1
 
 
 class TestRandomPlacement:

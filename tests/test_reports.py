@@ -1,0 +1,40 @@
+import math
+
+import numpy as np
+import pytest
+
+from agifl.fedavg import select_clients
+from agifl.reports import ROUND_CSV_HEADER, write_repeat_csv
+from agifl.scenario import RoundMetrics
+from agifl.seeding import rng
+
+
+def round_metrics(rnd, cohort):
+    cohort = np.asarray(cohort, dtype=np.int64)
+    cohort.flags.writeable = False
+    return RoundMetrics(round=rnd, duration=1.5 * rnd, uav_energy=2.0, cum_uav_energy=2.0 * rnd,
+                        test_loss=math.nan, test_acc=0.25, selected=cohort, budget_total=0.0)
+
+
+class TestWriteRepeatCsv:
+    def test_no_kept_rounds_writes_the_header_only(self, tmp_path):
+        write_repeat_csv(tmp_path / "rep.csv", [])
+        assert (tmp_path / "rep.csv").read_text() == ROUND_CSV_HEADER + "\n"
+
+    def test_row_layout(self, tmp_path):
+        write_repeat_csv(tmp_path / "rep.csv", [round_metrics(1, [0, 7, 12])])
+        assert (tmp_path / "rep.csv").read_text().splitlines() == [
+            ROUND_CSV_HEADER, "1,1.5,2,2,nan,0.25,0;7;12"]
+
+    @pytest.mark.parametrize("num_users", [1, 2, 300, 30_000])
+    def test_selected_cell_joins_each_cohort_id(self, num_users, tmp_path):
+        # cohorts as select_clients draws them, each also holding the
+        # first and the last user
+        cohorts = [np.union1d(select_clients(num_users, 0.1, rng(3, rnd, "select")),
+                              [0, num_users - 1]) for rnd in range(5)]
+        write_repeat_csv(tmp_path / "rep.csv",
+                         [round_metrics(rnd + 1, c) for rnd, c in enumerate(cohorts)])
+        rows = (tmp_path / "rep.csv").read_text().splitlines()
+        assert rows[0] == ROUND_CSV_HEADER
+        assert [row.rsplit(",", 1)[1] for row in rows[1:]] == [
+            ";".join(map(str, c.tolist())) for c in cohorts]

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from agifl import scenario as scenario_module
 from agifl.channel import ChannelParams, per_client_bandwidth, tx_time
 from agifl.data import partition
-from agifl.energy import UavProfile, user_compute_energy
+from agifl.energy import UavProfile
 from agifl.fedavg import FlConfig, cohort_size, select_clients
 from agifl.models import Hyperparams, ModelSpec, param_count
-from agifl.oracles import rate_direct, round_duration, uav_round_energy, user_compute_time
+from agifl.oracles import (rate_direct, round_duration, uav_round_energy, user_compute_energy,
+                           user_compute_time)
 from agifl.placement import Area, min_sum_dist
 from agifl.scenario import (FORMS, PLACEMENT_SCHEMES, BlobSource, RoundMetrics, Scenario,
                             ShapeSource, build_topology, load_corpus, load_source,
