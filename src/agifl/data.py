@@ -1,8 +1,11 @@
 """Datasets and per-user partitioning.
 
 Two corpora are supported: MNIST-style IDX files and synthetic Gaussian
-blobs. A dataset holds features and labels only; its bits per sample, used
-by the compute-time model, derives from them: raw bytes times 8, label byte
+blobs. A dataset holds only its labels and its design matrix, the one
+owner of the bias column: each row is a sample's d features, then a 1, set
+once at load, so the models never append the column per call; `features`
+is the view of its first d columns. The bits per sample, used by the
+compute-time model, derive from them: raw bytes times 8, label byte
 included, so a 784-pixel image costs (784 + 1) * 8 = 6280 bits.
 
 Partitioning produces one CSR index pair: user u's sorted shard is
@@ -13,6 +16,7 @@ contiguous shards and deals shards_per_user of them to each user, so each
 user sees few classes.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -36,22 +40,28 @@ LABELS_MAGIC = 0x00000801
 
 @dataclass
 class Dataset:
-    """Features and labels; every other corpus figure derives from them."""
+    """Design matrix and labels; every other corpus figure derives from them."""
 
-    features: np.ndarray  # (n, d) float64 in [0, 1]
+    design: np.ndarray  # (n, d + 1) float64: features in [0, 1], then a ones column
     labels: np.ndarray  # (n,) int64
 
     def __post_init__(self):
-        if self.features.shape[0] != self.labels.shape[0]:
+        if self.design.shape[0] != self.labels.shape[0]:
             raise ValueError("feature rows and label count differ")
+        if self.design.ndim != 2 or not (self.design[:, -1] == 1.0).all():
+            raise ValueError("the design matrix must end in a ones column")
+
+    @property
+    def features(self) -> np.ndarray:
+        return self.design[:, :-1]
 
     @property
     def num_samples(self) -> int:
-        return self.features.shape[0]
+        return self.design.shape[0]
 
     @property
     def input_dim(self) -> int:
-        return self.features.shape[1]
+        return self.design.shape[1] - 1
 
     @property
     def num_classes(self) -> int:
@@ -62,49 +72,36 @@ class Dataset:
         return (self.input_dim + 1) * 8
 
 
-def _read_be32(f, path):
-    raw = f.read(4)
-    if len(raw) != 4:
+def _read_idx(path, magic: int, num_dims: int):
+    """The dimensions and the uint8 payload of an IDX file, checked."""
+    with open(path, "rb") as f:
+        head = f.read(4 * (1 + num_dims))
+        if len(head) != 4 * (1 + num_dims):
+            raise ValueError(f"truncated file: {path}")
+        found, *dims = struct.unpack(f">{1 + num_dims}I", head)
+        if found != magic:
+            raise ValueError(f"bad magic 0x{found:08x} in {path} (expected 0x{magic:08x})")
+        payload = f.read(math.prod(dims))
+    if len(payload) != math.prod(dims):
         raise ValueError(f"truncated file: {path}")
-    return struct.unpack(">I", raw)[0]
+    return dims, np.frombuffer(payload, dtype=np.uint8)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an IDX image/label file pair into a Dataset.
 
     Pixels are scaled to [0, 1] by /255. Raises ValueError on a bad magic
-    number, an image/label count mismatch, or a truncated payload.
+    number, an image/label count mismatch, or a truncated file.
     """
-    with open(images_path, "rb") as f:
-        magic = _read_be32(f, images_path)
-        if magic != IMAGES_MAGIC:
-            raise ValueError(f"bad magic 0x{magic:08x} in {images_path} "
-                             f"(expected 0x{IMAGES_MAGIC:08x})")
-        count = _read_be32(f, images_path)
-        rows = _read_be32(f, images_path)
-        cols = _read_be32(f, images_path)
-        payload = f.read(count * rows * cols)
-        if len(payload) != count * rows * cols:
-            raise ValueError(f"truncated file: {images_path}")
-        pixels = np.frombuffer(payload, dtype=np.uint8)
-
-    with open(labels_path, "rb") as f:
-        magic = _read_be32(f, labels_path)
-        if magic != LABELS_MAGIC:
-            raise ValueError(f"bad magic 0x{magic:08x} in {labels_path} "
-                             f"(expected 0x{LABELS_MAGIC:08x})")
-        label_count = _read_be32(f, labels_path)
-        raw = f.read(label_count)
-        if len(raw) != label_count:
-            raise ValueError(f"truncated file: {labels_path}")
-        labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-
+    (count, rows, cols), pixels = _read_idx(images_path, IMAGES_MAGIC, 3)
+    (label_count,), labels = _read_idx(labels_path, LABELS_MAGIC, 1)
     if label_count != count:
         raise ValueError(
             f"count mismatch: {count} images vs {label_count} labels")
 
-    features = pixels.astype(np.float64).reshape(count, rows * cols) / 255.0
-    return Dataset(features=features, labels=labels)
+    design = np.ones((count, rows * cols + 1))
+    np.divide(pixels.reshape(count, rows * cols), 255.0, out=design[:, :-1])
+    return Dataset(design=design, labels=labels.astype(np.int64))
 
 
 def _blob_centers(num_classes: int, input_dim: int) -> np.ndarray:
@@ -139,7 +136,8 @@ def synth_blobs(num_classes: int, samples_per_class: int, input_dim: int,
         raise ValueError("spread must be positive")
     gen = np.random.default_rng(seed)
     centers = _blob_centers(num_classes, input_dim)
-    features = np.empty((num_classes * samples_per_class, input_dim))
+    design = np.ones((num_classes * samples_per_class, input_dim + 1))
+    features = design[:, :-1]
     labels = np.empty(num_classes * samples_per_class, dtype=np.int64)
     for c in range(num_classes):
         block = slice(c * samples_per_class, (c + 1) * samples_per_class)
@@ -147,7 +145,7 @@ def synth_blobs(num_classes: int, samples_per_class: int, input_dim: int,
                                                   size=(samples_per_class, input_dim))
         labels[block] = c
     np.clip(features, 0.0, 1.0, out=features)
-    return Dataset(features=features, labels=labels)
+    return Dataset(design=design, labels=labels)
 
 
 def check_partition(num_samples: int, num_users: int, scheme: str,

@@ -97,7 +97,7 @@ def run_round(params: np.ndarray, config: FlConfig, shards, spec: ModelSpec,
     seeds = [child_seed(repeat_seed, rnd, int(user), "train")
              for repeat_seed, cohort in zip(seed, selected) for user in cohort]
     sizes = [len(cohort) for cohort in selected]
-    trained = train_cohort(np.repeat(params, sizes, axis=0), data.features, data.labels,
+    trained = train_cohort(np.repeat(params, sizes, axis=0), data.design, data.labels,
                            lanes, spec, config.hyper, seeds)
     bounds = np.cumsum([0] + sizes).tolist()
     return np.stack([aggregate(trained[a:b], [len(lane) for lane in lanes[a:b]])

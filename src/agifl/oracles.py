@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 __all__ = ["rate_direct", "user_compute_time", "user_compute_energy", "round_duration",
-           "uav_round_energy", "loss_and_grad", "local_train", "grid_placement",
+           "uav_round_energy", "log_probs", "loss_and_grad", "local_train", "grid_placement",
            "weighted_mean_direct"]
 
 
@@ -25,9 +25,13 @@ def rate_direct(bandwidth: float, tx_power: float, altitude: float,
     """Direct evaluation of the link rate formula, bit/s."""
     if not all(0 < v < math.inf for v in (bandwidth, tx_power, ref_gain, noise)):
         raise ValueError("bandwidth, transmit power, gain and noise must be positive and finite")
-    dist_sq = altitude ** 2 + horizontal ** 2
-    if not (altitude >= 0 and horizontal >= 0 and dist_sq > 0):
-        raise ValueError("altitude and horizontal distance must be >= 0, slant distance > 0")
+    try:
+        dist_sq = altitude ** 2 + horizontal ** 2
+    except OverflowError:
+        dist_sq = math.inf
+    if not (altitude >= 0 and horizontal >= 0 and 0 < dist_sq < math.inf):
+        raise ValueError("altitude and horizontal distance must be >= 0, slant distance > 0 "
+                         "and its square finite")
     snr = ref_gain * tx_power / (noise * dist_sq)
     return bandwidth * math.log2(1.0 + snr)
 
@@ -88,30 +92,38 @@ def _with_bias(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
 
 
+def _forward(params: np.ndarray, spec, x: np.ndarray):
+    """The inputs with their bias column, the weight matrices, the hidden
+    activations without and with theirs (None for logistic), the log-probs."""
+    xe, weights, hidden = _with_bias(x), _unpack(params, spec), None
+    if spec.kind == "mlp":
+        a1 = np.tanh(xe @ weights[0])
+        hidden = (a1, _with_bias(a1))
+    logits = (xe if hidden is None else hidden[1]) @ weights[-1]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return xe, weights, hidden, shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def log_probs(params: np.ndarray, spec, x: np.ndarray) -> np.ndarray:
+    """Each row's log-probabilities over the classes."""
+    return _forward(params, spec, x)[3]
+
+
 def loss_and_grad(params: np.ndarray, spec, x: np.ndarray, y: np.ndarray):
     """Mean softmax cross-entropy over the batch and its gradient,
     flattened to match the parameter layout."""
     n = x.shape[0]
-    xe = _with_bias(x)
-    weights = _unpack(params, spec)
-    if spec.kind == "logistic":
-        logits = xe @ weights[0]
-    else:
-        w1, w2 = weights
-        a1 = np.tanh(xe @ w1)
-        a1e = _with_bias(a1)
-        logits = a1e @ w2
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = -float(log_probs[np.arange(n), y].mean())
+    xe, weights, hidden, log_p = _forward(params, spec, x)
+    loss = -float(log_p[np.arange(n), y].mean())
 
-    dlogits = np.exp(log_probs)
+    dlogits = np.exp(log_p)
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
-    if spec.kind == "logistic":
+    if hidden is None:
         return loss, (xe.T @ dlogits).ravel()
+    a1, a1e = hidden
     gw2 = a1e.T @ dlogits
-    dz1 = (dlogits @ w2[:-1].T) * (1.0 - a1 * a1)
+    dz1 = (dlogits @ weights[1][:-1].T) * (1.0 - a1 * a1)
     gw1 = xe.T @ dz1
     return loss, np.concatenate([gw1.ravel(), gw2.ravel()])
 

@@ -139,8 +139,8 @@ class IdxSource:
 class ShapeSource:
     """Data described only by its shape, for timing-only runs.
 
-    Loads as a Dataset whose features hold no memory, from which the timing
-    model reads its figures as from any corpus; it cannot train or evaluate.
+    Loads as a Dataset whose design matrix holds one row, from which the
+    timing model reads its figures as from any corpus; it cannot train.
     """
 
     num_samples: int = 60_000
@@ -156,7 +156,7 @@ class ShapeSource:
 
 def load_source(source, seed: int):
     """Materialize (train, test) datasets. A ShapeSource has no test set, and
-    its train features are a zero-stride view that holds no memory."""
+    its train design matrix is a zero-stride view of one row [0, ..., 0, 1]."""
     if isinstance(source, BlobSource):
         train = synth_blobs(source.num_classes, source.samples_per_class,
                             source.input_dim, source.spread,
@@ -169,9 +169,9 @@ def load_source(source, seed: int):
         return (load_idx(source.train_images, source.train_labels),
                 load_idx(source.test_images, source.test_labels))
     if isinstance(source, ShapeSource):
-        labels = np.arange(source.num_samples, dtype=np.int64) % source.num_classes
-        features = np.broadcast_to(0.0, (source.num_samples, source.input_dim))
-        return Dataset(features=features, labels=labels), None
+        n, d = source.num_samples, source.input_dim
+        labels = np.arange(n, dtype=np.int64) % source.num_classes
+        return Dataset(np.broadcast_to(np.eye(1, d + 1, d), (n, d + 1)), labels), None
     raise TypeError(f"unknown data source {type(source).__name__}")
 
 
@@ -243,6 +243,9 @@ class Scenario:
                 raise ValueError(f"{name} must be >= 0 and finite")
         if not 0 <= self.aerial_fraction <= 1:
             raise ValueError("aerial_fraction must be in [0, 1]")
+        extent = (self.area.width, self.area.height, self.uav.altitude, self.ground_height)
+        if not sum(v * v for v in extent) < math.inf:
+            raise ValueError("area and altitudes too large: their squared extent overflows")
 
 
 @dataclass
@@ -496,7 +499,7 @@ def _learning_pass(scenario: Scenario, spec: ModelSpec, reps, shards,
                             [reps[i].metrics[rnd].selected for i in live],
                             [masters[i] for i in live], rnd)
         for i, params in zip(live, trained):
-            test = (evaluate(params, spec, test_data.features, test_data.labels)
+            test = (evaluate(params, spec, test_data.design, test_data.labels)
                     if (rnd + 1) % stride == 0 else None)
             trajs[i].params = params
             trajs[i].tests.append(test)

@@ -235,7 +235,7 @@ def test_criterion_6_learning_sanity():
                     Hyperparams(learning_rate=0.01, local_epochs=baseline_epochs,
                                 batch_size=10),
                     rng_seed=child_seed(0, "baseline"))
-    _, acc_base = evaluate(w, spec, test.features, test.labels)
+    _, acc_base = evaluate(w, spec, test.design, test.labels)
 
     print(f"  corpus={corpus} sharded={acc_sharded:.4f} iid={acc_iid:.4f} "
           f"centralized={acc_base:.4f}")

@@ -78,7 +78,28 @@ def assert_csr_matches(shards, expected, num_samples):
 
 def labels_only_dataset(labels):
     labels = np.asarray(labels, dtype=np.int64)
-    return Dataset(features=np.zeros((len(labels), 1)), labels=labels)
+    return Dataset(design=np.broadcast_to([0.0, 1.0], (len(labels), 2)), labels=labels)
+
+
+class TestDesignMatrix:
+    """A dataset holds one design matrix: the features, then a ones column."""
+
+    @pytest.mark.parametrize("load", [
+        lambda tmp_path: load_idx(*write_idx_pair(
+            tmp_path, np.arange(2 * 3 * 2, dtype=np.uint8).reshape(2, 3, 2), [0, 1])),
+        lambda tmp_path: synth_blobs(3, 4, 5, spread=0.2, seed=1),
+    ], ids=["idx", "blobs"])
+    def test_loaders_set_the_bias_column_once(self, load, tmp_path):
+        data = load(tmp_path)
+        assert data.design.shape == (data.num_samples, data.input_dim + 1)
+        assert np.all(data.design[:, -1] == 1.0)
+        assert np.shares_memory(data.features, data.design)  # a view, not a copy
+
+    @pytest.mark.parametrize("design", [np.zeros((3, 2)), np.ones(3)],
+                             ids=["no-ones-column", "one-dimensional"])
+    def test_design_without_a_ones_column_rejected(self, design):
+        with pytest.raises(ValueError, match="must end in a ones column"):
+            Dataset(design=design, labels=np.zeros(3, dtype=np.int64))
 
 
 class TestIdxLoader:

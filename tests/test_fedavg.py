@@ -183,9 +183,9 @@ class TestRunRound:
 
         lanes = []
 
-        def recording_train(params, features, labels, lanes_, spec, hyper, seeds_):
+        def recording_train(params, design, labels, lanes_, spec, hyper, seeds_):
             lanes.append(len(lanes_))
-            return train_cohort(params, features, labels, lanes_, spec, hyper, seeds_)
+            return train_cohort(params, design, labels, lanes_, spec, hyper, seeds_)
 
         monkeypatch.setattr(fedavg, "train_cohort", recording_train)
         counts = record_counts(monkeypatch)
@@ -234,9 +234,9 @@ class TestRunRound:
         shards = partition(data, 6, scheme="iid", seed=3)
         trained = []
 
-        def recording_train(params, features, labels, lanes, spec, hyper, seeds):
+        def recording_train(params, design, labels, lanes, spec, hyper, seeds):
             trained.extend(zip(lanes, seeds))
-            return train_cohort(params, features, labels, lanes, spec, hyper, seeds)
+            return train_cohort(params, design, labels, lanes, spec, hyper, seeds)
 
         monkeypatch.setattr(fedavg, "train_cohort", recording_train)
         cohort = np.array([1, 4, 5])  # not the cohort select_clients draws

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from agifl.models import (Hyperparams, ModelSpec, evaluate, init_model, param_count,
                           train_cohort)
-from agifl.oracles import local_train, loss_and_grad
+from agifl.oracles import local_train, log_probs, loss_and_grad
 
 
 def finite_diff_grad(params, spec, x, y, h=1e-6):
@@ -24,9 +24,14 @@ def finite_diff_grad(params, spec, x, y, h=1e-6):
     return grad
 
 
+def design(x):
+    """The design matrix of the features `x`: `x`, then a ones column."""
+    return np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
+
+
 def train_one(params, x, y, spec, hyper, rng_seed):
     """One client's local SGD: a one-lane `train_cohort` call."""
-    return train_cohort(params[None], x, y, [np.arange(x.shape[0])], spec, hyper,
+    return train_cohort(params[None], design(x), y, [np.arange(x.shape[0])], spec, hyper,
                         [rng_seed])[0]
 
 
@@ -163,7 +168,7 @@ class TestTrainCohort:
         seeds = [int(s) for s in gen.integers(0, 2**63, size=len(lanes))]
         before = params.copy()
 
-        out = train_cohort(params, x, y, lanes, spec, hyper, seeds)
+        out = train_cohort(params, design(x), y, lanes, spec, hyper, seeds)
         expected = np.stack([local_train(start, x[lane], y[lane], spec, hyper, s)
                              for start, lane, s in zip(params, lanes, seeds)])
         assert np.array_equal(out, expected)
@@ -173,7 +178,7 @@ class TestTrainCohort:
         spec = ModelSpec("logistic", input_dim=2, num_classes=2)
         x, y = np.ones((4, 2)), np.array([0, 1, 0, 1])
         with pytest.raises(ValueError, match="empty"):
-            train_cohort(np.stack([init_model(spec)] * 2), x, y,
+            train_cohort(np.stack([init_model(spec)] * 2), design(x), y,
                          [np.arange(3), np.arange(0)], spec, Hyperparams(), seeds=[0, 1])
 
     def test_one_start_row_per_lane(self):
@@ -182,7 +187,7 @@ class TestTrainCohort:
         # three rows for two lanes, and one vector with no lane axis
         for start in (np.stack([init_model(spec)] * 3), init_model(spec)):
             with pytest.raises(ValueError, match="one start row per lane"):
-                train_cohort(start, x, y, [np.arange(3), np.arange(2)], spec,
+                train_cohort(start, design(x), y, [np.arange(3), np.arange(2)], spec,
                              Hyperparams(), seeds=[0, 1])
 
 
@@ -191,10 +196,10 @@ class TestParameterCheck:
 
     @pytest.mark.parametrize("call", [
         lambda spec, w, x, y: loss_and_grad(w, spec, x, y),
-        lambda spec, w, x, y: evaluate(w, spec, x, y),
-        lambda spec, w, x, y: train_cohort(w[None], x, y, [np.arange(3)], spec,
+        lambda spec, w, x, y: evaluate(w, spec, design(x), y),
+        lambda spec, w, x, y: train_cohort(w[None], design(x), y, [np.arange(3)], spec,
                                            Hyperparams(), seeds=[0]),
-        lambda spec, w, x, y: train_cohort(np.stack([w, w]), x, y,
+        lambda spec, w, x, y: train_cohort(np.stack([w, w]), design(x), y,
                                            [np.arange(3), np.arange(2)], spec,
                                            Hyperparams(), seeds=[0, 1]),
     ], ids=["loss_and_grad", "evaluate", "train_cohort", "train_cohort_rows"])
@@ -205,6 +210,32 @@ class TestParameterCheck:
 
 
 class TestEvaluate:
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(["logistic", "mlp"]), input_dim=st.integers(1, 9),
+           num_classes=st.integers(2, 6), hidden_dim=st.integers(1, 7),
+           n=st.integers(1, 60), scale=st.sampled_from([0.0, 0.3, 3.0]),
+           tie=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_oracle(self, kind, input_dim, num_classes, hidden_dim, n, scale,
+                                tie, seed):
+        """The loss equals the oracle's bit for bit and the accuracy is the
+        argmax of its log-probs. A zero scale ties every class in every row;
+        `tie` gives the first and last class equal, leading logits, so a row
+        max that was not exactly `max`'s value would move the loss."""
+        spec = ModelSpec(kind, input_dim=input_dim, num_classes=num_classes,
+                         hidden_dim=hidden_dim if kind == "mlp" else 0, init_seed=seed)
+        gen = np.random.default_rng(seed)
+        params = gen.normal(scale=scale, size=param_count(spec))
+        if tie:  # the output layer's weights, its bias row last
+            rows = (input_dim if kind == "logistic" else hidden_dim) + 1
+            last = params[-rows * num_classes:].reshape(rows, num_classes)
+            last[:, -1] = last[:, 0]
+            last[-1, [0, -1]] += 5.0
+        x = gen.random((n, input_dim))
+        y = gen.integers(0, num_classes, size=n)
+        loss, accuracy = evaluate(params, spec, design(x), y)
+        assert loss == loss_and_grad(params, spec, x, y)[0]
+        assert accuracy == float((log_probs(params, spec, x).argmax(axis=1) == y).mean())
+
     def test_separable_blob_with_built_separator(self):
         # points on either side of x0 = 0.5; weights chosen by hand
         x = np.array([[0.1], [0.2], [0.8], [0.9]])
@@ -213,27 +244,27 @@ class TestEvaluate:
         w = np.zeros((2, 2))
         w[0, 1] = 10.0  # class-1 logit grows with the feature
         w[1, 1] = -5.0  # threshold at 0.5
-        _, acc = evaluate(w.ravel(), spec, x, y)
+        _, acc = evaluate(w.ravel(), spec, design(x), y)
         assert acc == 1.0
 
     def test_uniform_model_loss_is_log_k(self):
         spec = ModelSpec("logistic", input_dim=5, num_classes=10)
         x = np.random.default_rng(2).random((20, 5))
         y = np.random.default_rng(3).integers(0, 10, size=20)
-        loss, _ = evaluate(init_model(spec), spec, x, y)
+        loss, _ = evaluate(init_model(spec), spec, design(x), y)
         assert abs(loss - math.log(10)) < 1e-12
 
     def test_single_correct_sample(self):
         spec = ModelSpec("logistic", input_dim=2, num_classes=2)
         w = np.zeros((3, 2))
         w[0, 1] = 5.0
-        _, acc = evaluate(w.ravel(), spec, np.array([[1.0, 0.0]]), np.array([1]))
+        _, acc = evaluate(w.ravel(), spec, np.array([[1.0, 0.0, 1.0]]), np.array([1]))
         assert acc == 1.0
 
     def test_empty_dataset_rejected(self):
         spec = ModelSpec("logistic", input_dim=2, num_classes=2)
         with pytest.raises(ValueError):
-            evaluate(init_model(spec), spec, np.empty((0, 2)), np.empty(0, dtype=int))
+            evaluate(init_model(spec), spec, np.empty((0, 3)), np.empty(0, dtype=int))
 
 
 class TestGradients:

@@ -354,6 +354,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{field} must be"):
             small_scenario(**{field: bad})
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(area=Area(width=1e200)), dict(area=Area(height=1e155)),
+        dict(uav=UavProfile(altitude=1e200)), dict(ground_height=1e160, form="a2g"),
+        dict(area=Area(width=1.2e154, height=1.2e154)),
+    ], ids=["width", "height", "flying-altitude", "ground-altitude", "summed-squares"])
+    def test_overflowing_geometry_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="squared extent overflows"):
+            small_scenario(**kwargs)
+
     def test_physics_range_ends_are_legal(self):
         small_scenario(initial_flight_energy=0.0, ground_height=0.0, kappa=0.0,
                        aerial_fraction=0.0)
@@ -395,7 +404,9 @@ class TestDerivedCorpus:
             assert train.bits_per_sample == (dim + 1) * 8
             assert type(train.bits_per_sample) is int  # keeps the cycle product exact
         assert train.features.shape == (classes + extra, dim)
-        assert train.features.strides == (0, 0)  # the shape corpus holds no features
+        # the shape corpus holds one design row, [0, ..., 0, 1], and no features
+        assert train.design.strides == (0, 8)
+        assert train.design[0].tolist() == [0.0] * dim + [1.0]
 
     @given(classes=st.integers(2, 12), samples=st.integers(-5, 11))
     def test_shape_source_needs_a_sample_per_class(self, classes, samples):
