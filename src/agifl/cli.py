@@ -6,17 +6,18 @@
 
 `run` executes the configured scenario and writes one CSV per repeat plus a
 per-round mean CSV. `compare-placement` runs the min-sum-distance and
-random hovering schemes on paired seeds and emits the energy-versus-rounds
-and accuracy-versus-budget comparisons as CSV and SVG; each scheme runs
-once, under the largest budget, and every budget is read off that run. The
-schemes share their cohorts and training (see `scenario`).
+random hovering schemes on paired seeds, whatever placement the config
+names, and emits the energy-versus-rounds and accuracy-versus-budget
+comparisons as CSV and SVG; each scheme runs once, under the largest
+budget, and every budget is read off that run. The schemes share their
+cohorts and training (see `scenario`).
 `oracle` prints independently computed reference values (direct rate
 formula, grid-search placement, hand-rule weighted mean) for checking the
 simulator against.
 
 Exit codes: 0 success, 1 malformed or invalid config or arguments
-(including a partition the dataset cannot satisfy), 2 dataset I/O
-failure.
+(including a partition the dataset cannot satisfy and every command-line
+error argparse finds), 2 dataset I/O failure.
 """
 
 import argparse
@@ -97,17 +98,14 @@ def _cmd_compare(args, extra) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if base.placement_scheme == "fixed":  # degenerate check mode
-        schemes = [("fixed", "fixed"), ("fixed_2", "fixed")]
-    else:
-        schemes = [("min_sum_dist", "min_sum_dist"), ("random", "random")]
+    schemes = ["min_sum_dist", "random"]  # whatever placement the config names
 
     # panel A: cumulative server energy vs training rounds (timing only)
     energy_curves = []
-    for label, scheme in schemes:
+    for scheme in schemes:
         result = run_scenario(replace(base, placement_scheme=scheme, train=False),
                               jobs=args.jobs)
-        energy_curves.append((label, result.mean("cum_uav_energy")))
+        energy_curves.append((scheme, result.mean("cum_uav_energy")))
     rounds = list(range(1, min(len(c) for _, c in energy_curves) + 1))
     write_series_csv(out / "compare_energy.csv", "round", rounds,
                      [(f"{label}_cum_energy_j", curve) for label, curve in energy_curves])
@@ -119,12 +117,12 @@ def _cmd_compare(args, extra) -> int:
     # panel B: best accuracy vs energy budget, one run per scheme
     if cfg.compare_budgets and base.train:
         acc_columns = []
-        for label, scheme in schemes:
+        for scheme in schemes:
             result = run_scenario(replace(base, placement_scheme=scheme,
                                           energy_budget=max(cfg.compare_budgets),
                                           repeats=cfg.compare_repeats),
                                   jobs=args.jobs)
-            acc_columns.append((label, [result.mean_best_accuracy_within(b)
+            acc_columns.append((scheme, [result.mean_best_accuracy_within(b)
                                         for b in cfg.compare_budgets]))
         write_series_csv(out / "compare_accuracy.csv", "budget_j",
                          cfg.compare_budgets,
@@ -203,12 +201,20 @@ def _cmd_oracle(tokens) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ConfigError on a bad command line, where argparse would print
+    its usage and exit 2 (the code of a dataset I/O failure here)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "oracle":
         return _cmd_oracle(argv[1:])
 
-    parser = argparse.ArgumentParser(prog="agifl")
+    parser = _ArgumentParser(prog="agifl")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("run", "compare-placement"):
         p = sub.add_parser(name)
@@ -219,8 +225,10 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None,
                        help="override scenario.master_seed")
 
-    args, extra = parser.parse_known_args(argv)
     try:
+        args, extra = parser.parse_known_args(argv)
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         if args.command == "run":
             return _cmd_run(args, extra)
         return _cmd_compare(args, extra)

@@ -164,31 +164,46 @@ def _grid_best(xs, ys, users, altitude):
     return float(xs[i]), float(ys[j]), float(total[i, j])
 
 
-def grid_placement(users, altitude: float, coarse_step: float = 1.0,
-                   refine_step: float = 0.01):
+# The most points a grid_placement grid may hold: twice the 1,002 x 1,002
+# of a 1 m grid over a 1000 m area, about 16 MB per float64 array.
+GRID_POINT_LIMIT = 2_000_000
+
+
+def _grid_axes(x_span, y_span, step: float, name: str):
+    """The axes `np.arange(lo, hi + step, step)` of a grid over two
+    (lo, hi) spans, refused before either is built when `step` vanishes next
+    to a span end (the axis would be empty or repeat points) or when the grid
+    would hold more than GRID_POINT_LIMIT points."""
+    for end in (*x_span, *y_span):
+        if end + step == end:
+            raise ValueError(f"{name}={step:g} vanishes next to a coordinate of {end:g}")
+    # points per axis as np.arange counts them, capped so that an infinite
+    # span still compares
+    counts = [math.ceil(min((hi + step - lo) / step, GRID_POINT_LIMIT + 1))
+              for lo, hi in (x_span, y_span)]
+    if counts[0] * counts[1] > GRID_POINT_LIMIT:
+        raise ValueError(f"{name}={step:g} asks for a grid of more than "
+                         f"{GRID_POINT_LIMIT} points")
+    return [np.arange(lo, hi + step, step) for lo, hi in (x_span, y_span)]
+
+
+def grid_placement(users, altitude: float, grid_m: float = 1.0, refine_m: float = 0.01):
     """Exhaustive search for the minimum-sum-distance hovering point.
 
     Scans the user bounding box (the optimum lies in the users' convex
-    hull) on a `coarse_step` grid, then refines on a `refine_step` grid
-    around the best coarse cell. Returns (x, y, objective).
+    hull) on a `grid_m` grid, then refines on a `refine_m` grid around the
+    best coarse cell. Returns (x, y, objective).
     """
     users = [(float(x), float(y)) for x, y in users]
     if not users:
         raise ValueError("users must be non-empty")
-    if not (coarse_step > 0 and refine_step > 0):
+    if not (grid_m > 0 and refine_m > 0):
         raise ValueError("grid steps must be positive")
-    xs_lo = min(x for x, _ in users)
-    xs_hi = max(x for x, _ in users)
-    ys_lo = min(y for _, y in users)
-    ys_hi = max(y for _, y in users)
-
-    xs = np.arange(xs_lo, xs_hi + coarse_step, coarse_step)
-    ys = np.arange(ys_lo, ys_hi + coarse_step, coarse_step)
-    bx, by, _ = _grid_best(xs, ys, users, altitude)
-
-    xs = np.arange(bx - coarse_step, bx + coarse_step + refine_step, refine_step)
-    ys = np.arange(by - coarse_step, by + coarse_step + refine_step, refine_step)
-    return _grid_best(xs, ys, users, altitude)
+    xs, ys = zip(*users)
+    bx, by, _ = _grid_best(*_grid_axes((min(xs), max(xs)), (min(ys), max(ys)),
+                                       grid_m, "grid_m"), users, altitude)
+    return _grid_best(*_grid_axes((bx - grid_m, bx + grid_m), (by - grid_m, by + grid_m),
+                                  refine_m, "refine_m"), users, altitude)
 
 
 def weighted_mean_direct(updates):

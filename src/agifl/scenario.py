@@ -34,27 +34,25 @@ order or over a process pool (`jobs`), and `run_repeat` is a group of one.
 Within a process, each cohort is drawn and each repeat trained once per
 federation, and every run of it reads its rounds off that shared work:
 `compare-placement` runs the same repeats under two placements, several
-budgets and with and without training. Two stores, each keeping only the
-last federation (`functools.lru_cache(maxsize=1)`, as `load_corpus` does),
-hold that work:
+budgets and with and without training. One store, keeping only the last
+federation (`functools.lru_cache(maxsize=1)`, as `load_corpus` does), holds
+that work. Its key is the scenario with the fields that cannot change what
+a repeat draws or trains set to one value (placement scheme, fixed
+position, energy budget and its entity, repeat count, `fl.max_rounds` and
+`train`; every other field stays in the key). It maps each repeat to one
+record: its cohorts drawn so far in round order, the read-only arrays
+their RoundMetrics hold, its global vector after the rounds trained so far
+and each round's test metrics. The network pass draws a round's cohort
+only past the record's end, so no round is drawn that the round loop
+would not reach; the learning pass copies the rounds the record holds and
+trains only beyond them, from the stored vector, so a lockstep group's
+repeats may start at different rounds. `_run_group` alone reads the store
+and hands each pass its records.
 
-- the cohort store, keyed `(master_seed, num_users, fraction)`, holds each
-  repeat's cohorts drawn so far in round order, the read-only arrays their
-  RoundMetrics hold; the network pass draws a round's cohort only past the
-  store's end, so no round is drawn that the round loop would not reach;
-- the trajectory store, keyed by the scenario with the fields that cannot
-  change what a repeat trains set to one value (placement scheme, fixed
-  position, energy budget and its entity, repeat count, `fl.max_rounds`;
-  every other field stays in the key), holds each repeat's global vector
-  after the rounds trained so far and each round's test metrics. The
-  learning pass copies the rounds the store holds and trains only beyond
-  them, from the stored vector, so a lockstep group's repeats may start at
-  different rounds.
-
-A pool worker returns its group's store entries with its repeats, and the
+A pool worker returns its group's records with its repeats, and the
 parent installs them, cohorts read-only again, so its next run reads what
 the workers drew and trained (a forked worker starts from the parent's
-stores, so its entries extend the parent's).
+store, so its records extend the parent's).
 
 Every per-user time and energy is constant within a repeat, so
 `per_user_arrays` builds them once, equal entry for entry to the scalar
@@ -243,9 +241,19 @@ class Scenario:
                 raise ValueError(f"{name} must be >= 0 and finite")
         if not 0 <= self.aerial_fraction <= 1:
             raise ValueError("aerial_fraction must be in [0, 1]")
-        extent = (self.area.width, self.area.height, self.uav.altitude, self.ground_height)
-        if not sum(v * v for v in extent) < math.inf:
-            raise ValueError("area and altitudes too large: their squared extent overflows")
+        # the longest link spans at most the bounding box of the area, the
+        # users and the server, and both altitudes; its rate is the lowest
+        points = [(0.0, 0.0), (self.area.width, self.area.height),
+                  *(self.user_positions or ()),
+                  *([self.fixed_position] if self.placement_scheme == "fixed" else [])]
+        xs, ys = zip(*points)
+        extent = (max(xs) - min(xs), max(ys) - min(ys), self.uav.altitude, self.ground_height)
+        dist_sq = sum(v * v for v in extent)
+        power = min(self.channel.user_tx_power, self.uav.tx_power)
+        if not (dist_sq < math.inf
+                and 1.0 + self.channel.ref_gain * power / (self.channel.noise * dist_sq) > 1.0):
+            raise ValueError("the longest possible link's squared extent overflows or its "
+                             "rate is zero (area, positions, altitudes, powers or noise)")
 
 
 @dataclass
@@ -314,7 +322,7 @@ class RoundMetrics:
     cum_uav_energy: float
     test_loss: float
     test_acc: float
-    selected: np.ndarray  # the sorted, read-only cohort of the cohort store
+    selected: np.ndarray  # the sorted, read-only cohort its repeat's store record holds
     budget_total: float  # the budget entity's running total after this round
 
 
@@ -392,44 +400,41 @@ def _squares(values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.pow, values.tolist(), itertools.repeat(2.0)), float, len(values))
 
 
-@functools.lru_cache(maxsize=1)
-def _cohorts(master_seed: int, num_users: int, fraction: float) -> dict:
-    """The cohorts drawn so far for each repeat, in round order, keeping the
-    last federation's: a repeat's round draws its cohort from the master
-    seed alone, whatever the placement, budget or repeat count. Each is the
-    read-only array its round's RoundMetrics holds, so the store adds no copy."""
-    return collections.defaultdict(list)
-
-
 @dataclass
-class _Trajectory:
-    """A repeat's training so far: its global vector after the rounds trained,
-    and each round's (test_loss, test_acc), None where eval_stride skips it."""
+class _Repeat:
+    """A repeat's work in its federation so far: its cohorts drawn, in round
+    order (the read-only arrays its RoundMetrics hold, so the store adds no
+    copy), its global vector after the rounds trained (None until it first
+    trains) and each trained round's (test_loss, test_acc), None where
+    eval_stride skips it."""
 
-    params: np.ndarray
+    cohorts: list = field(default_factory=list)
+    params: np.ndarray | None = None
     tests: list = field(default_factory=list)
 
 
 def _federation(scenario: Scenario) -> Scenario:
     """The scenario with one value for each field that cannot change what its
-    repeats train: the placement (the hover point), the budget and its entity
-    (the halts), the repeat count and the round budget. Every other field
-    keys the trajectory store."""
+    repeats draw or train: the placement (the hover point), the budget and
+    its entity (the halts), the repeat count, the round budget and whether
+    it trains. Every other field keys the store."""
     return replace(scenario, placement_scheme="fixed", fixed_position=(0.0, 0.0),
-                   energy_budget=math.inf, budget_entity="uav", repeats=1,
+                   energy_budget=math.inf, budget_entity="uav", repeats=1, train=False,
                    fl=replace(scenario.fl, max_rounds=0))
 
 
 @functools.lru_cache(maxsize=1)
-def _trajectories(federation: Scenario) -> dict:
-    """Each repeat's _Trajectory, keeping the last federation's."""
-    return {}
+def _store(federation: Scenario) -> dict:
+    """Each repeat's _Repeat, keeping the last federation's."""
+    return collections.defaultdict(_Repeat)
 
 
-def _network_pass(scenario: Scenario, repeat: int, spec: ModelSpec, train_data: Dataset):
+def _network_pass(scenario: Scenario, repeat: int, record: _Repeat, spec: ModelSpec,
+                  train_data: Dataset):
     """Place the server and run the round loop of one repeat without training:
-    the repeat's result with NaN test metrics, and its `partition` pair.
-    Nothing here reads the parameters, so the kept rounds and cohorts are final."""
+    the repeat's result with NaN test metrics, and its `partition` pair. A
+    round's cohort is drawn only past the end of `record.cohorts`. Nothing
+    here reads the parameters, so the kept rounds and cohorts are final."""
     seed, fl, channel = scenario.master_seed, scenario.fl, scenario.channel
     topo = build_topology(scenario, _rng(seed, repeat, "positions"))
     topo.placement = place_server(scenario, topo, _rng(seed, repeat, "placement"))
@@ -448,7 +453,7 @@ def _network_pass(scenario: Scenario, repeat: int, spec: ModelSpec, train_data: 
     ledger.charge("uav", scenario.initial_flight_energy)
     metrics: list[RoundMetrics] = []
     halt_reason = "max_rounds"
-    drawn = _cohorts(seed, fl.num_users, fl.fraction)[repeat]
+    drawn = record.cohorts
 
     for rnd in range(fl.max_rounds):
         if rnd == len(drawn):
@@ -474,63 +479,56 @@ def _network_pass(scenario: Scenario, repeat: int, spec: ModelSpec, train_data: 
     return result, shards
 
 
-def _learning_pass(scenario: Scenario, spec: ModelSpec, reps, shards,
+def _learning_pass(scenario: Scenario, spec: ModelSpec, reps, records, shards,
                    train_data: Dataset, test_data: Dataset) -> None:
     """Train the repeats of a group in lockstep and fill in their test
-    metrics. Each repeat continues its stored trajectory, so only the kept
-    rounds beyond it train: round `rnd` trains, in one `run_round` call, the
-    cohorts of every repeat that kept more than `rnd` rounds and has trained
-    exactly `rnd`."""
+    metrics. Each repeat continues the training its record holds, so only
+    the kept rounds beyond it train: round `rnd` trains, in one `run_round`
+    call, the cohorts of every repeat that kept more than `rnd` rounds and
+    has trained exactly `rnd`."""
     seed, stride = scenario.master_seed, scenario.eval_stride
-    store = _trajectories(_federation(scenario))
-    for rep in reps:
-        if rep.repeat not in store:
-            store[rep.repeat] = _Trajectory(init_model(
-                replace(spec, init_seed=child_seed(seed, rep.repeat, "init"))))
-    trajs = [store[rep.repeat] for rep in reps]
+    for rep, record in zip(reps, records):
+        if record.params is None:
+            record.params = init_model(
+                replace(spec, init_seed=child_seed(seed, rep.repeat, "init")))
     masters = [child_seed(seed, rep.repeat) for rep in reps]
     kept = [len(rep.metrics) for rep in reps]
-    for rnd in range(min(len(t.tests) for t in trajs), max(kept)):
-        live = [i for i, t in enumerate(trajs) if len(t.tests) == rnd < kept[i]]
+    for rnd in range(min(len(record.tests) for record in records), max(kept)):
+        live = [i for i, record in enumerate(records) if len(record.tests) == rnd < kept[i]]
         if not live:
             continue
-        trained = run_round(np.stack([trajs[i].params for i in live]), scenario.fl,
+        trained = run_round(np.stack([records[i].params for i in live]), scenario.fl,
                             [shards[i] for i in live], spec, train_data,
                             [reps[i].metrics[rnd].selected for i in live],
                             [masters[i] for i in live], rnd)
         for i, params in zip(live, trained):
             test = (evaluate(params, spec, test_data.design, test_data.labels)
                     if (rnd + 1) % stride == 0 else None)
-            trajs[i].params = params
-            trajs[i].tests.append(test)
-    for rep, traj in zip(reps, trajs):
+            records[i].params = params
+            records[i].tests.append(test)
+    for rep, record in zip(reps, records):
         for rnd in range(stride - 1, len(rep.metrics), stride):
-            test_loss, test_acc = traj.tests[rnd]
+            test_loss, test_acc = record.tests[rnd]
             rep.metrics[rnd] = replace(rep.metrics[rnd], test_loss=test_loss,
                                        test_acc=test_acc)
-
-
-def _stores(scenario: Scenario):
-    """The cohort store and, for a training run, the trajectory store that a
-    run of the scenario reads."""
-    return (_cohorts(scenario.master_seed, scenario.fl.num_users, scenario.fl.fraction),
-            _trajectories(_federation(scenario)) if scenario.train else {})
 
 
 def _run_group(scenario: Scenario, repeats):
     """Simulate a lockstep group of repeats: each repeat's network pass, then
     one learning pass over all of them. Returns their results and their
-    entries of the two stores, by repeat."""
+    store records, by repeat."""
     train_data, test_data = load_corpus(scenario.source, scenario.master_seed)
     # the model trained, or stood in for on timing-only runs: its size sets the payload
     spec = ModelSpec(scenario.model_kind, train_data.input_dim, train_data.num_classes,
                      scenario.hidden_dim)
-    reps, shards = zip(*(_network_pass(scenario, r, spec, train_data) for r in repeats))
+    store = _store(_federation(scenario))
+    records = {r: store[r] for r in repeats}
+    reps, shards = zip(*(_network_pass(scenario, r, records[r], spec, train_data)
+                         for r in repeats))
     if scenario.train:
-        _learning_pass(scenario, spec, reps, shards, train_data, test_data)
-    cohorts, trajs = _stores(scenario)
-    return (list(reps), {r: cohorts[r] for r in repeats},
-            {r: trajs[r] for r in repeats if r in trajs})
+        _learning_pass(scenario, spec, reps, list(records.values()), shards,
+                       train_data, test_data)
+    return list(reps), records
 
 
 def _groups(scenario: Scenario, jobs: int) -> list[list[int]]:
@@ -572,11 +570,10 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> ExperimentResult:
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
             outputs = list(pool.map(_run_group, [scenario] * len(groups), groups))
-        cohorts, trajs = _stores(scenario)
-        for _, group_cohorts, group_trajs in outputs:
-            for cohort in (c for drawn in group_cohorts.values() for c in drawn):
+        store = _store(_federation(scenario))
+        for _, records in outputs:
+            for cohort in (c for record in records.values() for c in record.cohorts):
                 cohort.flags.writeable = False
-            cohorts.update(group_cohorts)
-            trajs.update(group_trajs)
-        results = [reps for reps, _, _ in outputs]
+            store.update(records)
+        results = [reps for reps, _ in outputs]
     return ExperimentResult([rep for group in results for rep in group])

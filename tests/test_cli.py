@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +358,15 @@ class TestInvalidInputExits1:
         pytest.param(["run", "quick.ini", "--scenario.form=a2g",
                       "--scenario.ground_height_m=1e160"],
                      "squared extent overflows", id="overflowing-ground-height"),
+        pytest.param(["run", "quick.ini", "--scenario.train=false", "--data.source=shape",
+                      "--scenario.area_width_m=1e150"], "rate is zero", id="zero-rate-area"),
+        pytest.param(["run", "quick.ini", "--scenario.train=false", "--uav.altitude_m=1e150"],
+                     "rate is zero", id="zero-rate-altitude"),
+        pytest.param(["run", "quick.ini", "--scenario.train=false", "--channel.noise_dbm=300"],
+                     "rate is zero", id="zero-rate-noise"),
+        pytest.param(["run", "quick.ini", "--scenario.train=false", "--scenario.placement=fixed",
+                      "--scenario.fixed_x_m=1e200"],
+                     "squared extent overflows", id="overflowing-fixed-position"),
         pytest.param(["run", "quick.ini", "--channel.bandwidth_hz=-1"],
                      "total_bandwidth must be positive", id="negative-bandwidth"),
         pytest.param(["run", "quick.ini", "--channel.user_tx_power_w=0"],
@@ -413,6 +423,25 @@ class TestInvalidInputExits1:
         assert err[0].startswith("error: ")
         assert message in err[0]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "quick.ini", "--jobs", "0"],
+    ["run", "quick.ini", "--jobs", "-3"],
+    ["run", "quick.ini", "--jobs", "abc"],
+    ["compare-placement", "quick.ini", "--jobs", "0"],
+    ["run"],
+    ["launch", "quick.ini"],
+    [],
+], ids=["zero-jobs", "negative-jobs", "non-integer-jobs", "compare-zero-jobs",
+        "missing-config", "unknown-subcommand", "no-subcommand"])
+def test_argument_error_exits_1_with_one_error_line(argv, tmp_path, capsys):
+    argv = [str(CONFIGS / arg) if arg == "quick.ini" else arg for arg in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")] if argv else argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestCorpusLoadedOnce:
@@ -498,35 +527,16 @@ budget_repeats = 2
         assert (out / "compare_energy.svg").exists()
         assert (out / "compare_accuracy.svg").exists()
 
-    def test_fixed_placement_degeneracy(self, tmp_path):
-        path = tmp_path / "fixed.ini"
-        path.write_text("""\
-[scenario]
-repeats = 1
-max_rounds = 3
-placement = fixed
-fixed_x_m = 400
-fixed_y_m = 400
-train = false
-
-[fl]
-num_users = 5
-fraction = 0.4
-
-[data]
-source = shape
-num_samples = 500
-input_dim = 16
-classes = 4
-
-[compare]
-budget_grid_j =
-""")
-        out = tmp_path / "out"
-        assert main(["compare-placement", str(path), "--out", str(out)]) == 0
-        lines = (out / "compare_energy.csv").read_text().splitlines()
-        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        assert np.array_equal(rows[:, 1], rows[:, 2])
+    def test_configured_placement_does_not_change_the_comparison(self, tmp_path):
+        outputs = []
+        for name, overrides in (("default", []), ("fixed", ["--scenario.placement=fixed"])):
+            out = tmp_path / name
+            assert main(["compare-placement", str(CONFIGS / "quick.ini"), "--out", str(out),
+                         *overrides]) == 0
+            outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+        assert (outputs[0]["compare_energy.csv"].splitlines()[0]
+                == b"round,min_sum_dist_cum_energy_j,random_cum_energy_j")
 
 
 def oracle_error(argv, capsys):
@@ -606,6 +616,26 @@ class TestOracle:
     def test_out_of_range_argument_exits_1(self, argv, message, capsys):
         err = oracle_error(argv, capsys)
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["placement", "users=1e200,0"], "grid_m=1 vanishes"),
+        (["placement", "users=1e17,0", "grid_m=1000", "refine_m=1"], "refine_m=1 vanishes"),
+        (["placement", "users=0,0;3000,3000"], "grid_m=1 asks for a grid of more than"),
+        (["placement", "users=-1e308,0;1e308,0", "grid_m=1e300"],
+         "grid_m=1e+300 asks for a grid of more than"),
+        (["placement", "users=5,5", "grid_m=1000", "refine_m=1e-4"],
+         "refine_m=0.0001 asks for a grid of more than"),
+    ], ids=["vanishing-grid", "vanishing-refine", "oversized-grid", "infinite-spread",
+            "oversized-refine"])
+    def test_unbuildable_grid_exits_1_before_allocating(self, argv, message, capsys):
+        tracemalloc.start()
+        try:
+            err = oracle_error(argv, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.startswith("error: ") and message in err
+        assert peak < 2**20  # each oversized grid here would take 72 MB or more
 
 
 class TestDeterministicSvg:

@@ -363,6 +363,26 @@ class TestValidation:
         with pytest.raises(ValueError, match="squared extent overflows"):
             small_scenario(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(area=Area(width=1e150)),
+        dict(uav=UavProfile(altitude=1e150)),
+        dict(channel=ChannelParams(noise=1e27)),
+        dict(placement_scheme="fixed", fixed_position=(1e200, 0.0)),
+        dict(placement_scheme="fixed", fixed_position=(-4e10, 0.0)),
+        dict(user_positions=((0.0, 0.0),) * 5 + ((0.0, 4e10),)),
+    ], ids=["area", "altitude", "noise", "fixed-position", "negative-fixed-position",
+            "user-position"])
+    def test_geometry_with_a_zero_rate_rejected(self, kwargs):
+        # the SNR at the longest link adds nothing to 1, so its rate is 0
+        with pytest.raises(ValueError, match="rate is zero"):
+            small_scenario(train=False, **kwargs)
+
+    def test_longest_link_with_a_positive_rate_runs(self):
+        # at 1e10 m the SNR is still 1 + 5e-16, so every rate is positive
+        sc = small_scenario(train=False, source=ShapeSource(), area=Area(1e10, 1e10))
+        durations = run_scenario(sc).mean("duration")
+        assert len(durations) and np.isfinite(durations).all()
+
     def test_physics_range_ends_are_legal(self):
         small_scenario(initial_flight_energy=0.0, ground_height=0.0, kappa=0.0,
                        aerial_fraction=0.0)
@@ -700,8 +720,7 @@ class TestLockstepGroups:
 
 
 def clear_stores():
-    scenario_module._cohorts.cache_clear()
-    scenario_module._trajectories.cache_clear()
+    scenario_module._store.cache_clear()
 
 
 @pytest.fixture
@@ -753,12 +772,12 @@ STORE_RUN = st.fixed_dictionaries({
 class TestFederationStores:
     """Every run of a federation reads the cohorts drawn and the rounds
     trained by earlier runs in the process, draws and trains only beyond
-    them, and equals the same run from cold stores bit for bit."""
+    them, and equals the same run from a cold store bit for bit."""
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 3), kind=st.sampled_from(["logistic", "mlp"]),
            runs=st.lists(STORE_RUN, min_size=2, max_size=4))
-    # a later run needs more rounds, and more repeats, than the stores hold
+    # a later run needs more rounds, and more repeats, than the store holds
     @example(seed=0, kind="logistic", runs=[
         dict(placement_scheme="random", user=None, pick=0.5, repeats=2, max_rounds=3,
              train=True, eval_stride=1, jobs=1, learning_rate=0.01),
@@ -806,7 +825,10 @@ class TestFederationStores:
 
     def test_continuation_draws_and_trains_only_new_rounds(self, work):
         sc = small_scenario(repeats=2, fl=replace(small_scenario().fl, max_rounds=3))
-        work_of(lambda: run_scenario(sc), work)
+        work_of(lambda: run_scenario(replace(sc, train=False)), work)
+        # the training run reads the cohorts the timing-only run drew
+        assert work_of(lambda: run_scenario(sc), work)[1] == {
+            "select_clients": 0, "trained": 6, "evaluate": 6}
         longer = replace(sc, placement_scheme="random", repeats=3,
                          fl=replace(sc.fl, max_rounds=5))
         warm, warm_work = work_of(lambda: run_scenario(longer), work)
@@ -824,26 +846,24 @@ class TestFederationStores:
         for jobs in (1, 2):
             clear_stores()
             result = run_scenario(sc, jobs=jobs)
-            stores.append((scenario_module._cohorts(sc.master_seed, sc.fl.num_users,
-                                                    sc.fl.fraction),
-                           scenario_module._trajectories(scenario_module._federation(sc))))
-        (cohorts, trajs), (pooled_cohorts, pooled_trajs) = stores
-        assert sorted(pooled_cohorts) == sorted(cohorts) == list(range(4))
-        for r in cohorts:
-            assert len(pooled_cohorts[r]) == len(cohorts[r]) == sc.fl.max_rounds
-            assert all(np.array_equal(p, c) for p, c in zip(pooled_cohorts[r], cohorts[r]))
+            stores.append(scenario_module._store(scenario_module._federation(sc)))
+        store, pooled = stores
+        assert sorted(pooled) == sorted(store) == list(range(4))
+        for r in store:
+            assert len(pooled[r].cohorts) == len(store[r].cohorts) == sc.fl.max_rounds
+            assert all(np.array_equal(p, c)
+                       for p, c in zip(pooled[r].cohorts, store[r].cohorts))
         # a stored cohort is read-only, also where a pool worker handed it
         # back: unpickled arrays come back writeable
-        stored = [c for store in (cohorts, pooled_cohorts) for drawn in store.values()
-                  for c in drawn]
+        stored = [c for records in (store, pooled) for record in records.values()
+                  for c in record.cohorts]
         for cohort in stored + [m.selected for rep in result.repeats for m in rep.metrics]:
             assert not cohort.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 cohort[0] = -1
-        assert sorted(pooled_trajs) == sorted(trajs) == list(range(4))
-        for r in trajs:
-            assert np.array_equal(pooled_trajs[r].params, trajs[r].params)
-            assert pooled_trajs[r].tests == trajs[r].tests
+        for r in store:
+            assert np.array_equal(pooled[r].params, store[r].params)
+            assert pooled[r].tests == store[r].tests
 
     def test_stored_cohorts_keep_at_most_16_bytes_per_id(self):
         # an int64 array keeps 8 B per id; a tuple of Python ints kept about 40
@@ -860,20 +880,20 @@ class TestFederationStores:
         assert ids == 2 * 50 * 1000
         assert kept <= 16 * ids
 
-    @pytest.mark.parametrize("change, redraws", [
-        (lambda sc: replace(sc, fl=replace(sc.fl, hyper=replace(sc.fl.hyper,
-                                                                learning_rate=0.02))), False),
-        (lambda sc: replace(sc, partition_scheme="sharded", shards_per_user=1), False),
-        (lambda sc: replace(sc, eval_stride=2), False),
-        (lambda sc: replace(sc, fl=replace(sc.fl, fraction=1 / 3)), True),
-        (lambda sc: replace(sc, master_seed=sc.master_seed + 1), True),
+    @pytest.mark.parametrize("change", [
+        lambda sc: replace(sc, fl=replace(sc.fl, hyper=replace(sc.fl.hyper,
+                                                               learning_rate=0.02))),
+        lambda sc: replace(sc, partition_scheme="sharded", shards_per_user=1),
+        lambda sc: replace(sc, eval_stride=2),
+        lambda sc: replace(sc, fl=replace(sc.fl, fraction=1 / 3)),
+        lambda sc: replace(sc, master_seed=sc.master_seed + 1),
     ], ids=["learning_rate", "partition_scheme", "eval_stride", "fraction", "master_seed"])
-    def test_a_keyed_field_reuses_nothing(self, work, change, redraws):
+    def test_a_keyed_field_reuses_nothing(self, work, change):
         sc = small_scenario()
         work_of(lambda: run_scenario(sc), work)
         warm, warm_work = work_of(lambda: run_scenario(change(sc)), work)
         clear_stores()
         cold, cold_work = work_of(lambda: run_scenario(change(sc)), work)
-        assert warm_work["trained"] == cold_work["trained"] > 0
-        assert (warm_work["select_clients"] == cold_work["select_clients"]) == redraws
+        assert warm_work == cold_work
+        assert cold_work["trained"] > 0
         assert_same_repeats(warm.repeats, cold.repeats, 6)
