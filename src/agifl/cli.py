@@ -2,7 +2,7 @@
 
     agifl run <config> [--out DIR] [--jobs N] [--seed N] [--section.key=value ...]
     agifl compare-placement <config> [--out DIR] [--jobs N] [--seed N] [...]
-    agifl oracle rate|placement|aggregate [args ...]
+    agifl oracle rate|placement|aggregate [key=value ...]
 
 `run` executes the configured scenario and writes one CSV per repeat plus a
 per-round mean CSV. `compare-placement` runs the min-sum-distance and
@@ -15,9 +15,15 @@ cohorts and training (see `scenario`).
 formula, grid-search placement, hand-rule weighted mean) for checking the
 simulator against.
 
-Exit codes: 0 success, 1 malformed or invalid config or arguments
-(including a partition the dataset cannot satisfy and every command-line
-error argparse finds), 2 dataset I/O failure.
+One parser reads every command line. `run` and `compare-placement` load
+the config and the corpus once, before any run, and write `--out` only
+after their last run, so a refused command leaves no directory.
+
+Exit codes: 0 success; 1 for every refusal, printed as one `error:` line:
+a malformed command line, config or oracle argument, an invalid value, and
+a refusal raised during a run (such as a partition the dataset cannot
+satisfy or a round that would never end), also from a pool worker; 2 when
+the dataset cannot be read.
 """
 
 import argparse
@@ -26,7 +32,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, _float, load_config, parse_overrides
-from .data import check_partition
 from .oracles import grid_placement, rate_direct, weighted_mean_direct
 from .reports import svg_line_chart, write_mean_csv, write_repeat_csv, write_series_csv
 from .scenario import load_corpus, run_scenario
@@ -34,44 +39,14 @@ from .scenario import load_corpus, run_scenario
 __all__ = ["main"]
 
 
-def _load(args, extra):
-    overrides = parse_overrides(extra)
-    if args.seed is not None:
-        overrides[("scenario", "master_seed")] = str(args.seed)
-    return load_config(args.config, overrides)
-
-
-def _preflight_data(scenario) -> int:
-    """Load the corpus (into the cache the runs read) before any run: returns
-    2 if it cannot be read, and raises ConfigError if it cannot be
-    partitioned as configured."""
-    try:
-        train, _ = load_corpus(scenario.source, scenario.master_seed)
-    except (OSError, ValueError) as exc:
-        print(f"error: dataset: {exc}", file=sys.stderr)
-        return 2
-    try:
-        check_partition(train.num_samples, scenario.fl.num_users,
-                        scenario.partition_scheme, scenario.shards_per_user)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return 0
-
-
 def _halt_counts(reasons) -> str:
     """How many repeats halted for each reason, e.g. `budget:18,max_rounds:2`."""
     return ",".join(f"{r}:{reasons.count(r)}" for r in sorted(set(reasons)))
 
 
-def _cmd_run(args, extra) -> int:
-    cfg = _load(args, extra)
+def _cmd_run(cfg, out: Path, jobs: int) -> None:
     scenario = cfg.scenario
-    code = _preflight_data(scenario)
-    if code:
-        return code
-
-    result = run_scenario(scenario, jobs=args.jobs)
-    out = Path(args.out)
+    result = run_scenario(scenario, jobs=jobs)
     out.mkdir(parents=True, exist_ok=True)
     scheme = scenario.placement_scheme
     for rep in result.repeats:
@@ -86,26 +61,31 @@ def _cmd_run(args, extra) -> int:
           f"mean_best_acc={result.mean_best_accuracy:.4f} "
           f"halt={result.halt_reasons[0]} "
           f"halts={_halt_counts(result.halt_reasons)}")
-    return 0
 
 
-def _cmd_compare(args, extra) -> int:
-    cfg = _load(args, extra)
+def _cmd_compare(cfg, out: Path, jobs: int) -> None:
     base = cfg.scenario
-    code = _preflight_data(base)
-    if code:
-        return code
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     schemes = ["min_sum_dist", "random"]  # whatever placement the config names
+    accuracy = bool(cfg.compare_budgets) and base.train
 
     # panel A: cumulative server energy vs training rounds (timing only)
     energy_curves = []
     for scheme in schemes:
         result = run_scenario(replace(base, placement_scheme=scheme, train=False),
-                              jobs=args.jobs)
+                              jobs=jobs)
         energy_curves.append((scheme, result.mean("cum_uav_energy")))
+    # panel B: best accuracy vs energy budget, one run per scheme
+    acc_columns = []
+    if accuracy:
+        for scheme in schemes:
+            result = run_scenario(replace(base, placement_scheme=scheme,
+                                          energy_budget=max(cfg.compare_budgets),
+                                          repeats=cfg.compare_repeats),
+                                  jobs=jobs)
+            acc_columns.append((scheme, [result.mean_best_accuracy_within(b)
+                                        for b in cfg.compare_budgets]))
+
+    out.mkdir(parents=True, exist_ok=True)
     rounds = list(range(1, min(len(c) for _, c in energy_curves) + 1))
     write_series_csv(out / "compare_energy.csv", "round", rounds,
                      [(f"{label}_cum_energy_j", curve) for label, curve in energy_curves])
@@ -113,17 +93,7 @@ def _cmd_compare(args, extra) -> int:
                    [(label, rounds, list(curve)) for label, curve in energy_curves],
                    "Server energy vs training rounds", "round",
                    "cumulative energy (J)")
-
-    # panel B: best accuracy vs energy budget, one run per scheme
-    if cfg.compare_budgets and base.train:
-        acc_columns = []
-        for scheme in schemes:
-            result = run_scenario(replace(base, placement_scheme=scheme,
-                                          energy_budget=max(cfg.compare_budgets),
-                                          repeats=cfg.compare_repeats),
-                                  jobs=args.jobs)
-            acc_columns.append((scheme, [result.mean_best_accuracy_within(b)
-                                        for b in cfg.compare_budgets]))
+    if accuracy:
         write_series_csv(out / "compare_accuracy.csv", "budget_j",
                          cfg.compare_budgets,
                          [(f"{label}_best_acc", accs) for label, accs in acc_columns])
@@ -134,9 +104,7 @@ def _cmd_compare(args, extra) -> int:
                        "best test accuracy")
 
     print(f"compare-placement: wrote {out}/compare_energy.csv"
-          + (f" and {out}/compare_accuracy.csv"
-             if cfg.compare_budgets and base.train else ""))
-    return 0
+          + (f" and {out}/compare_accuracy.csv" if accuracy else ""))
 
 
 def _parse_kv(tokens, schema):
@@ -155,50 +123,37 @@ def _parse_users(raw):
     return [(_float(x), _float(y)) for x, y in (point.split(",") for point in raw.split(";"))]
 
 
-def _cmd_oracle(tokens) -> int:
-    if not tokens:
-        print("usage: agifl oracle rate|placement|aggregate [key=value ...]",
-              file=sys.stderr)
-        return 1
-    sub, rest = tokens[0], tokens[1:]
-    try:
-        if sub == "rate":
-            v = _parse_kv(rest, {
-                "bandwidth_hz": (_float, 5e5),
-                "tx_power_w": (_float, 0.1),
-                "altitude_m": (_float, 100.0),
-                "horizontal_m": (_float, 0.0),
-                "alpha0_linear": (_float, 1e-5),
-                "noise_w": (_float, 1e-12),
-            })
-            rate = rate_direct(v["bandwidth_hz"], v["tx_power_w"], v["altitude_m"],
-                               v["horizontal_m"], v["alpha0_linear"], v["noise_w"])
-            print(format(rate, ".10g"))
-        elif sub == "placement":
-            v = _parse_kv(rest, {
-                "users": (_parse_users, None),
-                "altitude_m": (_float, 100.0),
-                "grid_m": (_float, 1.0),
-                "refine_m": (_float, 0.01),
-            })
-            if v["users"] is None:
-                raise ValueError("placement needs users=x1,y1;x2,y2;...")
-            x, y, obj = grid_placement(v["users"], v["altitude_m"],
-                                       v["grid_m"], v["refine_m"])
-            print(f"{format(x, '.10g')} {format(y, '.10g')} {format(obj, '.10g')}")
-        elif sub == "aggregate":
-            parts = [token.partition("x") for token in rest]
-            updates = [([_float(t) for t in body.strip("[]").split(",")], int(count))
-                       for body, _, count in parts]
-            result = weighted_mean_direct(updates)
-            print("[" + ", ".join(format(v, ".10g") for v in result) + "]")
-        else:
-            print(f"error: unknown oracle subcommand {sub!r}", file=sys.stderr)
-            return 1
-    except (ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+def _cmd_oracle(model: str, tokens) -> None:
+    if model == "rate":
+        v = _parse_kv(tokens, {
+            "bandwidth_hz": (_float, 5e5),
+            "tx_power_w": (_float, 0.1),
+            "altitude_m": (_float, 100.0),
+            "horizontal_m": (_float, 0.0),
+            "alpha0_linear": (_float, 1e-5),
+            "noise_w": (_float, 1e-12),
+        })
+        rate = rate_direct(v["bandwidth_hz"], v["tx_power_w"], v["altitude_m"],
+                           v["horizontal_m"], v["alpha0_linear"], v["noise_w"])
+        print(format(rate, ".10g"))
+    elif model == "placement":
+        v = _parse_kv(tokens, {
+            "users": (_parse_users, None),
+            "altitude_m": (_float, 100.0),
+            "grid_m": (_float, 1.0),
+            "refine_m": (_float, 0.01),
+        })
+        if v["users"] is None:
+            raise ValueError("placement needs users=x1,y1;x2,y2;...")
+        x, y, obj = grid_placement(v["users"], v["altitude_m"],
+                                   v["grid_m"], v["refine_m"])
+        print(f"{format(x, '.10g')} {format(y, '.10g')} {format(obj, '.10g')}")
+    else:  # aggregate
+        parts = [token.partition("x") for token in tokens]
+        updates = [([_float(t) for t in body.strip("[]").split(",")], int(count))
+                   for body, _, count in parts]
+        result = weighted_mean_direct(updates)
+        print("[" + ", ".join(format(v, ".10g") for v in result) + "]")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -209,32 +164,50 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "oracle":
-        return _cmd_oracle(argv[1:])
+def _jobs(raw: str) -> int:
+    if not raw.isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
+
+_COMMANDS = {"run": _cmd_run, "compare-placement": _cmd_compare}
+
+
+def main(argv=None) -> int:
     parser = _ArgumentParser(prog="agifl")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "compare-placement"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("config", help="path to the INI run configuration")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_jobs, default=1,
                        help="processes over the lockstep groups of repeats")
         p.add_argument("--seed", type=int, default=None,
                        help="override scenario.master_seed")
+    sub.add_parser("oracle").add_argument(
+        "model", choices=["rate", "placement", "aggregate"],
+        help="the reference to compute, followed by its key=value arguments")
 
     try:
-        args, extra = parser.parse_known_args(argv)
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-        if args.command == "run":
-            return _cmd_run(args, extra)
-        return _cmd_compare(args, extra)
-    except ConfigError as exc:
+        # the tokens no option takes: overrides, or the oracle's arguments
+        args, extra = parser.parse_known_args(sys.argv[1:] if argv is None else argv)
+        if args.command == "oracle":
+            _cmd_oracle(args.model, extra)
+            return 0
+        overrides = parse_overrides(extra)
+        if args.seed is not None:
+            overrides[("scenario", "master_seed")] = str(args.seed)
+        cfg = load_config(args.config, overrides)
+        try:
+            load_corpus(cfg.scenario.source, cfg.scenario.master_seed)
+        except (OSError, ValueError) as exc:
+            print(f"error: dataset: {exc}", file=sys.stderr)
+            return 2
+        _COMMANDS[args.command](cfg, Path(args.out), args.jobs)
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

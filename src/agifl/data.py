@@ -29,7 +29,6 @@ __all__ = [
     "load_idx",
     "synth_blobs",
     "partition",
-    "check_partition",
     "IMAGES_MAGIC",
     "LABELS_MAGIC",
 ]
@@ -148,24 +147,6 @@ def synth_blobs(num_classes: int, samples_per_class: int, input_dim: int,
     return Dataset(design=design, labels=labels)
 
 
-def check_partition(num_samples: int, num_users: int, scheme: str,
-                    shards_per_user: int) -> None:
-    """Raise ValueError unless `partition` can split the samples this way."""
-    if num_users < 1:
-        raise ValueError("num_users must be >= 1")
-    if num_users > num_samples:
-        raise ValueError(f"num_users ({num_users}) exceeds sample count ({num_samples})")
-    if scheme == "sharded":
-        if shards_per_user < 1:
-            raise ValueError("shards_per_user must be >= 1")
-        if num_samples < num_users * shards_per_user:
-            raise ValueError("dataset too small for the requested sharding "
-                             f"({num_samples} samples for {num_users} users x "
-                             f"{shards_per_user} shards)")
-    elif scheme != "iid":
-        raise ValueError(f"unknown partition scheme {scheme!r}")
-
-
 def partition(data: Dataset, num_users: int, scheme: str = "iid",
               shards_per_user: int = 2, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Split a dataset's indices across users: the CSR pair `(indices,
@@ -174,10 +155,22 @@ def partition(data: Dataset, num_users: int, scheme: str = "iid",
     "iid": random near-equal split; the first (n mod num_users) users get
     one extra sample. "sharded": label-sorted indices cut into
     num_users * shards_per_user contiguous shards (the last shard absorbs
-    any remainder), dealt shards_per_user apiece at random.
+    any remainder), dealt shards_per_user apiece at random. Raises
+    ValueError unless the samples can be split this way.
     """
     n = data.num_samples
-    check_partition(n, num_users, scheme, shards_per_user)
+    if num_users < 1:
+        raise ValueError("num_users must be >= 1")
+    if num_users > n:
+        raise ValueError(f"num_users ({num_users}) exceeds sample count ({n})")
+    if scheme == "sharded":
+        if shards_per_user < 1:
+            raise ValueError("shards_per_user must be >= 1")
+        if n < num_users * shards_per_user:
+            raise ValueError("dataset too small for the requested sharding "
+                             f"({n} samples for {num_users} users x {shards_per_user} shards)")
+    elif scheme != "iid":
+        raise ValueError(f"unknown partition scheme {scheme!r}")
     gen = np.random.default_rng(seed)
     users = np.arange(num_users + 1)
 

@@ -58,11 +58,17 @@ def write_series_csv(path, x_name: str, xs, columns) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _span(lo: float, hi: float):
+    """The axis range of finite values from lo to hi. A single value gets one
+    unit above it, or one ulp where a unit vanishes next to it, below it
+    where that ulp would overflow."""
+    if hi > lo:
+        return lo, hi
+    step = max(1.0, math.ulp(lo))
+    return (lo, lo + step) if lo + step < math.inf else (lo - step, lo)
+
+
 def _ticks(lo: float, hi: float, n: int = 5):
-    if not math.isfinite(lo) or not math.isfinite(hi):
-        lo, hi = 0.0, 1.0
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
@@ -80,16 +86,10 @@ def svg_line_chart(path, series, title: str, xlabel: str, ylabel: str,
     finite = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)
               if math.isfinite(x) and math.isfinite(y)]
     if finite:
-        x_lo = min(x for x, _ in finite)
-        x_hi = max(x for x, _ in finite)
-        y_lo = min(y for _, y in finite)
-        y_hi = max(y for _, y in finite)
+        x_lo, x_hi = _span(min(x for x, _ in finite), max(x for x, _ in finite))
+        y_lo, y_hi = _span(min(y for _, y in finite), max(y for _, y in finite))
     else:
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
 
     def px(x):
         return margin_l + (x - x_lo) / (x_hi - x_lo) * plot_w

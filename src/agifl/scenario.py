@@ -377,23 +377,36 @@ def per_user_arrays(scenario: Scenario, repeat: int, topo: Topology, shard_sizes
     uplink sub-band) is. Cycle counts are Python-int products (int64 could
     overflow), one per shard size; squares are libm `pow`, as Python's `**`
     in `oracles` (NumPy's `x * x` can differ in the last bit); the rest keeps
-    the scalar references' operation order."""
+    the scalar references' operation order. Refuses a repeat in which a user
+    is at the server's position or a round could take an infinite time or
+    energy."""
     fl, channel, n = scenario.fl, scenario.channel, scenario.fl.num_users
     dist_sq = _squares(topo.vertical_offsets()) + _squares(topo.horizontal_distances())
     if not dist_sq.all():
         raise ValueError(f"link endpoints coincide: user {(dist_sq == 0).argmax()} "
                          f"is at the server's position in repeat {repeat}")
     b_up = per_client_bandwidth(channel, cohort_size(n, fl.fraction))
-    t_up = tx_time(payload_bits, link_rates(b_up, channel.user_tx_power, dist_sq, channel))
+    up = link_rates(b_up, channel.user_tx_power, dist_sq, channel)
+    down = link_rates(channel.uav_downlink_bandwidth, scenario.uav.tx_power, dist_sq, channel)
     cpu = _rng(scenario.master_seed, repeat, "cpu").uniform(*scenario.cpu_freq_range, size=n)
     sizes, where = np.unique(shard_sizes, return_inverse=True)
     cycles = np.array([fl.hyper.local_epochs * size * bits_per_sample * scenario.cycles_per_bit
                        for size in sizes.tolist()], float)[where]
+    # the slowest possible round (the longest computation at the lowest frequency,
+    # then the payload over the lowest rate each way) times every power a round
+    # draws bounds its time and energy; checked in Python floats, before NumPy's
+    # divisions could overflow with a warning
+    slowest = float(cycles.max()) / scenario.cpu_freq_range[0] + sum(
+        payload_bits / rate if rate > 0 else math.inf
+        for rate in (float(up.min()), float(down.min())))
+    if not slowest * (scenario.uav.propulsion_power + scenario.uav.tx_power
+                      + channel.user_tx_power) < math.inf:
+        raise ValueError(f"the slowest possible round of repeat {repeat} takes an infinite "
+                         "time or energy (bandwidths, powers, cycles or payload)")
+    t_up = tx_time(payload_bits, up)
     e_comp = (scenario.kappa * _squares(cpu) * cycles if scenario.include_user_compute_energy
               else np.zeros(n))
-    t_recv = tx_time(payload_bits, link_rates(channel.uav_downlink_bandwidth,
-                                              scenario.uav.tx_power, dist_sq, channel))
-    return cycles / cpu + t_up, channel.user_tx_power * t_up, e_comp, t_recv
+    return cycles / cpu + t_up, channel.user_tx_power * t_up, e_comp, tx_time(payload_bits, down)
 
 
 def _squares(values: np.ndarray) -> np.ndarray:

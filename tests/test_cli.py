@@ -301,7 +301,8 @@ class TestRunCommand:
 
 
 class TestInvalidInputExits1:
-    """Invalid input stops before any run with exit 1 and one error line."""
+    """Invalid input exits 1 with one error line and writes no output
+    directory, whether the config, the partition or a run refuses it."""
 
     @pytest.mark.parametrize("argv, message", [
         pytest.param(["run", "quick.ini", "--scenario.budget_entity=uva",
@@ -409,6 +410,15 @@ class TestInvalidInputExits1:
         pytest.param(["run", "quick.ini", "--scenario.form=a2g",
                       "--scenario.ground_height_m=-10"],
                      "ground_height must be >= 0", id="server-below-ground"),
+        pytest.param(["run", "quick.ini", "--scenario.train=false",
+                      "--channel.uav_downlink_bandwidth_hz=1e-320"],
+                     "repeat 0 takes an infinite time or energy", id="infinite-downlink-time"),
+        pytest.param(["run", "quick.ini", "--scenario.train=false",
+                      "--channel.bandwidth_hz=1e-320"],
+                     "repeat 0 takes an infinite time or energy", id="infinite-uplink-time"),
+        # 3 groups of 50-client cohorts on 2 workers: the refusal is a worker's
+        pytest.param(["run", "quick.ini", "--fl.num_users=500", "--jobs", "2"],
+                     "exceeds sample count", id="pool-worker-partition"),
         pytest.param(["run", "quick.ini", "--fraction=0.1"],
                      "unrecognized argument '--fraction=0.1'", id="override-without-section"),
         pytest.param(["run", "quick.ini", "--fl.fraction"],
@@ -445,7 +455,8 @@ def test_argument_error_exits_1_with_one_error_line(argv, tmp_path, capsys):
 
 
 class TestCorpusLoadedOnce:
-    """The preflight's load fills the cache every repeat of every run reads."""
+    """The corpus load ahead of the first run fills the cache every repeat of
+    every run reads."""
 
     @pytest.fixture
     def loads(self, monkeypatch):
@@ -538,6 +549,13 @@ budget_repeats = 2
         assert (outputs[0]["compare_energy.csv"].splitlines()[0]
                 == b"round,min_sum_dist_cum_energy_j,random_cum_energy_j")
 
+    def test_single_budget_past_two_to_the_53(self, tmp_path):
+        # the accuracy chart's x axis holds one value that a +1 would not widen
+        out = tmp_path / "out"
+        assert main(["compare-placement", str(CONFIGS / "quick.ini"), "--out", str(out),
+                     "--compare.budget_grid_j=1e17"]) == 0
+        assert (out / "compare_accuracy.svg").read_text().endswith("</svg>\n")
+
 
 def oracle_error(argv, capsys):
     """Run `agifl oracle` on `argv`, check that it exits 1 with nothing on
@@ -568,6 +586,16 @@ class TestOracle:
     def test_aggregate_hand_rule(self, capsys):
         assert main(["oracle", "aggregate", "[0]x1", "[4]x3"]) == 0
         assert capsys.readouterr().out.strip() == "[3]"
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: model"),
+        (["launch"], "invalid choice: 'launch'"),
+        (["rate", "--out", "x"], "expected key=value, got '--out'"),
+        (["--out", "x", "rate"], "invalid choice: 'x'"),
+    ], ids=["no-model", "unknown-model", "stray-out", "leading-out"])
+    def test_command_line_error_is_one_error_line(self, argv, message, capsys):
+        err = oracle_error(argv, capsys)
+        assert err.startswith("error: ") and message in err
 
     def test_bad_args_exit_1(self, capsys):
         assert main(["oracle", "rate", "nonsense=1"]) == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from agifl.fedavg import select_clients
-from agifl.reports import ROUND_CSV_HEADER, write_repeat_csv
+from agifl.reports import ROUND_CSV_HEADER, svg_line_chart, write_repeat_csv
 from agifl.scenario import RoundMetrics
 from agifl.seeding import rng
 
@@ -38,3 +38,15 @@ class TestWriteRepeatCsv:
         assert rows[0] == ROUND_CSV_HEADER
         assert [row.rsplit(",", 1)[1] for row in rows[1:]] == [
             ";".join(map(str, c.tolist())) for c in cohorts]
+
+
+class TestSvgLineChart:
+    @pytest.mark.parametrize("x", [1e17, 1e308, -1e308, 1.7976931348623157e308])
+    def test_single_point_at_any_magnitude(self, x, tmp_path):
+        # a one-unit widening vanishes next to x >= 2**53: the span stays 0
+        svg_line_chart(tmp_path / "one.svg", [("a", [x], [0.5])], "t", "x", "y")
+        text = (tmp_path / "one.svg").read_text()
+        assert text.endswith("</svg>\n")
+        assert "nan" not in text and "inf" not in text
+        point = text.split('points="')[1].split('"')[0]
+        assert 70 <= float(point.split(",")[0]) <= 620  # inside the plot

@@ -577,6 +577,19 @@ class TestPerUserArrays:
             with pytest.raises(ValueError, match=rf"coincide: user 1 .* repeat {repeat}$"):
                 run_repeat(sc, repeat)
 
+    @pytest.mark.parametrize("channel", [ChannelParams(uav_downlink_bandwidth=1e-320),
+                                         ChannelParams(total_bandwidth=1e-320)],
+                             ids=["downlink", "uplink"])
+    def test_infinite_round_raises_before_any_round(self, channel, monkeypatch):
+        # each bandwidth is positive, but the payload takes an infinite time
+        # over it; NumPy's division would warn, and the hover energy be NaN
+        sc = small_scenario(channel=channel, train=False)
+        monkeypatch.setattr(scenario_module, "select_clients",
+                            lambda *args: pytest.fail("a round started"))
+        with pytest.raises(ValueError, match="slowest possible round of repeat 0 takes an "
+                                             "infinite time or energy"):
+            run_scenario(sc)
+
 
 class TestBudgetsReadOffOneRun:
     """A run under budget b keeps exactly the rounds of the run under the
