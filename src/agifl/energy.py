@@ -15,9 +15,9 @@ comparison concerns the server's energy.
 `EnergyLedger` holds a run's energy budget on one entity and refuses a
 round that would take that entity over it, leaving every total as it was.
 
-`scenario` builds the per-user terms as arrays once per repeat, and each
-round's duration and energy from them; its arithmetic is tested against
-the scalar references in `oracles`.
+`scenario` builds the per-user terms as arrays once per repeat, and the
+durations and energies of a block of rounds from them; its arithmetic is
+tested against the scalar references in `oracles`.
 """
 
 import math
@@ -63,19 +63,17 @@ class EnergyLedger:
     """Cumulative per-entity energy, updated once per counted round.
 
     Entities are "uav" (the server) and "user:<id>" for 0 <= id <
-    num_users. `add_round` refuses a round after which `entity`'s total
-    would exceed `budget` (an infinite budget refuses none), so a round
-    that would overdraw the budget is never counted. One-off costs (such
-    as a flat flight-to-hover-point charge) count toward the totals
-    without affecting the round count.
+    num_users. `add_rounds` stops at the first round after which `entity`'s
+    total would exceed `budget` (an infinite budget refuses none), so no
+    such round is counted. One-off costs (such as a flat flight-to-hover-
+    point charge) count toward the totals without affecting the round count.
     """
 
     def __init__(self, num_users: int, budget: float = math.inf, entity: str = "uav"):
         if not budget > 0:
             raise ValueError("budget must be positive")
-        entity_index(entity, num_users)
+        self._user = entity_index(entity, num_users)
         self._budget = budget
-        self._entity = entity
         self._uav = 0.0
         self._users = np.zeros(num_users)
 
@@ -88,24 +86,32 @@ class EnergyLedger:
         else:
             self._users[user] += joules
 
-    def add_round(self, server: float, users: np.ndarray, user_tx: np.ndarray,
-                  user_compute: np.ndarray, user_hover: np.ndarray) -> bool:
-        """Count a round: `server` joules for the server and, aligned with
-        the cohort `users` (distinct ids), each user's transmit, compute and
-        hover joules. Returns False, with every total left as it was, when
-        the round would take the budget entity over the budget."""
-        uav, kept = self._uav, self._users[users]
-        self._uav += server
-        # float addition is not associative: tx, then compute, then hover
-        # fixes each user's total to the last bit
-        self._users[users] += user_tx
-        self._users[users] += user_compute
-        self._users[users] += user_hover
-        if self.total(self._entity) > self._budget:
-            self._uav = uav
-            self._users[users] = kept
-            return False
-        return True
+    def rounds_within(self, server, user_tx, user_compute, user_hover) -> float:
+        """The rounds the budget surely keeps, rounding included, if none costs more
+        than the given round (`add_rounds`' terms, the budget user last in its cohort)."""
+        if self._budget == math.inf:
+            return math.inf
+        spent, most = ((self._uav, server[0]) if self._user is None else (
+            self._users[self._user], user_tx[0, -1] + user_compute[0, -1] + user_hover[0, -1]))
+        return max(0, math.floor((self._budget - spent) / (most + 2 * math.ulp(self._budget))))
+
+    def add_rounds(self, server: np.ndarray, users: np.ndarray, user_tx: np.ndarray,
+                   user_compute: np.ndarray, user_hover: np.ndarray):
+        """Count R rounds up to the first that would overdraw the budget: the server's
+        (R,) joules and each member's of the cohorts `users` (R, m). Returns the rounds
+        kept and lists of their server and budget-entity totals (one list if the same)."""
+        uav = np.cumsum(np.append(self._uav, server))
+        # float addition is not associative: round by round, tx, then compute, then
+        # hover (0.0 where the budget user sits a round out) fixes each total's last bit
+        terms = np.stack((user_tx, user_compute, user_hover), axis=1)  # (R, 3, m)
+        spent = uav[1:] if self._user is None else np.cumsum(np.append(
+            self._users[self._user], (terms * (users == self._user)[:, None]).sum(axis=2)))[3::3]
+        # no term is negative, so the running totals never fall
+        kept = int(np.searchsorted(spent, self._budget, side="right"))
+        np.add.at(self._users, np.repeat(users[:kept], 3, axis=0).ravel(), terms[:kept].ravel())
+        self._uav = float(uav[kept])
+        totals = uav[1:kept + 1].tolist()
+        return kept, totals, totals if self._user is None else spent[:kept].tolist()
 
     def total(self, entity: str = "uav") -> float:
         user = entity_index(entity, len(self._users))

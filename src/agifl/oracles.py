@@ -199,6 +199,8 @@ def grid_placement(users, altitude: float, grid_m: float = 1.0, refine_m: float 
         raise ValueError("users must be non-empty")
     if not (grid_m > 0 and refine_m > 0):
         raise ValueError("grid steps must be positive")
+    if not (altitude >= 0 and altitude * altitude < math.inf):
+        raise ValueError("altitude must be >= 0 and its square finite")
     xs, ys = zip(*users)
     bx, by, _ = _grid_best(*_grid_axes((min(xs), max(xs)), (min(ys), max(ys)),
                                        grid_m, "grid_m"), users, altitude)

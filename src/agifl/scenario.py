@@ -56,8 +56,8 @@ store, so its records extend the parent's).
 
 Every per-user time and energy is constant within a repeat, so
 `per_user_arrays` builds them once, equal entry for entry to the scalar
-references in `oracles`; a round is then a gather over its cohort and a
-max each for the slowest client and the slowest broadcast recipient.
+references in `oracles`; `round_model` computes a block of rounds from
+them by gathers over the cohorts, one (R, m) array, and row maxima.
 `ExperimentResult.mean` averages a per-round field over the rounds all
 repeats completed, so every mean covers exactly `repeats` instances.
 """
@@ -100,6 +100,8 @@ PLACEMENT_SCHEMES = ("min_sum_dist", "random", "fixed")
 # Lanes per lockstep train_cohort call: the per-lane cost stops falling at
 # about 8-16 lanes, while the call's memory keeps growing with the lanes.
 LANE_CEILING = 16
+# Member-rounds per round_model block: caps the gathers' peak memory.
+BLOCK_MEMBER_ROUNDS = 4096
 
 
 @dataclass(frozen=True)
@@ -228,8 +230,8 @@ class Scenario:
         check_architecture(self.model_kind, self.hidden_dim)
         if self.cycles_per_bit < 1:
             raise ValueError("cycles_per_bit must be >= 1")
-        if not 0 < self.cpu_freq_range[0] <= self.cpu_freq_range[1] < math.inf:
-            raise ValueError("cpu_freq_range must satisfy 0 < min <= max < inf")
+        if not 0 < self.cpu_freq_range[0] <= self.cpu_freq_range[1] < 2.0 ** 512:
+            raise ValueError("cpu_freq_range must satisfy 0 < min <= max < 2**512")
         if not all(map(math.isfinite, self.fixed_position)):
             raise ValueError("fixed_position must be finite")
         if self.user_positions is not None and not (
@@ -394,19 +396,34 @@ def per_user_arrays(scenario: Scenario, repeat: int, topo: Topology, shard_sizes
                        for size in sizes.tolist()], float)[where]
     # the slowest possible round (the longest computation at the lowest frequency,
     # then the payload over the lowest rate each way) times every power a round
-    # draws bounds its time and energy; checked in Python floats, before NumPy's
-    # divisions could overflow with a warning
+    # draws, plus the largest compute energy, bounds its time and energy; checked
+    # in Python floats, before NumPy's arithmetic could overflow with a warning
     slowest = float(cycles.max()) / scenario.cpu_freq_range[0] + sum(
         payload_bits / rate if rate > 0 else math.inf
         for rate in (float(up.min()), float(down.min())))
+    compute = scenario.include_user_compute_energy and (
+        scenario.kappa * scenario.cpu_freq_range[1] ** 2 * float(cycles.max()))
     if not slowest * (scenario.uav.propulsion_power + scenario.uav.tx_power
-                      + channel.user_tx_power) < math.inf:
+                      + channel.user_tx_power) + compute < math.inf:
         raise ValueError(f"the slowest possible round of repeat {repeat} takes an infinite "
-                         "time or energy (bandwidths, powers, cycles or payload)")
+                         "time or energy (bandwidths, powers, cycles, kappa or payload)")
     t_up = tx_time(payload_bits, up)
     e_comp = (scenario.kappa * _squares(cpu) * cycles if scenario.include_user_compute_energy
               else np.zeros(n))
     return cycles / cpu + t_up, channel.user_tx_power * t_up, e_comp, tx_time(payload_bits, down)
+
+
+def round_model(scenario: Scenario, users, cohorts: np.ndarray):
+    """Each round's downlink time, duration and server energy, and each
+    member's transmit, compute and hover energy, for R cohorts (R, m) and
+    `users`: `per_user_arrays`' four arrays and whether each user flies."""
+    t_client, e_tx, e_comp, t_recv, aerial = users
+    propulsion, tx_power = scenario.uav.propulsion_power, scenario.uav.tx_power
+    t_down = (np.full(len(cohorts), t_recv.max()) if scenario.broadcast_all
+              else t_recv[cohorts].max(axis=1))
+    duration = t_down + t_client[cohorts].max(axis=1)
+    return (t_down, duration, propulsion * duration + tx_power * t_down, e_tx[cohorts],
+            e_comp[cohorts], np.where(aerial[cohorts], propulsion * duration[:, None], 0.0))
 
 
 def _squares(values: np.ndarray) -> np.ndarray:
@@ -458,38 +475,33 @@ def _network_pass(scenario: Scenario, repeat: int, record: _Repeat, spec: ModelS
     payload_bits = param_count(spec) * channel.payload_bits_per_param
     master = child_seed(seed, repeat)
 
-    t_client, e_tx, e_comp, t_recv = per_user_arrays(
-        scenario, repeat, topo, np.diff(shards[1]), payload_bits, train_data.bits_per_sample)
-    p_hover = np.where(topo.user_alt > 0, scenario.uav.propulsion_power, 0.0)
+    t_client, _, _, t_recv, _ = users = (
+        *per_user_arrays(scenario, repeat, topo, np.diff(shards[1]), payload_bits,
+                         train_data.bits_per_sample), topo.user_alt > 0)
+    # the slowest possible round, the budget user (user 0 if none) last
+    budget_user = entity_index(scenario.budget_entity, fl.num_users) or 0
+    slowest = round_model(scenario, users,
+                          np.array([[t_recv.argmax(), t_client.argmax(), budget_user]]))[2:]
+    per_block = max(1, BLOCK_MEMBER_ROUNDS // cohort_size(fl.num_users, fl.fraction))
 
     ledger = EnergyLedger(fl.num_users, scenario.energy_budget, scenario.budget_entity)
     ledger.charge("uav", scenario.initial_flight_energy)
-    metrics: list[RoundMetrics] = []
-    halt_reason = "max_rounds"
-    drawn = record.cohorts
+    metrics, drawn, nan, rnd, kept, size = [], record.cohorts, itertools.repeat(math.nan), 0, 0, 0
+    while rnd < fl.max_rounds and kept == size:
+        # at most one round past those the budget surely keeps: none drawn ahead
+        size = min(fl.max_rounds - rnd, per_block, ledger.rounds_within(*slowest) + 1)
+        for r in range(len(drawn), rnd + size):
+            drawn.append(select_clients(fl.num_users, fl.fraction, _rng(master, r, "select")))
+            drawn[r].flags.writeable = False
+        cohorts = np.array(drawn[rnd:rnd + size])
+        _, duration, server, *members = round_model(scenario, users, cohorts)
+        kept, cum_uav, spent = ledger.add_rounds(server, cohorts, *members)
+        metrics += map(RoundMetrics, range(rnd + 1, rnd + kept + 1), duration.tolist(),
+                       server.tolist(), cum_uav, nan, nan, drawn[rnd:rnd + kept], spent)
+        rnd += size
 
-    for rnd in range(fl.max_rounds):
-        if rnd == len(drawn):
-            drawn.append(select_clients(fl.num_users, fl.fraction, _rng(master, rnd, "select")))
-            drawn[rnd].flags.writeable = False
-        selected = drawn[rnd]
-        recipients = slice(None) if scenario.broadcast_all else selected
-        t_down = float(t_recv[recipients].max())  # = payload / lowest rate, exactly
-        duration = t_down + float(t_client[selected].max())
-        server = scenario.uav.propulsion_power * duration + scenario.uav.tx_power * t_down
-        if not ledger.add_round(server, selected, e_tx[selected], e_comp[selected],
-                                p_hover[selected] * duration):
-            halt_reason = "budget"
-            break
-        metrics.append(RoundMetrics(
-            round=rnd + 1, duration=duration, uav_energy=server,
-            cum_uav_energy=ledger.total("uav"), test_loss=math.nan,
-            test_acc=math.nan, selected=selected,
-            budget_total=ledger.total(scenario.budget_entity)))
-
-    result = RepeatResult(repeat=repeat, metrics=metrics, halt_reason=halt_reason,
-                          placement=topo.placement, ledger=ledger)
-    return result, shards
+    halt_reason = "budget" if kept < size else "max_rounds"
+    return RepeatResult(repeat, metrics, halt_reason, topo.placement, ledger), shards
 
 
 def _learning_pass(scenario: Scenario, spec: ModelSpec, reps, records, shards,

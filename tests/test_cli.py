@@ -416,6 +416,14 @@ class TestInvalidInputExits1:
         pytest.param(["run", "quick.ini", "--scenario.train=false",
                       "--channel.bandwidth_hz=1e-320"],
                      "repeat 0 takes an infinite time or energy", id="infinite-uplink-time"),
+        pytest.param(["run", "quick.ini", "--scenario.train=false",
+                      "--energy.cpu_freq_min_hz=1e199", "--energy.cpu_freq_max_hz=1e200",
+                      "--energy.include_user_compute=true"],
+                     "cpu_freq_range must satisfy", id="overflowing-cpu-freq-square"),
+        pytest.param(["run", "quick.ini", "--scenario.train=false", "--energy.kappa=1e300",
+                      "--energy.include_user_compute=true"],
+                     "repeat 0 takes an infinite time or energy",
+                     id="overflowing-compute-energy"),
         # 3 groups of 50-client cohorts on 2 workers: the refusal is a worker's
         pytest.param(["run", "quick.ini", "--fl.num_users=500", "--jobs", "2"],
                      "exceeds sample count", id="pool-worker-partition"),
@@ -637,10 +645,13 @@ class TestOracle:
         (["placement", "users=1,2", "grid_m=0"], "grid steps must be positive"),
         (["placement", "users=1,2", "grid_m=-1"], "grid steps must be positive"),
         (["placement", "users=1,2", "refine_m=0"], "grid steps must be positive"),
+        (["placement", "users=1,2", "altitude_m=1e308"], "its square finite"),
+        (["placement", "users=1,2", "altitude_m=-1"], "altitude must be >= 0"),
     ], ids=["zero-distance", "underflowing-distance", "overflowing-distance",
             "overflowing-sum", "negative-altitude",
             "negative-horizontal", "negative-bandwidth", "zero-power", "negative-gain",
-            "zero-noise", "zero-grid", "negative-grid", "zero-refine"])
+            "zero-noise", "zero-grid", "negative-grid", "zero-refine",
+            "overflowing-placement-altitude", "negative-placement-altitude"])
     def test_out_of_range_argument_exits_1(self, argv, message, capsys):
         err = oracle_error(argv, capsys)
         assert err.startswith("error: ") and message in err

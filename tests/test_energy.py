@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agifl.energy import EnergyLedger, UavProfile, entity_index
@@ -12,13 +12,20 @@ from agifl.scenario import Scenario
 SERVER = UavProfile()
 
 
+def add_round(ledger, server, users, user_tx, user_compute, user_hover):
+    """Offer one round as a block of one; True when the ledger keeps it."""
+    kept, _, _ = ledger.add_rounds(np.array([server]), np.array([users], dtype=np.int64),
+                                   *(np.array([terms], dtype=float)
+                                     for terms in (user_tx, user_compute, user_hover)))
+    return kept == 1
+
+
 def offer(ledger, server, user_tx=None):
     """Offer a round whose cohort pays the given transmit energy only."""
     user_tx = user_tx or {}
     n = len(user_tx)
-    return ledger.add_round(server, np.array(list(user_tx), dtype=np.int64),
-                            np.array(list(user_tx.values()), dtype=float),
-                            np.zeros(n), np.zeros(n))
+    return add_round(ledger, server, list(user_tx), list(user_tx.values()),
+                     np.zeros(n), np.zeros(n))
 
 
 class TestComputeTime:
@@ -106,6 +113,7 @@ class TestLedgerAndBudget:
         ledger = EnergyLedger(num_users=1)
         for _ in range(1000):
             assert offer(ledger, 1e6)
+        assert ledger.rounds_within(np.array([1e300]), *[np.ones((1, 1))] * 3) == math.inf
 
     def test_budget_below_first_round(self):
         ledger = EnergyLedger(num_users=1, budget=10.0)
@@ -145,11 +153,11 @@ class TestLedgerAndBudget:
         users = np.array([0, 2])
         tx, comp, hover = np.array([0.1, 0.2]), np.array([0.7, 0.0]), np.array([0.0, 0.3])
         ledger.charge("user:2", 0.05)
-        assert ledger.add_round(1.5, users, tx, comp, hover)
+        assert add_round(ledger, 1.5, users, tx, comp, hover)
         assert ledger.total("user:0") == 0.0 + 0.1 + 0.7 + 0.0
         assert ledger.total("user:1") == 0.0
         assert ledger.total("user:2") == 0.05 + 0.2 + 0.0 + 0.3
-        assert not ledger.add_round(1.5, users, tx, comp, hover)  # user 0 would reach 1.6
+        assert not add_round(ledger, 1.5, users, tx, comp, hover)  # user 0 would reach 1.6
         assert ledger.total("user:0") == 0.0 + 0.1 + 0.7 + 0.0
         assert ledger.total("user:2") == 0.05 + 0.2 + 0.0 + 0.3
         assert ledger.total("uav") == 1.5
@@ -191,9 +199,55 @@ class TestLedgerProperties:
             if kept:
                 uav, users = next_uav, next_users
             tx, comp, hover = np.array(terms).T
-            assert ledger.add_round(server, np.array(cohort), tx, comp, hover) == kept
+            assert add_round(ledger, server, cohort, tx, comp, hover) == kept
             assert ledger.total("uav") == uav
             assert [ledger.total(f"user:{u}") for u in range(n)] == users
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=ledger_rounds())
+    def test_a_block_equals_its_rounds_one_at_a_time(self, case):
+        n, entity, budget, flight, rounds = case
+        # the cohorts of a block share one size: cut each to the smallest
+        m = min((len(cohort) for _, cohort, _ in rounds), default=0)
+        server = np.array([joules for joules, _, _ in rounds])
+        cohorts = np.array([cohort[:m] for _, cohort, _ in rounds],
+                           dtype=np.int64).reshape(len(rounds), m)
+        terms = np.array([terms[:m] for _, _, terms in rounds]).reshape(len(rounds), m, 3)
+        terms = terms.transpose(2, 0, 1)  # tx, compute, hover, each (R, m)
+        block, single = EnergyLedger(n, budget, entity), EnergyLedger(n, budget, entity)
+        block.charge("uav", flight)
+        single.charge("uav", flight)
+        kept, uav, spent = block.add_rounds(server, cohorts, *terms)
+        totals = []
+        for r in range(len(rounds)):
+            if not single.add_rounds(server[r:r + 1], cohorts[r:r + 1],
+                                     *(t[r:r + 1] for t in terms))[0]:
+                break
+            totals.append((single.total("uav"), single.total(entity)))
+        assert kept == len(totals)
+        assert list(zip(uav, spent)) == totals
+        assert block.total("uav") == single.total("uav")
+        assert ([block.total(f"user:{u}") for u in range(n)]
+                == [single.total(f"user:{u}") for u in range(n)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(entity=st.sampled_from(["uav", "user:0"]), budget=st.floats(1e-6, 60.0),
+           flight=joules, server=st.floats(1e-3, 10.0),
+           terms=st.tuples(*[st.floats(1e-3, 10.0)] * 3))
+    # 0.06 / 0.01 is 6.0, while six additions of 0.01 give 0.060000000000000005
+    @example(entity="uav", budget=0.06, flight=0.0, server=0.01, terms=(0.01, 0.0, 0.0))
+    @example(entity="user:0", budget=0.06, flight=0.0, server=0.01, terms=(0.01, 0.0, 0.0))
+    def test_rounds_within_are_kept(self, entity, budget, flight, server, terms):
+        # rounds that each cost exactly the bound: the ledger keeps every
+        # one of the rounds `rounds_within` promises, whatever the rounding
+        ledger = EnergyLedger(1, budget, entity)
+        ledger.charge("uav", flight)
+        sure = ledger.rounds_within(np.array([server]), *(np.array([[t]]) for t in terms))
+        rounds = min(sure, 1000)
+        kept, _, _ = ledger.add_rounds(np.full(rounds, server), np.zeros((rounds, 1), int),
+                                       *(np.full((rounds, 1), t) for t in terms))
+        assert kept == rounds
 
 
 class TestProfilesAndUserEnergy:

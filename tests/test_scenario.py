@@ -321,6 +321,7 @@ class TestValidation:
             with pytest.raises(ValueError, match="cpu_freq_range"):
                 small_scenario(cpu_freq_range=cpu_range)
         small_scenario(cpu_freq_range=(2e9, 2e9))
+        small_scenario(cpu_freq_range=(1e9, 1.3e154))
 
     @pytest.mark.parametrize("position", [(math.nan, 0.0), (0.0, math.inf)])
     def test_fixed_position_must_be_finite(self, position):
@@ -333,7 +334,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="user_positions must hold one finite"):
             small_scenario(user_positions=positions)
 
-    @pytest.mark.parametrize("cpu_range", [(1e9, math.inf), (math.inf, math.inf)])
+    # the last two: the square of the maximum overflows
+    @pytest.mark.parametrize("cpu_range", [(1e9, math.inf), (math.inf, math.inf),
+                                           (1e9, 1.35e154), (1e199, 1e200)])
     def test_cpu_freq_range_must_be_finite(self, cpu_range):
         with pytest.raises(ValueError, match="cpu_freq_range must satisfy"):
             small_scenario(cpu_freq_range=cpu_range)
@@ -503,12 +506,22 @@ class TestRoundLoopReference:
     @pytest.mark.parametrize("broadcast_all", [False, True])
     @pytest.mark.parametrize("form", ["g2a", "a2g", "a2a", "mixed"])
     def test_rounds_and_ledger_match_scalar_models(self, form, broadcast_all, compute):
-        sc = Scenario(fl=FlConfig(num_users=12, fraction=0.25,
+        self.check(form=form, broadcast_all=broadcast_all, include_user_compute_energy=compute)
+
+    def test_rounds_split_into_blocks_match_scalar_models(self):
+        # 2,048-client cohorts: the member-round cap splits the six rounds
+        assert 2048 * 6 > scenario_module.BLOCK_MEMBER_ROUNDS >= 2048
+        self.check(num_users=4096, fraction=0.5, form="mixed", broadcast_all=True,
+                   include_user_compute_energy=True)
+
+    @staticmethod
+    def check(num_users=12, fraction=0.25, **kwargs):
+        sc = Scenario(fl=FlConfig(num_users=num_users, fraction=fraction,
                                   hyper=Hyperparams(local_epochs=2), max_rounds=6),
-                      source=ShapeSource(num_samples=1200, input_dim=784, num_classes=10),
-                      train=False, repeats=2, master_seed=3, form=form,
-                      broadcast_all=broadcast_all, include_user_compute_energy=compute,
-                      initial_flight_energy=0.7)
+                      source=ShapeSource(num_samples=100 * num_users, input_dim=784,
+                                         num_classes=10),
+                      train=False, repeats=2, master_seed=3, initial_flight_energy=0.7,
+                      **kwargs)
         unbounded = run_scenario(sc)
         # halt on the fifth round, so the ledger refuses one round
         budget = unbounded.repeats[0].metrics[3].cum_uav_energy
@@ -519,7 +532,7 @@ class TestRoundLoopReference:
             assert [(m.duration, m.uav_energy, m.cum_uav_energy)
                     for m in rep.metrics] == rows
             assert rep.ledger.total("uav") == uav
-            assert [rep.ledger.total(f"user:{u}") for u in range(12)] == users
+            assert [rep.ledger.total(f"user:{u}") for u in range(num_users)] == users
 
 
 class TestPerUserArrays:
@@ -577,13 +590,16 @@ class TestPerUserArrays:
             with pytest.raises(ValueError, match=rf"coincide: user 1 .* repeat {repeat}$"):
                 run_repeat(sc, repeat)
 
-    @pytest.mark.parametrize("channel", [ChannelParams(uav_downlink_bandwidth=1e-320),
-                                         ChannelParams(total_bandwidth=1e-320)],
-                             ids=["downlink", "uplink"])
-    def test_infinite_round_raises_before_any_round(self, channel, monkeypatch):
+    @pytest.mark.parametrize("kwargs", [
+        dict(channel=ChannelParams(uav_downlink_bandwidth=1e-320)),
+        dict(channel=ChannelParams(total_bandwidth=1e-320)),
+        dict(kappa=1e300, include_user_compute_energy=True),
+    ], ids=["downlink", "uplink", "compute-energy"])
+    def test_infinite_round_raises_before_any_round(self, kwargs, monkeypatch):
         # each bandwidth is positive, but the payload takes an infinite time
-        # over it; NumPy's division would warn, and the hover energy be NaN
-        sc = small_scenario(channel=channel, train=False)
+        # over it; NumPy's division would warn, and the hover energy be NaN.
+        # Each factor of kappa * f^2 * cycles is finite, but not the product.
+        sc = small_scenario(train=False, **kwargs)
         monkeypatch.setattr(scenario_module, "select_clients",
                             lambda *args: pytest.fail("a round started"))
         with pytest.raises(ValueError, match="slowest possible round of repeat 0 takes an "
@@ -892,6 +908,27 @@ class TestFederationStores:
         ids = sum(len(m.selected) for rep in result.repeats for m in rep.metrics)
         assert ids == 2 * 50 * 1000
         assert kept <= 16 * ids
+
+    @pytest.mark.parametrize("num_users, fraction", [(6, 0.5), (4000, 0.75)],
+                             ids=["small-cohorts", "cohorts-split-into-blocks"])
+    @pytest.mark.parametrize("entity", ["uav", "user:3"])
+    def test_a_record_holds_the_cohorts_a_round_by_round_loop_draws(
+            self, entity, num_users, fraction):
+        # a halted repeat drew its kept rounds and the round the ledger
+        # refused, an unhalted one every round: no block draws ahead
+        sc = Scenario(fl=FlConfig(num_users=num_users, fraction=fraction, max_rounds=12),
+                      source=ShapeSource(num_samples=100 * num_users), train=False,
+                      repeats=6, budget_entity=entity, master_seed=2)
+        clear_stores()
+        totals = sorted(rep.ledger.total(entity) for rep in run_scenario(sc).repeats)
+        for budget, halts in ((totals[2], {"budget", "max_rounds"}), (1e-9, {"budget"})):
+            clear_stores()
+            result = run_scenario(replace(sc, energy_budget=budget))
+            assert set(result.halt_reasons) == halts
+            store = scenario_module._store(scenario_module._federation(sc))
+            for rep in result.repeats:
+                assert len(store[rep.repeat].cohorts) == (
+                    len(rep.metrics) + 1 if rep.halt_reason == "budget" else 12)
 
     @pytest.mark.parametrize("change", [
         lambda sc: replace(sc, fl=replace(sc.fl, hyper=replace(sc.fl.hyper,
