@@ -8,7 +8,8 @@ parameter).
 
 import numpy as np
 
-from agifl import ChannelParams, UavProfile, link_rates, per_client_bandwidth, tx_time
+from agifl import ChannelParams, UavProfile, link_rates, per_client_bandwidth
+from agifl.oracles import tx_time
 
 channel = ChannelParams()  # 1 MHz uplink pool, -50 dB gain, -90 dBm noise
 uav = UavProfile()  # 10 mW server transmitter

@@ -4,7 +4,7 @@ server, with a physical link model, per-round energy accounting and
 hovering-placement optimization."""
 
 from .channel import (ChannelParams, db_to_linear, dbm_to_watts, link_rates,
-                      per_client_bandwidth, tx_time)
+                      per_client_bandwidth)
 from .data import Dataset, load_idx, partition, synth_blobs
 from .energy import EnergyLedger, UavProfile
 from .fedavg import FlConfig, aggregate, run_round, select_clients

@@ -21,7 +21,6 @@ __all__ = [
     "db_to_linear",
     "dbm_to_watts",
     "link_rates",
-    "tx_time",
     "per_client_bandwidth",
 ]
 
@@ -73,15 +72,6 @@ def link_rates(bandwidth: float, tx_power: float, dist_sq: np.ndarray,
     log2 can differ in the last bit)."""
     snr = 1.0 + params.ref_gain * tx_power / (params.noise * dist_sq)
     return bandwidth * np.fromiter(map(math.log2, snr.tolist()), float, len(dist_sq))
-
-
-def tx_time(payload_bits: float, rate):
-    """Seconds to push `payload_bits` through each link at `rate` bit/s."""
-    if np.min(rate) <= 0:
-        raise ValueError("rate must be positive")
-    if payload_bits < 0:
-        raise ValueError("payload_bits must be non-negative")
-    return payload_bits / rate
 
 
 def per_client_bandwidth(params: ChannelParams, cohort_size: int) -> float:

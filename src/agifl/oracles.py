@@ -2,8 +2,8 @@
 
 They back the `agifl oracle` subcommand and the verification suite, and
 import no `agifl` module: the rate formula is evaluated directly with
-`math`; a user's compute time and energy, round duration and the server's
-round energy are scalar arithmetic in the production operation order;
+`math`; a transfer time, a user's compute time and energy, round duration
+and the server's round energy are plain arithmetic in the production order;
 local SGD is a plain 2-D per-client loop with its own forward and backward
 pass, reading `spec` and `hyper` by attribute and using the flat parameter
 layout of `models`; the placement optimum comes from exhaustive grid
@@ -14,9 +14,9 @@ import math
 
 import numpy as np
 
-__all__ = ["rate_direct", "user_compute_time", "user_compute_energy", "round_duration",
-           "uav_round_energy", "log_probs", "loss_and_grad", "local_train", "grid_placement",
-           "weighted_mean_direct"]
+__all__ = ["rate_direct", "tx_time", "user_compute_time", "user_compute_energy",
+           "round_duration", "uav_round_energy", "log_probs", "loss_and_grad", "local_train",
+           "grid_placement", "weighted_mean_direct"]
 
 
 def rate_direct(bandwidth: float, tx_power: float, altitude: float,
@@ -32,8 +32,19 @@ def rate_direct(bandwidth: float, tx_power: float, altitude: float,
     if not (altitude >= 0 and horizontal >= 0 and 0 < dist_sq < math.inf):
         raise ValueError("altitude and horizontal distance must be >= 0, slant distance > 0 "
                          "and its square finite")
-    snr = ref_gain * tx_power / (noise * dist_sq)
+    snr = ref_gain * tx_power / (noise * dist_sq) if noise * dist_sq > 0 else math.inf
+    if snr == math.inf:
+        raise ValueError("the SNR must be finite (the link is too short for its power)")
     return bandwidth * math.log2(1.0 + snr)
+
+
+def tx_time(payload_bits: float, rate):
+    """Seconds to push `payload_bits` through each link at `rate` bit/s."""
+    if np.min(rate) <= 0:
+        raise ValueError("rate must be positive")
+    if payload_bits < 0:
+        raise ValueError("payload_bits must be non-negative")
+    return payload_bits / rate
 
 
 def user_compute_time(samples: int, bits_per_sample: int, cycles_per_bit: int,

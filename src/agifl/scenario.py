@@ -54,10 +54,10 @@ parent installs them, cohorts read-only again, so its next run reads what
 the workers drew and trained (a forked worker starts from the parent's
 store, so its records extend the parent's).
 
-Every per-user time and energy is constant within a repeat, so
-`per_user_arrays` builds them once, equal entry for entry to the scalar
-references in `oracles`; `round_model` computes a block of rounds from
-them by gathers over the cohorts, one (R, m) array, and row maxima.
+Every per-user time and energy is constant within a repeat: `user_terms`
+builds those no hover point changes and `link_terms` the rest, equal entry
+for entry to the scalar references in `oracles`; `round_model` computes a
+block of rounds from them by gathers over the (R, m) cohorts and row maxima.
 `ExperimentResult.mean` averages a per-round field over the rounds all
 repeats completed, so every mean covers exactly `repeats` instances.
 """
@@ -70,7 +70,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import ChannelParams, link_rates, per_client_bandwidth, tx_time
+from .channel import ChannelParams, link_rates, per_client_bandwidth
 from .data import Dataset, load_idx, partition, synth_blobs
 from .energy import EnergyLedger, UavProfile, entity_index
 from .fedavg import FlConfig, cohort_size, run_round, select_clients
@@ -91,7 +91,8 @@ __all__ = [
     "ExperimentResult",
     "build_topology",
     "place_server",
-    "per_user_arrays",
+    "user_terms",
+    "link_terms",
     "run_scenario",
 ]
 
@@ -220,6 +221,8 @@ class Scenario:
             raise ValueError(f"unknown placement scheme {self.placement_scheme!r}")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if not -2 ** 127 <= self.master_seed < 2 ** 127:  # `child_seed` packs 16 bytes
+            raise ValueError("master_seed must be in [-2**127, 2**127)")
         if self.eval_stride < 1:
             raise ValueError("eval_stride must be >= 1")
         if not self.energy_budget > 0:
@@ -258,23 +261,21 @@ class Scenario:
                              "rate is zero (area, positions, altitudes, powers or noise)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Topology:
     """Node geometry for one repeat: star links between server and users."""
 
     user_xy: np.ndarray  # (U, 2)
     user_alt: np.ndarray  # (U,)
     server_alt: float
-    placement: Placement | None = None
 
     def vertical_offsets(self) -> np.ndarray:
         return np.abs(self.server_alt - self.user_alt)
 
-    def horizontal_distances(self) -> np.ndarray:
-        if self.placement is None:
-            raise ValueError("server not placed yet")
-        delta = self.user_xy - np.array([self.placement.x, self.placement.y])
-        return np.hypot(delta[:, 0], delta[:, 1])
+    def dist_sq(self, placement: Placement) -> np.ndarray:
+        """Each user's squared distance to the server at `placement` (libm `pow` squares)."""
+        horizontal = np.hypot(*(self.user_xy - [placement.x, placement.y]).T)
+        return _squares(self.vertical_offsets()) + _squares(horizontal)
 
 
 def build_topology(scenario: Scenario, generator: np.random.Generator) -> Topology:
@@ -372,51 +373,36 @@ class ExperimentResult:
         return self.mean_best_accuracy_within(math.inf)
 
 
-def per_user_arrays(scenario: Scenario, repeat: int, topo: Topology, shard_sizes,
-                    payload_bits: int, bits_per_sample: int):
-    """Each user's compute + upload time, upload energy, compute energy and
-    broadcast receive time, fixed within a repeat as the cohort size (so the
-    uplink sub-band) is. Cycle counts are Python-int products (int64 could
-    overflow), one per shard size; squares are libm `pow`, as Python's `**`
-    in `oracles` (NumPy's `x * x` can differ in the last bit); the rest keeps
-    the scalar references' operation order. Refuses a repeat in which a user
-    is at the server's position or a round could take an infinite time or
-    energy."""
-    fl, channel, n = scenario.fl, scenario.channel, scenario.fl.num_users
-    dist_sq = _squares(topo.vertical_offsets()) + _squares(topo.horizontal_distances())
-    if not dist_sq.all():
-        raise ValueError(f"link endpoints coincide: user {(dist_sq == 0).argmax()} "
-                         f"is at the server's position in repeat {repeat}")
-    b_up = per_client_bandwidth(channel, cohort_size(n, fl.fraction))
-    up = link_rates(b_up, channel.user_tx_power, dist_sq, channel)
-    down = link_rates(channel.uav_downlink_bandwidth, scenario.uav.tx_power, dist_sq, channel)
+def user_terms(scenario: Scenario, repeat: int, shard_sizes, bits_per_sample: int):
+    """Each user's compute time and energy (zero unless counted), in the operation
+    order of `oracles`: cycle counts are Python-int products (int64 could overflow),
+    one per shard size, and squares libm `pow`, as `**` (NumPy's `x * x` can differ)."""
+    fl, n = scenario.fl, scenario.fl.num_users
     cpu = _rng(scenario.master_seed, repeat, "cpu").uniform(*scenario.cpu_freq_range, size=n)
     sizes, where = np.unique(shard_sizes, return_inverse=True)
-    cycles = np.array([fl.hyper.local_epochs * size * bits_per_sample * scenario.cycles_per_bit
-                       for size in sizes.tolist()], float)[where]
-    # the slowest possible round (the longest computation at the lowest frequency,
-    # then the payload over the lowest rate each way) times every power a round
-    # draws, plus the largest compute energy, bounds its time and energy; checked
-    # in Python floats, before NumPy's arithmetic could overflow with a warning
-    slowest = float(cycles.max()) / scenario.cpu_freq_range[0] + sum(
-        payload_bits / rate if rate > 0 else math.inf
-        for rate in (float(up.min()), float(down.min())))
-    compute = scenario.include_user_compute_energy and (
-        scenario.kappa * scenario.cpu_freq_range[1] ** 2 * float(cycles.max()))
-    if not slowest * (scenario.uav.propulsion_power + scenario.uav.tx_power
-                      + channel.user_tx_power) + compute < math.inf:
-        raise ValueError(f"the slowest possible round of repeat {repeat} takes an infinite "
-                         "time or energy (bandwidths, powers, cycles, kappa or payload)")
-    t_up = tx_time(payload_bits, up)
+    cycles = np.array([_as_float(fl.hyper.local_epochs * size * bits_per_sample
+                                 * scenario.cycles_per_bit) for size in sizes.tolist()])[where]
     e_comp = (scenario.kappa * _squares(cpu) * cycles if scenario.include_user_compute_energy
               else np.zeros(n))
-    return cycles / cpu + t_up, channel.user_tx_power * t_up, e_comp, tx_time(payload_bits, down)
+    return cycles / cpu, e_comp
+
+
+def link_terms(scenario: Scenario, dist_sq: np.ndarray, payload_bits: float):
+    """Each user's upload time, upload energy and broadcast receive time, given
+    its squared distance to the server, over a cohort member's sub-band."""
+    fl, channel = scenario.fl, scenario.channel
+    b_up = per_client_bandwidth(channel, cohort_size(fl.num_users, fl.fraction))
+    t_up = payload_bits / link_rates(b_up, channel.user_tx_power, dist_sq, channel)
+    t_recv = payload_bits / link_rates(channel.uav_downlink_bandwidth, scenario.uav.tx_power,
+                                       dist_sq, channel)
+    return t_up, channel.user_tx_power * t_up, t_recv
 
 
 def round_model(scenario: Scenario, users, cohorts: np.ndarray):
     """Each round's downlink time, duration and server energy, and each
     member's transmit, compute and hover energy, for R cohorts (R, m) and
-    `users`: `per_user_arrays`' four arrays and whether each user flies."""
+    `users`: each user's compute + upload time, upload and compute energy,
+    receive time and whether it flies."""
     t_client, e_tx, e_comp, t_recv, aerial = users
     propulsion, tx_power = scenario.uav.propulsion_power, scenario.uav.tx_power
     t_down = (np.full(len(cohorts), t_recv.max()) if scenario.broadcast_all
@@ -428,6 +414,10 @@ def round_model(scenario: Scenario, users, cohorts: np.ndarray):
 
 def _squares(values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.pow, values.tolist(), itertools.repeat(2.0)), float, len(values))
+
+
+def _as_float(n: int) -> float:  # float(n), but inf from 2**1024 - 2**970 on, where that raises
+    return float(n) if n < 2 ** 1024 - 2 ** 970 else math.inf
 
 
 @dataclass
@@ -465,23 +455,36 @@ def _network_pass(scenario: Scenario, repeat: int, record: _Repeat, spec: ModelS
     the repeat's result with NaN test metrics, and its `partition` pair. A
     round's cohort is drawn only past the end of `record.cohorts`. Nothing
     here reads the parameters, so the kept rounds and cohorts are final."""
-    seed, fl, channel = scenario.master_seed, scenario.fl, scenario.channel
+    seed, fl, channel, uav = scenario.master_seed, scenario.fl, scenario.channel, scenario.uav
     topo = build_topology(scenario, _rng(seed, repeat, "positions"))
-    topo.placement = place_server(scenario, topo, _rng(seed, repeat, "placement"))
+    placement = place_server(scenario, topo, _rng(seed, repeat, "placement"))
     shards = partition(train_data, fl.num_users,
                        scheme=scenario.partition_scheme,
                        shards_per_user=scenario.shards_per_user,
                        seed=child_seed(seed, repeat, "partition"))
-    payload_bits = param_count(spec) * channel.payload_bits_per_param
+    payload_bits = _as_float(param_count(spec) * channel.payload_bits_per_param)
     master = child_seed(seed, repeat)
 
-    t_client, _, _, t_recv, _ = users = (
-        *per_user_arrays(scenario, repeat, topo, np.diff(shards[1]), payload_bits,
-                         train_data.bits_per_sample), topo.user_alt > 0)
-    # the slowest possible round, the budget user (user 0 if none) last
-    budget_user = entity_index(scenario.budget_entity, fl.num_users) or 0
-    slowest = round_model(scenario, users,
-                          np.array([[t_recv.argmax(), t_client.argmax(), budget_user]]))[2:]
+    dist_sq = topo.dist_sq(placement)
+    with np.errstate(all="ignore"):  # what overflows is refused here, not warned about
+        # the largest SNR of `link_rates`: the nearest user's, at the larger power
+        if not channel.ref_gain * max(channel.user_tx_power, uav.tx_power) / (
+                channel.noise * dist_sq.min()) < math.inf:
+            raise ValueError(f"link endpoints coincide: user {dist_sq.argmin()} is too close "
+                             f"to the server for a finite SNR in repeat {repeat}")
+        t_comp, e_comp = user_terms(scenario, repeat, np.diff(shards[1]),
+                                    train_data.bits_per_sample)
+        t_up, e_tx, t_recv = link_terms(scenario, dist_sq, payload_bits)
+        t_client, _, _, _, _ = users = t_comp + t_up, e_tx, e_comp, t_recv, topo.user_alt > 0
+        # the slowest possible round, the budget user (user 0 if none) last
+        budget_user = entity_index(scenario.budget_entity, fl.num_users) or 0
+        _, duration, *slowest = round_model(
+            scenario, users, np.array([[t_recv.argmax(), t_client.argmax(), budget_user]]))
+        # its duration times every power drawn, plus the largest compute energy, bounds all
+        if not duration[0] * (uav.propulsion_power + uav.tx_power + channel.user_tx_power) \
+                + e_comp.max() < math.inf:
+            raise ValueError(f"the slowest possible round of repeat {repeat} takes an infinite "
+                             "time or energy (bandwidths, powers, cycles, kappa or payload)")
     per_block = max(1, BLOCK_MEMBER_ROUNDS // cohort_size(fl.num_users, fl.fraction))
 
     ledger = EnergyLedger(fl.num_users, scenario.energy_budget, scenario.budget_entity)
@@ -501,7 +504,7 @@ def _network_pass(scenario: Scenario, repeat: int, record: _Repeat, spec: ModelS
         rnd += size
 
     halt_reason = "budget" if kept < size else "max_rounds"
-    return RepeatResult(repeat, metrics, halt_reason, topo.placement, ledger), shards
+    return RepeatResult(repeat, metrics, halt_reason, placement, ledger), shards
 
 
 def _learning_pass(scenario: Scenario, spec: ModelSpec, reps, records, shards,

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agifl.channel import (ChannelParams, db_to_linear, dbm_to_watts, link_rates,
-                           per_client_bandwidth, tx_time)
-from agifl.oracles import rate_direct
+                           per_client_bandwidth)
+from agifl.oracles import rate_direct, tx_time
 
 PAPER = ChannelParams()  # case-study constants
 

@@ -282,6 +282,18 @@ class TestRunCommand:
         rep = (out / "min_sum_dist_rep00.csv").read_text().splitlines()
         assert len(rep) == 2
 
+    def test_lowest_cpu_frequency_bound_alone_is_not_refused(self, tmp_path, capsys):
+        # the slowest round is read off the drawn frequencies, none of them near
+        # a 1e-310 Hz lower end, so every duration and energy is finite
+        out = tmp_path / "out"
+        assert main(["run", str(CONFIGS / "quick.ini"), "--out", str(out),
+                     "--scenario.train=false", "--energy.cpu_freq_min_hz=1e-310"]) == 0
+        csvs = sorted(out.glob("*.csv"))
+        assert len(csvs) == 4  # three repeats and the mean
+        for csv in csvs:
+            rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+            assert rows and all(math.isfinite(float(v)) for row in rows for v in row[1:4])
+
     def test_unknown_flag_exits_1(self, config_path, capsys):
         assert main(["run", str(config_path), "--frobnicate"]) == 1
 
@@ -424,6 +436,26 @@ class TestInvalidInputExits1:
                       "--energy.include_user_compute=true"],
                      "repeat 0 takes an infinite time or energy",
                      id="overflowing-compute-energy"),
+        # integers too large for a float make an infinite round
+        pytest.param(["run", "quick.ini", "--scenario.train=false",
+                      f"--channel.payload_bits_per_param={10 ** 400}"],
+                     "repeat 0 takes an infinite time or energy", id="overflowing-payload-bits"),
+        pytest.param(["run", "quick.ini", "--scenario.train=false",
+                      f"--energy.cycles_per_bit={10 ** 400}"],
+                     "repeat 0 takes an infinite time or energy", id="overflowing-cycles-per-bit"),
+        pytest.param(["run", "quick.ini", "--scenario.train=false",
+                      f"--fl.local_epochs={10 ** 400}"],
+                     "repeat 0 takes an infinite time or energy", id="overflowing-local-epochs"),
+        pytest.param(["run", "quick.ini", "--seed", str(2 ** 128)],
+                     "master_seed must be in [-2**127, 2**127)", id="overflowing-seed-flag"),
+        pytest.param(["run", "quick.ini", f"--scenario.master_seed={-2 ** 127 - 1}"],
+                     "master_seed must be in [-2**127, 2**127)", id="overflowing-master-seed"),
+        # a power at which the nearest user's SNR overflows
+        pytest.param(["run", "quick.ini", "--scenario.train=false", "--uav.tx_power_w=1e308"],
+                     "link endpoints coincide: user", id="overflowing-server-snr"),
+        pytest.param(["run", "quick.ini", "--scenario.train=false",
+                      "--channel.user_tx_power_w=1e308"],
+                     "link endpoints coincide: user", id="overflowing-user-snr"),
         # 3 groups of 50-client cohorts on 2 workers: the refusal is a worker's
         pytest.param(["run", "quick.ini", "--fl.num_users=500", "--jobs", "2"],
                      "exceeds sample count", id="pool-worker-partition"),
@@ -642,6 +674,8 @@ class TestOracle:
         (["rate", "tx_power_w=0"], "must be positive and finite"),
         (["rate", "alpha0_linear=-1e-5"], "must be positive and finite"),
         (["rate", "noise_w=0"], "must be positive and finite"),
+        (["rate", "tx_power_w=1e308"], "the SNR must be finite"),
+        (["rate", "noise_w=1e-200", "altitude_m=1e-100"], "the SNR must be finite"),
         (["placement", "users=1,2", "grid_m=0"], "grid steps must be positive"),
         (["placement", "users=1,2", "grid_m=-1"], "grid steps must be positive"),
         (["placement", "users=1,2", "refine_m=0"], "grid steps must be positive"),
@@ -650,7 +684,8 @@ class TestOracle:
     ], ids=["zero-distance", "underflowing-distance", "overflowing-distance",
             "overflowing-sum", "negative-altitude",
             "negative-horizontal", "negative-bandwidth", "zero-power", "negative-gain",
-            "zero-noise", "zero-grid", "negative-grid", "zero-refine",
+            "zero-noise", "overflowing-snr", "underflowing-noise-power", "zero-grid",
+            "negative-grid", "zero-refine",
             "overflowing-placement-altitude", "negative-placement-altitude"])
     def test_out_of_range_argument_exits_1(self, argv, message, capsys):
         err = oracle_error(argv, capsys)

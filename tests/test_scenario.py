@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,17 +9,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from agifl import scenario as scenario_module
-from agifl.channel import ChannelParams, per_client_bandwidth, tx_time
+from agifl.channel import ChannelParams, per_client_bandwidth
 from agifl.data import partition
 from agifl.energy import UavProfile
 from agifl.fedavg import FlConfig, cohort_size, select_clients
 from agifl.models import Hyperparams, ModelSpec, param_count
-from agifl.oracles import (rate_direct, round_duration, uav_round_energy, user_compute_energy,
-                           user_compute_time)
-from agifl.placement import Area, min_sum_dist
+from agifl.oracles import (rate_direct, round_duration, tx_time, uav_round_energy,
+                           user_compute_energy, user_compute_time)
+from agifl.placement import Area, min_sum_dist, random_placement
 from agifl.scenario import (FORMS, PLACEMENT_SCHEMES, BlobSource, RoundMetrics, Scenario,
-                            ShapeSource, build_topology, load_corpus, load_source,
-                            per_user_arrays, place_server, run_repeat, run_scenario)
+                            ShapeSource, build_topology, link_terms, load_corpus, load_source,
+                            place_server, run_repeat, run_scenario, user_terms)
 from agifl.seeding import child_seed, rng
 
 
@@ -49,18 +49,20 @@ def small_scenario(**kwargs):
 
 
 def repeat_arrays(sc, repeat=0):
-    """`per_user_arrays` on the geometry, shards and payload `run_repeat` uses."""
+    """`user_terms` and `link_terms` on the geometry, shards and payload
+    `run_repeat` uses: compute time and energy, upload time and energy and
+    receive time."""
     seed = sc.master_seed
     topo = build_topology(sc, rng(seed, repeat, "positions"))
-    topo.placement = place_server(sc, topo, rng(seed, repeat, "placement"))
+    placement = place_server(sc, topo, rng(seed, repeat, "placement"))
     train, _ = load_source(sc.source, child_seed(seed, "data"))
     shards = partition(train, sc.fl.num_users, scheme=sc.partition_scheme,
                        shards_per_user=sc.shards_per_user,
                        seed=child_seed(seed, repeat, "partition"))
     spec = ModelSpec(sc.model_kind, train.input_dim, train.num_classes, sc.hidden_dim)
     payload = param_count(spec) * sc.channel.payload_bits_per_param
-    return per_user_arrays(sc, repeat, topo, np.diff(shards[1]), payload,
-                           train.bits_per_sample)
+    return (*user_terms(sc, repeat, np.diff(shards[1]), train.bits_per_sample),
+            *link_terms(sc, topo.dist_sq(placement), payload))
 
 
 class TestTopology:
@@ -76,8 +78,12 @@ class TestTopology:
         sc = small_scenario(form="a2a")
         topo = build_topology(sc, rng(1, "pos"))
         assert np.all(topo.vertical_offsets() == 0.0)
-        topo.placement = place_server(sc, topo, rng(1, "placement"))
-        assert np.all(topo.horizontal_distances() > 0)
+        assert np.all(topo.dist_sq(place_server(sc, topo, rng(1, "placement"))) > 0)
+
+    def test_topology_is_fixed(self):
+        topo = build_topology(small_scenario(), rng(6, "pos"))
+        with pytest.raises(FrozenInstanceError):
+            topo.server_alt = 0.0
 
     def test_a2g_server_at_ground_offset(self):
         sc = small_scenario(form="a2g", ground_height=10.0)
@@ -219,7 +225,7 @@ class TestRunScenario:
     def test_aerial_clients_pay_hover_energy(self):
         sc = small_scenario(form="a2g", train=False, repeats=1)
         rep = run_repeat(sc, 0)
-        e_tx = repeat_arrays(sc)[1]
+        e_tx = repeat_arrays(sc)[3]
         for u in range(sc.fl.num_users):
             spent = 0.0
             for m in rep.metrics:  # tx, no compute, hover for the whole round
@@ -242,7 +248,7 @@ class TestRunScenario:
     def test_per_user_budget_entity(self):
         sc = small_scenario(train=False, repeats=1)
         user = run_repeat(sc, 0).metrics[0].selected[0]
-        spent = float(repeat_arrays(sc)[1][user])
+        spent = float(repeat_arrays(sc)[3][user])
         capped = run_scenario(replace(sc, budget_entity=f"user:{user}",
                                       energy_budget=spent / 2))
         assert capped.repeats[0].halt_reason == "budget"
@@ -252,8 +258,8 @@ class TestRunScenario:
         off_sc = small_scenario(train=False, repeats=1)
         on_sc = replace(off_sc, include_user_compute_energy=True)
         off, on = run_repeat(off_sc, 0), run_repeat(on_sc, 0)
-        assert not repeat_arrays(off_sc)[2].any()
-        assert repeat_arrays(on_sc)[2].all()
+        assert not repeat_arrays(off_sc)[1].any()
+        assert repeat_arrays(on_sc)[1].all()
         selected = {u for m in off.metrics for u in m.selected}
         for u in range(6):
             spent_off, spent_on = off.ledger.total(f"user:{u}"), on.ledger.total(f"user:{u}")
@@ -279,7 +285,7 @@ class TestRunScenario:
         assert [m.budget_total for m in uav.metrics] == [m.cum_uav_energy
                                                          for m in uav.metrics]
         sc = small_scenario(train=False, budget_entity="user:2")
-        user, e_tx = run_repeat(sc, 0), repeat_arrays(sc)[1]
+        user, e_tx = run_repeat(sc, 0), repeat_arrays(sc)[3]
         running = np.cumsum([e_tx[2] if 2 in m.selected else 0.0 for m in user.metrics])
         assert running[-1] > 0
         assert [m.budget_total for m in user.metrics] == running.tolist()
@@ -298,6 +304,13 @@ class TestValidation:
     def test_bad_repeats(self):
         with pytest.raises(ValueError):
             small_scenario(repeats=0)
+
+    def test_seed_fits_child_seed(self):
+        for seed in (2 ** 127, -2 ** 127 - 1, 10 ** 40):
+            with pytest.raises(ValueError, match="master_seed must be in"):
+                small_scenario(master_seed=seed)
+        for seed in (2 ** 127 - 1, -2 ** 127):
+            child_seed(small_scenario(master_seed=seed).master_seed, 0, "data")
 
     @pytest.mark.parametrize("entity", ["uva", "user:6", "user:-1", "user:x", "user", ""])
     def test_unknown_budget_entity(self, entity):
@@ -449,9 +462,9 @@ def reference_repeat(sc, rep):
     """
     seed, fl, ch = sc.master_seed, sc.fl, sc.channel
     topo = build_topology(sc, rng(seed, rep.repeat, "positions"))
-    topo.placement = rep.placement
     vert = topo.vertical_offsets().tolist()
-    horiz = topo.horizontal_distances().tolist()
+    delta = topo.user_xy - [rep.placement.x, rep.placement.y]
+    horiz = np.hypot(delta[:, 0], delta[:, 1]).tolist()
     cpu = rng(seed, rep.repeat, "cpu").uniform(*sc.cpu_freq_range,
                                                 size=fl.num_users).tolist()
     train, _ = load_source(sc.source, child_seed(seed, "data"))
@@ -536,8 +549,9 @@ class TestRoundLoopReference:
 
 
 class TestPerUserArrays:
-    """Every entry of the per-user arrays equals the scalar models, at a scale
-    where a vectorised log2 or square would differ in the last bit."""
+    """Every entry of the user terms, and of the link terms at two hover
+    points (the solver's and a random one), equals the scalar models, at a
+    scale where a vectorised log2 or square would differ in the last bit."""
 
     @pytest.mark.parametrize("override, compute", [(None, False), (2.5e4, True)])
     @pytest.mark.parametrize("form", FORMS)
@@ -550,34 +564,50 @@ class TestPerUserArrays:
                       channel=ChannelParams(uplink_bandwidth_override=override),
                       include_user_compute_energy=compute)
         topo = build_topology(sc, rng(11, repeat, "positions"))
-        topo.placement = place_server(sc, topo, rng(11, repeat, "placement"))
         train, _ = load_source(sc.source, 0)
         indices, offsets = partition(train, n, scheme="iid", seed=7)
-        t_client, e_tx, e_comp, t_recv = per_user_arrays(
-            sc, repeat, topo, np.diff(offsets), payload, train.bits_per_sample)
+        t_comp, e_comp = user_terms(sc, repeat, np.diff(offsets), train.bits_per_sample)
         shards = np.split(indices, offsets[1:-1])
 
         ch, bits, epochs = sc.channel, train.bits_per_sample, sc.fl.hyper.local_epochs
-        b_up = per_client_bandwidth(ch, cohort_size(n, sc.fl.fraction))
         cpu = rng(11, repeat, "cpu").uniform(*sc.cpu_freq_range, size=n).tolist()
-        expected = ([], [], [], [])
-        for u, (vert, horiz) in enumerate(zip(topo.vertical_offsets().tolist(),
-                                              topo.horizontal_distances().tolist())):
-            t_up = tx_time(payload, rate_direct(b_up, ch.user_tx_power, vert, horiz,
-                                                ch.ref_gain, ch.noise))
-            expected[0].append(user_compute_time(len(shards[u]), bits, sc.cycles_per_bit,
-                                                 cpu[u], epochs) + t_up)
-            expected[1].append(ch.user_tx_power * t_up)
-            expected[2].append(user_compute_energy(cpu[u], epochs * len(shards[u]) * bits
-                                                   * sc.cycles_per_bit, sc.kappa)
-                               if compute else 0.0)
-            expected[3].append(tx_time(payload, rate_direct(
-                ch.uav_downlink_bandwidth, sc.uav.tx_power, vert, horiz, ch.ref_gain,
-                ch.noise)))
-        assert t_client.tolist() == expected[0]
-        assert e_tx.tolist() == expected[1]
-        assert e_comp.tolist() == expected[2]
-        assert t_recv.tolist() == expected[3]
+        assert t_comp.tolist() == [user_compute_time(len(shards[u]), bits, sc.cycles_per_bit,
+                                                     cpu[u], epochs) for u in range(n)]
+        assert e_comp.tolist() == [user_compute_energy(cpu[u], epochs * len(shards[u]) * bits
+                                                       * sc.cycles_per_bit, sc.kappa)
+                                   if compute else 0.0 for u in range(n)]
+
+        b_up = per_client_bandwidth(ch, cohort_size(n, sc.fl.fraction))
+        vertical = topo.vertical_offsets().tolist()
+        for placement in (place_server(sc, topo, rng(11, repeat, "placement")),
+                          random_placement(sc.area, rng(11, repeat, "hover"))):
+            t_up, e_tx, t_recv = link_terms(sc, topo.dist_sq(placement), payload)
+            delta = topo.user_xy - [placement.x, placement.y]
+            expected = ([], [], [])
+            for vert, horiz in zip(vertical, np.hypot(delta[:, 0], delta[:, 1]).tolist()):
+                up = tx_time(payload, rate_direct(b_up, ch.user_tx_power, vert, horiz,
+                                                  ch.ref_gain, ch.noise))
+                expected[0].append(up)
+                expected[1].append(ch.user_tx_power * up)
+                expected[2].append(tx_time(payload, rate_direct(
+                    ch.uav_downlink_bandwidth, sc.uav.tx_power, vert, horiz, ch.ref_gain,
+                    ch.noise)))
+            assert t_up.tolist() == expected[0]
+            assert e_tx.tolist() == expected[1]
+            assert t_recv.tolist() == expected[2]
+            # the compute + upload time each round takes, as `t_comp + t_up` in one sum
+            assert (t_comp + t_up).tolist() == [
+                user_compute_time(len(shards[u]), bits, sc.cycles_per_bit, cpu[u], epochs)
+                + expected[0][u] for u in range(n)]
+
+    def test_cycle_count_past_the_largest_float_is_infinite(self):
+        # `float` raises from 2**1024 - 2**970 on, where the nearest float is
+        # inf; `user_terms` gives inf there, which the network pass refuses
+        largest = 2 ** 1024 - 2 ** 970 - 1
+        for cycles, finite in ((largest, True), (largest + 1, False)):
+            sc = small_scenario(train=False, cycles_per_bit=cycles)
+            t_comp, _ = user_terms(sc, 0, np.ones(sc.fl.num_users, int), 1)
+            assert np.isfinite(t_comp).all() == finite
 
     def test_coincident_user_raises_before_any_round(self, monkeypatch):
         # a2a: the sum-distance optimum of three collinear users on the
