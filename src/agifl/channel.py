@@ -24,7 +24,6 @@ __all__ = [
     "per_client_bandwidth",
 ]
 
-
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
@@ -49,18 +48,18 @@ class ChannelParams:
     user_tx_power: float = 0.1
     uav_downlink_bandwidth: float = 1e6
     payload_bits_per_param: int = 32
-    uplink_bandwidth_override: float | None = None
 
     def __post_init__(self):
         for name in ("total_bandwidth", "ref_gain", "noise", "user_tx_power",
                      "uav_downlink_bandwidth"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        for name in ("total_bandwidth", "uav_downlink_bandwidth"):
+            # log2(1 + snr) <= 1024 at every finite SNR, so every rate below this is finite
+            if not getattr(self, name) < 2.0 ** 1014:
+                raise ValueError(f"{name} must be below 2**1014 Hz for a finite rate")
         if self.payload_bits_per_param < 1:
             raise ValueError("payload_bits_per_param must be >= 1")
-        if self.uplink_bandwidth_override is not None and not (
-                0 < self.uplink_bandwidth_override < math.inf):
-            raise ValueError("uplink_bandwidth_override must be positive and finite")
 
 
 def link_rates(bandwidth: float, tx_power: float, dist_sq: np.ndarray,
@@ -75,9 +74,7 @@ def link_rates(bandwidth: float, tx_power: float, dist_sq: np.ndarray,
 
 
 def per_client_bandwidth(params: ChannelParams, cohort_size: int) -> float:
-    """Uplink bandwidth per selected client: B / m, unless overridden."""
-    if params.uplink_bandwidth_override is not None:
-        return params.uplink_bandwidth_override
+    """Uplink bandwidth per selected client: B / m."""
     if cohort_size < 1:
         raise ValueError("cohort_size must be >= 1")
     return params.total_bandwidth / cohort_size

@@ -181,7 +181,7 @@ def main(argv=None) -> int:
         p.add_argument("config", help="path to the INI run configuration")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--jobs", type=_jobs, default=1,
-                       help="processes over the lockstep groups of repeats")
+                       help="processes, each running one share of the repeats")
         p.add_argument("--seed", type=int, default=None,
                        help="override scenario.master_seed")
     sub.add_parser("oracle").add_argument(

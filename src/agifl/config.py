@@ -112,9 +112,6 @@ _SCHEMA = {
         "user_tx_power_w": (_float, "scenario.channel.user_tx_power"),
         "uav_downlink_bandwidth_hz": (_float, "scenario.channel.uav_downlink_bandwidth"),
         "payload_bits_per_param": (int, "scenario.channel.payload_bits_per_param"),
-        # 0 = total bandwidth / cohort, the field's None
-        "uplink_bandwidth_hz": (lambda raw: _float(raw) or None,
-                                "scenario.channel.uplink_bandwidth_override"),
     },
     "uav": {
         "altitude_m": (_float, "scenario.uav.altitude"),

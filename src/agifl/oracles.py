@@ -25,6 +25,8 @@ def rate_direct(bandwidth: float, tx_power: float, altitude: float,
     """Direct evaluation of the link rate formula, bit/s."""
     if not all(0 < v < math.inf for v in (bandwidth, tx_power, ref_gain, noise)):
         raise ValueError("bandwidth, transmit power, gain and noise must be positive and finite")
+    if not bandwidth < 2.0 ** 1014:  # log2(1 + snr) <= 1024 at every finite SNR
+        raise ValueError("bandwidth must be below 2**1014 Hz for a finite rate")
     try:
         dist_sq = altitude ** 2 + horizontal ** 2
     except OverflowError:

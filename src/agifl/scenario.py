@@ -22,14 +22,13 @@ round's seed, and durations, energies and the ledger's refusal from the
 geometry and the cohort. So a repeat runs in two passes. The network pass
 places the server and runs the round loop without training, which fixes
 every kept round, its cohort and the halt. The learning pass then trains
-those cohorts. Repeats are grouped into lockstep groups of contiguous
-repeats whose cohorts together hold at most LANE_CEILING lanes (a group
-holds at least one repeat); round r of a group trains the cohorts of
-every repeat that kept more than r rounds as the lanes of one
-`fedavg.run_round` call, and evaluates each repeat on its own. Every lane
-equals a lone client's training bit for bit, so the grouping changes no
-output. The group is the unit of work: `run_scenario` runs the groups in
-order or over a process pool (`jobs`), and `run_repeat` is a group of one.
+those cohorts: round r packs the cohorts of every repeat that kept more
+than r rounds, in repeat order, into `fedavg.run_round` calls of at most
+LANE_CEILING lanes (a call holds at least one repeat), and evaluates each
+repeat on its own. Every lane equals a lone client's training bit for
+bit, so which repeats share a call changes no output. `run_scenario`
+gives each process (`jobs`) one contiguous, near-equal share of the
+repeats, and `run_repeat` is a share of one.
 
 Within a process, each cohort is drawn and each repeat trained once per
 federation, and every run of it reads its rounds off that shared work:
@@ -45,11 +44,11 @@ their RoundMetrics hold, its global vector after the rounds trained so far
 and each round's test metrics. The network pass draws a round's cohort
 only past the record's end, so no round is drawn that the round loop
 would not reach; the learning pass copies the rounds the record holds and
-trains only beyond them, from the stored vector, so a lockstep group's
-repeats may start at different rounds. `_run_group` alone reads the store
-and hands each pass its records.
+trains only beyond them, from the stored vector, so a share's repeats may
+start at different rounds. `_run_share` alone reads the store and hands
+each pass its records.
 
-A pool worker returns its group's records with its repeats, and the
+A pool worker returns its share's records with its repeats, and the
 parent installs them, cohorts read-only again, so its next run reads what
 the workers drew and trained (a forked worker starts from the parent's
 store, so its records extend the parent's).
@@ -98,8 +97,8 @@ __all__ = [
 
 FORMS = ("g2a", "a2g", "a2a", "mixed")
 PLACEMENT_SCHEMES = ("min_sum_dist", "random", "fixed")
-# Lanes per lockstep train_cohort call: the per-lane cost stops falling at
-# about 8-16 lanes, while the call's memory keeps growing with the lanes.
+# Lanes per train_cohort call: the per-lane cost stops falling at about
+# 8-16 lanes, while the call's memory keeps growing with the lanes.
 LANE_CEILING = 16
 # Member-rounds per round_model block: caps the gathers' peak memory.
 BLOCK_MEMBER_ROUNDS = 4096
@@ -452,9 +451,10 @@ def _store(federation: Scenario) -> dict:
 def _network_pass(scenario: Scenario, repeat: int, record: _Repeat, spec: ModelSpec,
                   train_data: Dataset):
     """Place the server and run the round loop of one repeat without training:
-    the repeat's result with NaN test metrics, and its `partition` pair. A
-    round's cohort is drawn only past the end of `record.cohorts`. Nothing
-    here reads the parameters, so the kept rounds and cohorts are final."""
+    the repeat's result with NaN test metrics, and its `partition` pair if
+    the run trains (else None). A round's cohort is drawn only past the end
+    of `record.cohorts`. Nothing here reads the parameters, so the kept
+    rounds and cohorts are final."""
     seed, fl, channel, uav = scenario.master_seed, scenario.fl, scenario.channel, scenario.uav
     topo = build_topology(scenario, _rng(seed, repeat, "positions"))
     placement = place_server(scenario, topo, _rng(seed, repeat, "placement"))
@@ -480,11 +480,17 @@ def _network_pass(scenario: Scenario, repeat: int, record: _Repeat, spec: ModelS
         budget_user = entity_index(scenario.budget_entity, fl.num_users) or 0
         _, duration, *slowest = round_model(
             scenario, users, np.array([[t_recv.argmax(), t_client.argmax(), budget_user]]))
-        # its duration times every power drawn, plus the largest compute energy, bounds all
-        if not duration[0] * (uav.propulsion_power + uav.tx_power + channel.user_tx_power) \
-                + e_comp.max() < math.inf:
+        # its duration times every power drawn, plus the largest compute energy, bounds a
+        # round's energies; a running total or mean the CSVs write sums at most max_rounds
+        # such rounds and the flight energy over the repeats: twice that covers rounding
+        energy = duration[0] * (uav.propulsion_power + uav.tx_power + channel.user_tx_power) \
+            + e_comp.max()
+        if not ((duration[0] + energy) * fl.max_rounds + scenario.initial_flight_energy) \
+                * scenario.repeats * 2 < math.inf:
             raise ValueError(f"the slowest possible round of repeat {repeat} takes an infinite "
-                             "time or energy (bandwidths, powers, cycles, kappa or payload)")
+                             f"time or energy, or {fl.max_rounds} of them over "
+                             f"{scenario.repeats} repeats overflow a total (bandwidths, powers, "
+                             "cycles, kappa, payload, rounds or flight energy)")
     per_block = max(1, BLOCK_MEMBER_ROUNDS // cohort_size(fl.num_users, fl.fraction))
 
     ledger = EnergyLedger(fl.num_users, scenario.energy_budget, scenario.budget_entity)
@@ -504,17 +510,19 @@ def _network_pass(scenario: Scenario, repeat: int, record: _Repeat, spec: ModelS
         rnd += size
 
     halt_reason = "budget" if kept < size else "max_rounds"
-    return RepeatResult(repeat, metrics, halt_reason, placement, ledger), shards
+    return (RepeatResult(repeat, metrics, halt_reason, placement, ledger),
+            shards if scenario.train else None)
 
 
 def _learning_pass(scenario: Scenario, spec: ModelSpec, reps, records, shards,
                    train_data: Dataset, test_data: Dataset) -> None:
-    """Train the repeats of a group in lockstep and fill in their test
-    metrics. Each repeat continues the training its record holds, so only
-    the kept rounds beyond it train: round `rnd` trains, in one `run_round`
-    call, the cohorts of every repeat that kept more than `rnd` rounds and
-    has trained exactly `rnd`."""
+    """Train a share's repeats and fill in their test metrics. Each repeat
+    continues the training its record holds, so only the kept rounds beyond
+    it train: round `rnd` trains the cohorts of every repeat that kept more
+    than `rnd` rounds and has trained exactly `rnd`, in repeat order, in
+    `run_round` calls of at most LANE_CEILING lanes (at least one repeat)."""
     seed, stride = scenario.master_seed, scenario.eval_stride
+    per_call = max(1, LANE_CEILING // cohort_size(scenario.fl.num_users, scenario.fl.fraction))
     for rep, record in zip(reps, records):
         if record.params is None:
             record.params = init_model(
@@ -523,17 +531,16 @@ def _learning_pass(scenario: Scenario, spec: ModelSpec, reps, records, shards,
     kept = [len(rep.metrics) for rep in reps]
     for rnd in range(min(len(record.tests) for record in records), max(kept)):
         live = [i for i, record in enumerate(records) if len(record.tests) == rnd < kept[i]]
-        if not live:
-            continue
-        trained = run_round(np.stack([records[i].params for i in live]), scenario.fl,
-                            [shards[i] for i in live], spec, train_data,
-                            [reps[i].metrics[rnd].selected for i in live],
-                            [masters[i] for i in live], rnd)
-        for i, params in zip(live, trained):
-            test = (evaluate(params, spec, test_data.design, test_data.labels)
-                    if (rnd + 1) % stride == 0 else None)
-            records[i].params = params
-            records[i].tests.append(test)
+        for call in (live[start:start + per_call] for start in range(0, len(live), per_call)):
+            trained = run_round(np.stack([records[i].params for i in call]), scenario.fl,
+                                [shards[i] for i in call], spec, train_data,
+                                [reps[i].metrics[rnd].selected for i in call],
+                                [masters[i] for i in call], rnd)
+            for i, params in zip(call, trained):
+                test = (evaluate(params, spec, test_data.design, test_data.labels)
+                        if (rnd + 1) % stride == 0 else None)
+                records[i].params = params
+                records[i].tests.append(test)
     for rep, record in zip(reps, records):
         for rnd in range(stride - 1, len(rep.metrics), stride):
             test_loss, test_acc = record.tests[rnd]
@@ -541,10 +548,10 @@ def _learning_pass(scenario: Scenario, spec: ModelSpec, reps, records, shards,
                                        test_acc=test_acc)
 
 
-def _run_group(scenario: Scenario, repeats):
-    """Simulate a lockstep group of repeats: each repeat's network pass, then
-    one learning pass over all of them. Returns their results and their
-    store records, by repeat."""
+def _run_share(scenario: Scenario, repeats):
+    """Simulate a share of the repeats: each repeat's network pass, then one
+    learning pass over all of them. Returns their results and their store
+    records, by repeat."""
     train_data, test_data = load_corpus(scenario.source, scenario.master_seed)
     # the model trained, or stood in for on timing-only runs: its size sets the payload
     spec = ModelSpec(scenario.model_kind, train_data.input_dim, train_data.num_classes,
@@ -559,49 +566,36 @@ def _run_group(scenario: Scenario, repeats):
     return list(reps), records
 
 
-def _groups(scenario: Scenario, jobs: int) -> list[list[int]]:
-    """The lockstep groups: contiguous runs of repeats of near-equal size, as
-    few as keep every group's cohorts within LANE_CEILING lanes (a group
-    holds at least one repeat). Over several processes the count is rounded
-    up to a multiple of the processes the repeats can keep busy, so each
-    trains an equal share."""
-    per_group = max(1, LANE_CEILING // cohort_size(scenario.fl.num_users,
-                                                   scenario.fl.fraction))
-    count = -(-scenario.repeats // per_group)
-    workers = min(jobs, scenario.repeats)
-    count = min(scenario.repeats, -(-count // workers) * workers)
-    return [chunk.tolist() for chunk in np.array_split(np.arange(scenario.repeats), count)]
-
-
 # No production path calls this; perfbench/launch.py binds it by name.
 def run_repeat(scenario: Scenario, repeat: int) -> RepeatResult:
     """Simulate one seeded instance of the scenario."""
-    return _run_group(scenario, [repeat])[0][0]
+    return _run_share(scenario, [repeat])[0][0]
 
 
 def run_scenario(scenario: Scenario, jobs: int = 1) -> ExperimentResult:
-    """Run all repeats in lockstep groups, optionally in parallel processes.
+    """Run all repeats, each process (`jobs`) one contiguous, near-equal share.
 
     The result is deterministic for a fixed master seed regardless of
-    `jobs`, of the grouping and of what earlier runs stored: every repeat
-    derives its own seed streams, every lane of a lockstep call equals a
-    lone client's training bit for bit, and the merge is by repeat index.
+    `jobs`, of which repeats share a training call and of what earlier runs
+    stored: every repeat derives its own seed streams, every lane of a call
+    equals a lone client's training bit for bit, and the merge is by repeat
+    index.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    groups = _groups(scenario, jobs)
-    if jobs == 1 or len(groups) == 1:
-        results = [_run_group(scenario, group)[0] for group in groups]
+    shares = [share.tolist() for share in
+              np.array_split(np.arange(scenario.repeats), min(jobs, scenario.repeats))]
+    if len(shares) == 1:
+        outputs = [_run_share(scenario, shares[0])]
     else:
         # imported here: the pool machinery is a large share of start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
-            outputs = list(pool.map(_run_group, [scenario] * len(groups), groups))
-        store = _store(_federation(scenario))
-        for _, records in outputs:
-            for cohort in (c for record in records.values() for c in record.cohorts):
-                cohort.flags.writeable = False
-            store.update(records)
-        results = [reps for reps, _ in outputs]
-    return ExperimentResult([rep for group in results for rep in group])
+        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
+            outputs = list(pool.map(_run_share, [scenario] * len(shares), shares))
+    store = _store(_federation(scenario))
+    for _, records in outputs:  # a worker's records come back writeable
+        for cohort in (c for record in records.values() for c in record.cohorts):
+            cohort.flags.writeable = False
+        store.update(records)
+    return ExperimentResult([rep for reps, _ in outputs for rep in reps])

@@ -126,10 +126,6 @@ class TestPerClientBandwidth:
         # theta*U = 2 selected users share B = 1 MHz
         assert per_client_bandwidth(PAPER, 2) == 5e5
 
-    def test_override_wins(self):
-        params = ChannelParams(uplink_bandwidth_override=7e5)
-        assert per_client_bandwidth(params, 4) == 7e5
-
     def test_invalid_cohort(self):
         with pytest.raises(ValueError):
             per_client_bandwidth(PAPER, 0)
@@ -137,8 +133,25 @@ class TestPerClientBandwidth:
 
 class TestChannelParams:
     @pytest.mark.parametrize("field", ["total_bandwidth", "ref_gain", "noise", "user_tx_power",
-                                       "uav_downlink_bandwidth", "uplink_bandwidth_override"])
+                                       "uav_downlink_bandwidth"])
     @pytest.mark.parametrize("bad", [0.0, -5.0, math.nan, math.inf])
     def test_non_positive_and_nan_rejected(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be positive"):
             ChannelParams(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["total_bandwidth", "uav_downlink_bandwidth"])
+    def test_bandwidth_below_2_to_the_1014(self, field):
+        # log2(1 + snr) <= 1024 at every finite SNR: the largest bandwidth allowed
+        # times 1024 is the largest float, so the largest SNR's rate stays finite
+        below = math.nextafter(2.0 ** 1014, 0)
+        assert below * 1024 == np.finfo(float).max
+        params = ChannelParams(**{field: below})
+        largest_rate = one_rate(below, np.finfo(float).max, 1.0, 0.0,
+                                ChannelParams(ref_gain=1.0, noise=1.0))
+        assert largest_rate < math.inf and getattr(params, field) == below
+        for bad in (2.0 ** 1014, 1e308):
+            with pytest.raises(ValueError, match=rf"{field} must be below 2\*\*1014 Hz"):
+                ChannelParams(**{field: bad})
+            with pytest.raises(ValueError, match=r"bandwidth must be below 2\*\*1014 Hz"):
+                rate_direct(bad, 0.1, 100.0, 0.0)
+        assert rate_direct(below, 0.1, 100.0, 0.0) < math.inf

@@ -93,8 +93,6 @@ KEY_FIELDS = {
                                                "scenario.channel.uav_downlink_bandwidth", {}),
     ("channel", "payload_bits_per_param"): ("16", "scenario.channel.payload_bits_per_param",
                                             {}),
-    ("channel", "uplink_bandwidth_hz"): ("5e4", "scenario.channel.uplink_bandwidth_override",
-                                         {}),
     ("uav", "altitude_m"): ("50", "scenario.uav.altitude", {}),
     ("uav", "propulsion_power_w"): ("80", "scenario.uav.propulsion_power", {}),
     ("uav", "tx_power_w"): ("0.02", "scenario.uav.tx_power", {}),
@@ -386,9 +384,18 @@ class TestInvalidInputExits1:
                      "user_tx_power must be positive", id="zero-user-tx-power"),
         pytest.param(["run", "quick.ini", "--channel.payload_bits_per_param=0"],
                      "payload_bits_per_param must be >= 1", id="zero-payload-bits"),
+        # the sub-band is bandwidth_hz over the cohort size; the key that overrode it is gone
         pytest.param(["run", "quick.ini", "--channel.uplink_bandwidth_hz=-5"],
-                     "uplink_bandwidth_override must be positive",
+                     "unknown key 'uplink_bandwidth_hz' in section [channel]",
                      id="negative-uplink-bandwidth"),
+        # log2(1 + snr) <= 1024 at a finite SNR: from 2**1014 Hz on a rate can overflow
+        pytest.param(["run", "quick.ini", "--scenario.train=false",
+                      "--channel.uav_downlink_bandwidth_hz=1e308"],
+                     "uav_downlink_bandwidth must be below 2**1014 Hz",
+                     id="overflowing-downlink-rate"),
+        pytest.param(["run", "quick.ini", "--scenario.train=false",
+                      "--channel.bandwidth_hz=1e308"],
+                     "total_bandwidth must be below 2**1014 Hz", id="overflowing-uplink-rate"),
         pytest.param(["run", "quick.ini", "--data.classes=1"],
                      "blob source needs at least 2 classes", id="one-blob-class"),
         pytest.param(["run", "quick.ini", "--data.spread=0"],
@@ -446,6 +453,11 @@ class TestInvalidInputExits1:
         pytest.param(["run", "quick.ini", "--scenario.train=false",
                       f"--fl.local_epochs={10 ** 400}"],
                      "repeat 0 takes an infinite time or energy", id="overflowing-local-epochs"),
+        # every round's energy is finite, but not the running totals of 20 rounds
+        pytest.param(["run", "quick.ini", "--scenario.train=false",
+                      "--uav.propulsion_power_w=1e308", "--channel.bandwidth_hz=1e4"],
+                     "or 20 of them over 3 repeats overflow a total",
+                     id="overflowing-running-totals"),
         pytest.param(["run", "quick.ini", "--seed", str(2 ** 128)],
                      "master_seed must be in [-2**127, 2**127)", id="overflowing-seed-flag"),
         pytest.param(["run", "quick.ini", f"--scenario.master_seed={-2 ** 127 - 1}"],
@@ -456,7 +468,7 @@ class TestInvalidInputExits1:
         pytest.param(["run", "quick.ini", "--scenario.train=false",
                       "--channel.user_tx_power_w=1e308"],
                      "link endpoints coincide: user", id="overflowing-user-snr"),
-        # 3 groups of 50-client cohorts on 2 workers: the refusal is a worker's
+        # 3 repeats in 2 shares, one per worker: the refusal is a worker's
         pytest.param(["run", "quick.ini", "--fl.num_users=500", "--jobs", "2"],
                      "exceeds sample count", id="pool-worker-partition"),
         pytest.param(["run", "quick.ini", "--fraction=0.1"],
@@ -676,6 +688,7 @@ class TestOracle:
         (["rate", "noise_w=0"], "must be positive and finite"),
         (["rate", "tx_power_w=1e308"], "the SNR must be finite"),
         (["rate", "noise_w=1e-200", "altitude_m=1e-100"], "the SNR must be finite"),
+        (["rate", "bandwidth_hz=1e308"], "bandwidth must be below 2**1014 Hz"),
         (["placement", "users=1,2", "grid_m=0"], "grid steps must be positive"),
         (["placement", "users=1,2", "grid_m=-1"], "grid steps must be positive"),
         (["placement", "users=1,2", "refine_m=0"], "grid steps must be positive"),
@@ -684,8 +697,8 @@ class TestOracle:
     ], ids=["zero-distance", "underflowing-distance", "overflowing-distance",
             "overflowing-sum", "negative-altitude",
             "negative-horizontal", "negative-bandwidth", "zero-power", "negative-gain",
-            "zero-noise", "overflowing-snr", "underflowing-noise-power", "zero-grid",
-            "negative-grid", "zero-refine",
+            "zero-noise", "overflowing-snr", "underflowing-noise-power", "overflowing-rate",
+            "zero-grid", "negative-grid", "zero-refine",
             "overflowing-placement-altitude", "negative-placement-altitude"])
     def test_out_of_range_argument_exits_1(self, argv, message, capsys):
         err = oracle_error(argv, capsys)

@@ -553,15 +553,17 @@ class TestPerUserArrays:
     points (the solver's and a random one), equals the scalar models, at a
     scale where a vectorised log2 or square would differ in the last bit."""
 
-    @pytest.mark.parametrize("override, compute", [(None, False), (2.5e4, True)])
+    # the default sub-band, and a sub-band of 25 kHz: 25 MHz over the 1,000-client cohort
+    @pytest.mark.parametrize("sub_band, compute", [(None, False), (2.5e4, True)])
     @pytest.mark.parametrize("form", FORMS)
-    def test_every_entry_matches_scalar_models(self, form, override, compute):
+    def test_every_entry_matches_scalar_models(self, form, sub_band, compute):
         n, repeat, payload = 20_000, 1, 251_200
+        channel = (ChannelParams() if sub_band is None
+                   else ChannelParams(total_bandwidth=sub_band * cohort_size(n, 0.05)))
         sc = Scenario(fl=FlConfig(num_users=n, fraction=0.05,
                                   hyper=Hyperparams(local_epochs=3)),
                       source=ShapeSource(num_samples=70_001, input_dim=784), train=False,
-                      partition_scheme="iid", form=form, master_seed=11,
-                      channel=ChannelParams(uplink_bandwidth_override=override),
+                      partition_scheme="iid", form=form, master_seed=11, channel=channel,
                       include_user_compute_energy=compute)
         topo = build_topology(sc, rng(11, repeat, "positions"))
         train, _ = load_source(sc.source, 0)
@@ -578,6 +580,7 @@ class TestPerUserArrays:
                                    if compute else 0.0 for u in range(n)]
 
         b_up = per_client_bandwidth(ch, cohort_size(n, sc.fl.fraction))
+        assert b_up == (1e3 if sub_band is None else sub_band)
         vertical = topo.vertical_offsets().tolist()
         for placement in (place_server(sc, topo, rng(11, repeat, "placement")),
                           random_placement(sc.area, rng(11, repeat, "hover"))):
@@ -635,6 +638,37 @@ class TestPerUserArrays:
         with pytest.raises(ValueError, match="slowest possible round of repeat 0 takes an "
                                              "infinite time or energy"):
             run_scenario(sc)
+
+    def test_overflowing_totals_raise_before_any_round(self, monkeypatch):
+        # each round's energy is finite, but not the running totals of 20 rounds
+        sc = small_scenario(train=False, uav=UavProfile(propulsion_power=1e308),
+                            channel=ChannelParams(total_bandwidth=1e4), repeats=3,
+                            fl=replace(small_scenario().fl, max_rounds=20))
+        monkeypatch.setattr(scenario_module, "select_clients",
+                            lambda *args: pytest.fail("a round started"))
+        with pytest.raises(ValueError, match="or 20 of them over 3 repeats overflow a total"):
+            run_scenario(sc)
+
+    @settings(max_examples=40, deadline=None)
+    @given(power=st.floats(1e300, 1e308), max_rounds=st.integers(1, 20),
+           repeats=st.integers(1, 3), flight=st.sampled_from([0.0, 1e306]))
+    @example(power=1e306, max_rounds=20, repeats=3, flight=0.0)  # runs
+    @example(power=1e308, max_rounds=20, repeats=3, flight=0.0)  # refused
+    def test_an_accepted_run_writes_finite_totals_and_means(self, power, max_rounds,
+                                                              repeats, flight):
+        sc = small_scenario(train=False, uav=UavProfile(propulsion_power=power),
+                            channel=ChannelParams(total_bandwidth=1e4), repeats=repeats,
+                            initial_flight_energy=flight,
+                            fl=replace(small_scenario().fl, max_rounds=max_rounds))
+        try:  # an overflow warning fails the test: warnings are errors here
+            result = run_scenario(sc)
+        except ValueError as exc:
+            assert "overflow a total" in str(exc)
+            return
+        fields_ = ("duration", "uav_energy", "cum_uav_energy", "budget_total")
+        assert all(math.isfinite(getattr(m, f)) for rep in result.repeats
+                   for m in rep.metrics for f in fields_)
+        assert all(np.isfinite(result.mean(f)).all() for f in fields_)
 
 
 class TestBudgetsReadOffOneRun:
@@ -704,14 +738,16 @@ def assert_same_repeats(got, want, num_users):
 
 
 class TestLockstepGroups:
-    """A repeat trained with others in a lockstep group, serially or through
-    the pool, equals the repeat run alone, and no lockstep call holds more
-    than LANE_CEILING lanes unless one repeat's cohort alone does."""
+    """A repeat trained with others in lockstep calls, serially or through
+    the pool, equals the repeat run alone; no lockstep call holds more than
+    LANE_CEILING lanes unless one repeat's cohort alone does; each round
+    packs its live repeats into as few calls as that allows; and each
+    process runs one contiguous share of the repeats."""
 
     @settings(max_examples=30, deadline=None)
     @given(form=st.sampled_from(FORMS), partition_scheme=st.sampled_from(["iid", "sharded"]),
            kind=st.sampled_from(["logistic", "mlp"]), eval_stride=st.sampled_from([1, 3]),
-           # cohorts of 3 (five repeats to a group) and of 18 (one repeat to a group)
+           # cohorts of 3 (five repeats to a call) and of 18 (one repeat to a call)
            users=st.sampled_from([(6, 0.5), (20, 0.9)]), repeats=st.integers(1, 7),
            pick=st.floats(0.3, 1.0), seed=st.integers(0, 3))
     def test_group_members_equal_lone_repeats(self, form, partition_scheme, kind,
@@ -730,12 +766,12 @@ class TestLockstepGroups:
                                                   for rep in probe.repeats))
         alone = [run_repeat(sc, r) for r in range(repeats)]
         for jobs in (1, 2):
-            clear_stores()  # so the groups train, not read what the lone repeats trained
+            clear_stores()  # so the shares train, not read what the lone repeats trained
             assert_same_repeats(run_scenario(sc, jobs=jobs).repeats, alone, num_users)
 
     @pytest.mark.parametrize("num_users, fraction, repeats, calls_per_round", [
-        (100, 0.02, 20, 3),  # cohorts of 2: groups of 7, 7 and 6 repeats
-        (70, 0.1, 5, 3),     # cohorts of 7: groups of 2, 2 and 1
+        (100, 0.02, 20, 3),  # cohorts of 2: calls of 8, 8 and 4 repeats
+        (70, 0.1, 5, 3),     # cohorts of 7: calls of 2, 2 and 1
         (20, 0.9, 3, 3),     # a cohort of 18 exceeds the ceiling alone
     ])
     def test_lockstep_calls_within_lane_ceiling(self, monkeypatch, num_users, fraction,
@@ -761,21 +797,80 @@ class TestLockstepGroups:
         assert sum(lanes) == sum(len(m.selected) for rep in result.repeats
                                  for m in rep.metrics)
 
+    def test_each_round_packs_its_live_repeats(self, monkeypatch):
+        import agifl.fedavg as fedavg
+
+        real_train, lanes = fedavg.train_cohort, []
+
+        def recording_train(params, design, labels, lanes_, *args):
+            lanes.append(len(lanes_))
+            return real_train(params, design, labels, lanes_, *args)
+
+        # cohorts of 3, five repeats to a call; the repeats halt at different rounds
+        sc = small_scenario(fl=FlConfig(num_users=6, fraction=0.5, max_rounds=8,
+                                        hyper=Hyperparams(local_epochs=1, batch_size=10)),
+                            repeats=7, master_seed=0)
+        probe = run_scenario(replace(sc, train=False))
+        sc = replace(sc, energy_budget=0.6 * max(rep.metrics[-1].budget_total
+                                                 for rep in probe.repeats))
+        clear_stores()
+        monkeypatch.setattr(fedavg, "train_cohort", recording_train)
+        result = run_scenario(sc)
+        kept = [len(rep.metrics) for rep in result.repeats]
+        live = [[i for i, k in enumerate(kept) if k > rnd] for rnd in range(max(kept))]
+        # some round's live repeats sit apart, with halted repeats between them
+        assert any(ids != list(range(ids[0], ids[-1] + 1)) for ids in live)
+        per_call = scenario_module.LANE_CEILING // 3
+        assert len(lanes) == sum(math.ceil(len(ids) / per_call) for ids in live)
+        assert lanes == [3 * len(ids[start:start + per_call]) for ids in live
+                         for start in range(0, len(ids), per_call)]
+
+    # each process runs one contiguous share of the repeats, whatever the cohort size
     @pytest.mark.parametrize("num_users, fraction, repeats, jobs, sizes", [
-        (100, 0.02, 20, 1, [7, 7, 6]),  # the case study's cohorts of 2
-        (100, 0.02, 20, 2, [5, 5, 5, 5]),  # 3 rounded up to a multiple of 2
+        (100, 0.02, 20, 1, [20]),  # the case study's cohorts of 2
+        (100, 0.02, 20, 2, [10, 10]),
         (100, 0.02, 20, 3, [7, 7, 6]),
-        (70, 0.1, 20, 1, [2] * 10),  # cohorts of 7
-        (70, 0.1, 20, 2, [2] * 10),  # already a multiple of the processes
-        (20, 0.9, 5, 3, [1] * 5),  # never an empty group
+        (70, 0.1, 20, 1, [20]),  # cohorts of 7
+        (70, 0.1, 20, 2, [10, 10]),
+        (20, 0.9, 5, 3, [2, 2, 1]),  # never an empty share
         (100, 0.02, 3, 8, [1, 1, 1]),  # no more processes than repeats
     ])
-    def test_groups_fill_the_processes(self, num_users, fraction, repeats, jobs, sizes):
+    def test_groups_fill_the_processes(self, monkeypatch, num_users, fraction, repeats, jobs,
+                                       sizes):
+        import concurrent.futures
+
+        real_run_share, shares, workers = scenario_module._run_share, [], []
+
+        def recording_run_share(scenario, share):
+            shares.append(list(share))
+            return real_run_share(scenario, share)
+
+        class InProcessPool:  # runs the shares here, where the spy sees them
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(scenario_module, "_run_share", recording_run_share)
         sc = small_scenario(fl=FlConfig(num_users=num_users, fraction=fraction),
+                            source=ShapeSource(num_samples=10 * num_users), train=False,
                             repeats=repeats)
-        groups = scenario_module._groups(sc, jobs)
-        assert [len(group) for group in groups] == sizes
-        assert [r for group in groups for r in group] == list(range(repeats))
+        result = run_scenario(sc, jobs=jobs)
+        # one non-empty share per process, no more than the repeats, sizes within one
+        assert [len(share) for share in shares] == sizes
+        assert len(sizes) == min(jobs, repeats) and max(sizes) - min(sizes) <= 1
+        assert workers == ([len(sizes)] if len(sizes) > 1 else [])
+        # contiguous and in order, so the merge is by repeat index
+        assert [r for share in shares for r in share] == list(range(repeats))
+        assert [rep.repeat for rep in result.repeats] == list(range(repeats))
 
 
 def clear_stores():
@@ -900,7 +995,7 @@ class TestFederationStores:
 
     def test_pool_workers_hand_back_their_store_entries(self):
         sc = small_scenario(repeats=4)
-        assert len(scenario_module._groups(sc, 2)) == 2
+        assert sc.repeats >= 2  # so jobs=2 runs two shares, one per pool worker
         stores = []
         for jobs in (1, 2):
             clear_stores()
