@@ -122,7 +122,6 @@ _SCHEMA = {
         "cycles_per_bit": (int, "scenario.cycles_per_bit"),
         "cpu_freq_min_hz": (_float, "scenario.cpu_freq_range.0"),
         "cpu_freq_max_hz": (_float, "scenario.cpu_freq_range.1"),
-        "include_user_compute": (_bool, "scenario.include_user_compute_energy"),
         "kappa": (_float, "scenario.kappa"),
         "initial_flight_energy_j": (_float, "scenario.initial_flight_energy"),
     },

@@ -8,12 +8,13 @@ clients compute and upload in parallel on orthogonal sub-bands:
 
 The hovering server burns propulsion power for the whole round and
 transmit power during the downlink only. Users pay transmit energy during
-their upload; their compute energy (effective-capacitance model
-kappa * f^2 * cycles) is tracked only when enabled, since the headline
+their upload and compute energy kappa * f^2 * cycles (effective-capacitance
+model), which the default kappa = 0 leaves out, since the headline
 comparison concerns the server's energy.
 
 `EnergyLedger` holds a run's energy budget on one entity and refuses a
 round that would take that entity over it, leaving every total as it was.
+The server's total starts at its flight energy to the hover point.
 
 `scenario` builds the per-user terms as arrays once per repeat, and the
 durations and energies of a block of rounds from them; its arithmetic is
@@ -63,28 +64,22 @@ class EnergyLedger:
     """Cumulative per-entity energy, updated once per counted round.
 
     Entities are "uav" (the server) and "user:<id>" for 0 <= id <
-    num_users. `add_rounds` stops at the first round after which `entity`'s
-    total would exceed `budget` (an infinite budget refuses none), so no
-    such round is counted. One-off costs (such as a flat flight-to-hover-
-    point charge) count toward the totals without affecting the round count.
+    num_users. The server's total starts at `flight`, the flat energy of
+    reaching the hover point. `add_rounds` stops at the first round after
+    which `entity`'s total would exceed `budget` (an infinite budget refuses
+    none), so no such round is counted.
     """
 
-    def __init__(self, num_users: int, budget: float = math.inf, entity: str = "uav"):
+    def __init__(self, num_users: int, budget: float = math.inf, entity: str = "uav",
+                 flight: float = 0.0):
         if not budget > 0:
             raise ValueError("budget must be positive")
+        if not 0 <= flight < math.inf:
+            raise ValueError("flight energy must be >= 0 and finite")
         self._user = entity_index(entity, num_users)
         self._budget = budget
-        self._uav = 0.0
+        self._uav = 0.0 + flight  # a float, and -0.0 reads 0.0
         self._users = np.zeros(num_users)
-
-    def charge(self, entity: str, joules: float) -> None:
-        if joules < 0:
-            raise ValueError("charge must be non-negative")
-        user = entity_index(entity, len(self._users))
-        if user is None:
-            self._uav += joules
-        else:
-            self._users[user] += joules
 
     def rounds_within(self, server, user_tx, user_compute, user_hover) -> float:
         """The rounds the budget surely keeps, rounding included, if none costs more

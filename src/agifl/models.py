@@ -69,8 +69,8 @@ class Hyperparams:
             raise ValueError("learning_rate must be positive and finite")
         if self.local_epochs < 0:
             raise ValueError("local_epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if not 1 <= self.batch_size < 2 ** 63:  # `train_cohort` takes it as an int64
+            raise ValueError("batch_size must be in [1, 2**63)")
 
 
 def param_count(spec: ModelSpec) -> int:

@@ -6,6 +6,7 @@ are self-contained static SVG so the package needs no plotting dependency.
 """
 
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,11 @@ __all__ = [
     "svg_line_chart",
 ]
 
-ROUND_CSV_HEADER = "round,duration_s,uav_energy_j,cum_uav_energy_j,test_loss,test_acc,selected"
+# each per-round column between `round` and `selected`, and the RoundMetrics field it holds
+_ROUND_COLUMNS = (("duration_s", "duration"), ("uav_energy_j", "uav_energy"),
+                  ("cum_uav_energy_j", "cum_uav_energy"), ("test_loss", "test_loss"),
+                  ("test_acc", "test_acc"))
+ROUND_CSV_HEADER = ",".join(["round", *(column for column, _ in _ROUND_COLUMNS), "selected"])
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
 
@@ -31,22 +36,18 @@ def write_repeat_csv(path, metrics) -> None:
     """One row per completed round of a single repeat, written as it goes."""
     top = max((int(m.selected.max()) for m in metrics), default=-1)
     ids = np.array([str(u) for u in range(top + 1)], dtype=object)  # built once per file
+    values = operator.attrgetter(*(name for _, name in _ROUND_COLUMNS))
     with Path(path).open("w") as f:
         f.write(ROUND_CSV_HEADER + "\n")
         for m in metrics:
-            f.write(",".join([str(m.round), _fmt(m.duration), _fmt(m.uav_energy),
-                              _fmt(m.cum_uav_energy), _fmt(m.test_loss), _fmt(m.test_acc),
+            f.write(",".join([str(m.round), *map(_fmt, values(m)),
                               ";".join(ids[m.selected].tolist())]) + "\n")
 
 
 def write_mean_csv(path, result) -> None:
     """Per-round means across repeats, over the rounds all repeats reached."""
-    write_series_csv(path, "round", range(1, result.common_rounds + 1), [
-        ("duration_s", result.mean("duration")),
-        ("uav_energy_j", result.mean("uav_energy")),
-        ("cum_uav_energy_j", result.mean("cum_uav_energy")),
-        ("test_loss", result.mean("test_loss")),
-        ("test_acc", result.mean("test_acc"))])
+    write_series_csv(path, "round", range(1, result.common_rounds + 1),
+                     [(column, result.mean(name)) for column, name in _ROUND_COLUMNS])
 
 
 def write_series_csv(path, x_name: str, xs, columns) -> None:

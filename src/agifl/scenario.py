@@ -206,8 +206,7 @@ class Scenario:
     broadcast_all: bool = False
     cpu_freq_range: tuple[float, float] = (1.8e9, 2.0e9)
     cycles_per_bit: int = 10
-    include_user_compute_energy: bool = False
-    kappa: float = 1e-28
+    kappa: float = 0.0  # user compute energy kappa * f^2 * cycles; 0 counts none
     initial_flight_energy: float = 0.0  # flat cost of reaching the hover point
     ground_height: float = 10.0  # server antenna height in the a2g form
     aerial_fraction: float = 0.5  # aerial share of clients in the mixed form
@@ -316,7 +315,7 @@ def place_server(scenario: Scenario, topo: Topology,
     return Placement(float(x), float(y))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RoundMetrics:
     round: int  # 1-based
     duration: float
@@ -373,7 +372,7 @@ class ExperimentResult:
 
 
 def user_terms(scenario: Scenario, repeat: int, shard_sizes, bits_per_sample: int):
-    """Each user's compute time and energy (zero unless counted), in the operation
+    """Each user's compute time and energy (zero unless kappa > 0), in the operation
     order of `oracles`: cycle counts are Python-int products (int64 could overflow),
     one per shard size, and squares libm `pow`, as `**` (NumPy's `x * x` can differ)."""
     fl, n = scenario.fl, scenario.fl.num_users
@@ -381,8 +380,7 @@ def user_terms(scenario: Scenario, repeat: int, shard_sizes, bits_per_sample: in
     sizes, where = np.unique(shard_sizes, return_inverse=True)
     cycles = np.array([_as_float(fl.hyper.local_epochs * size * bits_per_sample
                                  * scenario.cycles_per_bit) for size in sizes.tolist()])[where]
-    e_comp = (scenario.kappa * _squares(cpu) * cycles if scenario.include_user_compute_energy
-              else np.zeros(n))
+    e_comp = scenario.kappa * _squares(cpu) * cycles if scenario.kappa > 0 else np.zeros(n)
     return cycles / cpu, e_comp
 
 
@@ -493,8 +491,8 @@ def _network_pass(scenario: Scenario, repeat: int, record: _Repeat, spec: ModelS
                              "cycles, kappa, payload, rounds or flight energy)")
     per_block = max(1, BLOCK_MEMBER_ROUNDS // cohort_size(fl.num_users, fl.fraction))
 
-    ledger = EnergyLedger(fl.num_users, scenario.energy_budget, scenario.budget_entity)
-    ledger.charge("uav", scenario.initial_flight_energy)
+    ledger = EnergyLedger(fl.num_users, scenario.energy_budget, scenario.budget_entity,
+                          scenario.initial_flight_energy)
     metrics, drawn, nan, rnd, kept, size = [], record.cohorts, itertools.repeat(math.nan), 0, 0, 0
     while rnd < fl.max_rounds and kept == size:
         # at most one round past those the budget surely keeps: none drawn ahead
@@ -542,10 +540,8 @@ def _learning_pass(scenario: Scenario, spec: ModelSpec, reps, records, shards,
                 records[i].params = params
                 records[i].tests.append(test)
     for rep, record in zip(reps, records):
-        for rnd in range(stride - 1, len(rep.metrics), stride):
-            test_loss, test_acc = record.tests[rnd]
-            rep.metrics[rnd] = replace(rep.metrics[rnd], test_loss=test_loss,
-                                       test_acc=test_acc)
+        for m, test in zip(rep.metrics[stride - 1::stride], record.tests[stride - 1::stride]):
+            m.test_loss, m.test_acc = test
 
 
 def _run_share(scenario: Scenario, repeats):

@@ -1,19 +1,24 @@
 import configparser
+import contextlib
 import dataclasses
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from agifl import scenario as scenario_module
 from agifl.channel import ChannelParams
 from agifl.cli import main
-from agifl.config import _SCHEMA, ConfigError, RunConfig, load_config, parse_overrides
+from agifl.config import _SCHEMA, ConfigError, RunConfig, _float, load_config, parse_overrides
 from agifl.scenario import load_corpus, load_source, run_scenario
 
 SMALL_CONFIG = """\
@@ -99,7 +104,6 @@ KEY_FIELDS = {
     ("energy", "cycles_per_bit"): ("20", "scenario.cycles_per_bit", {}),
     ("energy", "cpu_freq_min_hz"): ("1.5e9", "scenario.cpu_freq_range.0", {}),
     ("energy", "cpu_freq_max_hz"): ("2.5e9", "scenario.cpu_freq_range.1", {}),
-    ("energy", "include_user_compute"): ("true", "scenario.include_user_compute_energy", {}),
     ("energy", "kappa"): ("1e-27", "scenario.kappa", {}),
     ("energy", "initial_flight_energy_j"): ("5", "scenario.initial_flight_energy", {}),
     ("compare", "budget_grid_j"): ("10,20", "compare_budgets", {}),
@@ -417,8 +421,7 @@ class TestInvalidInputExits1:
                      "shape source needs input_dim >= 1", id="zero-shape-input-dim"),
         pytest.param(["run", "quick.ini", "--energy.initial_flight_energy_j=-3"],
                      "initial_flight_energy must be >= 0", id="negative-flight-energy"),
-        pytest.param(["run", "quick.ini", "--energy.kappa=-1",
-                      "--energy.include_user_compute=true"],
+        pytest.param(["run", "quick.ini", "--energy.kappa=-1"],
                      "kappa must be >= 0", id="negative-kappa"),
         pytest.param(["run", "quick.ini", "--scenario.form=mixed",
                       "--scenario.aerial_fraction=1.5"],
@@ -437,10 +440,9 @@ class TestInvalidInputExits1:
                      "repeat 0 takes an infinite time or energy", id="infinite-uplink-time"),
         pytest.param(["run", "quick.ini", "--scenario.train=false",
                       "--energy.cpu_freq_min_hz=1e199", "--energy.cpu_freq_max_hz=1e200",
-                      "--energy.include_user_compute=true"],
+                      "--energy.kappa=1e-28"],
                      "cpu_freq_range must satisfy", id="overflowing-cpu-freq-square"),
-        pytest.param(["run", "quick.ini", "--scenario.train=false", "--energy.kappa=1e300",
-                      "--energy.include_user_compute=true"],
+        pytest.param(["run", "quick.ini", "--scenario.train=false", "--energy.kappa=1e300"],
                      "repeat 0 takes an infinite time or energy",
                      id="overflowing-compute-energy"),
         # integers too large for a float make an infinite round
@@ -471,6 +473,9 @@ class TestInvalidInputExits1:
         # 3 repeats in 2 shares, one per worker: the refusal is a worker's
         pytest.param(["run", "quick.ini", "--fl.num_users=500", "--jobs", "2"],
                      "exceeds sample count", id="pool-worker-partition"),
+        # the batch widths are int64
+        pytest.param(["run", "quick.ini", f"--fl.batch_size={2 ** 63}"],
+                     "batch_size must be in [1, 2**63)", id="batch-size-past-int64"),
         pytest.param(["run", "quick.ini", "--fraction=0.1"],
                      "unrecognized argument '--fraction=0.1'", id="override-without-section"),
         pytest.param(["run", "quick.ini", "--fl.fraction"],
@@ -504,6 +509,56 @@ def test_argument_error_exits_1_with_one_error_line(argv, tmp_path, capsys):
     assert out == "" and err.count("\n") == 1
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# boundary values by parser, and every int or float key of the server and energy sections
+BOUNDARY_VALUES = {int: [0, 1, 10 ** 20, 10 ** 400, -1],
+                   _float: [0.0, 5e-324, 1e-300, 1e154, 1e200, 1.7976931348623157e308, -1.0]}
+BOUNDARY_KEYS = [(section, key) for section in ("uav", "energy")
+                 for key, (parse, _) in _SCHEMA[section].items() if parse in BOUNDARY_VALUES]
+
+
+@st.composite
+def boundary_overrides(draw):
+    """One or two of BOUNDARY_KEYS, each set to a boundary value of its parser."""
+    keys = draw(st.lists(st.sampled_from(BOUNDARY_KEYS), min_size=1, max_size=2, unique=True))
+    return [f"--{section}.{key}="
+            f"{draw(st.sampled_from(BOUNDARY_VALUES[_SCHEMA[section][key][0]]))!r}"
+            for section, key in keys]
+
+
+class TestBoundaryValues:
+    """A run at boundary values either finishes with finite outputs or exits 1
+    with one `error:` line and no output directory."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(overrides=boundary_overrides(), train=st.booleans())
+    # commands that once gave a traceback, or were refused though they could run
+    @example(overrides=["--energy.cpu_freq_min_hz=1e199", "--energy.cpu_freq_max_hz=1e200",
+                        "--energy.kappa=1e-28"], train=False)
+    @example(overrides=["--energy.kappa=1e300"], train=False)
+    @example(overrides=["--uav.tx_power_w=1e308"], train=False)
+    @example(overrides=["--energy.cpu_freq_min_hz=1e-310"], train=False)
+    def test_finite_outputs_or_one_error_line(self, overrides, train):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["run", str(CONFIGS / "quick.ini"), "--out", str(out),
+                             "--fl.num_users=6", "--scenario.max_rounds=3",
+                             "--scenario.repeats=2", f"--scenario.train={train}", *overrides])
+            if code == 1:
+                err = stderr.getvalue().splitlines()
+                assert len(err) == 1 and err[0].startswith("error: ")
+                assert not out.exists()
+                return
+            assert code == 0 and stderr.getvalue() == ""
+            for csv in out.glob("*.csv"):
+                header, *rows = (line.split(",") for line in csv.read_text().splitlines())
+                # a timing-only run has no test metrics; `selected` holds ids
+                exempt = {"selected"} | (set() if train else {"test_loss", "test_acc"})
+                assert all(math.isfinite(float(cell)) for row in rows
+                           for name, cell in zip(header, row) if name not in exempt), csv.name
 
 
 class TestCorpusLoadedOnce:

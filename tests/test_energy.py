@@ -129,6 +129,11 @@ class TestLedgerAndBudget:
         with pytest.raises(ValueError, match="budget must be positive"):
             EnergyLedger(3, budget=math.nan)
 
+    @pytest.mark.parametrize("flight", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_flight_rejected(self, flight):
+        with pytest.raises(ValueError, match="flight energy must be >= 0 and finite"):
+            EnergyLedger(3, flight=flight)
+
     def test_unknown_entity_raises(self):
         ledger = EnergyLedger(num_users=3)
         offer(ledger, 5.0, {2: 1.0})
@@ -152,7 +157,8 @@ class TestLedgerAndBudget:
         ledger = EnergyLedger(num_users=3, budget=1.0, entity="user:0")
         users = np.array([0, 2])
         tx, comp, hover = np.array([0.1, 0.2]), np.array([0.7, 0.0]), np.array([0.0, 0.3])
-        ledger.charge("user:2", 0.05)
+        assert add_round(ledger, 0.0, [2], [0.05], [0.0], [0.0])
+        assert ledger.total("user:2") == 0.05
         assert add_round(ledger, 1.5, users, tx, comp, hover)
         assert ledger.total("user:0") == 0.0 + 0.1 + 0.7 + 0.0
         assert ledger.total("user:1") == 0.0
@@ -168,7 +174,7 @@ joules = st.floats(0.0, 10.0)
 
 @st.composite
 def ledger_rounds(draw):
-    """(num_users, entity, budget, flight charge, rounds); a round is
+    """(num_users, entity, budget, flight energy, rounds); a round is
     (server joules, cohort of distinct ids, [(tx, compute, hover) per member])."""
     n = draw(st.integers(1, 6))
     entity = draw(st.sampled_from(["uav"] + [f"user:{u}" for u in range(n)]))
@@ -187,8 +193,7 @@ class TestLedgerProperties:
     @given(case=ledger_rounds())
     def test_refuses_exactly_when_a_sequential_reference_overdraws(self, case):
         n, entity, budget, flight, rounds = case
-        ledger = EnergyLedger(n, budget, entity)
-        ledger.charge("uav", flight)
+        ledger = EnergyLedger(n, budget, entity, flight)
         uav, users = flight, [0.0] * n
         for server, cohort, terms in rounds:
             next_uav, next_users = uav + server, list(users)
@@ -215,9 +220,8 @@ class TestLedgerProperties:
                            dtype=np.int64).reshape(len(rounds), m)
         terms = np.array([terms[:m] for _, _, terms in rounds]).reshape(len(rounds), m, 3)
         terms = terms.transpose(2, 0, 1)  # tx, compute, hover, each (R, m)
-        block, single = EnergyLedger(n, budget, entity), EnergyLedger(n, budget, entity)
-        block.charge("uav", flight)
-        single.charge("uav", flight)
+        block = EnergyLedger(n, budget, entity, flight)
+        single = EnergyLedger(n, budget, entity, flight)
         kept, uav, spent = block.add_rounds(server, cohorts, *terms)
         totals = []
         for r in range(len(rounds)):
@@ -241,8 +245,7 @@ class TestLedgerProperties:
     def test_rounds_within_are_kept(self, entity, budget, flight, server, terms):
         # rounds that each cost exactly the bound: the ledger keeps every
         # one of the rounds `rounds_within` promises, whatever the rounding
-        ledger = EnergyLedger(1, budget, entity)
-        ledger.charge("uav", flight)
+        ledger = EnergyLedger(1, budget, entity, flight)
         sure = ledger.rounds_within(np.array([server]), *(np.array([[t]]) for t in terms))
         rounds = min(sure, 1000)
         kept, _, _ = ledger.add_rounds(np.full(rounds, server), np.zeros((rounds, 1), int),
@@ -252,14 +255,15 @@ class TestLedgerProperties:
 
 class TestProfilesAndUserEnergy:
     def test_compute_energy_quadratic_in_frequency(self):
-        slow = user_compute_energy(1.0e9, 1e9, Scenario().kappa)
-        fast = user_compute_energy(2.0e9, 1e9, Scenario().kappa)
+        slow = user_compute_energy(1.0e9, 1e9, 1e-28)
+        fast = user_compute_energy(2.0e9, 1e9, 1e-28)
         assert fast == pytest.approx(4 * slow)
 
     def test_default_kappa_value(self):
-        # kappa * f^2 * cycles = 1e-28 * (2e9)^2 * 1e9
-        assert user_compute_energy(2.0e9, 1e9, Scenario().kappa) == pytest.approx(
-            1e-28 * 4e18 * 1e9)
+        # no compute energy by default; a typical kappa * f^2 * cycles is
+        # 1e-28 * (2e9)^2 * 1e9
+        assert Scenario().kappa == 0.0
+        assert user_compute_energy(2.0e9, 1e9, 1e-28) == pytest.approx(1e-28 * 4e18 * 1e9)
 
     def test_profile_validation(self):
         # the per-client checks (cpu frequency, cycles per bit) are

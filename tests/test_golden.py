@@ -68,7 +68,7 @@ TIMING_ONLY_CSVS = {
 # the per-user generators that squared each distance and multiplied each
 # user's cycle count in Python.
 TIMING_ONLY_ARGS = {"a2g": ["--data.num_samples=70001", "--data.partition=iid",
-                            "--energy.include_user_compute=true"]}
+                            "--energy.kappa=1e-28"]}
 
 
 @pytest.mark.parametrize("form", sorted(TIMING_ONLY_CSVS))

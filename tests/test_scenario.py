@@ -256,7 +256,7 @@ class TestRunScenario:
 
     def test_user_compute_energy_opt_in(self):
         off_sc = small_scenario(train=False, repeats=1)
-        on_sc = replace(off_sc, include_user_compute_energy=True)
+        on_sc = replace(off_sc, kappa=1e-28)
         off, on = run_repeat(off_sc, 0), run_repeat(on_sc, 0)
         assert not repeat_arrays(off_sc)[1].any()
         assert repeat_arrays(on_sc)[1].all()
@@ -503,7 +503,7 @@ def reference_repeat(sc, rep):
             tx = ch.user_tx_power * t_up
             comp = (user_compute_energy(cpu[u], epochs * len(shards[u]) * bits
                                         * sc.cycles_per_bit, sc.kappa)
-                    if sc.include_user_compute_energy else 0.0)
+                    if sc.kappa > 0 else 0.0)
             hover = sc.uav.propulsion_power * duration if topo.user_alt[u] > 0 else 0.0
             users[u] = users[u] + tx + comp + hover
         rows.append((duration, energy, uav))
@@ -519,13 +519,13 @@ class TestRoundLoopReference:
     @pytest.mark.parametrize("broadcast_all", [False, True])
     @pytest.mark.parametrize("form", ["g2a", "a2g", "a2a", "mixed"])
     def test_rounds_and_ledger_match_scalar_models(self, form, broadcast_all, compute):
-        self.check(form=form, broadcast_all=broadcast_all, include_user_compute_energy=compute)
+        self.check(form=form, broadcast_all=broadcast_all, kappa=1e-28 if compute else 0.0)
 
     def test_rounds_split_into_blocks_match_scalar_models(self):
         # 2,048-client cohorts: the member-round cap splits the six rounds
         assert 2048 * 6 > scenario_module.BLOCK_MEMBER_ROUNDS >= 2048
         self.check(num_users=4096, fraction=0.5, form="mixed", broadcast_all=True,
-                   include_user_compute_energy=True)
+                   kappa=1e-28)
 
     @staticmethod
     def check(num_users=12, fraction=0.25, **kwargs):
@@ -564,7 +564,7 @@ class TestPerUserArrays:
                                   hyper=Hyperparams(local_epochs=3)),
                       source=ShapeSource(num_samples=70_001, input_dim=784), train=False,
                       partition_scheme="iid", form=form, master_seed=11, channel=channel,
-                      include_user_compute_energy=compute)
+                      kappa=1e-28 if compute else 0.0)
         topo = build_topology(sc, rng(11, repeat, "positions"))
         train, _ = load_source(sc.source, 0)
         indices, offsets = partition(train, n, scheme="iid", seed=7)
@@ -577,7 +577,7 @@ class TestPerUserArrays:
                                                      cpu[u], epochs) for u in range(n)]
         assert e_comp.tolist() == [user_compute_energy(cpu[u], epochs * len(shards[u]) * bits
                                                        * sc.cycles_per_bit, sc.kappa)
-                                   if compute else 0.0 for u in range(n)]
+                                   if sc.kappa > 0 else 0.0 for u in range(n)]
 
         b_up = per_client_bandwidth(ch, cohort_size(n, sc.fl.fraction))
         assert b_up == (1e3 if sub_band is None else sub_band)
@@ -626,7 +626,7 @@ class TestPerUserArrays:
     @pytest.mark.parametrize("kwargs", [
         dict(channel=ChannelParams(uav_downlink_bandwidth=1e-320)),
         dict(channel=ChannelParams(total_bandwidth=1e-320)),
-        dict(kappa=1e300, include_user_compute_energy=True),
+        dict(kappa=1e300),
     ], ids=["downlink", "uplink", "compute-energy"])
     def test_infinite_round_raises_before_any_round(self, kwargs, monkeypatch):
         # each bandwidth is positive, but the payload takes an infinite time
@@ -687,7 +687,7 @@ class TestBudgetsReadOffOneRun:
         sc = small_scenario(form=form, eval_stride=eval_stride,
                             budget_entity="uav" if user is None else f"user:{user}",
                             initial_flight_energy=flight,
-                            include_user_compute_energy=compute, master_seed=seed)
+                            kappa=1e-28 if compute else 0.0, master_seed=seed)
         # budgets on, below and above the totals the rounds reach
         probe = run_scenario(replace(sc, train=False))
         totals = sorted(m.budget_total for rep in probe.repeats for m in rep.metrics)
@@ -713,7 +713,7 @@ class TestBudgetHaltTotals:
     def test_totals_equal_the_last_kept_round(self, form, user, flight, compute, seed, pick):
         sc = small_scenario(form=form, train=False, initial_flight_energy=flight,
                             budget_entity="uav" if user is None else f"user:{user}",
-                            include_user_compute_energy=compute, master_seed=seed)
+                            kappa=1e-28 if compute else 0.0, master_seed=seed)
         totals = [m.budget_total for m in run_repeat(sc, 0).metrics[:-1]
                   if m.budget_total > 0]
         assume(totals)
