@@ -24,9 +24,19 @@ a malformed command line, config or oracle argument, an invalid value, and
 a refusal raised during a run (such as a partition the dataset cannot
 satisfy or a round that would never end), also from a pool worker; 2 when
 the dataset cannot be read.
+
+A command that succeeds ends with `gc.freeze()`: what is still alive (the
+modules, classes and functions of the imports, and the run's results)
+moves to the collector's permanent generation, which the interpreter's
+final collections skip, so exit does not free it object by object. A
+refusal freezes nothing. `main` thaws that generation (`gc.unfreeze()`)
+on entry, so a caller that calls `main` repeatedly in one process holds
+at most one call's frozen heap, and the cycles an earlier call left
+become collectable again.
 """
 
 import argparse
+import gc
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -53,8 +63,10 @@ def _cmd_run(cfg, out: Path, jobs: int) -> None:
         write_repeat_csv(out / f"{scheme}_rep{rep.repeat:02d}.csv", rep.metrics)
     write_mean_csv(out / f"{scheme}_mean.csv", result)
 
-    final_energy = (result.mean("cum_uav_energy")[-1]
-                    if result.common_rounds else 0.0)
+    # with no common round, where every ledger's server total starts: the
+    # flight energy (as in EnergyLedger, 0.0 + makes -0.0 read 0.0)
+    final_energy = (result.mean("cum_uav_energy")[-1] if result.common_rounds
+                    else 0.0 + scenario.initial_flight_energy)
     print(f"run: scheme={scheme} repeats={scenario.repeats} "
           f"rounds={result.common_rounds} "
           f"mean_cum_uav_energy_j={final_energy:.6g} "
@@ -174,6 +186,14 @@ _COMMANDS = {"run": _cmd_run, "compare-placement": _cmd_compare}
 
 
 def main(argv=None) -> int:
+    """Run one `agifl` command line; returns its exit code.
+
+    Thaws the heap an earlier call froze, and freezes the heap this call
+    leaves when it returns 0 (see the module docstring): a caller that
+    needs the collector to reclaim the objects alive at that return calls
+    `gc.unfreeze()` itself.
+    """
+    gc.unfreeze()
     parser = _ArgumentParser(prog="agifl")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
@@ -193,20 +213,21 @@ def main(argv=None) -> int:
         args, extra = parser.parse_known_args(sys.argv[1:] if argv is None else argv)
         if args.command == "oracle":
             _cmd_oracle(args.model, extra)
-            return 0
-        overrides = parse_overrides(extra)
-        if args.seed is not None:
-            overrides[("scenario", "master_seed")] = str(args.seed)
-        cfg = load_config(args.config, overrides)
-        try:
-            load_corpus(cfg.scenario.source, cfg.scenario.master_seed)
-        except (OSError, ValueError) as exc:
-            print(f"error: dataset: {exc}", file=sys.stderr)
-            return 2
-        _COMMANDS[args.command](cfg, Path(args.out), args.jobs)
+        else:
+            overrides = parse_overrides(extra)
+            if args.seed is not None:
+                overrides[("scenario", "master_seed")] = str(args.seed)
+            cfg = load_config(args.config, overrides)
+            try:
+                load_corpus(cfg.scenario.source, cfg.scenario.master_seed)
+            except (OSError, ValueError) as exc:
+                print(f"error: dataset: {exc}", file=sys.stderr)
+                return 2
+            _COMMANDS[args.command](cfg, Path(args.out), args.jobs)
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    gc.freeze()
     return 0
 
 

@@ -271,9 +271,11 @@ class Topology:
         return np.abs(self.server_alt - self.user_alt)
 
     def dist_sq(self, placement: Placement) -> np.ndarray:
-        """Each user's squared distance to the server at `placement` (libm `pow` squares)."""
+        """Each user's squared distance to the server at `placement` (libm `pow` squares,
+        one per distinct vertical offset: a form has at most two)."""
         horizontal = np.hypot(*(self.user_xy - [placement.x, placement.y]).T)
-        return _squares(self.vertical_offsets()) + _squares(horizontal)
+        offsets, where = np.unique(self.vertical_offsets(), return_inverse=True)
+        return _squares(offsets)[where] + _squares(horizontal)
 
 
 def build_topology(scenario: Scenario, generator: np.random.Generator) -> Topology:

@@ -1,6 +1,7 @@
 import configparser
 import contextlib
 import dataclasses
+import gc
 import io
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +315,17 @@ class TestRunCommand:
         assert fields["halts"] == (f"budget:{reasons.count('budget')},"
                                    f"max_rounds:{reasons.count('max_rounds')}")
 
+    @pytest.mark.parametrize("halt", ["--scenario.max_rounds=0", "--scenario.energy_budget_j=1"])
+    def test_summary_energy_before_a_common_round_is_the_flight_energy(self, halt, tmp_path,
+                                                                      capsys):
+        # no round is common to the repeats (none ran, or the budget refused
+        # round 1), so the server's mean total is where every ledger starts
+        assert main(["run", str(CONFIGS / "quick.ini"), "--out", str(tmp_path),
+                     "--energy.initial_flight_energy_j=5", halt]) == 0
+        fields = dict(token.split("=", 1) for token in capsys.readouterr().out.split()[1:])
+        assert fields["rounds"] == "0"
+        assert fields["mean_cum_uav_energy_j"] == "5"
+
 
 class TestInvalidInputExits1:
     """Invalid input exits 1 with one error line and writes no output
@@ -603,6 +616,50 @@ def test_training_run_leaves_out_numpy_ma(tmp_path):
                          check=True, env=env)
     assert (tmp_path / "min_sum_dist_rep00.csv").exists()
     assert out.stderr.strip() == "0 False"
+
+
+class TestCollectorContract:
+    """A command that succeeds freezes the heap it leaves (exit skips it); the
+    next call thaws it, and a refusal freezes nothing."""
+
+    @pytest.fixture(autouse=True)
+    def thawed(self):
+        gc.unfreeze()
+        yield
+        gc.unfreeze()
+
+    @pytest.mark.parametrize("argv", [["run", str(CONFIGS / "quick.ini")], ["oracle", "rate"]],
+                             ids=["run", "oracle"])
+    def test_success_freezes_the_heap(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # for run's default --out
+        assert gc.get_freeze_count() == 0
+        assert main(argv) == 0
+        assert gc.get_freeze_count() > 0
+
+    def test_next_call_thaws_what_the_last_froze(self, tmp_path, capsys):
+        class Node:
+            pass
+
+        node = Node()
+        node.self = node  # a cycle only the collector frees
+        ref = weakref.ref(node)
+        assert main(["run", str(CONFIGS / "quick.ini"), "--out", str(tmp_path)]) == 0
+        del node
+        gc.collect()
+        assert ref() is not None  # frozen while alive at the return
+        assert main(["run", str(tmp_path / "missing.ini")]) == 1
+        assert gc.get_freeze_count() == 0
+        gc.collect()
+        assert ref() is None
+
+    def test_console_run_prints_its_summary_on_a_pipe(self, tmp_path):
+        # stdout on a pipe is block-buffered: the summary is written at exit
+        env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+        out = subprocess.run([sys.executable, "-m", "agifl.cli", "run",
+                              str(CONFIGS / "quick.ini"), "--out", str(tmp_path)],
+                             stdout=subprocess.PIPE, text=True, env=env)
+        assert out.returncode == 0
+        assert out.stdout.startswith("run: scheme=min_sum_dist repeats=3 ")
 
 
 class TestComparePlacement:

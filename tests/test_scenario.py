@@ -556,15 +556,18 @@ class TestPerUserArrays:
     # the default sub-band, and a sub-band of 25 kHz: 25 MHz over the 1,000-client cohort
     @pytest.mark.parametrize("sub_band, compute", [(None, False), (2.5e4, True)])
     @pytest.mark.parametrize("form", FORMS)
-    def test_every_entry_matches_scalar_models(self, form, sub_band, compute):
+    def test_every_entry_matches_scalar_models(self, form, sub_band, compute,
+                                               heights=(100.0, 10.0)):
         n, repeat, payload = 20_000, 1, 251_200
         channel = (ChannelParams() if sub_band is None
                    else ChannelParams(total_bandwidth=sub_band * cohort_size(n, 0.05)))
+        altitude, ground_height = heights
         sc = Scenario(fl=FlConfig(num_users=n, fraction=0.05,
                                   hyper=Hyperparams(local_epochs=3)),
                       source=ShapeSource(num_samples=70_001, input_dim=784), train=False,
                       partition_scheme="iid", form=form, master_seed=11, channel=channel,
-                      kappa=1e-28 if compute else 0.0)
+                      kappa=1e-28 if compute else 0.0, uav=UavProfile(altitude=altitude),
+                      ground_height=ground_height)
         topo = build_topology(sc, rng(11, repeat, "positions"))
         train, _ = load_source(sc.source, 0)
         indices, offsets = partition(train, n, scheme="iid", seed=7)
@@ -602,6 +605,12 @@ class TestPerUserArrays:
             assert (t_comp + t_up).tolist() == [
                 user_compute_time(len(shards[u]), bits, sc.cycles_per_bit, cpu[u], epochs)
                 + expected[0][u] for u in range(n)]
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_every_entry_matches_at_other_heights(self, form):
+        # a flying altitude and a ground antenna height whose offsets (each
+        # form has at most two distinct ones) are not the defaults'
+        self.test_every_entry_matches_scalar_models(form, None, False, heights=(137.3, 23.9))
 
     def test_cycle_count_past_the_largest_float_is_infinite(self):
         # `float` raises from 2**1024 - 2**970 on, where the nearest float is
