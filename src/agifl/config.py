@@ -54,6 +54,16 @@ def _budget(raw: str) -> float:
     return value
 
 
+def _linear(convert):
+    """A dB (dBm) key's parser: `convert` of a finite number, which must not overflow."""
+    def parse(raw: str) -> float:
+        try:
+            return convert(_float(raw))
+        except OverflowError:
+            raise ValueError(f"{raw!r} overflows a float as a linear value") from None
+    return parse
+
+
 def _source(raw: str) -> type:
     if raw not in _SOURCES:
         raise ValueError(f"unknown data source {raw!r}")
@@ -107,8 +117,8 @@ _SCHEMA = {
     },
     "channel": {
         "bandwidth_hz": (_float, "scenario.channel.total_bandwidth"),
-        "alpha0_db": (lambda raw: db_to_linear(_float(raw)), "scenario.channel.ref_gain"),
-        "noise_dbm": (lambda raw: dbm_to_watts(_float(raw)), "scenario.channel.noise"),
+        "alpha0_db": (_linear(db_to_linear), "scenario.channel.ref_gain"),
+        "noise_dbm": (_linear(dbm_to_watts), "scenario.channel.noise"),
         "user_tx_power_w": (_float, "scenario.channel.user_tx_power"),
         "uav_downlink_bandwidth_hz": (_float, "scenario.channel.uav_downlink_bandwidth"),
         "payload_bits_per_param": (int, "scenario.channel.payload_bits_per_param"),

@@ -57,6 +57,8 @@ Every per-user time and energy is constant within a repeat: `user_terms`
 builds those no hover point changes and `link_terms` the rest, equal entry
 for entry to the scalar references in `oracles`; `round_model` computes a
 block of rounds from them by gathers over the (R, m) cohorts and row maxima.
+Each refusal evaluates the model it guards; the slowest possible round is
+`round_model` over one cohort of every user, which `rounds_within` reads.
 `ExperimentResult.mean` averages a per-round field over the rounds all
 repeats completed, so every mean covers exactly `repeats` instances.
 """
@@ -123,6 +125,9 @@ class BlobSource:
             raise ValueError("blob source needs input_dim >= 1")
         if not self.spread > 0:
             raise ValueError("blob source needs a positive spread")
+        for name in ("samples_per_class", "test_samples_per_class"):
+            _check_float64s("blob", f"num_classes * {name} * (input_dim + 1)",
+                            self.num_classes * getattr(self, name) * (self.input_dim + 1))
 
 
 @dataclass(frozen=True)
@@ -152,6 +157,16 @@ class ShapeSource:
             raise ValueError("shape source needs input_dim >= 1")
         if not 2 <= self.num_classes <= self.num_samples:
             raise ValueError("shape source needs 2 <= classes <= num_samples")
+        _check_float64s("shape", "num_samples * (input_dim + 1)",
+                        self.num_samples * (self.input_dim + 1))
+
+
+def _check_float64s(source: str, sizes: str, count: int) -> None:
+    """Refuse a design matrix of `count` float64s, which NumPy cannot hold in
+    one array (2**63 - 1 bytes at most)."""
+    if 8 * count >= 2 ** 63:
+        raise ValueError(f"{source} source: {sizes} float64s exceed NumPy's largest "
+                         "array (2**63 - 1 bytes)")
 
 
 def load_source(source, seed: int):
@@ -251,10 +266,10 @@ class Scenario:
                   *([self.fixed_position] if self.placement_scheme == "fixed" else [])]
         xs, ys = zip(*points)
         extent = (max(xs) - min(xs), max(ys) - min(ys), self.uav.altitude, self.ground_height)
-        dist_sq = sum(v * v for v in extent)
         power = min(self.channel.user_tx_power, self.uav.tx_power)
-        if not (dist_sq < math.inf
-                and 1.0 + self.channel.ref_gain * power / (self.channel.noise * dist_sq) > 1.0):
+        with np.errstate(all="ignore"):  # an infinite SNR is the run's to refuse
+            rate = link_rates(1.0, power, np.array([sum(v * v for v in extent)]), self.channel)
+        if not rate[0] > 0:
             raise ValueError("the longest possible link's squared extent overflows or its "
                              "rate is zero (area, positions, altitudes, powers or noise)")
 
@@ -467,19 +482,15 @@ def _network_pass(scenario: Scenario, repeat: int, record: _Repeat, spec: ModelS
 
     dist_sq = topo.dist_sq(placement)
     with np.errstate(all="ignore"):  # what overflows is refused here, not warned about
-        # the largest SNR of `link_rates`: the nearest user's, at the larger power
-        if not channel.ref_gain * max(channel.user_tx_power, uav.tx_power) / (
-                channel.noise * dist_sq.min()) < math.inf:
+        t_up, e_tx, t_recv = link_terms(scenario, dist_sq, payload_bits)
+        if not (np.minimum(t_up, t_recv) > 0).all():  # 0 or NaN: an infinite SNR
             raise ValueError(f"link endpoints coincide: user {dist_sq.argmin()} is too close "
                              f"to the server for a finite SNR in repeat {repeat}")
         t_comp, e_comp = user_terms(scenario, repeat, np.diff(shards[1]),
                                     train_data.bits_per_sample)
-        t_up, e_tx, t_recv = link_terms(scenario, dist_sq, payload_bits)
-        t_client, _, _, _, _ = users = t_comp + t_up, e_tx, e_comp, t_recv, topo.user_alt > 0
-        # the slowest possible round, the budget user (user 0 if none) last
-        budget_user = entity_index(scenario.budget_entity, fl.num_users) or 0
-        _, duration, *slowest = round_model(
-            scenario, users, np.array([[t_recv.argmax(), t_client.argmax(), budget_user]]))
+        users = t_comp + t_up, e_tx, e_comp, t_recv, topo.user_alt > 0
+        everyone = np.arange(fl.num_users)[None]  # the slowest possible round's one cohort
+        _, duration, slowest_server, *slowest = round_model(scenario, users, everyone)
         # its duration times every power drawn, plus the largest compute energy, bounds a
         # round's energies; a running total or mean the CSVs write sums at most max_rounds
         # such rounds and the flight energy over the repeats: twice that covers rounding
@@ -498,7 +509,8 @@ def _network_pass(scenario: Scenario, repeat: int, record: _Repeat, spec: ModelS
     metrics, drawn, nan, rnd, kept, size = [], record.cohorts, itertools.repeat(math.nan), 0, 0, 0
     while rnd < fl.max_rounds and kept == size:
         # at most one round past those the budget surely keeps: none drawn ahead
-        size = min(fl.max_rounds - rnd, per_block, ledger.rounds_within(*slowest) + 1)
+        size = min(fl.max_rounds - rnd, per_block,
+                   ledger.rounds_within(slowest_server, everyone, *slowest) + 1)
         for r in range(len(drawn), rnd + size):
             drawn.append(select_clients(fl.num_users, fl.fraction, _rng(master, r, "select")))
             drawn[r].flags.writeable = False
@@ -532,13 +544,18 @@ def _learning_pass(scenario: Scenario, spec: ModelSpec, reps, records, shards,
     for rnd in range(min(len(record.tests) for record in records), max(kept)):
         live = [i for i, record in enumerate(records) if len(record.tests) == rnd < kept[i]]
         for call in (live[start:start + per_call] for start in range(0, len(live), per_call)):
-            trained = run_round(np.stack([records[i].params for i in call]), scenario.fl,
-                                [shards[i] for i in call], spec, train_data,
-                                [reps[i].metrics[rnd].selected for i in call],
-                                [masters[i] for i in call], rnd)
-            for i, params in zip(call, trained):
-                test = (evaluate(params, spec, test_data.design, test_data.labels)
-                        if (rnd + 1) % stride == 0 else None)
+            with np.errstate(all="ignore"):  # a diverging model is refused here, not warned about
+                trained = run_round(np.stack([records[i].params for i in call]), scenario.fl,
+                                    [shards[i] for i in call], spec, train_data,
+                                    [reps[i].metrics[rnd].selected for i in call],
+                                    [masters[i] for i in call], rnd)
+                tests = [evaluate(params, spec, test_data.design, test_data.labels)
+                         if (rnd + 1) % stride == 0 else None for params in trained]
+            for i, params, test in zip(call, trained, tests):
+                if not (np.isfinite(params).all() and math.isfinite(test[0] if test else 0.0)):
+                    raise ValueError(f"learning_rate {scenario.fl.hyper.learning_rate!r} "
+                                     f"diverges: repeat {reps[i].repeat}'s model or test loss "
+                                     f"is not finite after round {rnd + 1}")
                 records[i].params = params
                 records[i].tests.append(test)
     for rep, record in zip(reps, records):

@@ -489,6 +489,40 @@ class TestInvalidInputExits1:
         # the batch widths are int64
         pytest.param(["run", "quick.ini", f"--fl.batch_size={2 ** 63}"],
                      "batch_size must be in [1, 2**63)", id="batch-size-past-int64"),
+        # every squared distance underflows to 0, so every SNR is infinite
+        pytest.param(["run", "quick.ini", "--scenario.train=false", "--uav.altitude_m=1e-200",
+                      "--scenario.area_width_m=1e-200", "--scenario.area_height_m=1e-200",
+                      "--scenario.ground_height_m=0"],
+                     "link endpoints coincide: user 0", id="underflowing-extent"),
+        pytest.param(["run", "quick.ini", "--channel.alpha0_db=4000"],
+                     "bad value for channel.alpha0_db: '4000' overflows",
+                     id="overflowing-alpha0-db"),
+        pytest.param(["run", "quick.ini", "--channel.noise_dbm=4000"],
+                     "bad value for channel.noise_dbm: '4000' overflows",
+                     id="overflowing-noise-dbm"),
+        # the models overflow to inf and NaN in round 1, in the parent or in a worker
+        pytest.param(["run", "quick.ini", "--fl.num_users=6", "--scenario.max_rounds=3",
+                      "--scenario.repeats=2", "--fl.learning_rate=1.7976931348623157e308"],
+                     "learning_rate 1.7976931348623157e+308 diverges: repeat 0",
+                     id="diverging-learning-rate"),
+        pytest.param(["run", "quick.ini", "--fl.num_users=6", "--scenario.max_rounds=3",
+                      "--scenario.repeats=2", "--fl.learning_rate=1.7976931348623157e308",
+                      "--jobs", "2"],
+                     "learning_rate 1.7976931348623157e+308 diverges: repeat 0",
+                     id="pool-worker-diverging-learning-rate"),
+        # corpora NumPy cannot hold in one array are refused with the config
+        *(pytest.param(["run", "quick.ini", *shape, f"--data.{key}={2 ** power}"],
+                       f"{source} source: {fields}", id=f"{key}-2**{power}")
+          for shape, key, power, source, fields in [
+              ((), "classes", 63, "blob", "num_classes * samples_per_class"),
+              ((), "classes", 62, "blob", "num_classes * samples_per_class"),
+              ((), "samples_per_class", 63, "blob", "num_classes * samples_per_class"),
+              ((), "test_samples_per_class", 63, "blob", "num_classes * test_samples_per_class"),
+              (("--scenario.train=false", "--data.source=shape"), "num_samples", 63,
+               "shape", "num_samples * (input_dim + 1)"),
+              (("--scenario.train=false", "--data.source=shape"), "input_dim", 63,
+               "shape", "num_samples * (input_dim + 1)"),
+          ]),
         pytest.param(["run", "quick.ini", "--fraction=0.1"],
                      "unrecognized argument '--fraction=0.1'", id="override-without-section"),
         pytest.param(["run", "quick.ini", "--fl.fraction"],
@@ -524,19 +558,23 @@ def test_argument_error_exits_1_with_one_error_line(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-# boundary values by parser, and every int or float key of the server and energy sections
+# boundary values by parser; every int or float key of the server and energy sections,
+# and every float key, dB ones included, of the scenario, channel and fl sections
 BOUNDARY_VALUES = {int: [0, 1, 10 ** 20, 10 ** 400, -1],
                    _float: [0.0, 5e-324, 1e-300, 1e154, 1e200, 1.7976931348623157e308, -1.0]}
-BOUNDARY_KEYS = [(section, key) for section in ("uav", "energy")
-                 for key, (parse, _) in _SCHEMA[section].items() if parse in BOUNDARY_VALUES]
+BOUNDARY_KEYS = {(section, key): BOUNDARY_VALUES[int if parse is int else _float]
+                 for section, keys in _SCHEMA.items() for key, (parse, _) in keys.items()
+                 if (section in ("uav", "energy") and parse in BOUNDARY_VALUES)
+                 or (section in ("scenario", "channel", "fl")
+                     and (parse is _float or key.endswith(("_db", "_dbm"))))}
 
 
 @st.composite
 def boundary_overrides(draw):
     """One or two of BOUNDARY_KEYS, each set to a boundary value of its parser."""
-    keys = draw(st.lists(st.sampled_from(BOUNDARY_KEYS), min_size=1, max_size=2, unique=True))
-    return [f"--{section}.{key}="
-            f"{draw(st.sampled_from(BOUNDARY_VALUES[_SCHEMA[section][key][0]]))!r}"
+    keys = draw(st.lists(st.sampled_from(list(BOUNDARY_KEYS)), min_size=1, max_size=2,
+                         unique=True))
+    return [f"--{section}.{key}={draw(st.sampled_from(BOUNDARY_KEYS[section, key]))!r}"
             for section, key in keys]
 
 
@@ -552,6 +590,13 @@ class TestBoundaryValues:
     @example(overrides=["--energy.kappa=1e300"], train=False)
     @example(overrides=["--uav.tx_power_w=1e308"], train=False)
     @example(overrides=["--energy.cpu_freq_min_hz=1e-310"], train=False)
+    @example(overrides=["--channel.alpha0_db=4000"], train=False)
+    @example(overrides=["--channel.noise_dbm=4000"], train=False)
+    @example(overrides=["--fl.learning_rate=1.7976931348623157e308"], train=True)
+    # four keys: a one- or two-key draw cannot make every squared distance underflow
+    @example(overrides=["--uav.altitude_m=1e-200", "--scenario.area_width_m=1e-200",
+                        "--scenario.area_height_m=1e-200", "--scenario.ground_height_m=0"],
+             train=False)
     def test_finite_outputs_or_one_error_line(self, overrides, train):
         stdout, stderr = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:

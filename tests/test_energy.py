@@ -113,7 +113,8 @@ class TestLedgerAndBudget:
         ledger = EnergyLedger(num_users=1)
         for _ in range(1000):
             assert offer(ledger, 1e6)
-        assert ledger.rounds_within(np.array([1e300]), *[np.ones((1, 1))] * 3) == math.inf
+        assert ledger.rounds_within(np.array([1e300]), np.zeros((1, 1), int),
+                                    *[np.ones((1, 1))] * 3) == math.inf
 
     def test_budget_below_first_round(self):
         ledger = EnergyLedger(num_users=1, budget=10.0)
@@ -246,11 +247,20 @@ class TestLedgerProperties:
         # rounds that each cost exactly the bound: the ledger keeps every
         # one of the rounds `rounds_within` promises, whatever the rounding
         ledger = EnergyLedger(1, budget, entity, flight)
-        sure = ledger.rounds_within(np.array([server]), *(np.array([[t]]) for t in terms))
+        sure = ledger.rounds_within(np.array([server]), np.zeros((1, 1), int),
+                                    *(np.array([[t]]) for t in terms))
         rounds = min(sure, 1000)
         kept, _, _ = ledger.add_rounds(np.full(rounds, server), np.zeros((rounds, 1), int),
                                        *(np.full((rounds, 1), t) for t in terms))
         assert kept == rounds
+
+    def test_rounds_within_reads_the_budget_user_anywhere_in_the_cohort(self):
+        # the cohort of every user: the budget user's terms are its own column
+        ledger = EnergyLedger(3, 11.0, "user:1")
+        assert offer(ledger, 1.0, {1: 1.0})
+        tx, compute, hover = np.array([[5.0, 2.0, 7.0]]), np.zeros((1, 3)), np.ones((1, 3))
+        assert ledger.rounds_within(np.array([1e300]), np.arange(3)[None],
+                                    tx, compute, hover) == 3
 
 
 class TestProfilesAndUserEnergy:

@@ -245,6 +245,17 @@ class TestRunScenario:
         assert len(rep.metrics) < len(probe.repeats[0].metrics)
         assert rep.ledger.total("uav") <= full
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_diverging_learning_rate_raises(self, jobs):
+        sc = small_scenario(fl=replace(small_scenario().fl, hyper=Hyperparams(
+            learning_rate=1.7976931348623157e308, local_epochs=1)))
+        with pytest.raises(ValueError, match=r"^learning_rate 1\.7976931348623157e\+308 "
+                                             r"diverges: repeat 0's .* after round 1$"):
+            run_scenario(sc, jobs=jobs)
+        # the refused model is not stored
+        records = scenario_module._store(scenario_module._federation(sc)).values()
+        assert all(record.tests == [] for record in records)
+
     def test_per_user_budget_entity(self):
         sc = small_scenario(train=False, repeats=1)
         user = run_repeat(sc, 0).metrics[0].selected[0]
@@ -422,6 +433,36 @@ class TestValidation:
         with pytest.raises(ValueError, match="2 <= classes <= num_samples"):
             ShapeSource(num_classes=1)
         ShapeSource(num_samples=2, input_dim=1, num_classes=2)
+
+    @pytest.mark.parametrize("source, kwargs, rows, message", [
+        (BlobSource, dict(num_classes=2 ** 63), 2 ** 63 * 600,
+         "num_classes \\* samples_per_class"),
+        (BlobSource, dict(num_classes=2 ** 62), 2 ** 62 * 600,
+         "num_classes \\* samples_per_class"),
+        (BlobSource, dict(samples_per_class=2 ** 63), 10 * 2 ** 63,
+         "num_classes \\* samples_per_class"),
+        (BlobSource, dict(test_samples_per_class=2 ** 63), 10 * 2 ** 63,
+         "num_classes \\* test_samples_per_class"),
+        (BlobSource, dict(num_classes=2, samples_per_class=2 ** 52, input_dim=127), 2 ** 53,
+         "num_classes \\* samples_per_class"),
+        (ShapeSource, dict(num_samples=2 ** 63), 2 ** 63, "num_samples"),
+        (ShapeSource, dict(input_dim=2 ** 63), 60_000, "num_samples"),
+        (ShapeSource, dict(num_samples=2 ** 59, input_dim=1), 2 ** 59, "num_samples"),
+    ])
+    def test_corpus_past_numpys_largest_array_rejected(self, source, kwargs, rows, message):
+        # NumPy refuses the (rows, d + 1) float64 design matrix; a zero-stride
+        # view of that shape is refused alike, without allocating anything
+        columns = kwargs.get("input_dim", source().input_dim) + 1
+        with pytest.raises(ValueError):
+            np.broadcast_to(np.zeros(1), (rows, columns))
+        with pytest.raises(ValueError, match=f"{message}.* exceed NumPy's largest array"):
+            source(**kwargs)
+
+    def test_corpus_at_numpys_largest_array_is_built(self):
+        # one row fewer than the last case above: NumPy takes the shape
+        assert np.broadcast_to(np.zeros(1), (2 ** 59 - 1, 2)).nbytes == 2 ** 63 - 16
+        ShapeSource(num_samples=2 ** 59 - 1, input_dim=1)
+        BlobSource(num_classes=2, samples_per_class=2 ** 52 - 1, input_dim=127)
 
 
 class TestDerivedCorpus:
@@ -631,6 +672,16 @@ class TestPerUserArrays:
         for repeat in (0, 1):
             with pytest.raises(ValueError, match=rf"coincide: user 1 .* repeat {repeat}$"):
                 run_repeat(sc, repeat)
+
+    def test_underflowing_extent_raises_before_any_round(self, monkeypatch):
+        # every squared distance underflows to 0: the build passes the
+        # longest link's infinite SNR on, and the network pass refuses it
+        sc = small_scenario(train=False, source=ShapeSource(), ground_height=0.0,
+                            area=Area(1e-200, 1e-200), uav=UavProfile(altitude=1e-200))
+        monkeypatch.setattr(scenario_module, "select_clients",
+                            lambda *args: pytest.fail("a round started"))
+        with pytest.raises(ValueError, match=r"coincide: user 0 .* repeat 0$"):
+            run_scenario(sc)
 
     @pytest.mark.parametrize("kwargs", [
         dict(channel=ChannelParams(uav_downlink_bandwidth=1e-320)),
