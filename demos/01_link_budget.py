@@ -8,12 +8,12 @@ parameter).
 
 import numpy as np
 
-from agifl import ChannelParams, UavProfile, link_rates, per_client_bandwidth
+from agifl import ChannelParams, UavProfile, link_rates
 from agifl.oracles import tx_time
 
 channel = ChannelParams()  # 1 MHz uplink pool, -50 dB gain, -90 dBm noise
 uav = UavProfile()  # 10 mW server transmitter
-uplink_bw = per_client_bandwidth(channel, cohort_size=2)
+uplink_bw = channel.total_bandwidth / 2  # split equally by a 2-client cohort
 payload_bits = 7850 * channel.payload_bits_per_param
 
 print(f"uplink bandwidth per selected client: {uplink_bw / 1e3:.0f} kHz")

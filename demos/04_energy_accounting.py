@@ -5,8 +5,7 @@ users, 2 selected per round, 251200-bit payload) and prints where every
 joule of the hovering server's budget goes.
 """
 
-from agifl import FlConfig, Scenario, ShapeSource
-from agifl.scenario import run_repeat
+from agifl import FlConfig, Scenario, ShapeSource, run_scenario
 
 scenario = Scenario(
     fl=FlConfig(num_users=100, fraction=0.02, max_rounds=8),
@@ -17,16 +16,16 @@ scenario = Scenario(
     master_seed=4,
 )
 
-rep = run_repeat(scenario, 0)
+rep = run_scenario(scenario).repeats[0]
 p = rep.placement
 print(f"hover point: ({p.x:.1f}, {p.y:.1f}) at {scenario.uav.altitude:.0f} m\n")
 print(f"{'round':>5} {'selected':>12} {'duration s':>11} {'hover J':>9} "
       f"{'tx J':>9} {'cumulative J':>13}")
 power = scenario.uav.propulsion_power
-for metrics in rep.metrics:
+for rnd, metrics in enumerate(rep.metrics, 1):
     chosen = ",".join(map(str, metrics.selected.tolist()))
     hover = power * metrics.duration
-    print(f"{metrics.round:>5} {chosen:>12} {metrics.duration:>11.4f} "
+    print(f"{rnd:>5} {chosen:>12} {metrics.duration:>11.4f} "
           f"{hover:>9.3f} {metrics.uav_energy - hover:>9.6f} "
           f"{metrics.cum_uav_energy:>13.3f}")
 

@@ -3,8 +3,7 @@ networks: FedAvg among terrestrial users coordinated by an aerial parameter
 server, with a physical link model, per-round energy accounting and
 hovering-placement optimization."""
 
-from .channel import (ChannelParams, db_to_linear, dbm_to_watts, link_rates,
-                      per_client_bandwidth)
+from .channel import ChannelParams, db_to_linear, dbm_to_watts, link_rates
 from .data import Dataset, load_idx, partition, synth_blobs
 from .energy import EnergyLedger, UavProfile
 from .fedavg import FlConfig, aggregate, run_round, select_clients

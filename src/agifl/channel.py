@@ -21,7 +21,6 @@ __all__ = [
     "db_to_linear",
     "dbm_to_watts",
     "link_rates",
-    "per_client_bandwidth",
 ]
 
 def db_to_linear(x_db: float) -> float:
@@ -71,10 +70,3 @@ def link_rates(bandwidth: float, tx_power: float, dist_sq: np.ndarray,
     log2 can differ in the last bit)."""
     snr = 1.0 + params.ref_gain * tx_power / (params.noise * dist_sq)
     return bandwidth * np.fromiter(map(math.log2, snr.tolist()), float, len(dist_sq))
-
-
-def per_client_bandwidth(params: ChannelParams, cohort_size: int) -> float:
-    """Uplink bandwidth per selected client: B / m."""
-    if cohort_size < 1:
-        raise ValueError("cohort_size must be >= 1")
-    return params.total_bandwidth / cohort_size

@@ -21,8 +21,6 @@ from .scenario import BlobSource, IdxSource, Scenario, ShapeSource
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_overrides"]
 
 MNIST_DIR_ENV = "AGIFL_MNIST_DIR"
-MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
-               "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
 _SOURCES = {"blobs": BlobSource, "idx": IdxSource, "shape": ShapeSource}
 
 
@@ -71,8 +69,7 @@ def _source(raw: str) -> type:
 
 
 # section -> key -> (parser, target): the target is the field the value sets,
-# a dotted path from RunConfig in which a number indexes a tuple. mnist_dir
-# is a deployment setting with no field: it locates an idx source's files.
+# a dotted path from RunConfig in which a number indexes a tuple.
 _SCHEMA = {
     "scenario": {
         "form": (str, "scenario.form"),
@@ -112,7 +109,7 @@ _SCHEMA = {
         "spread": (_float, "scenario.source.spread"),
         "partition": (str, "scenario.partition_scheme"),
         "shards_per_user": (int, "scenario.shards_per_user"),
-        "mnist_dir": (str, None),
+        "mnist_dir": (str, "scenario.source.directory"),  # else AGIFL_MNIST_DIR
         "num_samples": (int, "scenario.source.num_samples"),
     },
     "channel": {
@@ -222,7 +219,6 @@ def _build(default, given):
 def load_config(path, overrides=None) -> RunConfig:
     """Parse a config file plus overrides into a ready-to-run RunConfig."""
     values = _read_values(path, overrides or {})
-    mnist_dir = values.pop(None, "")  # the one key that sets no field
     tree = {}
     for target, value in values.items():
         *parents, name = target.split(".")
@@ -233,11 +229,9 @@ def load_config(path, overrides=None) -> RunConfig:
 
     source = tree.get("scenario", {}).get("source", {})
     if source.get("__class__") is IdxSource:
-        mnist_dir = mnist_dir or os.environ.get(MNIST_DIR_ENV, "")
-        if not mnist_dir:
+        source["directory"] = source.get("directory") or os.environ.get(MNIST_DIR_ENV, "")
+        if not source["directory"]:
             raise ConfigError(f"data.source=idx needs data.mnist_dir or {MNIST_DIR_ENV}")
-        source.update((f.name, os.path.join(mnist_dir, name))
-                      for f, name in zip(fields(IdxSource), MNIST_FILES))
     try:
         return _build(RunConfig(), tree)
     except ValueError as exc:

@@ -48,7 +48,6 @@ class ModelSpec:
     input_dim: int
     num_classes: int
     hidden_dim: int = 0
-    init_seed: int = 0
 
     def __post_init__(self):
         check_architecture(self.kind, self.hidden_dim)
@@ -81,12 +80,13 @@ def param_count(spec: ModelSpec) -> int:
     return (d + 1) * h + (h + 1) * k
 
 
-def init_model(spec: ModelSpec) -> np.ndarray:
+def init_model(spec: ModelSpec, seed: int = 0) -> np.ndarray:
     """Initial parameter vector: zeros for logistic, symmetric uniform
-    weights scaled by 1/sqrt(fan-in) for the MLP (biases zero)."""
+    weights drawn from `seed` and scaled by 1/sqrt(fan-in) for the MLP
+    (biases zero)."""
     if spec.kind == "logistic":
         return np.zeros(param_count(spec))
-    gen = _rng(spec.init_seed, "mlp-init")
+    gen = _rng(seed, "mlp-init")
     d, h, k = spec.input_dim, spec.hidden_dim, spec.num_classes
     w1 = np.zeros((d + 1, h))
     w1[:d] = gen.uniform(-1.0, 1.0, size=(d, h)) / np.sqrt(d)

@@ -39,8 +39,8 @@ def write_repeat_csv(path, metrics) -> None:
     values = operator.attrgetter(*(name for _, name in _ROUND_COLUMNS))
     with Path(path).open("w") as f:
         f.write(ROUND_CSV_HEADER + "\n")
-        for m in metrics:
-            f.write(",".join([str(m.round), *map(_fmt, values(m)),
+        for rnd, m in enumerate(metrics, 1):
+            f.write(",".join([str(rnd), *map(_fmt, values(m)),
                               ";".join(ids[m.selected].tolist())]) + "\n")
 
 

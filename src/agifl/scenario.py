@@ -67,11 +67,12 @@ import collections
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import ChannelParams, link_rates, per_client_bandwidth
+from .channel import ChannelParams, link_rates
 from .data import Dataset, load_idx, partition, synth_blobs
 from .energy import EnergyLedger, UavProfile, entity_index
 from .fedavg import FlConfig, cohort_size, run_round, select_clients
@@ -98,6 +99,7 @@ __all__ = [
 ]
 
 FORMS = ("g2a", "a2g", "a2a", "mixed")
+PARTITION_SCHEMES = ("iid", "sharded")
 PLACEMENT_SCHEMES = ("min_sum_dist", "random", "fixed")
 # Lanes per train_cohort call: the per-lane cost stops falling at about
 # 8-16 lanes, while the call's memory keeps growing with the lanes.
@@ -132,12 +134,14 @@ class BlobSource:
 
 @dataclass(frozen=True)
 class IdxSource:
-    """IDX image/label file pairs (MNIST layout)."""
+    """A directory holding IDX image/label file pairs under IDX_FILES' names."""
 
-    train_images: str
-    train_labels: str
-    test_images: str
-    test_labels: str
+    directory: str
+
+
+# the MNIST names of an IdxSource's train images and labels, then its test ones
+IDX_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
+             "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
 
 
 @dataclass(frozen=True)
@@ -181,8 +185,8 @@ def load_source(source, seed: int):
                            seed=child_seed(seed, "test"))
         return train, test
     if isinstance(source, IdxSource):
-        return (load_idx(source.train_images, source.train_labels),
-                load_idx(source.test_images, source.test_labels))
+        paths = [os.path.join(source.directory, name) for name in IDX_FILES]
+        return load_idx(*paths[:2]), load_idx(*paths[2:])
     if isinstance(source, ShapeSource):
         n, d = source.num_samples, source.input_dim
         labels = np.arange(n, dtype=np.int64) % source.num_classes
@@ -232,6 +236,10 @@ class Scenario:
             raise ValueError(f"unknown form {self.form!r}")
         if self.placement_scheme not in PLACEMENT_SCHEMES:
             raise ValueError(f"unknown placement scheme {self.placement_scheme!r}")
+        if self.partition_scheme not in PARTITION_SCHEMES:
+            raise ValueError(f"unknown partition scheme {self.partition_scheme!r}")
+        if self.partition_scheme == "sharded" and self.shards_per_user < 1:
+            raise ValueError("shards_per_user must be >= 1")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if not -2 ** 127 <= self.master_seed < 2 ** 127:  # `child_seed` packs 16 bytes
@@ -333,8 +341,7 @@ def place_server(scenario: Scenario, topo: Topology,
 
 
 @dataclass(slots=True)
-class RoundMetrics:
-    round: int  # 1-based
+class RoundMetrics:  # round k of a repeat is its metrics[k - 1]
     duration: float
     uav_energy: float
     cum_uav_energy: float
@@ -403,9 +410,9 @@ def user_terms(scenario: Scenario, repeat: int, shard_sizes, bits_per_sample: in
 
 def link_terms(scenario: Scenario, dist_sq: np.ndarray, payload_bits: float):
     """Each user's upload time, upload energy and broadcast receive time, given
-    its squared distance to the server, over a cohort member's sub-band."""
+    its squared distance to the server, over a cohort member's sub-band B / m."""
     fl, channel = scenario.fl, scenario.channel
-    b_up = per_client_bandwidth(channel, cohort_size(fl.num_users, fl.fraction))
+    b_up = channel.total_bandwidth / cohort_size(fl.num_users, fl.fraction)
     t_up = payload_bits / link_rates(b_up, channel.user_tx_power, dist_sq, channel)
     t_recv = payload_bits / link_rates(channel.uav_downlink_bandwidth, scenario.uav.tx_power,
                                        dist_sq, channel)
@@ -517,8 +524,8 @@ def _network_pass(scenario: Scenario, repeat: int, record: _Repeat, spec: ModelS
         cohorts = np.array(drawn[rnd:rnd + size])
         _, duration, server, *members = round_model(scenario, users, cohorts)
         kept, cum_uav, spent = ledger.add_rounds(server, cohorts, *members)
-        metrics += map(RoundMetrics, range(rnd + 1, rnd + kept + 1), duration.tolist(),
-                       server.tolist(), cum_uav, nan, nan, drawn[rnd:rnd + kept], spent)
+        metrics += map(RoundMetrics, duration.tolist(), server.tolist(), cum_uav, nan, nan,
+                       drawn[rnd:rnd + kept], spent)
         rnd += size
 
     halt_reason = "budget" if kept < size else "max_rounds"
@@ -537,8 +544,7 @@ def _learning_pass(scenario: Scenario, spec: ModelSpec, reps, records, shards,
     per_call = max(1, LANE_CEILING // cohort_size(scenario.fl.num_users, scenario.fl.fraction))
     for rep, record in zip(reps, records):
         if record.params is None:
-            record.params = init_model(
-                replace(spec, init_seed=child_seed(seed, rep.repeat, "init")))
+            record.params = init_model(spec, child_seed(seed, rep.repeat, "init"))
     masters = [child_seed(seed, rep.repeat) for rep in reps]
     kept = [len(rep.metrics) for rep in reps]
     for rnd in range(min(len(record.tests) for record in records), max(kept)):

@@ -21,7 +21,7 @@ from agifl.models import Hyperparams, ModelSpec, evaluate, init_model, param_cou
 from agifl.oracles import (grid_placement, local_train, loss_and_grad, rate_direct,
                            weighted_mean_direct)
 from agifl.placement import SolverTrace, min_sum_dist, objective, objective_grad
-from agifl.scenario import (BlobSource, IdxSource, Scenario, ShapeSource,
+from agifl.scenario import (IDX_FILES, BlobSource, IdxSource, Scenario, ShapeSource,
                             load_source, run_scenario)
 from agifl.seeding import child_seed
 
@@ -202,10 +202,8 @@ def test_criterion_5_fedavg_correctness():
 def _learning_corpus():
     """MNIST when pointed at by AGIFL_MNIST_DIR, else blobs at MNIST scale."""
     mnist_dir = os.environ.get("AGIFL_MNIST_DIR", "")
-    names = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
-             "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
-    if mnist_dir and all(os.path.exists(os.path.join(mnist_dir, n)) for n in names):
-        return IdxSource(*(os.path.join(mnist_dir, n) for n in names)), "mnist"
+    if mnist_dir and all(os.path.exists(os.path.join(mnist_dir, n)) for n in IDX_FILES):
+        return IdxSource(mnist_dir), "mnist"
     return BlobSource(num_classes=10, samples_per_class=6000,
                       test_samples_per_class=1000, input_dim=64,
                       spread=0.25), "blobs-60k"
@@ -314,7 +312,7 @@ def test_criterion_8_gradient_and_partition_suites():
         return grad
 
     for spec in (ModelSpec("logistic", 5, 3),
-                 ModelSpec("mlp", 5, 3, hidden_dim=4, init_seed=1)):
+                 ModelSpec("mlp", 5, 3, hidden_dim=4)):
         for trial in range(5):
             params = gen.normal(scale=0.5, size=param_count(spec))
             x = gen.random((6, 5))

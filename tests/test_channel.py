@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agifl.channel import (ChannelParams, db_to_linear, dbm_to_watts, link_rates,
-                           per_client_bandwidth)
+from agifl.channel import ChannelParams, db_to_linear, dbm_to_watts, link_rates
 from agifl.oracles import rate_direct, tx_time
 
 PAPER = ChannelParams()  # case-study constants
@@ -119,16 +118,6 @@ class TestTxTime:
         assert tx_time(1000, rates).tolist() == [tx_time(1000, r) for r in rates.tolist()]
         with pytest.raises(ValueError):
             tx_time(1000, np.array([1e6, 0.0]))
-
-
-class TestPerClientBandwidth:
-    def test_split_matches_static_allocation(self):
-        # theta*U = 2 selected users share B = 1 MHz
-        assert per_client_bandwidth(PAPER, 2) == 5e5
-
-    def test_invalid_cohort(self):
-        with pytest.raises(ValueError):
-            per_client_bandwidth(PAPER, 0)
 
 
 class TestChannelParams:

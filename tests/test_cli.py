@@ -21,7 +21,7 @@ from agifl import scenario as scenario_module
 from agifl.channel import ChannelParams
 from agifl.cli import main
 from agifl.config import _SCHEMA, ConfigError, RunConfig, _float, load_config, parse_overrides
-from agifl.scenario import load_corpus, load_source, run_scenario
+from agifl.scenario import IDX_FILES, load_corpus, load_source, run_scenario
 
 SMALL_CONFIG = """\
 [scenario]
@@ -90,7 +90,8 @@ KEY_FIELDS = {
     ("data", "spread"): ("0.3", "scenario.source.spread", {}),
     ("data", "partition"): ("iid", "scenario.partition_scheme", {}),
     ("data", "shards_per_user"): ("3", "scenario.shards_per_user", {}),
-    ("data", "mnist_dir"): ("/data/mnist", None, {}),  # locates idx files only
+    ("data", "mnist_dir"): ("/data/mnist", "scenario.source.directory",
+                            {("data", "source"): "idx"}),
     ("data", "num_samples"): ("1000", "scenario.source.num_samples", SHAPE),
     ("channel", "bandwidth_hz"): ("2e6", "scenario.channel.total_bandwidth", {}),
     ("channel", "alpha0_db"): ("-40", "scenario.channel.ref_gain", {}),
@@ -144,7 +145,8 @@ class TestConfig:
         assert set(KEY_FIELDS) == {(s, k) for s, keys in _SCHEMA.items() for k in keys}
 
     @pytest.mark.parametrize("key", list(KEY_FIELDS), ids=".".join)
-    def test_each_key_sets_exactly_its_field(self, key, tmp_path):
+    def test_each_key_sets_exactly_its_field(self, key, tmp_path, monkeypatch):
+        monkeypatch.setenv("AGIFL_MNIST_DIR", "/env/mnist")  # an idx source's directory
         value, target, base = KEY_FIELDS[key]
         path = tmp_path / "empty.ini"
         path.write_text("")
@@ -152,11 +154,8 @@ class TestConfig:
         after = _fields(load_config(path, {**base, key: value}))
         # a field only one of two source classes has is not compared
         changed = {p for p in before.keys() & after.keys() if before[p] != after[p]}
-        if target is None:
-            assert changed == set()
-        else:
-            assert changed and all(p == target or p.startswith(target + ".")
-                                   for p in changed), changed
+        assert changed and all(p == target or p.startswith(target + ".")
+                               for p in changed), changed
 
     def test_defaults_mirror_case_study(self, tmp_path):
         path = tmp_path / "empty.ini"
@@ -256,9 +255,9 @@ class TestRunCommand:
         lbls.write_bytes(b"\x00\x00\x08\x01" + b"\x00" * 4)
         not_mnist = tmp_path / "mnist"
         not_mnist.mkdir()
-        for name in ("train-images-idx3-ubyte", "t10k-images-idx3-ubyte"):
+        for name in IDX_FILES[0::2]:
             (not_mnist / name).write_bytes(imgs.read_bytes())
-        for name in ("train-labels-idx1-ubyte", "t10k-labels-idx1-ubyte"):
+        for name in IDX_FILES[1::2]:
             (not_mnist / name).write_bytes(lbls.read_bytes())
         path.write_text(f"[data]\nsource = idx\nmnist_dir = {not_mnist}\n"
                         "[scenario]\nrepeats = 1\nmax_rounds = 1\n")
@@ -325,6 +324,21 @@ class TestRunCommand:
         fields = dict(token.split("=", 1) for token in capsys.readouterr().out.split()[1:])
         assert fields["rounds"] == "0"
         assert fields["mean_cum_uav_energy_j"] == "5"
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """Each `load_source` call's arguments, from an empty corpus cache on."""
+    calls = []
+
+    def counting(source, seed):
+        calls.append((source, seed))
+        return load_source(source, seed)
+
+    monkeypatch.setattr(scenario_module, "load_source", counting)
+    load_corpus.cache_clear()
+    yield calls
+    load_corpus.cache_clear()
 
 
 class TestInvalidInputExits1:
@@ -523,6 +537,9 @@ class TestInvalidInputExits1:
               (("--scenario.train=false", "--data.source=shape"), "input_dim", 63,
                "shape", "num_samples * (input_dim + 1)"),
           ]),
+        pytest.param(["run", "quick.ini", "--data.partition=sharded",
+                      "--data.shards_per_user=0"],
+                     "shards_per_user must be >= 1", id="zero-shards-per-user"),
         pytest.param(["run", "quick.ini", "--fraction=0.1"],
                      "unrecognized argument '--fraction=0.1'", id="override-without-section"),
         pytest.param(["run", "quick.ini", "--fl.fraction"],
@@ -537,6 +554,14 @@ class TestInvalidInputExits1:
         assert err[0].startswith("error: ")
         assert message in err[0]
         assert not out.exists()
+
+    def test_unknown_partition_loads_no_corpus(self, loads, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(CONFIGS / "quick.ini"), "--out", str(out), "--jobs", "2",
+                     "--data.partition=bogus"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: unknown partition scheme 'bogus'"]
+        assert loads == [] and not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -559,14 +584,19 @@ def test_argument_error_exits_1_with_one_error_line(argv, tmp_path, capsys):
 
 
 # boundary values by parser; every int or float key of the server and energy sections,
-# and every float key, dB ones included, of the scenario, channel and fl sections
+# every float key, dB ones included, of the scenario, channel and fl sections, and the
+# int keys of those and the data section that scale no work
 BOUNDARY_VALUES = {int: [0, 1, 10 ** 20, 10 ** 400, -1],
                    _float: [0.0, 5e-324, 1e-300, 1e154, 1e200, 1.7976931348623157e308, -1.0]}
+BOUNDARY_INT_KEYS = {("scenario", "master_seed"), ("scenario", "eval_stride"),
+                     ("fl", "batch_size"), ("channel", "payload_bits_per_param"),
+                     ("data", "shards_per_user")}
 BOUNDARY_KEYS = {(section, key): BOUNDARY_VALUES[int if parse is int else _float]
                  for section, keys in _SCHEMA.items() for key, (parse, _) in keys.items()
                  if (section in ("uav", "energy") and parse in BOUNDARY_VALUES)
                  or (section in ("scenario", "channel", "fl")
-                     and (parse is _float or key.endswith(("_db", "_dbm"))))}
+                     and (parse is _float or key.endswith(("_db", "_dbm"))))
+                 or (section, key) in BOUNDARY_INT_KEYS}
 
 
 @st.composite
@@ -583,58 +613,52 @@ class TestBoundaryValues:
     with one `error:` line and no output directory."""
 
     @settings(max_examples=200, deadline=None)
-    @given(overrides=boundary_overrides(), train=st.booleans())
+    @given(overrides=boundary_overrides(), train=st.booleans(),
+           partition=st.sampled_from(["iid", "sharded"]))
     # commands that once gave a traceback, or were refused though they could run
     @example(overrides=["--energy.cpu_freq_min_hz=1e199", "--energy.cpu_freq_max_hz=1e200",
-                        "--energy.kappa=1e-28"], train=False)
-    @example(overrides=["--energy.kappa=1e300"], train=False)
-    @example(overrides=["--uav.tx_power_w=1e308"], train=False)
-    @example(overrides=["--energy.cpu_freq_min_hz=1e-310"], train=False)
-    @example(overrides=["--channel.alpha0_db=4000"], train=False)
-    @example(overrides=["--channel.noise_dbm=4000"], train=False)
-    @example(overrides=["--fl.learning_rate=1.7976931348623157e308"], train=True)
+                        "--energy.kappa=1e-28"], train=False, partition="iid")
+    @example(overrides=["--energy.kappa=1e300"], train=False, partition="iid")
+    @example(overrides=["--uav.tx_power_w=1e308"], train=False, partition="iid")
+    @example(overrides=["--energy.cpu_freq_min_hz=1e-310"], train=False, partition="iid")
+    @example(overrides=["--channel.alpha0_db=4000"], train=False, partition="iid")
+    @example(overrides=["--channel.noise_dbm=4000"], train=False, partition="iid")
+    @example(overrides=["--fl.learning_rate=1.7976931348623157e308"], train=True,
+             partition="iid")
     # four keys: a one- or two-key draw cannot make every squared distance underflow
     @example(overrides=["--uav.altitude_m=1e-200", "--scenario.area_width_m=1e-200",
                         "--scenario.area_height_m=1e-200", "--scenario.ground_height_m=0"],
-             train=False)
-    def test_finite_outputs_or_one_error_line(self, overrides, train):
+             train=False, partition="iid")
+    def test_finite_outputs_or_one_error_line(self, overrides, train, partition):
         stdout, stderr = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = main(["run", str(CONFIGS / "quick.ini"), "--out", str(out),
                              "--fl.num_users=6", "--scenario.max_rounds=3",
-                             "--scenario.repeats=2", f"--scenario.train={train}", *overrides])
+                             "--scenario.repeats=2", f"--scenario.train={train}",
+                             f"--data.partition={partition}", *overrides])
             if code == 1:
                 err = stderr.getvalue().splitlines()
                 assert len(err) == 1 and err[0].startswith("error: ")
                 assert not out.exists()
                 return
             assert code == 0 and stderr.getvalue() == ""
+            stride = int(dict(o[2:].split("=") for o in overrides).get("scenario.eval_stride", 1))
             for csv in out.glob("*.csv"):
                 header, *rows = (line.split(",") for line in csv.read_text().splitlines())
-                # a timing-only run has no test metrics; `selected` holds ids
-                exempt = {"selected"} | (set() if train else {"test_loss", "test_acc"})
-                assert all(math.isfinite(float(cell)) for row in rows
-                           for name, cell in zip(header, row) if name not in exempt), csv.name
+                for row in rows:
+                    # `selected` holds ids; a timing-only run has no test metrics, nor
+                    # has a round that eval_stride skips (the first column is the round)
+                    tested = train and int(row[0]) % stride == 0
+                    exempt = {"selected"} | (set() if tested else {"test_loss", "test_acc"})
+                    assert all(math.isfinite(float(cell)) for name, cell in zip(header, row)
+                               if name not in exempt), csv.name
 
 
 class TestCorpusLoadedOnce:
     """The corpus load ahead of the first run fills the cache every repeat of
     every run reads."""
-
-    @pytest.fixture
-    def loads(self, monkeypatch):
-        calls = []
-
-        def counting(source, seed):
-            calls.append((source, seed))
-            return load_source(source, seed)
-
-        monkeypatch.setattr(scenario_module, "load_source", counting)
-        load_corpus.cache_clear()
-        yield calls
-        load_corpus.cache_clear()
 
     @pytest.mark.parametrize("command", ["run", "compare-placement"])
     def test_one_load_per_invocation(self, command, loads, tmp_path, capsys):

@@ -174,8 +174,7 @@ class TestRunRound:
         config = FlConfig(num_users=7, fraction=0.5,
                           hyper=Hyperparams(local_epochs=2, batch_size=7))
         shards = [partition(data, 7, scheme="iid", seed=r) for r in range(3)]
-        starts = np.stack([init_model(ModelSpec("mlp", 4, 3, 5, init_seed=r))
-                           for r in range(3)])
+        starts = np.stack([init_model(spec, r) for r in range(3)])
         selected = [select_clients(7, 0.5, rng(r, 4, "select")) for r in range(3)]
         seeds = [11, 12, 13]
         alone = [run_round(starts[r:r + 1], config, shards[r:r + 1], spec, data,

@@ -61,12 +61,12 @@ class TestInit:
         assert init_model(spec).shape == (23,)
 
     def test_init_deterministic(self):
-        spec = ModelSpec("mlp", input_dim=6, num_classes=3, hidden_dim=5, init_seed=42)
-        assert np.array_equal(init_model(spec), init_model(spec))
+        spec = ModelSpec("mlp", input_dim=6, num_classes=3, hidden_dim=5)
+        assert np.array_equal(init_model(spec, 42), init_model(spec, 42))
 
     def test_mlp_init_scale(self):
-        spec = ModelSpec("mlp", input_dim=100, num_classes=4, hidden_dim=50, init_seed=1)
-        params = init_model(spec)
+        spec = ModelSpec("mlp", input_dim=100, num_classes=4, hidden_dim=50)
+        params = init_model(spec, 1)
         assert np.abs(params).max() <= 1.0 / math.sqrt(50)
         assert np.abs(params).max() > 0
 
@@ -113,8 +113,8 @@ class TestLocalTrain:
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-15)
 
     def test_deterministic_and_pure(self):
-        spec = ModelSpec("mlp", input_dim=4, num_classes=3, hidden_dim=5, init_seed=0)
-        params = init_model(spec)
+        spec = ModelSpec("mlp", input_dim=4, num_classes=3, hidden_dim=5)
+        params = init_model(spec, 0)
         before = params.copy()
         rng = np.random.default_rng(1)
         x = rng.random((17, 4))
@@ -153,7 +153,7 @@ class TestTrainCohort:
                                      sizes, local_epochs, batch_size, learning_rate,
                                      seed, start_rows):
         spec = ModelSpec(kind, input_dim=input_dim, num_classes=num_classes,
-                         hidden_dim=hidden_dim if kind == "mlp" else 0, init_seed=seed)
+                         hidden_dim=hidden_dim if kind == "mlp" else 0)
         hyper = Hyperparams(learning_rate=learning_rate, local_epochs=local_epochs,
                             batch_size=batch_size)
         gen = np.random.default_rng(seed)
@@ -161,7 +161,7 @@ class TestTrainCohort:
         x = gen.random((n, input_dim))
         y = gen.integers(0, num_classes, size=n)
         shape = (len(sizes) if start_rows else 1, param_count(spec))
-        params = init_model(spec) + gen.normal(scale=0.3, size=shape)
+        params = init_model(spec, seed) + gen.normal(scale=0.3, size=shape)
         if not start_rows:
             params = np.repeat(params, len(sizes), axis=0)
         lanes = [gen.choice(n, size=size, replace=False) for size in sizes]
@@ -222,7 +222,7 @@ class TestEvaluate:
         `tie` gives the first and last class equal, leading logits, so a row
         max that was not exactly `max`'s value would move the loss."""
         spec = ModelSpec(kind, input_dim=input_dim, num_classes=num_classes,
-                         hidden_dim=hidden_dim if kind == "mlp" else 0, init_seed=seed)
+                         hidden_dim=hidden_dim if kind == "mlp" else 0)
         gen = np.random.default_rng(seed)
         params = gen.normal(scale=scale, size=param_count(spec))
         if tie:  # the output layer's weights, its bias row last
@@ -270,7 +270,7 @@ class TestEvaluate:
 class TestGradients:
     @pytest.mark.parametrize("spec", [
         ModelSpec("logistic", input_dim=4, num_classes=3),
-        ModelSpec("mlp", input_dim=4, num_classes=3, hidden_dim=5, init_seed=11),
+        ModelSpec("mlp", input_dim=4, num_classes=3, hidden_dim=5),
     ])
     def test_matches_finite_differences(self, spec):
         rng = np.random.default_rng(5)
@@ -283,8 +283,7 @@ class TestGradients:
 
     @pytest.mark.parametrize("kind,hidden", [("logistic", 0), ("mlp", 6)])
     def test_small_lr_full_batch_descends(self, kind, hidden):
-        spec = ModelSpec(kind, input_dim=3, num_classes=4, hidden_dim=hidden,
-                         init_seed=2)
+        spec = ModelSpec(kind, input_dim=3, num_classes=4, hidden_dim=hidden)
         rng = np.random.default_rng(8)
         params = rng.normal(scale=0.5, size=param_count(spec))
         x = rng.random((30, 3))

@@ -12,7 +12,7 @@ from agifl.seeding import rng
 def round_metrics(rnd, cohort):
     cohort = np.asarray(cohort, dtype=np.int64)
     cohort.flags.writeable = False
-    return RoundMetrics(round=rnd, duration=1.5 * rnd, uav_energy=2.0, cum_uav_energy=2.0 * rnd,
+    return RoundMetrics(duration=1.5 * rnd, uav_energy=2.0, cum_uav_energy=2.0 * rnd,
                         test_loss=math.nan, test_acc=0.25, selected=cohort, budget_total=0.0)
 
 

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from agifl import scenario as scenario_module
-from agifl.channel import ChannelParams, per_client_bandwidth
+from agifl.channel import ChannelParams
 from agifl.data import partition
 from agifl.energy import UavProfile
 from agifl.fedavg import FlConfig, cohort_size, select_clients
@@ -141,7 +141,8 @@ class TestRunScenario:
             assert_same_metrics(ra.metrics, rb.metrics)
 
     def test_metric_sanity(self):
-        result = run_scenario(small_scenario())
+        sc = small_scenario()
+        result = run_scenario(sc)
         for rep in result.repeats:
             cum = 0.0
             for m in rep.metrics:
@@ -150,8 +151,8 @@ class TestRunScenario:
                 assert m.uav_energy > 0
                 cum += m.uav_energy
                 assert m.cum_uav_energy == pytest.approx(cum, rel=1e-12)
-            rounds = [m.round for m in rep.metrics]
-            assert rounds == list(range(1, len(rounds) + 1))
+            # round k is metrics[k - 1]: no budget, so every round has its entry
+            assert len(rep.metrics) == sc.fl.max_rounds
 
     def test_paired_seed_energy_dominance(self):
         base = small_scenario(train=False, repeats=4,
@@ -315,6 +316,13 @@ class TestValidation:
     def test_bad_repeats(self):
         with pytest.raises(ValueError):
             small_scenario(repeats=0)
+
+    def test_partition_checked_when_built(self):
+        with pytest.raises(ValueError, match="unknown partition scheme 'bogus'"):
+            small_scenario(partition_scheme="bogus")
+        with pytest.raises(ValueError, match="shards_per_user must be >= 1"):
+            small_scenario(partition_scheme="sharded", shards_per_user=0)
+        small_scenario(partition_scheme="iid", shards_per_user=0)  # iid deals no shards
 
     def test_seed_fits_child_seed(self):
         for seed in (2 ** 127, -2 ** 127 - 1, 10 ** 40):
@@ -524,7 +532,7 @@ def reference_repeat(sc, rep):
     uav, users, rows = sc.initial_flight_energy, [0.0] * fl.num_users, []
     for selected in cohorts:
         kept = uav, list(users)
-        b_up = per_client_bandwidth(ch, len(selected))
+        b_up = ch.total_bandwidth / len(selected)
         per_client = []
         for u in selected:
             t_up = tx_time(payload, rate_direct(b_up, ch.user_tx_power, vert[u], horiz[u],
@@ -623,7 +631,7 @@ class TestPerUserArrays:
                                                        * sc.cycles_per_bit, sc.kappa)
                                    if sc.kappa > 0 else 0.0 for u in range(n)]
 
-        b_up = per_client_bandwidth(ch, cohort_size(n, sc.fl.fraction))
+        b_up = ch.total_bandwidth / cohort_size(n, sc.fl.fraction)
         assert b_up == (1e3 if sub_band is None else sub_band)
         vertical = topo.vertical_offsets().tolist()
         for placement in (place_server(sc, topo, rng(11, repeat, "placement")),
