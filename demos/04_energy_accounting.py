@@ -21,15 +21,13 @@ p = rep.placement
 print(f"hover point: ({p.x:.1f}, {p.y:.1f}) at {scenario.uav.altitude:.0f} m\n")
 print(f"{'round':>5} {'selected':>12} {'duration s':>11} {'hover J':>9} "
       f"{'tx J':>9} {'cumulative J':>13}")
-power = scenario.uav.propulsion_power
-for rnd, metrics in enumerate(rep.metrics, 1):
-    chosen = ",".join(map(str, metrics.selected.tolist()))
-    hover = power * metrics.duration
-    print(f"{rnd:>5} {chosen:>12} {metrics.duration:>11.4f} "
-          f"{hover:>9.3f} {metrics.uav_energy - hover:>9.6f} "
-          f"{metrics.cum_uav_energy:>13.3f}")
+m = rep.metrics
+hover = scenario.uav.propulsion_power * m.duration  # each round's hover joules
+rows = zip(m.selected, m.duration, hover, m.uav_energy - hover, m.cum_uav_energy)
+for rnd, (selected, duration, hover_j, tx_j, cum) in enumerate(rows, 1):
+    chosen = ",".join(map(str, selected.tolist()))
+    print(f"{rnd:>5} {chosen:>12} {duration:>11.4f} {hover_j:>9.3f} {tx_j:>9.6f} {cum:>13.3f}")
 
 total = rep.ledger.total("uav")
-hover = sum(power * m.duration for m in rep.metrics)
-print(f"\nhovering accounts for {hover / total:.2%} of the server's "
+print(f"\nhovering accounts for {sum(hover.tolist()) / total:.2%} of the server's "
       f"{total:.1f} J: round length is the lever that matters.")

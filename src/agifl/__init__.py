@@ -12,7 +12,7 @@ from .models import (Hyperparams, ModelSpec, evaluate, init_model, param_count,
 from .placement import (Area, Placement, SolverTrace, min_sum_dist, objective,
                         objective_grad, random_placement)
 from .scenario import (BlobSource, ExperimentResult, IdxSource, RepeatResult,
-                       RoundMetrics, Scenario, ShapeSource, Topology,
-                       build_topology, place_server, run_repeat, run_scenario)
+                       Scenario, ShapeSource, Topology, build_topology, place_server,
+                       run_repeat, run_scenario)
 
 __version__ = "0.1.0"

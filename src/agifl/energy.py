@@ -94,7 +94,7 @@ class EnergyLedger:
                    user_compute: np.ndarray, user_hover: np.ndarray):
         """Count R rounds up to the first that would overdraw the budget: the server's
         (R,) joules and each member's of the cohorts `users` (R, m). Returns the rounds
-        kept and lists of their server and budget-entity totals (one list if the same)."""
+        kept and arrays of their server and budget-entity totals (one array if the same)."""
         uav = np.cumsum(np.append(self._uav, server))
         # float addition is not associative: round by round, tx, then compute, then
         # hover (0.0 where the budget user sits a round out) fixes each total's last bit
@@ -105,8 +105,8 @@ class EnergyLedger:
         kept = int(np.searchsorted(spent, self._budget, side="right"))
         np.add.at(self._users, np.repeat(users[:kept], 3, axis=0).ravel(), terms[:kept].ravel())
         self._uav = float(uav[kept])
-        totals = uav[1:kept + 1].tolist()
-        return kept, totals, totals if self._user is None else spent[:kept].tolist()
+        totals = uav[1:kept + 1]
+        return kept, totals, totals if self._user is None else spent[:kept]
 
     def total(self, entity: str = "uav") -> float:
         user = entity_index(entity, len(self._users))

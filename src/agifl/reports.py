@@ -6,7 +6,6 @@ are self-contained static SVG so the package needs no plotting dependency.
 """
 
 import math
-import operator
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ __all__ = [
     "svg_line_chart",
 ]
 
-# each per-round column between `round` and `selected`, and the RoundMetrics field it holds
+# each per-round CSV column between `round` and `selected`, and the result column it holds
 _ROUND_COLUMNS = (("duration_s", "duration"), ("uav_energy_j", "uav_energy"),
                   ("cum_uav_energy_j", "cum_uav_energy"), ("test_loss", "test_loss"),
                   ("test_acc", "test_acc"))
@@ -33,15 +32,16 @@ def _fmt(x: float) -> str:
 
 
 def write_repeat_csv(path, metrics) -> None:
-    """One row per completed round of a single repeat, written as it goes."""
-    top = max((int(m.selected.max()) for m in metrics), default=-1)
+    """One row per completed round of a single repeat (its record array of
+    per-round columns), written as it goes."""
+    top = max((int(cohort.max()) for cohort in metrics.selected), default=-1)
     ids = np.array([str(u) for u in range(top + 1)], dtype=object)  # built once per file
-    values = operator.attrgetter(*(name for _, name in _ROUND_COLUMNS))
+    columns = [metrics[name].tolist() for _, name in _ROUND_COLUMNS]
     with Path(path).open("w") as f:
         f.write(ROUND_CSV_HEADER + "\n")
-        for rnd, m in enumerate(metrics, 1):
-            f.write(",".join([str(rnd), *map(_fmt, values(m)),
-                              ";".join(ids[m.selected].tolist())]) + "\n")
+        for rnd, (*values, selected) in enumerate(zip(*columns, metrics.selected), 1):
+            f.write(",".join([str(rnd), *map(_fmt, values),
+                              ";".join(ids[selected].tolist())]) + "\n")
 
 
 def write_mean_csv(path, result) -> None:

@@ -39,11 +39,11 @@ that work. Its key is the scenario with the fields that cannot change what
 a repeat draws or trains set to one value (placement scheme, fixed
 position, energy budget and its entity, repeat count, `fl.max_rounds` and
 `train`; every other field stays in the key). It maps each repeat to one
-record: its cohorts drawn so far in round order, the read-only arrays
-their RoundMetrics hold, its global vector after the rounds trained so far
-and each round's test metrics. The network pass draws a round's cohort
-only past the record's end, so no round is drawn that the round loop
-would not reach; the learning pass copies the rounds the record holds and
+record: its cohorts drawn so far in round order (the read-only arrays
+of its results' `selected` column), its global vector after the rounds
+trained so far and each round's test metrics. The network pass draws a
+round's cohort only past the record's end, so no round the round loop
+would not reach is drawn; the learning pass copies the rounds the record holds and
 trains only beyond them, from the stored vector, so a share's repeats may
 start at different rounds. `_run_share` alone reads the store and hands
 each pass its records.
@@ -59,8 +59,9 @@ for entry to the scalar references in `oracles`; `round_model` computes a
 block of rounds from them by gathers over the (R, m) cohorts and row maxima.
 Each refusal evaluates the model it guards; the slowest possible round is
 `round_model` over one cohort of every user, which `rounds_within` reads.
-`ExperimentResult.mean` averages a per-round field over the rounds all
-repeats completed, so every mean covers exactly `repeats` instances.
+A repeat's result is a record array, a row per kept round (ROUND_COLUMNS).
+`ExperimentResult.mean` averages a column over the rounds all repeats
+completed, so every mean covers exactly `repeats` instances.
 """
 
 import collections
@@ -88,7 +89,6 @@ __all__ = [
     "load_corpus",
     "Scenario",
     "Topology",
-    "RoundMetrics",
     "RepeatResult",
     "ExperimentResult",
     "build_topology",
@@ -106,6 +106,11 @@ PLACEMENT_SCHEMES = ("min_sum_dist", "random", "fixed")
 LANE_CEILING = 16
 # Member-rounds per round_model block: caps the gathers' peak memory.
 BLOCK_MEMBER_ROUNDS = 4096
+# A repeat's result, round k in row k - 1: `budget_total` is the budget entity's running
+# total, `selected` the sorted, read-only cohorts its store record holds (not copies)
+ROUND_COLUMNS = np.dtype([(name, float) for name in (
+    "duration", "uav_energy", "cum_uav_energy", "budget_total", "test_loss", "test_acc")]
+    + [("selected", object)])
 
 
 @dataclass(frozen=True)
@@ -340,21 +345,10 @@ def place_server(scenario: Scenario, topo: Topology,
     return Placement(float(x), float(y))
 
 
-@dataclass(slots=True)
-class RoundMetrics:  # round k of a repeat is its metrics[k - 1]
-    duration: float
-    uav_energy: float
-    cum_uav_energy: float
-    test_loss: float
-    test_acc: float
-    selected: np.ndarray  # the sorted, read-only cohort its repeat's store record holds
-    budget_total: float  # the budget entity's running total after this round
-
-
 @dataclass
 class RepeatResult:
     repeat: int
-    metrics: list[RoundMetrics]
+    metrics: np.recarray  # ROUND_COLUMNS, a row per kept round
     halt_reason: str  # "budget" | "max_rounds"
     placement: Placement
     ledger: EnergyLedger
@@ -362,9 +356,8 @@ class RepeatResult:
     def best_accuracy_within(self, budget: float) -> float:
         """Best test accuracy of this repeat run under `budget` instead: over
         the kept rounds whose budget-entity total is at most `budget`."""
-        accs = [m.test_acc for m in self.metrics
-                if m.budget_total <= budget and not math.isnan(m.test_acc)]
-        return max(accs) if accs else math.nan
+        accs = self.metrics.test_acc[self.metrics.budget_total <= budget]
+        return float(np.fmax.reduce(accs, initial=math.nan))  # NaN only if all are
 
 
 @dataclass
@@ -377,11 +370,9 @@ class ExperimentResult:
         return min((len(r.metrics) for r in self.repeats), default=0)
 
     def mean(self, field: str) -> np.ndarray:
-        """Per-round mean over the repeats of a `RoundMetrics` field, for
-        each of the common rounds."""
+        """Per-round mean over the repeats of a float column, over the common rounds."""
         common = self.common_rounds
-        return np.array([[getattr(m, field) for m in r.metrics[:common]]
-                         for r in self.repeats]).mean(axis=0)
+        return np.array([r.metrics[field][:common] for r in self.repeats]).mean(axis=0)
 
     @property
     def halt_reasons(self) -> list[str]:
@@ -444,10 +435,10 @@ def _as_float(n: int) -> float:  # float(n), but inf from 2**1024 - 2**970 on, w
 @dataclass
 class _Repeat:
     """A repeat's work in its federation so far: its cohorts drawn, in round
-    order (the read-only arrays its RoundMetrics hold, so the store adds no
-    copy), its global vector after the rounds trained (None until it first
-    trains) and each trained round's (test_loss, test_acc), None where
-    eval_stride skips it."""
+    order (the read-only arrays of its results' `selected` column, so the
+    store adds no copy), its global vector after the rounds trained (None
+    until it first trains) and each trained round's (test_loss, test_acc),
+    None where eval_stride skips it."""
 
     cohorts: list = field(default_factory=list)
     params: np.ndarray | None = None
@@ -513,7 +504,7 @@ def _network_pass(scenario: Scenario, repeat: int, record: _Repeat, spec: ModelS
 
     ledger = EnergyLedger(fl.num_users, scenario.energy_budget, scenario.budget_entity,
                           scenario.initial_flight_energy)
-    metrics, drawn, nan, rnd, kept, size = [], record.cohorts, itertools.repeat(math.nan), 0, 0, 0
+    blocks, drawn, rnd, kept, size = [], record.cohorts, 0, 0, 0
     while rnd < fl.max_rounds and kept == size:
         # at most one round past those the budget surely keeps: none drawn ahead
         size = min(fl.max_rounds - rnd, per_block,
@@ -524,10 +515,16 @@ def _network_pass(scenario: Scenario, repeat: int, record: _Repeat, spec: ModelS
         cohorts = np.array(drawn[rnd:rnd + size])
         _, duration, server, *members = round_model(scenario, users, cohorts)
         kept, cum_uav, spent = ledger.add_rounds(server, cohorts, *members)
-        metrics += map(RoundMetrics, duration.tolist(), server.tolist(), cum_uav, nan, nan,
-                       drawn[rnd:rnd + kept], spent)
+        blocks.append((duration[:kept], server[:kept], cum_uav, spent))
         rnd += size
 
+    rounds = rnd - size + kept  # every block but the last kept all its rounds
+    metrics = np.recarray(rounds, ROUND_COLUMNS)
+    for name, column in zip(ROUND_COLUMNS.names, zip(*blocks)):
+        metrics[name] = np.concatenate(column)
+    metrics.test_loss = metrics.test_acc = math.nan
+    # fromiter: assigning the list would make NumPy build one (rounds, m) array
+    metrics.selected = np.fromiter(drawn[:rounds], object, rounds)
     halt_reason = "budget" if kept < size else "max_rounds"
     return (RepeatResult(repeat, metrics, halt_reason, placement, ledger),
             shards if scenario.train else None)
@@ -553,7 +550,7 @@ def _learning_pass(scenario: Scenario, spec: ModelSpec, reps, records, shards,
             with np.errstate(all="ignore"):  # a diverging model is refused here, not warned about
                 trained = run_round(np.stack([records[i].params for i in call]), scenario.fl,
                                     [shards[i] for i in call], spec, train_data,
-                                    [reps[i].metrics[rnd].selected for i in call],
+                                    [records[i].cohorts[rnd] for i in call],
                                     [masters[i] for i in call], rnd)
                 tests = [evaluate(params, spec, test_data.design, test_data.labels)
                          if (rnd + 1) % stride == 0 else None for params in trained]
@@ -565,8 +562,9 @@ def _learning_pass(scenario: Scenario, spec: ModelSpec, reps, records, shards,
                 records[i].params = params
                 records[i].tests.append(test)
     for rep, record in zip(reps, records):
-        for m, test in zip(rep.metrics[stride - 1::stride], record.tests[stride - 1::stride]):
-            m.test_loss, m.test_acc = test
+        metrics, tests = rep.metrics, record.tests[stride - 1:len(rep.metrics):stride]
+        metrics.test_loss[stride - 1::stride], metrics.test_acc[stride - 1::stride] = \
+            np.reshape(tests, (-1, 2)).T
 
 
 def _run_share(scenario: Scenario, repeats):

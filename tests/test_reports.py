@@ -5,24 +5,31 @@ import pytest
 
 from agifl.fedavg import select_clients
 from agifl.reports import ROUND_CSV_HEADER, svg_line_chart, write_repeat_csv
-from agifl.scenario import RoundMetrics
+from agifl.scenario import ROUND_COLUMNS
 from agifl.seeding import rng
 
 
-def round_metrics(rnd, cohort):
-    cohort = np.asarray(cohort, dtype=np.int64)
-    cohort.flags.writeable = False
-    return RoundMetrics(duration=1.5 * rnd, uav_energy=2.0, cum_uav_energy=2.0 * rnd,
-                        test_loss=math.nan, test_acc=0.25, selected=cohort, budget_total=0.0)
+def round_metrics(cohorts):
+    """A repeat's result for rounds 1, 2, ... over these cohorts, of any sizes."""
+    rounds, selected = len(cohorts), [np.asarray(c, dtype=np.int64) for c in cohorts]
+    for cohort in selected:
+        cohort.flags.writeable = False
+    metrics = np.recarray(rounds, ROUND_COLUMNS)
+    metrics.duration = 1.5 * np.arange(1, rounds + 1)
+    metrics.cum_uav_energy = 2.0 * np.arange(1, rounds + 1)
+    metrics.uav_energy, metrics.test_loss, metrics.test_acc = 2.0, math.nan, 0.25
+    metrics.budget_total = 0.0
+    metrics.selected = np.fromiter(selected, object, rounds)
+    return metrics
 
 
 class TestWriteRepeatCsv:
     def test_no_kept_rounds_writes_the_header_only(self, tmp_path):
-        write_repeat_csv(tmp_path / "rep.csv", [])
+        write_repeat_csv(tmp_path / "rep.csv", round_metrics([]))
         assert (tmp_path / "rep.csv").read_text() == ROUND_CSV_HEADER + "\n"
 
     def test_row_layout(self, tmp_path):
-        write_repeat_csv(tmp_path / "rep.csv", [round_metrics(1, [0, 7, 12])])
+        write_repeat_csv(tmp_path / "rep.csv", round_metrics([[0, 7, 12]]))
         assert (tmp_path / "rep.csv").read_text().splitlines() == [
             ROUND_CSV_HEADER, "1,1.5,2,2,nan,0.25,0;7;12"]
 
@@ -32,8 +39,7 @@ class TestWriteRepeatCsv:
         # first and the last user
         cohorts = [np.union1d(select_clients(num_users, 0.1, rng(3, rnd, "select")),
                               [0, num_users - 1]) for rnd in range(5)]
-        write_repeat_csv(tmp_path / "rep.csv",
-                         [round_metrics(rnd + 1, c) for rnd, c in enumerate(cohorts)])
+        write_repeat_csv(tmp_path / "rep.csv", round_metrics(cohorts))
         rows = (tmp_path / "rep.csv").read_text().splitlines()
         assert rows[0] == ROUND_CSV_HEADER
         assert [row.rsplit(",", 1)[1] for row in rows[1:]] == [

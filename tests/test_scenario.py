@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,20 +17,23 @@ from agifl.models import Hyperparams, ModelSpec, param_count
 from agifl.oracles import (rate_direct, round_duration, tx_time, uav_round_energy,
                            user_compute_energy, user_compute_time)
 from agifl.placement import Area, min_sum_dist, random_placement
-from agifl.scenario import (FORMS, PLACEMENT_SCHEMES, BlobSource, RoundMetrics, Scenario,
+from agifl.scenario import (FORMS, PLACEMENT_SCHEMES, ROUND_COLUMNS, BlobSource, Scenario,
                             ShapeSource, build_topology, link_terms, load_corpus, load_source,
                             place_server, run_repeat, run_scenario, user_terms)
 from agifl.seeding import child_seed, rng
 
 
+FLOAT_COLUMNS = [name for name in ROUND_COLUMNS.names if name != "selected"]
+
+
 def assert_same_metrics(got, want):
-    """Every RoundMetrics field equal, `selected` by value: an array field
-    makes `RoundMetrics ==` raise."""
+    """Every float column equal (a NaN equal to a NaN), `selected` cohort by
+    cohort: an object column's `==` compares the cohorts elementwise."""
     assert len(got) == len(want)
-    for a, b in zip(got, want):
-        for f in fields(RoundMetrics):
-            x, y = getattr(a, f.name), getattr(b, f.name)
-            assert np.array_equal(x, y) if f.name == "selected" else x == y, f.name
+    for name in FLOAT_COLUMNS:
+        assert np.array_equal(got[name], want[name], equal_nan=True), name
+    for a, b in zip(got.selected, want.selected):
+        assert np.array_equal(a, b)
 
 
 def small_scenario(**kwargs):
@@ -120,7 +123,7 @@ class TestRunScenario:
         result = run_scenario(small_scenario(fl=FlConfig(num_users=6, fraction=0.5,
                                                          max_rounds=0), repeats=1))
         assert result.common_rounds == 0
-        assert result.repeats[0].metrics == []
+        assert len(result.repeats[0].metrics) == 0
         assert result.halt_reasons == ["max_rounds"]
 
     def test_bitwise_deterministic(self):
@@ -177,7 +180,7 @@ class TestRunScenario:
     def test_budget_below_first_round_yields_zero_rounds(self):
         result = run_scenario(small_scenario(train=False, repeats=1,
                                              energy_budget=1e-9))
-        assert result.repeats[0].metrics == []
+        assert len(result.repeats[0].metrics) == 0
         assert result.halt_reasons == ["budget"]
 
     def test_eval_stride(self):
@@ -767,6 +770,39 @@ class TestBudgetsReadOffOneRun:
             assert read == direct or (math.isnan(read) and math.isnan(direct))
 
 
+class TestColumnReductions:
+    """`mean` and `best_accuracy_within` equal the row-by-row reductions
+    they replace, with `==`: the mean of the list of lists of a column's
+    values over the common rounds, and Python's `max` over the kept rounds
+    within the budget that have a test accuracy."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(eval_stride=st.integers(1, 3), repeats=st.integers(1, 3), seed=st.integers(0, 3),
+           halt=st.none() | st.floats(0.2, 1.0),
+           picks=st.lists(st.floats(0.0, 1.2), min_size=1, max_size=4))
+    @example(eval_stride=3, repeats=2, seed=0, halt=0.3, picks=[0.1])  # NaN cells only
+    def test_match_row_by_row_references(self, eval_stride, repeats, seed, halt, picks):
+        sc = small_scenario(eval_stride=eval_stride, repeats=repeats, master_seed=seed,
+                            fl=replace(small_scenario().fl, max_rounds=7))
+        top = max(rep.metrics.budget_total[-1] for rep in run_scenario(
+            replace(sc, train=False)).repeats)
+        if halt is not None:  # the repeats halt on the budget, at different rounds
+            sc = replace(sc, energy_budget=halt * top)
+        result = run_scenario(sc)
+        common = result.common_rounds
+        for name in FLOAT_COLUMNS:
+            rows = np.array([[getattr(m, name) for m in rep.metrics[:common]]
+                             for rep in result.repeats]).mean(axis=0)
+            assert np.array_equal(result.mean(name), rows, equal_nan=True), name
+        # no round, rounds without a test accuracy, some rounds and every one
+        for budget in [0.0, *(pick * top for pick in picks), math.inf]:
+            for rep in result.repeats:
+                accs = [m.test_acc for m in rep.metrics
+                        if m.budget_total <= budget and not math.isnan(m.test_acc)]
+                want, got = max(accs) if accs else math.nan, rep.best_accuracy_within(budget)
+                assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 class TestBudgetHaltTotals:
     """A budget-halted repeat's ledger totals are those of its last kept
     round, bit for bit: the refused round leaves no trace."""
@@ -799,7 +835,7 @@ def assert_same_repeats(got, want, num_users):
     """Bit for bit: metrics (NaN-safe), halt, placement and ledger totals."""
     assert [rep.repeat for rep in got] == [rep.repeat for rep in want]
     for a, b in zip(got, want):
-        assert repr(a.metrics) == repr(b.metrics)
+        assert repr(a.metrics.tolist()) == repr(b.metrics.tolist())
         assert a.halt_reason == b.halt_reason
         assert a.placement == b.placement
         assert ledger_totals(a, num_users) == ledger_totals(b, num_users)
@@ -1064,11 +1100,19 @@ class TestFederationStores:
     def test_pool_workers_hand_back_their_store_entries(self):
         sc = small_scenario(repeats=4)
         assert sc.repeats >= 2  # so jobs=2 runs two shares, one per pool worker
-        stores = []
+        stores, results = [], []
         for jobs in (1, 2):
             clear_stores()
-            result = run_scenario(sc, jobs=jobs)
+            results.append(run_scenario(sc, jobs=jobs))
             stores.append(scenario_module._store(scenario_module._federation(sc)))
+            # a result's `selected` column holds the store record's own cohorts, not
+            # copies, also where the pool's pickles carried both; the benchmark's
+            # tracer reads `len(rep.metrics)` and `rep.metrics[k].selected`
+            for rep in results[-1].repeats:
+                assert len(rep.metrics) == sc.fl.max_rounds
+                for k, cohort in enumerate(stores[-1][rep.repeat].cohorts):
+                    assert rep.metrics.selected[k] is cohort
+                    assert rep.metrics[k].selected is cohort
         store, pooled = stores
         assert sorted(pooled) == sorted(store) == list(range(4))
         for r in store:
@@ -1079,7 +1123,8 @@ class TestFederationStores:
         # back: unpickled arrays come back writeable
         stored = [c for records in (store, pooled) for record in records.values()
                   for c in record.cohorts]
-        for cohort in stored + [m.selected for rep in result.repeats for m in rep.metrics]:
+        for cohort in stored + [c for result in results for rep in result.repeats
+                                for c in rep.metrics.selected]:
             assert not cohort.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 cohort[0] = -1
