@@ -22,8 +22,9 @@ after their last run, so a refused command leaves no directory.
 Exit codes: 0 success; 1 for every refusal, printed as one `error:` line:
 a malformed command line, config or oracle argument, an invalid value, and
 a refusal raised during a run (such as a partition the dataset cannot
-satisfy or a round that would never end), also from a pool worker; 2 when
-the dataset cannot be read.
+satisfy or a round that would never end), also from a pool worker, and an
+`--out` that cannot be created or written; 2 when the dataset cannot be
+read.
 
 A command that succeeds ends with `gc.freeze()`: what is still alive (the
 modules, classes and functions of the imports, and the run's results)
@@ -37,6 +38,7 @@ become collectable again.
 
 import argparse
 import gc
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -70,7 +72,7 @@ def _cmd_run(cfg, out: Path, jobs: int) -> None:
     print(f"run: scheme={scheme} repeats={scenario.repeats} "
           f"rounds={result.common_rounds} "
           f"mean_cum_uav_energy_j={final_energy:.6g} "
-          f"mean_best_acc={result.mean_best_accuracy:.4f} "
+          f"mean_best_acc={result.mean_best_accuracy_within(math.inf):.4f} "
           f"halt={result.halt_reasons[0]} "
           f"halts={_halt_counts(result.halt_reasons)}")
 
@@ -224,7 +226,7 @@ def main(argv=None) -> int:
                 print(f"error: dataset: {exc}", file=sys.stderr)
                 return 2
             _COMMANDS[args.command](cfg, Path(args.out), args.jobs)
-    except ValueError as exc:  # ConfigError included
+    except (OSError, ValueError) as exc:  # ConfigError; an --out it cannot make or write
         print(f"error: {exc}", file=sys.stderr)
         return 1
     gc.freeze()

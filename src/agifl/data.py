@@ -29,12 +29,14 @@ __all__ = [
     "load_idx",
     "synth_blobs",
     "partition",
+    "PARTITION_SCHEMES",
     "IMAGES_MAGIC",
     "LABELS_MAGIC",
 ]
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
+PARTITION_SCHEMES = ("iid", "sharded")
 
 
 @dataclass
@@ -163,13 +165,7 @@ def partition(data: Dataset, num_users: int, scheme: str = "iid",
         raise ValueError("num_users must be >= 1")
     if num_users > n:
         raise ValueError(f"num_users ({num_users}) exceeds sample count ({n})")
-    if scheme == "sharded":
-        if shards_per_user < 1:
-            raise ValueError("shards_per_user must be >= 1")
-        if n < num_users * shards_per_user:
-            raise ValueError("dataset too small for the requested sharding "
-                             f"({n} samples for {num_users} users x {shards_per_user} shards)")
-    elif scheme != "iid":
+    if scheme not in PARTITION_SCHEMES:
         raise ValueError(f"unknown partition scheme {scheme!r}")
     gen = np.random.default_rng(seed)
     users = np.arange(num_users + 1)
@@ -182,6 +178,11 @@ def partition(data: Dataset, num_users: int, scheme: str = "iid",
         indices[cut:].reshape(num_users - extra, base).sort(axis=1)
         return indices, users * base + np.minimum(users, extra)
 
+    if shards_per_user < 1:
+        raise ValueError("shards_per_user must be >= 1")
+    if n < num_users * shards_per_user:
+        raise ValueError("dataset too small for the requested sharding "
+                         f"({n} samples for {num_users} users x {shards_per_user} shards)")
     num_shards = num_users * shards_per_user
     width = shards_per_user * (n // num_shards)  # a user's samples before the remainder
     order = np.argsort(data.labels, kind="stable")

@@ -27,6 +27,9 @@ __all__ = [
 # floor on per-user distances; only reachable when H = 0 and the iterate
 # lands exactly on a user
 _DIST_FLOOR = 1e-12
+# the solver stops once an iterate moves less than TOL meters, or after MAX_ITER
+TOL = 1e-6
+MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -86,35 +89,33 @@ def objective_grad(users, vertical, x: float, y: float) -> np.ndarray:
     return np.array([gx, gy])
 
 
-def min_sum_dist(users, vertical, tol: float = 1e-6,
-                 max_iter: int = 10_000, trace: SolverTrace | None = None) -> Placement:
+def min_sum_dist(users, vertical, trace: SolverTrace | None = None) -> Placement:
     """Solve the minimum-sum-distance placement at fixed flying height;
     `vertical` is as in `objective`.
 
     Iterates the fixed point (x, y) <- sum(u_i / d_i) / sum(1 / d_i) starting
-    from the user centroid until successive iterates move less than `tol`
-    meters. Each step minimizes a quadratic majorizer of the objective, so
-    in exact arithmetic the objective never increases. At convergence
-    rounding often raises it in the last bit (15 of 20 uniform 100-user
-    geometries at H = 100 m, final objective unchanged); such an iterate is
-    replaced by a backtracking step along the negative gradient and counted
-    in `trace.fallback_steps`.
+    from the user centroid until successive iterates move less than TOL
+    (1e-6) meters, for at most MAX_ITER iterations, recorded in `trace` (a
+    fresh SolverTrace if none is given). Each step minimizes a quadratic
+    majorizer of the objective, so in exact arithmetic the objective never
+    increases. At convergence rounding often raises it in the last bit (15
+    of 20 uniform 100-user geometries at H = 100 m, final objective
+    unchanged); such an iterate is replaced by a backtracking step along the
+    negative gradient and counted in `trace.fallback_steps`.
     """
     users = np.asarray(users, dtype=float)
     if users.ndim != 2 or users.shape[0] == 0 or users.shape[1] != 2:
         raise ValueError("users must be a non-empty (n, 2) array")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     vertical = np.asarray(vertical, dtype=float)
     columns = users.T.copy()  # each coordinate contiguous
+    trace = SolverTrace() if trace is None else trace
 
     x, y = users.mean(axis=0)
     dist = _distances(columns, vertical, x, y)
     obj = float(dist.sum())
-    if trace is not None:
-        trace.objective_history.append(obj)
+    trace.objective_history.append(obj)
 
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         inv = 1.0 / np.maximum(dist, _DIST_FLOOR)
         denom = inv.sum()
         nx = float((columns[0] * inv).sum() / denom)
@@ -125,19 +126,16 @@ def min_sum_dist(users, vertical, tol: float = 1e-6,
         if new_obj > obj:
             nx, ny, new_obj = _backtracking_step(users, vertical, x, y, obj)
             dist = _distances(columns, vertical, nx, ny)
-            if trace is not None:
-                trace.fallback_steps += 1
+            trace.fallback_steps += 1
 
         step = float(np.hypot(nx - x, ny - y))
         x, y, obj = nx, ny, new_obj
-        if trace is not None:
-            trace.objective_history.append(obj)
-            trace.iterations = it + 1
-        if step < tol:
+        trace.objective_history.append(obj)
+        trace.iterations = it + 1
+        if step < TOL:
             break
     else:
-        if trace is not None:
-            trace.converged = False
+        trace.converged = False
 
     return Placement(x=x, y=y)
 

@@ -25,6 +25,7 @@ _ROUND_COLUMNS = (("duration_s", "duration"), ("uav_energy_j", "uav_energy"),
 ROUND_CSV_HEADER = ",".join(["round", *(column for column, _ in _ROUND_COLUMNS), "selected"])
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
+_WIDTH, _HEIGHT = 640, 420  # chart size in pixels
 
 
 def _fmt(x: float) -> str:
@@ -73,16 +74,15 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def svg_line_chart(path, series, title: str, xlabel: str, ylabel: str,
-                   width: int = 640, height: int = 420) -> None:
+def svg_line_chart(path, series, title: str, xlabel: str, ylabel: str) -> None:
     """Write a static line chart.
 
     `series` is a list of (label, xs, ys) triples. Output bytes depend only
     on the inputs.
     """
     margin_l, margin_r, margin_t, margin_b = 70, 20, 40, 50
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _WIDTH - margin_l - margin_r
+    plot_h = _HEIGHT - margin_t - margin_b
 
     finite = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)
               if math.isfinite(x) and math.isfinite(y)]
@@ -98,10 +98,10 @@ def svg_line_chart(path, series, title: str, xlabel: str, ylabel: str,
     def py(y):
         return margin_t + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>',
-             f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+             f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+             f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+             f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
              f'font-size="15" font-family="sans-serif">{title}</text>']
 
     for t in _ticks(x_lo, x_hi):
@@ -121,7 +121,7 @@ def svg_line_chart(path, series, title: str, xlabel: str, ylabel: str,
 
     parts.append(f'<rect x="{margin_l}" y="{margin_t}" width="{plot_w}" '
                  f'height="{plot_h}" fill="none" stroke="#333333"/>')
-    parts.append(f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 12}" '
+    parts.append(f'<text x="{margin_l + plot_w / 2:.1f}" y="{_HEIGHT - 12}" '
                  f'text-anchor="middle" font-size="12" '
                  f'font-family="sans-serif">{xlabel}</text>')
     parts.append(f'<text x="18" y="{margin_t + plot_h / 2:.1f}" '

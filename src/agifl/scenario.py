@@ -74,7 +74,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import ChannelParams, link_rates
-from .data import Dataset, load_idx, partition, synth_blobs
+from .data import PARTITION_SCHEMES, Dataset, load_idx, partition, synth_blobs
 from .energy import EnergyLedger, UavProfile, entity_index
 from .fedavg import FlConfig, cohort_size, run_round, select_clients
 from .models import ModelSpec, check_architecture, evaluate, init_model, param_count
@@ -99,7 +99,6 @@ __all__ = [
 ]
 
 FORMS = ("g2a", "a2g", "a2a", "mixed")
-PARTITION_SCHEMES = ("iid", "sharded")
 PLACEMENT_SCHEMES = ("min_sum_dist", "random", "fixed")
 # Lanes per train_cohort call: the per-lane cost stops falling at about
 # 8-16 lanes, while the call's memory keeps growing with the lanes.
@@ -210,7 +209,7 @@ def load_corpus(source, master_seed: int):
 @dataclass(frozen=True)
 class Scenario:
     fl: FlConfig = FlConfig()
-    source: object = BlobSource()
+    source: BlobSource | IdxSource | ShapeSource = BlobSource()
     model_kind: str = "logistic"
     hidden_dim: int = 32
     channel: ChannelParams = ChannelParams()
@@ -241,6 +240,8 @@ class Scenario:
             raise ValueError(f"unknown form {self.form!r}")
         if self.placement_scheme not in PLACEMENT_SCHEMES:
             raise ValueError(f"unknown placement scheme {self.placement_scheme!r}")
+        if not isinstance(self.source, (BlobSource, IdxSource, ShapeSource)):
+            raise ValueError(f"unknown data source {type(self.source).__name__}")
         if self.partition_scheme not in PARTITION_SCHEMES:
             raise ValueError(f"unknown partition scheme {self.partition_scheme!r}")
         if self.partition_scheme == "sharded" and self.shards_per_user < 1:
@@ -338,7 +339,7 @@ def place_server(scenario: Scenario, topo: Topology,
                  generator: np.random.Generator) -> Placement:
     """Apply the configured hovering-placement scheme to a topology."""
     if scenario.placement_scheme == "min_sum_dist":
-        return min_sum_dist(topo.user_xy, topo.vertical_offsets(), tol=1e-6)
+        return min_sum_dist(topo.user_xy, topo.vertical_offsets())
     if scenario.placement_scheme == "random":
         return random_placement(scenario.area, generator)
     x, y = scenario.fixed_position
@@ -380,10 +381,6 @@ class ExperimentResult:
 
     def mean_best_accuracy_within(self, budget: float) -> float:
         return float(np.mean([r.best_accuracy_within(budget) for r in self.repeats]))
-
-    @property
-    def mean_best_accuracy(self) -> float:
-        return self.mean_best_accuracy_within(math.inf)
 
 
 def user_terms(scenario: Scenario, repeat: int, shard_sizes, bits_per_sample: int):
@@ -468,14 +465,14 @@ def _network_pass(scenario: Scenario, repeat: int, record: _Repeat, spec: ModelS
     the run trains (else None). A round's cohort is drawn only past the end
     of `record.cohorts`. Nothing here reads the parameters, so the kept
     rounds and cohorts are final."""
-    seed, fl, channel, uav = scenario.master_seed, scenario.fl, scenario.channel, scenario.uav
+    seed, fl = scenario.master_seed, scenario.fl
     topo = build_topology(scenario, _rng(seed, repeat, "positions"))
     placement = place_server(scenario, topo, _rng(seed, repeat, "placement"))
     shards = partition(train_data, fl.num_users,
                        scheme=scenario.partition_scheme,
                        shards_per_user=scenario.shards_per_user,
                        seed=child_seed(seed, repeat, "partition"))
-    payload_bits = _as_float(param_count(spec) * channel.payload_bits_per_param)
+    payload_bits = _as_float(param_count(spec) * scenario.channel.payload_bits_per_param)
     master = child_seed(seed, repeat)
 
     dist_sq = topo.dist_sq(placement)
@@ -489,11 +486,10 @@ def _network_pass(scenario: Scenario, repeat: int, record: _Repeat, spec: ModelS
         users = t_comp + t_up, e_tx, e_comp, t_recv, topo.user_alt > 0
         everyone = np.arange(fl.num_users)[None]  # the slowest possible round's one cohort
         _, duration, slowest_server, *slowest = round_model(scenario, users, everyone)
-        # its duration times every power drawn, plus the largest compute energy, bounds a
-        # round's energies; a running total or mean the CSVs write sums at most max_rounds
-        # such rounds and the flight energy over the repeats: twice that covers rounding
-        energy = duration[0] * (uav.propulsion_power + uav.tx_power + channel.user_tx_power) \
-            + e_comp.max()
+        # its server energy and largest member energy bound a round's; a running total or
+        # mean the CSVs write sums at most max_rounds such rounds and the flight energy
+        # over the repeats: twice that covers rounding
+        energy = np.max([slowest_server[0], sum(slowest).max()])  # NaN stays NaN
         if not ((duration[0] + energy) * fl.max_rounds + scenario.initial_flight_energy) \
                 * scenario.repeats * 2 < math.inf:
             raise ValueError(f"the slowest possible round of repeat {repeat} takes an infinite "

@@ -563,6 +563,18 @@ class TestInvalidInputExits1:
         assert err == ["error: unknown partition scheme 'bogus'"]
         assert loads == [] and not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "compare-placement"])
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["a-file", "below-a-file"])
+    def test_unusable_out_exits_1_with_one_error_line(self, command, below, tmp_path,
+                                                      capsys):
+        existing = tmp_path / "file"
+        existing.write_text("kept\n")
+        out = existing.joinpath(*below)
+        assert main([command, str(CONFIGS / "quick.ini"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
+        assert existing.read_text() == "kept\n"
+
 
 @pytest.mark.parametrize("argv", [
     ["run", "quick.ini", "--jobs", "0"],

@@ -282,7 +282,7 @@ class TestRunScenario:
 
     def test_mean_best_accuracy_reported(self):
         result = run_scenario(small_scenario())
-        assert 0.0 <= result.mean_best_accuracy <= 1.0
+        assert 0.0 <= result.mean_best_accuracy_within(math.inf) <= 1.0
 
     def test_server_tx_power_sets_downlink_rate_and_energy(self):
         low = run_repeat(small_scenario(train=False), 0)
@@ -315,6 +315,10 @@ class TestValidation:
     def test_bad_scheme(self):
         with pytest.raises(ValueError):
             small_scenario(placement_scheme="kmeans")
+
+    def test_unknown_source_rejected(self):
+        with pytest.raises(ValueError, match="unknown data source str"):
+            small_scenario(source="blobs")
 
     def test_bad_repeats(self):
         with pytest.raises(ValueError):
@@ -720,6 +724,24 @@ class TestPerUserArrays:
         with pytest.raises(ValueError, match="or 20 of them over 3 repeats overflow a total"):
             run_scenario(sc)
 
+    def test_the_refusal_reads_the_round_model(self, monkeypatch):
+        # a model whose server energy is 1e306 times the built-in one, as several
+        # hovering servers or a costlier propulsion law would raise it: 40 of its
+        # rounds overflow the running total, which the refusal sees in the model
+        model = scenario_module.round_model
+
+        def costlier(*args):
+            t_down, duration, server, *members = model(*args)
+            return t_down, duration, server * 1e306, *members
+
+        monkeypatch.setattr(scenario_module, "round_model", costlier)
+        monkeypatch.setattr(scenario_module, "select_clients",
+                            lambda *args: pytest.fail("a round started"))
+        sc = small_scenario(train=False, channel=ChannelParams(total_bandwidth=1e4),
+                            fl=replace(small_scenario().fl, max_rounds=40))
+        with pytest.raises(ValueError, match="the slowest possible round of repeat 0"):
+            run_repeat(sc, 0)
+
     @settings(max_examples=40, deadline=None)
     @given(power=st.floats(1e300, 1e308), max_rounds=st.integers(1, 20),
            repeats=st.integers(1, 3), flight=st.sampled_from([0.0, 1e306]))
@@ -766,7 +788,8 @@ class TestBudgetsReadOffOneRun:
         largest = run_scenario(replace(sc, energy_budget=max(grid)))
         for budget in grid:
             read = largest.mean_best_accuracy_within(budget)
-            direct = run_scenario(replace(sc, energy_budget=budget)).mean_best_accuracy
+            alone = run_scenario(replace(sc, energy_budget=budget))
+            direct = alone.mean_best_accuracy_within(math.inf)
             assert read == direct or (math.isnan(read) and math.isnan(direct))
 
 
