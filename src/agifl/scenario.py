@@ -43,7 +43,12 @@ record: its cohorts drawn so far in round order (the read-only arrays
 of its results' `selected` column), its global vector after the rounds
 trained so far and each round's test metrics. The network pass draws a
 round's cohort only past the record's end, so no round the round loop
-would not reach is drawn; the learning pass copies the rounds the record holds and
+would not reach is drawn. It draws a block's new rounds in one
+`fedavg.select_cohorts` call: each row is the round's `select_clients`
+draw from its own seed, bit for bit, computed as arrays over the block's
+seeds, and the rows that array pass cannot give (a short block, NumPy's
+tail shuffle, a possible Lemire rejection) are drawn round by round. The
+learning pass copies the rounds the record holds and
 trains only beyond them, from the stored vector, so a share's repeats may
 start at different rounds. `_run_share` alone reads the store and hands
 each pass its records.
@@ -76,7 +81,7 @@ import numpy as np
 from .channel import ChannelParams, link_rates
 from .data import PARTITION_SCHEMES, Dataset, load_idx, partition, synth_blobs
 from .energy import EnergyLedger, UavProfile, entity_index
-from .fedavg import FlConfig, cohort_size, run_round, select_clients
+from .fedavg import FlConfig, cohort_size, run_round, select_cohorts
 from .models import ModelSpec, check_architecture, evaluate, init_model, param_count
 from .placement import Area, Placement, min_sum_dist, random_placement
 from .seeding import child_seed, rng as _rng
@@ -105,6 +110,9 @@ PLACEMENT_SCHEMES = ("min_sum_dist", "random", "fixed")
 LANE_CEILING = 16
 # Member-rounds per round_model block: caps the gathers' peak memory.
 BLOCK_MEMBER_ROUNDS = 4096
+# SGD lane-steps one repeat may train (local_epochs x each kept member's steps per
+# epoch): at about 7 us a lane-step on the case study's 32 features, some 20 hours
+MAX_LANE_STEPS = 10 ** 10
 # A repeat's result, round k in row k - 1: `budget_total` is the budget entity's running
 # total, `selected` the sorted, read-only cohorts its store record holds (not copies)
 ROUND_COLUMNS = np.dtype([(name, float) for name in (
@@ -505,9 +513,11 @@ def _network_pass(scenario: Scenario, repeat: int, record: _Repeat, spec: ModelS
         # at most one round past those the budget surely keeps: none drawn ahead
         size = min(fl.max_rounds - rnd, per_block,
                    ledger.rounds_within(slowest_server, everyone, *slowest) + 1)
-        for r in range(len(drawn), rnd + size):
-            drawn.append(select_clients(fl.num_users, fl.fraction, _rng(master, r, "select")))
-            drawn[r].flags.writeable = False
+        if len(drawn) < rnd + size:  # each row a read-only view of the block's draw
+            block = select_cohorts(fl.num_users, fl.fraction, [
+                child_seed(master, r, "select") for r in range(len(drawn), rnd + size)])
+            block.flags.writeable = False
+            drawn.extend(block)
         cohorts = np.array(drawn[rnd:rnd + size])
         _, duration, server, *members = round_model(scenario, users, cohorts)
         kept, cum_uav, spent = ledger.add_rounds(server, cohorts, *members)
@@ -532,8 +542,16 @@ def _learning_pass(scenario: Scenario, spec: ModelSpec, reps, records, shards,
     continues the training its record holds, so only the kept rounds beyond
     it train: round `rnd` trains the cohorts of every repeat that kept more
     than `rnd` rounds and has trained exactly `rnd`, in repeat order, in
-    `run_round` calls of at most LANE_CEILING lanes (at least one repeat)."""
-    seed, stride = scenario.master_seed, scenario.eval_stride
+    `run_round` calls of at most LANE_CEILING lanes (at least one repeat). A repeat
+    whose kept rounds would take more than MAX_LANE_STEPS is refused first."""
+    seed, stride, hyper = scenario.master_seed, scenario.eval_stride, scenario.fl.hyper
+    for rep, (_, offsets) in zip(reps, shards):  # Python ints: local_epochs is unbounded
+        steps = -(-np.diff(offsets) // hyper.batch_size)  # each user's SGD steps per epoch
+        kept = np.concatenate([np.empty(0, np.int64), *rep.metrics.selected])
+        if hyper.local_epochs * int(steps[kept].sum()) > MAX_LANE_STEPS:
+            raise ValueError(f"local_epochs {hyper.local_epochs} would train repeat "
+                             f"{rep.repeat} past {MAX_LANE_STEPS:.0e} SGD lane-steps "
+                             "(epochs x each kept member's ceil(shard / batch_size))")
     per_call = max(1, LANE_CEILING // cohort_size(scenario.fl.num_users, scenario.fl.fraction))
     for rep, record in zip(reps, records):
         if record.params is None:

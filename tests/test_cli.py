@@ -524,6 +524,13 @@ class TestInvalidInputExits1:
                       "--jobs", "2"],
                      "learning_rate 1.7976931348623157e+308 diverges: repeat 0",
                      id="pool-worker-diverging-learning-rate"),
+        # training past the lane-step bound is refused before any, in the parent or a worker
+        pytest.param(["run", "quick.ini", f"--fl.local_epochs={10 ** 20}"],
+                     f"local_epochs {10 ** 20} would train repeat 0 past 1e+10 SGD lane-steps",
+                     id="huge-local-epochs"),
+        pytest.param(["run", "quick.ini", f"--fl.local_epochs={10 ** 20}", "--jobs", "2"],
+                     f"local_epochs {10 ** 20} would train repeat 0 past 1e+10 SGD lane-steps",
+                     id="pool-worker-huge-local-epochs"),
         # corpora NumPy cannot hold in one array are refused with the config
         *(pytest.param(["run", "quick.ini", *shape, f"--data.{key}={2 ** power}"],
                        f"{source} source: {fields}", id=f"{key}-2**{power}")
@@ -597,12 +604,13 @@ def test_argument_error_exits_1_with_one_error_line(argv, tmp_path, capsys):
 
 # boundary values by parser; every int or float key of the server and energy sections,
 # every float key, dB ones included, of the scenario, channel and fl sections, and the
-# int keys of those and the data section that scale no work
+# int keys of those and the data section that scale no work, or whose work a refusal
+# bounds (local_epochs: the training's lane-steps)
 BOUNDARY_VALUES = {int: [0, 1, 10 ** 20, 10 ** 400, -1],
                    _float: [0.0, 5e-324, 1e-300, 1e154, 1e200, 1.7976931348623157e308, -1.0]}
 BOUNDARY_INT_KEYS = {("scenario", "master_seed"), ("scenario", "eval_stride"),
-                     ("fl", "batch_size"), ("channel", "payload_bits_per_param"),
-                     ("data", "shards_per_user")}
+                     ("fl", "batch_size"), ("fl", "local_epochs"),
+                     ("channel", "payload_bits_per_param"), ("data", "shards_per_user")}
 BOUNDARY_KEYS = {(section, key): BOUNDARY_VALUES[int if parse is int else _float]
                  for section, keys in _SCHEMA.items() for key, (parse, _) in keys.items()
                  if (section in ("uav", "energy") and parse in BOUNDARY_VALUES)
@@ -637,6 +645,8 @@ class TestBoundaryValues:
     @example(overrides=["--channel.noise_dbm=4000"], train=False, partition="iid")
     @example(overrides=["--fl.learning_rate=1.7976931348623157e308"], train=True,
              partition="iid")
+    @example(overrides=[f"--fl.local_epochs={10 ** 20}"], train=True, partition="iid")
+    @example(overrides=[f"--fl.local_epochs={10 ** 20}"], train=False, partition="sharded")
     # four keys: a one- or two-key draw cannot make every squared distance underflow
     @example(overrides=["--uav.altitude_m=1e-200", "--scenario.area_width_m=1e-200",
                         "--scenario.area_height_m=1e-200", "--scenario.ground_height_m=0"],

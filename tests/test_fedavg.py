@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from agifl.data import partition, synth_blobs
-from agifl.fedavg import FlConfig, aggregate, cohort_size, run_round, select_clients
+from agifl import fedavg as fedavg_module
+from agifl.fedavg import (FlConfig, aggregate, cohort_size, run_round, select_clients,
+                           select_cohorts)
 from agifl.models import Hyperparams, ModelSpec, init_model, train_cohort
 from agifl.oracles import local_train, weighted_mean_direct
 from agifl.seeding import child_seed, rng
@@ -44,6 +46,61 @@ class TestSelectClients:
         expected = draws * 0.25
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 43.82  # chi-square 0.999 quantile at 19 dof
+
+
+# 10^4 round seeds as the network pass derives them, and the ends of their range
+ORACLE_SEEDS = [child_seed(11, r, "select") for r in range(10_000)] + [
+    0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+
+
+class TestSelectCohorts:
+    """Each row of a block's draw is `select_clients` on `default_rng(seed)`."""
+
+    @pytest.mark.parametrize("n, m", [
+        (100, 2), (70, 7), (1000, 100), (1, 1), (5, 5), (100, 100),
+        (30000, 600),  # Floyd's loop above 10,000 users
+        (30000, 3000),  # NumPy's tail shuffle, drawn round by round
+        (2 ** 32 - 1, 3), (2 ** 32 + 1, 3),  # the last 32-bit bound; 64-bit ones
+    ])
+    def test_every_row_is_the_per_round_draw(self, n, m):
+        assert cohort_size(n, m / n) == m
+        # blocks of 667 rounds, each past max(BLOCK_DRAW_ROUNDS, 600), keep the arrays small
+        for start in range(0, len(ORACLE_SEEDS), 667):
+            seeds = ORACLE_SEEDS[start:start + 667]
+            got = select_cohorts(n, m / n, seeds)
+            want = [np.sort(np.random.default_rng(s).choice(n, m, replace=False)) for s in seeds]
+            assert got.dtype == np.int64 and got.shape == (len(seeds), m)
+            assert np.array_equal(got, want)
+
+    def test_possible_rejections_are_drawn_round_by_round(self, monkeypatch):
+        # a product's low word falls below j + 1 with probability (j + 1) / 2**32:
+        # about a dozen of 10^4 rows of five draws near 10^6
+        redrawn = []
+
+        def counting(num_users, fraction, generator):
+            redrawn.append(generator)
+            return select_clients(num_users, fraction, generator)
+
+        monkeypatch.setattr(fedavg_module, "select_clients", counting)
+        n = 10 ** 6
+        got = select_cohorts(n, 5 / n, ORACLE_SEEDS)
+        assert 0 < len(redrawn) < 100
+        assert np.array_equal(got, [np.sort(np.random.default_rng(s).choice(n, 5, replace=False))
+                                    for s in ORACLE_SEEDS])
+
+    def test_a_short_block_draws_round_by_round(self, monkeypatch):
+        redrawn = []
+        monkeypatch.setattr(fedavg_module, "select_clients",
+                            lambda *args: redrawn.append(args) or select_clients(*args))
+        rounds = fedavg_module.BLOCK_DRAW_ROUNDS
+        for seeds, per_round in ((ORACLE_SEEDS[:rounds - 1], rounds - 1),
+                                 (ORACLE_SEEDS[:rounds], 0)):
+            redrawn.clear()
+            got = select_cohorts(100, 0.02, seeds)
+            assert len(redrawn) == per_round
+            assert np.array_equal(got, [select_clients(100, 0.02, np.random.default_rng(s))
+                                        for s in seeds])
+        assert select_cohorts(100, 0.02, []).shape == (0, 2)
 
 
 class TestAggregate:

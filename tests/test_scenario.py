@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from agifl import fedavg as fedavg_module
 from agifl import scenario as scenario_module
 from agifl.channel import ChannelParams
 from agifl.data import partition
@@ -682,7 +683,7 @@ class TestPerUserArrays:
         # server's layer is the middle user, so its link has zero length
         sc = small_scenario(form="a2a", user_positions=((0, 0), (50, 0), (100, 0)),
                             fl=FlConfig(num_users=3, fraction=1.0, max_rounds=3))
-        monkeypatch.setattr(scenario_module, "select_clients",
+        monkeypatch.setattr(scenario_module, "select_cohorts",
                             lambda *args: pytest.fail("a round started"))
         for repeat in (0, 1):
             with pytest.raises(ValueError, match=rf"coincide: user 1 .* repeat {repeat}$"):
@@ -693,7 +694,7 @@ class TestPerUserArrays:
         # longest link's infinite SNR on, and the network pass refuses it
         sc = small_scenario(train=False, source=ShapeSource(), ground_height=0.0,
                             area=Area(1e-200, 1e-200), uav=UavProfile(altitude=1e-200))
-        monkeypatch.setattr(scenario_module, "select_clients",
+        monkeypatch.setattr(scenario_module, "select_cohorts",
                             lambda *args: pytest.fail("a round started"))
         with pytest.raises(ValueError, match=r"coincide: user 0 .* repeat 0$"):
             run_scenario(sc)
@@ -708,7 +709,7 @@ class TestPerUserArrays:
         # over it; NumPy's division would warn, and the hover energy be NaN.
         # Each factor of kappa * f^2 * cycles is finite, but not the product.
         sc = small_scenario(train=False, **kwargs)
-        monkeypatch.setattr(scenario_module, "select_clients",
+        monkeypatch.setattr(scenario_module, "select_cohorts",
                             lambda *args: pytest.fail("a round started"))
         with pytest.raises(ValueError, match="slowest possible round of repeat 0 takes an "
                                              "infinite time or energy"):
@@ -719,7 +720,7 @@ class TestPerUserArrays:
         sc = small_scenario(train=False, uav=UavProfile(propulsion_power=1e308),
                             channel=ChannelParams(total_bandwidth=1e4), repeats=3,
                             fl=replace(small_scenario().fl, max_rounds=20))
-        monkeypatch.setattr(scenario_module, "select_clients",
+        monkeypatch.setattr(scenario_module, "select_cohorts",
                             lambda *args: pytest.fail("a round started"))
         with pytest.raises(ValueError, match="or 20 of them over 3 repeats overflow a total"):
             run_scenario(sc)
@@ -735,7 +736,7 @@ class TestPerUserArrays:
             return t_down, duration, server * 1e306, *members
 
         monkeypatch.setattr(scenario_module, "round_model", costlier)
-        monkeypatch.setattr(scenario_module, "select_clients",
+        monkeypatch.setattr(scenario_module, "select_cohorts",
                             lambda *args: pytest.fail("a round started"))
         sc = small_scenario(train=False, channel=ChannelParams(total_bandwidth=1e4),
                             fl=replace(small_scenario().fl, max_rounds=40))
@@ -1007,14 +1008,14 @@ def clear_stores():
 @pytest.fixture
 def work(monkeypatch):
     """Counts of cohort draws, trained repeat-rounds and evaluations."""
-    counts = {"select_clients": 0, "trained": 0, "evaluate": 0}
-    select_clients_, run_round_, evaluate_ = (scenario_module.select_clients,
+    counts = {"cohorts": 0, "trained": 0, "evaluate": 0}
+    select_cohorts_, run_round_, evaluate_ = (scenario_module.select_cohorts,
                                               scenario_module.run_round,
                                               scenario_module.evaluate)
 
-    def counting_select(*args):
-        counts["select_clients"] += 1
-        return select_clients_(*args)
+    def counting_select(num_users, fraction, seeds):
+        counts["cohorts"] += len(seeds)
+        return select_cohorts_(num_users, fraction, seeds)
 
     def counting_round(params, *args):
         counts["trained"] += len(params)
@@ -1024,7 +1025,7 @@ def work(monkeypatch):
         counts["evaluate"] += 1
         return evaluate_(*args)
 
-    monkeypatch.setattr(scenario_module, "select_clients", counting_select)
+    monkeypatch.setattr(scenario_module, "select_cohorts", counting_select)
     monkeypatch.setattr(scenario_module, "run_round", counting_round)
     monkeypatch.setattr(scenario_module, "evaluate", counting_evaluate)
     return counts
@@ -1102,22 +1103,22 @@ class TestFederationStores:
                          "--out", str(tmp_path)]) == 0
         # panel A draws 20 repeats x 100 rounds once for both schemes; panel
         # B's random repeats keep at most the rounds min_sum_dist trained
-        assert work == {"select_clients": 2000, "trained": 319, "evaluate": 319}
+        assert work == {"cohorts": 2000, "trained": 319, "evaluate": 319}
 
     def test_continuation_draws_and_trains_only_new_rounds(self, work):
         sc = small_scenario(repeats=2, fl=replace(small_scenario().fl, max_rounds=3))
         work_of(lambda: run_scenario(replace(sc, train=False)), work)
         # the training run reads the cohorts the timing-only run drew
         assert work_of(lambda: run_scenario(sc), work)[1] == {
-            "select_clients": 0, "trained": 6, "evaluate": 6}
+            "cohorts": 0, "trained": 6, "evaluate": 6}
         longer = replace(sc, placement_scheme="random", repeats=3,
                          fl=replace(sc.fl, max_rounds=5))
         warm, warm_work = work_of(lambda: run_scenario(longer), work)
         # two more rounds for repeats 0 and 1, five for the new repeat 2
-        assert warm_work == {"select_clients": 9, "trained": 9, "evaluate": 9}
+        assert warm_work == {"cohorts": 9, "trained": 9, "evaluate": 9}
         clear_stores()
         cold, cold_work = work_of(lambda: run_scenario(longer), work)
-        assert cold_work == {"select_clients": 15, "trained": 15, "evaluate": 15}
+        assert cold_work == {"cohorts": 15, "trained": 15, "evaluate": 15}
         assert_same_repeats(warm.repeats, cold.repeats, 6)
 
     def test_pool_workers_hand_back_their_store_entries(self):
@@ -1190,6 +1191,23 @@ class TestFederationStores:
             for rep in result.repeats:
                 assert len(store[rep.repeat].cohorts) == (
                     len(rep.metrics) + 1 if rep.halt_reason == "budget" else 12)
+
+    def test_a_block_of_rounds_draws_the_cohorts_of_a_round_by_round_loop(self, monkeypatch):
+        # the case study's 100 rounds fill one block, which draws its 2-of-100 cohorts
+        # in one array pass; the store tests' blocks are too short for that path
+        sc = Scenario(train=False, repeats=1)
+        assert sc.fl.max_rounds == 100 >= fedavg_module.BLOCK_DRAW_ROUNDS
+        per_round = []
+        monkeypatch.setattr(fedavg_module, "select_clients",
+                            lambda *args: per_round.append(args) or select_clients(*args))
+        clear_stores()
+        rep = run_scenario(sc).repeats[0]
+        assert len(rep.metrics) == 100 and len(per_round) < 10  # the rejection redraws
+        master = child_seed(sc.master_seed, rep.repeat)
+        for r, cohort in enumerate(rep.metrics.selected):
+            want = select_clients(sc.fl.num_users, sc.fl.fraction, rng(master, r, "select"))
+            assert cohort.dtype == want.dtype and np.array_equal(cohort, want)
+            assert not cohort.flags.writeable
 
     @pytest.mark.parametrize("change", [
         lambda sc: replace(sc, fl=replace(sc.fl, hyper=replace(sc.fl.hyper,
