@@ -81,15 +81,6 @@ class EnergyLedger:
         self._uav = 0.0 + flight  # a float, and -0.0 reads 0.0
         self._users = np.zeros(num_users)
 
-    def rounds_within(self, server, users, user_tx, user_compute, user_hover) -> float:
-        """The rounds the budget surely keeps, rounding included, if none costs more
-        than the given round (`add_rounds`' terms, its one cohort holding the budget user)."""
-        if self._budget == math.inf:
-            return math.inf
-        spent, most = ((self._uav, server[0]) if self._user is None else (
-            self._users[self._user], (user_tx + user_compute + user_hover)[users == self._user][0]))
-        return max(0, math.floor((self._budget - spent) / (most + 2 * math.ulp(self._budget))))
-
     def add_rounds(self, server: np.ndarray, users: np.ndarray, user_tx: np.ndarray,
                    user_compute: np.ndarray, user_hover: np.ndarray):
         """Count R rounds up to the first that would overdraw the budget: the server's

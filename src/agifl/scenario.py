@@ -42,8 +42,8 @@ position, energy budget and its entity, repeat count, `fl.max_rounds` and
 record: its cohorts drawn so far in round order (the read-only arrays
 of its results' `selected` column), its global vector after the rounds
 trained so far and each round's test metrics. The network pass draws a
-round's cohort only past the record's end, so no round the round loop
-would not reach is drawn. It draws a block's new rounds in one
+round's cohort only past the record's end, and drops what it drew past
+the round the ledger refused. It draws a block's new rounds in one
 `fedavg.select_cohorts` call: each row is the round's `select_clients`
 draw from its own seed, bit for bit, computed as arrays over the block's
 seeds, and the rows that array pass cannot give (a short block, NumPy's
@@ -63,7 +63,7 @@ builds those no hover point changes and `link_terms` the rest, equal entry
 for entry to the scalar references in `oracles`; `round_model` computes a
 block of rounds from them by gathers over the (R, m) cohorts and row maxima.
 Each refusal evaluates the model it guards; the slowest possible round is
-`round_model` over one cohort of every user, which `rounds_within` reads.
+`round_model` over one cohort of every user.
 A repeat's result is a record array, a row per kept round (ROUND_COLUMNS).
 `ExperimentResult.mean` averages a column over the rounds all repeats
 completed, so every mean covers exactly `repeats` instances.
@@ -241,7 +241,6 @@ class Scenario:
     initial_flight_energy: float = 0.0  # flat cost of reaching the hover point
     ground_height: float = 10.0  # server antenna height in the a2g form
     aerial_fraction: float = 0.5  # aerial share of clients in the mixed form
-    user_positions: tuple | None = None  # ((x, y), ...) overrides random deployment
 
     def __post_init__(self):
         if self.form not in FORMS:
@@ -272,19 +271,14 @@ class Scenario:
             raise ValueError("cpu_freq_range must satisfy 0 < min <= max < 2**512")
         if not all(map(math.isfinite, self.fixed_position)):
             raise ValueError("fixed_position must be finite")
-        if self.user_positions is not None and not (
-                np.shape(self.user_positions) == (self.fl.num_users, 2)
-                and np.isfinite(self.user_positions).all()):
-            raise ValueError("user_positions must hold one finite (x, y) per user")
         for name in ("initial_flight_energy", "ground_height", "kappa"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be >= 0 and finite")
         if not 0 <= self.aerial_fraction <= 1:
             raise ValueError("aerial_fraction must be in [0, 1]")
-        # the longest link spans at most the bounding box of the area, the
-        # users and the server, and both altitudes; its rate is the lowest
+        # the longest link spans at most the bounding box of the area (which
+        # holds the users) and the server, and both altitudes; its rate is the lowest
         points = [(0.0, 0.0), (self.area.width, self.area.height),
-                  *(self.user_positions or ()),
                   *([self.fixed_position] if self.placement_scheme == "fixed" else [])]
         xs, ys = zip(*points)
         extent = (max(xs) - min(xs), max(ys) - min(ys), self.uav.altitude, self.ground_height)
@@ -318,13 +312,10 @@ class Topology:
 def build_topology(scenario: Scenario, generator: np.random.Generator) -> Topology:
     """Draw user positions and assign per-layer altitudes for the form."""
     num_users = scenario.fl.num_users
-    if scenario.user_positions is not None:
-        user_xy = np.asarray(scenario.user_positions, dtype=float)
-    else:
-        user_xy = np.column_stack([
-            generator.uniform(0.0, scenario.area.width, size=num_users),
-            generator.uniform(0.0, scenario.area.height, size=num_users),
-        ])
+    user_xy = np.column_stack([
+        generator.uniform(0.0, scenario.area.width, size=num_users),
+        generator.uniform(0.0, scenario.area.height, size=num_users),
+    ])
 
     flying = scenario.uav.altitude
     if scenario.form == "g2a":
@@ -470,9 +461,9 @@ def _network_pass(scenario: Scenario, repeat: int, record: _Repeat, spec: ModelS
                   train_data: Dataset):
     """Place the server and run the round loop of one repeat without training:
     the repeat's result with NaN test metrics, and its `partition` pair if
-    the run trains (else None). A round's cohort is drawn only past the end
-    of `record.cohorts`. Nothing here reads the parameters, so the kept
-    rounds and cohorts are final."""
+    the run trains (else None). A round's cohort is drawn only past the end of
+    `record.cohorts`, and those this pass drew past the refused round are dropped.
+    Nothing here reads the parameters, so the kept rounds and cohorts are final."""
     seed, fl = scenario.master_seed, scenario.fl
     topo = build_topology(scenario, _rng(seed, repeat, "positions"))
     placement = place_server(scenario, topo, _rng(seed, repeat, "placement"))
@@ -509,10 +500,9 @@ def _network_pass(scenario: Scenario, repeat: int, record: _Repeat, spec: ModelS
     ledger = EnergyLedger(fl.num_users, scenario.energy_budget, scenario.budget_entity,
                           scenario.initial_flight_energy)
     blocks, drawn, rnd, kept, size = [], record.cohorts, 0, 0, 0
+    stored = len(drawn)
     while rnd < fl.max_rounds and kept == size:
-        # at most one round past those the budget surely keeps: none drawn ahead
-        size = min(fl.max_rounds - rnd, per_block,
-                   ledger.rounds_within(slowest_server, everyone, *slowest) + 1)
+        size = min(fl.max_rounds - rnd, per_block)
         if len(drawn) < rnd + size:  # each row a read-only view of the block's draw
             block = select_cohorts(fl.num_users, fl.fraction, [
                 child_seed(master, r, "select") for r in range(len(drawn), rnd + size)])
@@ -525,6 +515,7 @@ def _network_pass(scenario: Scenario, repeat: int, record: _Repeat, spec: ModelS
         rnd += size
 
     rounds = rnd - size + kept  # every block but the last kept all its rounds
+    del drawn[max(stored, rounds + 1):]  # this pass's draws past the refused round
     metrics = np.recarray(rounds, ROUND_COLUMNS)
     for name, column in zip(ROUND_COLUMNS.names, zip(*blocks)):
         metrics[name] = np.concatenate(column)

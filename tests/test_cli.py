@@ -21,7 +21,8 @@ from agifl import scenario as scenario_module
 from agifl.channel import ChannelParams
 from agifl.cli import main
 from agifl.config import _SCHEMA, ConfigError, RunConfig, _float, load_config, parse_overrides
-from agifl.scenario import IDX_FILES, load_corpus, load_source, run_scenario
+from agifl.scenario import (IDX_FILES, BlobSource, IdxSource, Scenario, ShapeSource,
+                            load_corpus, load_source, run_scenario)
 
 SMALL_CONFIG = """\
 [scenario]
@@ -143,6 +144,17 @@ class TestConfig:
 
     def test_every_key_has_a_field_case(self):
         assert set(KEY_FIELDS) == {(s, k) for s, keys in _SCHEMA.items() for k in keys}
+
+    def test_every_field_is_the_target_of_exactly_one_key(self):
+        # the converse: no field only Python can set; a key whose target is a
+        # tuple (compare_budgets) sets each of its entries
+        targets = [target for keys in _SCHEMA.values() for _, target in keys.values()]
+        for source in (BlobSource(), IdxSource("/data/mnist"), ShapeSource()):
+            config = RunConfig(scenario=Scenario(source=source, train=False))
+            for leaf in _fields(config):
+                if not leaf.endswith("__class__"):
+                    keys = [t for t in targets if leaf == t or leaf.startswith(t + ".")]
+                    assert len(keys) == 1, (leaf, keys)
 
     @pytest.mark.parametrize("key", list(KEY_FIELDS), ids=".".join)
     def test_each_key_sets_exactly_its_field(self, key, tmp_path, monkeypatch):

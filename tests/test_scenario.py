@@ -19,8 +19,8 @@ from agifl.oracles import (rate_direct, round_duration, tx_time, uav_round_energ
                            user_compute_energy, user_compute_time)
 from agifl.placement import Area, min_sum_dist, random_placement
 from agifl.scenario import (FORMS, PLACEMENT_SCHEMES, ROUND_COLUMNS, BlobSource, Scenario,
-                            ShapeSource, build_topology, link_terms, load_corpus, load_source,
-                            place_server, run_repeat, run_scenario, user_terms)
+                            ShapeSource, Topology, build_topology, link_terms, load_corpus,
+                            load_source, place_server, run_repeat, run_scenario, user_terms)
 from agifl.seeding import child_seed, rng
 
 
@@ -103,12 +103,11 @@ class TestTopology:
         assert set(np.unique(topo.user_alt)) == {0.0, 100.0}
 
     def test_min_sum_dist_matches_placement_module(self):
-        users = ((100.0, 100.0), (300.0, 100.0), (200.0, 400.0),
-                 (150.0, 250.0), (250.0, 250.0), (180.0, 300.0))
-        sc = small_scenario(user_positions=users)
-        topo = build_topology(sc, rng(4, "pos"))
-        placement = place_server(sc, topo, rng(4, "placement"))
-        direct = min_sum_dist(np.asarray(users), 100.0)
+        users = np.array([(100.0, 100.0), (300.0, 100.0), (200.0, 400.0),
+                          (150.0, 250.0), (250.0, 250.0), (180.0, 300.0)])
+        topo = Topology(user_xy=users, user_alt=np.zeros(6), server_alt=100.0)
+        placement = place_server(small_scenario(), topo, rng(4, "placement"))
+        direct = min_sum_dist(users, 100.0)
         assert placement.x == direct.x
         assert placement.y == direct.y
 
@@ -207,15 +206,16 @@ class TestRunScenario:
         assert result.common_rounds == 4
         assert all(math.isnan(m.test_acc) for m in result.repeats[0].metrics)
 
-    def test_timing_only_payload_and_round_timing(self):
+    def test_timing_only_payload_and_round_timing(self, monkeypatch):
         # logistic on 784/10 -> 7850 params x 32 bits, all nodes co-located
         # under the server: every timing term is hand-computable up to the
         # seeded CPU frequency in [1.8, 2.0] GHz
         sc = small_scenario(source=ShapeSource(num_samples=600, input_dim=784,
                                                num_classes=10),
                             train=False, repeats=1,
-                            placement_scheme="fixed", fixed_position=(0.0, 0.0),
-                            user_positions=tuple((0.0, 0.0) for _ in range(6)))
+                            placement_scheme="fixed", fixed_position=(0.0, 0.0))
+        monkeypatch.setattr(scenario_module, "build_topology", lambda sc, generator: replace(
+            build_topology(sc, generator), user_xy=np.zeros((6, 2))))
         rep = run_repeat(sc, 0)
         t_down = 251200 / (1e6 * math.log2(11))
         t_up = 251200 / ((1e6 / 3) * math.log2(101))
@@ -368,12 +368,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="fixed_position must be finite"):
             small_scenario(placement_scheme="fixed", fixed_position=position)
 
-    @pytest.mark.parametrize("positions", [((0.0, 0.0),) * 5,
-                                           ((math.nan, 0.0),) + ((1.0, 1.0),) * 5])
-    def test_user_positions_checked_when_built(self, positions):
-        with pytest.raises(ValueError, match="user_positions must hold one finite"):
-            small_scenario(user_positions=positions)
-
     # the last two: the square of the maximum overflows
     @pytest.mark.parametrize("cpu_range", [(1e9, math.inf), (math.inf, math.inf),
                                            (1e9, 1.35e154), (1e199, 1e200)])
@@ -412,9 +406,7 @@ class TestValidation:
         dict(channel=ChannelParams(noise=1e27)),
         dict(placement_scheme="fixed", fixed_position=(1e200, 0.0)),
         dict(placement_scheme="fixed", fixed_position=(-4e10, 0.0)),
-        dict(user_positions=((0.0, 0.0),) * 5 + ((0.0, 4e10),)),
-    ], ids=["area", "altitude", "noise", "fixed-position", "negative-fixed-position",
-            "user-position"])
+    ], ids=["area", "altitude", "noise", "fixed-position", "negative-fixed-position"])
     def test_geometry_with_a_zero_rate_rejected(self, kwargs):
         # the SNR at the longest link adds nothing to 1, so its rate is 0
         with pytest.raises(ValueError, match="rate is zero"):
@@ -681,8 +673,10 @@ class TestPerUserArrays:
     def test_coincident_user_raises_before_any_round(self, monkeypatch):
         # a2a: the sum-distance optimum of three collinear users on the
         # server's layer is the middle user, so its link has zero length
-        sc = small_scenario(form="a2a", user_positions=((0, 0), (50, 0), (100, 0)),
-                            fl=FlConfig(num_users=3, fraction=1.0, max_rounds=3))
+        sc = small_scenario(form="a2a", fl=FlConfig(num_users=3, fraction=1.0, max_rounds=3))
+        monkeypatch.setattr(scenario_module, "build_topology", lambda sc, generator: replace(
+            build_topology(sc, generator), user_xy=np.array([(0.0, 0.0), (50.0, 0.0),
+                                                             (100.0, 0.0)])))
         monkeypatch.setattr(scenario_module, "select_cohorts",
                             lambda *args: pytest.fail("a round started"))
         for repeat in (0, 1):
@@ -1171,18 +1165,21 @@ class TestFederationStores:
         assert ids == 2 * 50 * 1000
         assert kept <= 16 * ids
 
-    @pytest.mark.parametrize("num_users, fraction", [(6, 0.5), (4000, 0.75)],
-                             ids=["small-cohorts", "cohorts-split-into-blocks"])
+    @pytest.mark.parametrize("num_users, fraction", [(6, 0.5), (2000, 0.35), (4000, 0.75)],
+                             ids=["small-cohorts", "five-round-blocks",
+                                  "cohorts-split-into-blocks"])
     @pytest.mark.parametrize("entity", ["uav", "user:3"])
     def test_a_record_holds_the_cohorts_a_round_by_round_loop_draws(
             self, entity, num_users, fraction):
-        # a halted repeat drew its kept rounds and the round the ledger
-        # refused, an unhalted one every round: no block draws ahead
+        # a halted repeat's record holds its kept rounds and the round the
+        # ledger refused, an unhalted one's every round: the network pass
+        # drops what its last block drew past the refused round
         sc = Scenario(fl=FlConfig(num_users=num_users, fraction=fraction, max_rounds=12),
                       source=ShapeSource(num_samples=100 * num_users), train=False,
                       repeats=6, budget_entity=entity, master_seed=2)
         clear_stores()
         totals = sorted(rep.ledger.total(entity) for rep in run_scenario(sc).repeats)
+        halted = []
         for budget, halts in ((totals[2], {"budget", "max_rounds"}), (1e-9, {"budget"})):
             clear_stores()
             result = run_scenario(replace(sc, energy_budget=budget))
@@ -1191,6 +1188,9 @@ class TestFederationStores:
             for rep in result.repeats:
                 assert len(store[rep.repeat].cohorts) == (
                     len(rep.metrics) + 1 if rep.halt_reason == "budget" else 12)
+            halted += [len(rep.metrics) for rep in result.repeats if rep.halt_reason == "budget"]
+        # some repeat halts past round 5: with 700-member cohorts, inside a later 5-round block
+        assert max(halted) > 5
 
     def test_a_block_of_rounds_draws_the_cohorts_of_a_round_by_round_loop(self, monkeypatch):
         # the case study's 100 rounds fill one block, which draws its 2-of-100 cohorts
