@@ -23,12 +23,12 @@ geometry and the cohort. So a repeat runs in two passes. The network pass
 places the server and runs the round loop without training, which fixes
 every kept round, its cohort and the halt. The learning pass then trains
 those cohorts: round r packs the cohorts of every repeat that kept more
-than r rounds, in repeat order, into `fedavg.run_round` calls of at most
-LANE_CEILING lanes (a call holds at least one repeat), and evaluates each
-repeat on its own. Every lane equals a lone client's training bit for
-bit, so which repeats share a call changes no output. `run_scenario`
-gives each process (`jobs`) one contiguous, near-equal share of the
-repeats, and `run_repeat` is a share of one.
+than r rounds, in repeat order, into `fedavg.run_round` calls that hold
+at most MAX_CALL_FLOATS floats (a call holds at least one repeat), and
+evaluates each repeat on its own. Every lane equals a lone client's
+training bit for bit, so which repeats share a call changes no output.
+`run_scenario` gives each process (`jobs`) one contiguous, near-equal
+share of the repeats, and `run_repeat` is a share of one.
 
 Within a process, each cohort is drawn and each repeat trained once per
 federation, and every run of it reads its rounds off that shared work:
@@ -105,9 +105,9 @@ __all__ = [
 
 FORMS = ("g2a", "a2g", "a2a", "mixed")
 PLACEMENT_SCHEMES = ("min_sum_dist", "random", "fixed")
-# Lanes per train_cohort call: the per-lane cost stops falling at about
-# 8-16 lanes, while the call's memory keeps growing with the lanes.
-LANE_CEILING = 16
+# Floats one train_cohort call may hold: 2 MiB, the per-core L2 of the 2-vCPU Xeon it
+# was tuned on. The per-lane cost falls with the lanes while a call stays in cache
+MAX_CALL_FLOATS = 2 ** 18
 # Member-rounds per round_model block: caps the gathers' peak memory.
 BLOCK_MEMBER_ROUNDS = 4096
 # SGD lane-steps one repeat may train (local_epochs x each kept member's steps per
@@ -533,8 +533,12 @@ def _learning_pass(scenario: Scenario, spec: ModelSpec, reps, records, shards,
     continues the training its record holds, so only the kept rounds beyond
     it train: round `rnd` trains the cohorts of every repeat that kept more
     than `rnd` rounds and has trained exactly `rnd`, in repeat order, in
-    `run_round` calls of at most LANE_CEILING lanes (at least one repeat). A repeat
-    whose kept rounds would take more than MAX_LANE_STEPS is refused first."""
+    `run_round` calls of as many repeats as keep a call's floats within
+    MAX_CALL_FLOATS (at least one repeat). A lane holds its weights and
+    gradient (2P), its gathered batch rows (b(d+1)) and the MLP's activations
+    (b(h+1)), b being the batch size or the largest shard if that is smaller.
+    A repeat whose kept rounds would take more than MAX_LANE_STEPS is refused
+    first."""
     seed, stride, hyper = scenario.master_seed, scenario.eval_stride, scenario.fl.hyper
     for rep, (_, offsets) in zip(reps, shards):  # Python ints: local_epochs is unbounded
         steps = -(-np.diff(offsets) // hyper.batch_size)  # each user's SGD steps per epoch
@@ -543,7 +547,12 @@ def _learning_pass(scenario: Scenario, spec: ModelSpec, reps, records, shards,
             raise ValueError(f"local_epochs {hyper.local_epochs} would train repeat "
                              f"{rep.repeat} past {MAX_LANE_STEPS:.0e} SGD lane-steps "
                              "(epochs x each kept member's ceil(shard / batch_size))")
-    per_call = max(1, LANE_CEILING // cohort_size(scenario.fl.num_users, scenario.fl.fraction))
+    batch = min(hyper.batch_size, max(int(np.diff(offsets).max()) for _, offsets in shards))
+    lane_floats = 2 * param_count(spec) + batch * (spec.input_dim + 1)
+    if spec.kind == "mlp":
+        lane_floats += batch * (spec.hidden_dim + 1)
+    per_call = max(1, MAX_CALL_FLOATS
+                   // (lane_floats * cohort_size(scenario.fl.num_users, scenario.fl.fraction)))
     for rep, record in zip(reps, records):
         if record.params is None:
             record.params = init_model(spec, child_seed(seed, rep.repeat, "init"))

@@ -859,17 +859,38 @@ def assert_same_repeats(got, want, num_users):
         assert ledger_totals(a, num_users) == ledger_totals(b, num_users)
 
 
+def lane_floats(spec, batch):
+    """The floats a lane of a training call holds: its weights and gradient,
+    its gathered batch rows and the MLP's activations."""
+    floats = 2 * param_count(spec) + batch * (spec.input_dim + 1)
+    return floats + batch * (spec.hidden_dim + 1) if spec.kind == "mlp" else floats
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Each `train_cohort` call's lane count, spec and batch size."""
+    real_train, recorded = fedavg_module.train_cohort, []
+
+    def recording_train(params, design, labels, lanes, spec, hyper, seeds):
+        recorded.append((len(lanes), spec, hyper.batch_size))
+        return real_train(params, design, labels, lanes, spec, hyper, seeds)
+
+    monkeypatch.setattr(fedavg_module, "train_cohort", recording_train)
+    return recorded
+
+
 class TestLockstepGroups:
     """A repeat trained with others in lockstep calls, serially or through
     the pool, equals the repeat run alone; no lockstep call holds more than
-    LANE_CEILING lanes unless one repeat's cohort alone does; each round
-    packs its live repeats into as few calls as that allows; and each
-    process runs one contiguous share of the repeats."""
+    MAX_CALL_FLOATS floats unless it holds one repeat; each round packs its
+    live repeats into as few calls as that allows; and each process runs one
+    contiguous share of the repeats."""
 
     @settings(max_examples=30, deadline=None)
     @given(form=st.sampled_from(FORMS), partition_scheme=st.sampled_from(["iid", "sharded"]),
            kind=st.sampled_from(["logistic", "mlp"]), eval_stride=st.sampled_from([1, 3]),
-           # cohorts of 3 (five repeats to a call) and of 18 (one repeat to a call)
+           # under a bound of 1,200 floats, cohorts of 3 put five logistic or two MLP
+           # repeats in a call, and cohorts of 18 one
            users=st.sampled_from([(6, 0.5), (20, 0.9)]), repeats=st.integers(1, 7),
            pick=st.floats(0.3, 1.0), seed=st.integers(0, 3))
     def test_group_members_equal_lone_repeats(self, form, partition_scheme, kind,
@@ -887,47 +908,40 @@ class TestLockstepGroups:
         sc = replace(sc, energy_budget=pick * max(rep.metrics[-1].budget_total
                                                   for rep in probe.repeats))
         alone = [run_repeat(sc, r) for r in range(repeats)]
-        for jobs in (1, 2):
-            clear_stores()  # so the shares train, not read what the lone repeats trained
-            assert_same_repeats(run_scenario(sc, jobs=jobs).repeats, alone, num_users)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenario_module, "MAX_CALL_FLOATS", 1200)
+            for jobs in (1, 2):
+                clear_stores()  # so the shares train, not read what the lone repeats trained
+                assert_same_repeats(run_scenario(sc, jobs=jobs).repeats, alone, num_users)
 
-    @pytest.mark.parametrize("num_users, fraction, repeats, calls_per_round", [
-        (100, 0.02, 20, 3),  # cohorts of 2: calls of 8, 8 and 4 repeats
-        (70, 0.1, 5, 3),     # cohorts of 7: calls of 2, 2 and 1
-        (20, 0.9, 3, 3),     # a cohort of 18 exceeds the ceiling alone
+    # 700 samples a class: every shard holds at least a batch, so a logistic lane holds
+    # 2 x 15 + 10 x 5 = 80 floats; under a bound of 1,280, a call holds 8 repeats of
+    # 2-client cohorts, 2 of 7-client ones, and one 18-client cohort exceeds it alone
+    @pytest.mark.parametrize("num_users, fraction, repeats, bound, calls_per_round", [
+        (100, 0.02, 20, 1280, 3),  # cohorts of 2: calls of 8, 8 and 4 repeats
+        (70, 0.1, 5, 1280, 3),     # cohorts of 7: calls of 2, 2 and 1
+        (20, 0.9, 3, 1280, 3),     # a cohort of 18 exceeds the bound alone
+        (100, 0.02, 20, None, 1),  # the module's bound: the case study's cohorts in one call
     ])
-    def test_lockstep_calls_within_lane_ceiling(self, monkeypatch, num_users, fraction,
-                                                repeats, calls_per_round):
-        import agifl.fedavg as fedavg
-
-        real_train, lanes = fedavg.train_cohort, []
-
-        def recording_train(params, features, labels, lanes_, *args):
-            lanes.append(len(lanes_))
-            return real_train(params, features, labels, lanes_, *args)
-
-        monkeypatch.setattr(fedavg, "train_cohort", recording_train)
+    def test_lockstep_calls_within_float_bound(self, monkeypatch, calls, num_users, fraction,
+                                               repeats, bound, calls_per_round):
+        if bound is not None:
+            monkeypatch.setattr(scenario_module, "MAX_CALL_FLOATS", bound)
         sc = small_scenario(fl=FlConfig(num_users=num_users, fraction=fraction,
                                         hyper=Hyperparams(local_epochs=1), max_rounds=2),
-                            source=BlobSource(num_classes=3, samples_per_class=100,
+                            source=BlobSource(num_classes=3, samples_per_class=700,
                                               test_samples_per_class=5, input_dim=4),
                             repeats=repeats)
         result = run_scenario(sc)
         cohort = cohort_size(num_users, fraction)
-        assert len(lanes) == 2 * calls_per_round
-        assert max(lanes) <= max(scenario_module.LANE_CEILING, cohort)
-        assert sum(lanes) == sum(len(m.selected) for rep in result.repeats
-                                 for m in rep.metrics)
+        assert len(calls) == 2 * calls_per_round
+        for lanes, spec, batch in calls:
+            assert (lanes * lane_floats(spec, batch) <= scenario_module.MAX_CALL_FLOATS
+                    or lanes == cohort)
+        assert sum(lanes for lanes, *_ in calls) == sum(
+            len(m.selected) for rep in result.repeats for m in rep.metrics)
 
-    def test_each_round_packs_its_live_repeats(self, monkeypatch):
-        import agifl.fedavg as fedavg
-
-        real_train, lanes = fedavg.train_cohort, []
-
-        def recording_train(params, design, labels, lanes_, *args):
-            lanes.append(len(lanes_))
-            return real_train(params, design, labels, lanes_, *args)
-
+    def test_each_round_packs_its_live_repeats(self, monkeypatch, calls):
         # cohorts of 3, five repeats to a call; the repeats halt at different rounds
         sc = small_scenario(fl=FlConfig(num_users=6, fraction=0.5, max_rounds=8,
                                         hyper=Hyperparams(local_epochs=1, batch_size=10)),
@@ -936,16 +950,57 @@ class TestLockstepGroups:
         sc = replace(sc, energy_budget=0.6 * max(rep.metrics[-1].budget_total
                                                  for rep in probe.repeats))
         clear_stores()
-        monkeypatch.setattr(fedavg, "train_cohort", recording_train)
+        spec = ModelSpec("logistic", 4, 3, sc.hidden_dim)  # shards of 15: a batch of 10
+        monkeypatch.setattr(scenario_module, "MAX_CALL_FLOATS", 5 * 3 * lane_floats(spec, 10))
         result = run_scenario(sc)
         kept = [len(rep.metrics) for rep in result.repeats]
         live = [[i for i, k in enumerate(kept) if k > rnd] for rnd in range(max(kept))]
         # some round's live repeats sit apart, with halted repeats between them
         assert any(ids != list(range(ids[0], ids[-1] + 1)) for ids in live)
-        per_call = scenario_module.LANE_CEILING // 3
-        assert len(lanes) == sum(math.ceil(len(ids) / per_call) for ids in live)
-        assert lanes == [3 * len(ids[start:start + per_call]) for ids in live
-                         for start in range(0, len(ids), per_call)]
+        assert {(spec_, batch) for _, spec_, batch in calls} == {(spec, 10)}
+        per_call = scenario_module.MAX_CALL_FLOATS // (3 * lane_floats(spec, 10))
+        assert per_call == 5
+        assert len(calls) == sum(math.ceil(len(ids) / per_call) for ids in live)
+        assert [lanes for lanes, *_ in calls] == [
+            3 * len(ids[start:start + per_call]) for ids in live
+            for start in range(0, len(ids), per_call)]
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_packings_give_the_same_bytes(self, monkeypatch, calls, kind):
+        # 100 samples over 7 users: shards of 14 and 15; a budget under which the
+        # repeats halt at different rounds
+        sc = small_scenario(fl=FlConfig(num_users=7, fraction=0.5, max_rounds=9,
+                                        hyper=Hyperparams(local_epochs=2, batch_size=4)),
+                            source=BlobSource(num_classes=4, samples_per_class=25,
+                                              test_samples_per_class=10, input_dim=5,
+                                              spread=0.1),
+                            model_kind=kind, hidden_dim=3, eval_stride=3, repeats=6)
+        probe = run_scenario(replace(sc, train=False))
+        sc = replace(sc, energy_budget=0.7 * max(rep.metrics[-1].budget_total
+                                                 for rep in probe.repeats))
+        runs = []
+        for bound in (1, 2 ** 62):  # one repeat to a call, then every live repeat in one
+            monkeypatch.setattr(scenario_module, "MAX_CALL_FLOATS", bound)
+            clear_stores()
+            calls.clear()
+            result = run_scenario(sc)
+            store = scenario_module._store(scenario_module._federation(sc))
+            runs.append((result, dict(store), [lanes for lanes, *_ in calls]))
+        (one, one_store, one_calls), (packed, packed_store, packed_calls) = runs
+        kept = [len(rep.metrics) for rep in one.repeats]
+        assert len(set(kept)) > 1 and min(kept) >= 3
+        # the packings differ: one repeat to a call, then each round in one call
+        cohort = cohort_size(7, 0.5)
+        assert set(one_calls) == {cohort} and len(one_calls) == sum(kept)
+        assert len(packed_calls) == max(kept) and max(packed_calls) == cohort * sc.repeats
+        assert_same_repeats(packed.repeats, one.repeats, sc.fl.num_users)
+        assert sorted(packed_store) == sorted(one_store) == list(range(sc.repeats))
+        for r, record in one_store.items():
+            other = packed_store[r]
+            assert other.params.tobytes() == record.params.tobytes()
+            assert repr(other.tests) == repr(record.tests)
+            assert len(other.cohorts) == len(record.cohorts)
+            assert all(np.array_equal(a, b) for a, b in zip(other.cohorts, record.cohorts))
 
     # each process runs one contiguous share of the repeats, whatever the cohort size
     @pytest.mark.parametrize("num_users, fraction, repeats, jobs, sizes", [
