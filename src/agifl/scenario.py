@@ -35,10 +35,11 @@ federation, and every run of it reads its rounds off that shared work:
 `compare-placement` runs the same repeats under two placements, several
 budgets and with and without training. One store, keeping only the last
 federation (`functools.lru_cache(maxsize=1)`, as `load_corpus` does), holds
-that work. Its key is the scenario with the fields that cannot change what
-a repeat draws or trains set to one value (placement scheme, fixed
-position, energy budget and its entity, repeat count, `fl.max_rounds` and
-`train`; every other field stays in the key). It maps each repeat to one
+that work. Its key (`_federation`) is what a repeat's cohorts and training
+read: the master seed, user count and fraction, hyperparameters, source,
+model (hidden width for the MLP), partition (shards per user when sharded)
+and `eval_stride`. Runs that differ in anything else (the network, budget,
+round budget, repeat count or `train`) share it. It maps each repeat to one
 record: its cohorts drawn so far in round order (the read-only arrays
 of its results' `selected` column), its global vector after the rounds
 trained so far and each round's test metrics. The network pass draws a
@@ -74,7 +75,7 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,6 +114,13 @@ BLOCK_MEMBER_ROUNDS = 4096
 # SGD lane-steps one repeat may train (local_epochs x each kept member's steps per
 # epoch): at about 7 us a lane-step on the case study's 32 features, some 20 hours
 MAX_LANE_STEPS = 10 ** 10
+# Member-rounds (max_rounds x cohort size) one repeat may simulate, budget or not (a halt
+# is known only once its rounds run): at the slowest measured 3.5 us a member-round on a
+# 2-vCPU x86-64 host (one-member cohorts; 0.12 us at 3,000 members), about an hour
+MAX_MEMBER_ROUNDS = 10 ** 9
+# Floats a blob corpus's train or test design matrix may hold (512 MiB): an MNIST-sized
+# corpus (60,000 x 785) is built, and one near the cap in both ran in 1.0 GB of RSS
+MAX_BLOB_FLOATS = 2 ** 26
 # A repeat's result, round k in row k - 1: `budget_total` is the budget entity's running
 # total, `selected` the sorted, read-only cohorts its store record holds (not copies)
 ROUND_COLUMNS = np.dtype([(name, float) for name in (
@@ -140,8 +148,10 @@ class BlobSource:
         if not self.spread > 0:
             raise ValueError("blob source needs a positive spread")
         for name in ("samples_per_class", "test_samples_per_class"):
-            _check_float64s("blob", f"num_classes * {name} * (input_dim + 1)",
-                            self.num_classes * getattr(self, name) * (self.input_dim + 1))
+            floats = self.num_classes * getattr(self, name) * (self.input_dim + 1)
+            if floats > MAX_BLOB_FLOATS:
+                raise ValueError(f"blob source: num_classes * {name} * (input_dim + 1) = "
+                                 f"{floats} floats exceed MAX_BLOB_FLOATS = {MAX_BLOB_FLOATS}")
 
 
 @dataclass(frozen=True)
@@ -173,16 +183,9 @@ class ShapeSource:
             raise ValueError("shape source needs input_dim >= 1")
         if not 2 <= self.num_classes <= self.num_samples:
             raise ValueError("shape source needs 2 <= classes <= num_samples")
-        _check_float64s("shape", "num_samples * (input_dim + 1)",
-                        self.num_samples * (self.input_dim + 1))
-
-
-def _check_float64s(source: str, sizes: str, count: int) -> None:
-    """Refuse a design matrix of `count` float64s, which NumPy cannot hold in
-    one array (2**63 - 1 bytes at most)."""
-    if 8 * count >= 2 ** 63:
-        raise ValueError(f"{source} source: {sizes} float64s exceed NumPy's largest "
-                         "array (2**63 - 1 bytes)")
+        if 8 * self.num_samples * (self.input_dim + 1) >= 2 ** 63:
+            raise ValueError("shape source: num_samples * (input_dim + 1) float64s exceed "
+                             "NumPy's largest array (2**63 - 1 bytes)")
 
 
 def load_source(source, seed: int):
@@ -441,18 +444,19 @@ class _Repeat:
     tests: list = field(default_factory=list)
 
 
-def _federation(scenario: Scenario) -> Scenario:
-    """The scenario with one value for each field that cannot change what its
-    repeats draw or train: the placement (the hover point), the budget and
-    its entity (the halts), the repeat count, the round budget and whether
-    it trains. Every other field keys the store."""
-    return replace(scenario, placement_scheme="fixed", fixed_position=(0.0, 0.0),
-                   energy_budget=math.inf, budget_entity="uav", repeats=1, train=False,
-                   fl=replace(scenario.fl, max_rounds=0))
+def _federation(scenario: Scenario) -> tuple:
+    """The store's key: the fields a repeat's cohorts (seed, users, fraction)
+    and training (the rest) read, each conditional one only where it is read."""
+    fl, mlp, sharded = (scenario.fl, scenario.model_kind == "mlp",
+                        scenario.partition_scheme == "sharded")
+    return (scenario.master_seed, fl.num_users, fl.fraction, fl.hyper, scenario.source,
+            scenario.model_kind, scenario.hidden_dim if mlp else None,
+            scenario.partition_scheme, scenario.shards_per_user if sharded else None,
+            scenario.eval_stride)
 
 
 @functools.lru_cache(maxsize=1)
-def _store(federation: Scenario) -> dict:
+def _store(federation: tuple) -> dict:
     """Each repeat's _Repeat, keeping the last federation's."""
     return collections.defaultdict(_Repeat)
 
@@ -495,7 +499,11 @@ def _network_pass(scenario: Scenario, repeat: int, record: _Repeat, spec: ModelS
                              f"time or energy, or {fl.max_rounds} of them over "
                              f"{scenario.repeats} repeats overflow a total (bandwidths, powers, "
                              "cycles, kappa, payload, rounds or flight energy)")
-    per_block = max(1, BLOCK_MEMBER_ROUNDS // cohort_size(fl.num_users, fl.fraction))
+    m = cohort_size(fl.num_users, fl.fraction)
+    if fl.max_rounds * m > MAX_MEMBER_ROUNDS:
+        raise ValueError(f"max_rounds {fl.max_rounds} would simulate repeat {repeat} past "
+                         f"{MAX_MEMBER_ROUNDS:.0e} member-rounds (max_rounds x cohort size {m})")
+    per_block = max(1, BLOCK_MEMBER_ROUNDS // m)
 
     ledger = EnergyLedger(fl.num_users, scenario.energy_budget, scenario.budget_entity,
                           scenario.initial_flight_energy)

@@ -543,6 +543,17 @@ class TestInvalidInputExits1:
         pytest.param(["run", "quick.ini", f"--fl.local_epochs={10 ** 20}", "--jobs", "2"],
                      f"local_epochs {10 ** 20} would train repeat 0 past 1e+10 SGD lane-steps",
                      id="pool-worker-huge-local-epochs"),
+        # so is a round budget past the member-round bound
+        *(pytest.param(["run", "quick.ini", "--scenario.train=false",
+                        f"--scenario.max_rounds={10 ** 18}", *jobs],
+                       f"max_rounds {10 ** 18} would simulate repeat 0 past 1e+09 member-rounds",
+                       id=name)
+          for name, jobs in [("huge-max-rounds", []),
+                             ("pool-worker-huge-max-rounds", ["--jobs", "2"])]),
+        # a blob corpus past MAX_BLOB_FLOATS is refused with the config
+        pytest.param(["run", "quick.ini", f"--data.input_dim={10 ** 6}"],
+                     "blob source: num_classes * samples_per_class * (input_dim + 1) = "
+                     f"{400 * (10 ** 6 + 1)} floats exceed MAX_BLOB_FLOATS", id="huge-blob-corpus"),
         # corpora NumPy cannot hold in one array are refused with the config
         *(pytest.param(["run", "quick.ini", *shape, f"--data.{key}={2 ** power}"],
                        f"{source} source: {fields}", id=f"{key}-2**{power}")
@@ -659,6 +670,12 @@ class TestBoundaryValues:
              partition="iid")
     @example(overrides=[f"--fl.local_epochs={10 ** 20}"], train=True, partition="iid")
     @example(overrides=[f"--fl.local_epochs={10 ** 20}"], train=False, partition="sharded")
+    # work-scaling keys past their bounds, which without them hang or raise MemoryError
+    @example(overrides=[f"--scenario.max_rounds={10 ** 18}"], train=False, partition="iid")
+    @example(overrides=[f"--scenario.max_rounds={10 ** 18}"], train=True, partition="sharded")
+    @example(overrides=[f"--data.classes={10 ** 6}"], train=True, partition="iid")
+    @example(overrides=[f"--data.samples_per_class={10 ** 12}"], train=False, partition="iid")
+    @example(overrides=[f"--data.input_dim={10 ** 9}"], train=True, partition="iid")
     # four keys: a one- or two-key draw cannot make every squared distance underflow
     @example(overrides=["--uav.altitude_m=1e-200", "--scenario.area_width_m=1e-200",
                         "--scenario.area_height_m=1e-200", "--scenario.ground_height_m=0"],

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from agifl import fedavg as fedavg_module
 from agifl import scenario as scenario_module
 from agifl.channel import ChannelParams
-from agifl.data import partition
+from agifl.data import PARTITION_SCHEMES, partition
 from agifl.energy import UavProfile
 from agifl.fedavg import FlConfig, cohort_size, select_clients
 from agifl.models import Hyperparams, ModelSpec, param_count
@@ -459,18 +459,45 @@ class TestValidation:
     ])
     def test_corpus_past_numpys_largest_array_rejected(self, source, kwargs, rows, message):
         # NumPy refuses the (rows, d + 1) float64 design matrix; a zero-stride
-        # view of that shape is refused alike, without allocating anything
+        # view of that shape is refused alike, without allocating anything, and
+        # a blob corpus, far past MAX_BLOB_FLOATS, by that bound
         columns = kwargs.get("input_dim", source().input_dim) + 1
         with pytest.raises(ValueError):
             np.broadcast_to(np.zeros(1), (rows, columns))
-        with pytest.raises(ValueError, match=f"{message}.* exceed NumPy's largest array"):
+        bound = "MAX_BLOB_FLOATS" if source is BlobSource else "NumPy's largest array"
+        with pytest.raises(ValueError, match=f"{message}.* exceed {bound}"):
             source(**kwargs)
 
     def test_corpus_at_numpys_largest_array_is_built(self):
         # one row fewer than the last case above: NumPy takes the shape
         assert np.broadcast_to(np.zeros(1), (2 ** 59 - 1, 2)).nbytes == 2 ** 63 - 16
         ShapeSource(num_samples=2 ** 59 - 1, input_dim=1)
-        BlobSource(num_classes=2, samples_per_class=2 ** 52 - 1, input_dim=127)
+
+    def test_blob_corpus_at_the_float_cap_is_built(self):
+        # the bound is on the train and on the test design matrix, each of
+        # classes x samples x (d + 1) floats; a 60,000-sample corpus at 784 features is
+        # within it
+        cap = scenario_module.MAX_BLOB_FLOATS
+        BlobSource(samples_per_class=6000, test_samples_per_class=1000, input_dim=784)
+        BlobSource(num_classes=2, samples_per_class=cap // 256,
+                   test_samples_per_class=cap // 256, input_dim=127)
+        for split in ("samples_per_class", "test_samples_per_class"):
+            with pytest.raises(ValueError, match=f"num_classes \\* {split} \\* \\(input_dim "
+                               f"\\+ 1\\) = {cap + 256} floats exceed MAX_BLOB_FLOATS"):
+                BlobSource(num_classes=2, input_dim=127, **{split: cap // 256 + 1})
+
+    @pytest.mark.parametrize("budget", [math.inf, 1e-9])
+    def test_member_rounds_past_the_bound_refused_before_any_round(self, monkeypatch, budget):
+        # a budget that halts every repeat in round 1 does not lift the bound
+        sc = small_scenario(train=False, energy_budget=budget)
+        m = cohort_size(sc.fl.num_users, sc.fl.fraction)
+        monkeypatch.setattr(scenario_module, "MAX_MEMBER_ROUNDS", 10)
+        run_scenario(replace(sc, fl=replace(sc.fl, max_rounds=10 // m)))
+        clear_stores()
+        with pytest.raises(ValueError, match=f"max_rounds {10 // m + 1} would simulate repeat 0 "
+                           f"past 1e\\+01 member-rounds \\(max_rounds x cohort size {m}\\)"):
+            run_scenario(replace(sc, fl=replace(sc.fl, max_rounds=10 // m + 1)))
+        assert not scenario_module._store(scenario_module._federation(sc))[0].cohorts
 
 
 class TestDerivedCorpus:
@@ -1100,6 +1127,54 @@ STORE_RUN = st.fixed_dictionaries({
 })
 
 
+def scenario_leaves(node, path=()):
+    """Each (path, value) leaf of a Scenario, a field that holds no dataclass,
+    listed from `dataclasses.fields`."""
+    for f in fields(node):
+        value = getattr(node, f.name)
+        if is_dataclass(value):
+            yield from scenario_leaves(value, path + (f.name,))
+        else:
+            yield path + (f.name,), value
+
+
+def with_leaf(node, path, value):
+    head, *rest = path
+    return replace(node, **{head: with_leaf(getattr(node, head), rest, value) if rest else value})
+
+
+# the values of each str leaf, by field name
+STR_LEAVES = {"form": FORMS, "placement_scheme": PLACEMENT_SCHEMES,
+              "budget_entity": ("uav", "user:0", "user:5"), "model_kind": ("logistic", "mlp"),
+              "partition_scheme": PARTITION_SCHEMES}
+
+
+def perturbed(path, value):
+    """A strategy for a value other than `value` that a small scenario accepts
+    at leaf `path`; a leaf type, or str field, it has none for fails the test."""
+    kind = type(value)
+    if kind is bool:
+        return st.just(not value)
+    if kind is int:  # up: each int has a lower bound; the store runs in both orders
+        return st.integers(value + 1, value + 3)
+    if kind is float and value in (0.0, math.inf):  # kappa, flight energy, the budget
+        return st.integers(-12, 3).map(lambda e: 10.0 ** e)
+    if kind is float:
+        return st.floats(0.5, 2.0).map(lambda s: value * s).filter(lambda v: v != value)
+    if kind is tuple:  # one factor, so a frequency range stays ordered
+        return st.floats(0.5, 2.0).map(lambda s: tuple(v * s for v in value)).filter(
+            lambda v: v != value)
+    if kind is str and path[-1] in STR_LEAVES:
+        return st.sampled_from([v for v in STR_LEAVES[path[-1]] if v != value])
+    pytest.fail(f"no strategy for the Scenario leaf {'.'.join(path)} of type {kind.__name__}")
+
+
+def store_records(sc):
+    """The store's records, as (cohorts, global vector, test metrics) by repeat."""
+    store = scenario_module._store(scenario_module._federation(sc))
+    return {r: (record.cohorts, record.params, record.tests) for r, record in sorted(store.items())}
+
+
 class TestFederationStores:
     """Every run of a federation reads the cohorts drawn and the rounds
     trained by earlier runs in the process, draws and trains only beyond
@@ -1143,6 +1218,59 @@ class TestFederationStores:
         clear_stores()
         for sc, run, want in zip(scenarios, runs, cold):
             assert_same_repeats(run_scenario(sc, jobs=run["jobs"]).repeats, want, 6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["logistic", "mlp"]), scheme=st.sampled_from(PARTITION_SCHEMES),
+           stride=st.sampled_from([1, 2]), data=st.data())
+    def test_a_field_outside_the_key_changes_no_stored_work(self, kind, scheme, stride, data):
+        # every leaf whose change leaves the key as it is may change at once; the
+        # store then holds what the two runs drew and trained, in either order
+        base = small_scenario(model_kind=kind, hidden_dim=3, partition_scheme=scheme,
+                              eval_stride=stride)
+        sc, key = base, scenario_module._federation(base)
+        for path, value in scenario_leaves(base):
+            new = data.draw(st.none() | perturbed(path, value), label=".".join(path))
+            if new is not None and scenario_module._federation(with_leaf(base, path, new)) == key:
+                sc = with_leaf(sc, path, new)
+        assert scenario_module._federation(sc) == key
+
+        def run(scenario):
+            try:
+                return run_scenario(scenario).repeats
+            except ValueError as exc:  # a refusal, as a coincident link, is the same either way
+                return str(exc)
+
+        clear_stores()
+        warm_base, warm = run(base), run(sc)  # sc on the store base filled
+        warm_records = store_records(sc)
+        clear_stores()
+        cold, cold_base = run(sc), run(base)  # sc on a cleared store
+        cold_records = store_records(sc)
+        for got, want in ((warm, cold), (warm_base, cold_base)):
+            assert isinstance(got, str) == isinstance(want, str)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert_same_repeats(got, want, sc.fl.num_users)
+        assert warm_records.keys() == cold_records.keys()
+        for (cohorts, params, tests), (want_cohorts, want_params, want_tests) in zip(
+                warm_records.values(), cold_records.values()):
+            assert len(cohorts) == len(want_cohorts)
+            assert all(np.array_equal(a, b) for a, b in zip(cohorts, want_cohorts))
+            assert (params is None and want_params is None) or (
+                params.tobytes() == want_params.tobytes())
+            assert tests == want_tests
+
+    @pytest.mark.parametrize("network", ["--uav.altitude_m=120", "--channel.bandwidth_hz=2e6"])
+    def test_a_network_field_draws_and_trains_nothing(self, work, network, tmp_path):
+        from agifl import cli
+
+        config = str(Path(__file__).resolve().parents[1] / "configs" / "quick.ini")
+        assert cli.main(["run", config, "--out", str(tmp_path / "base")]) == 0
+        code, network_work = work_of(
+            lambda: cli.main(["run", config, network, "--out", str(tmp_path / "network")]), work)
+        assert code == 0
+        assert network_work == {"cohorts": 0, "trained": 0, "evaluate": 0}
 
     def test_compare_placement_draws_and_trains_once(self, work, tmp_path):
         from agifl import cli
