@@ -30,10 +30,13 @@ __all__ = [
     "synth_blobs",
     "partition",
     "PARTITION_SCHEMES",
+    "CENTER_TRIES",
     "IMAGES_MAGIC",
     "LABELS_MAGIC",
 ]
 
+# Candidates `_blob_centers` checks for one class center before it keeps the next
+CENTER_TRIES = 200
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 PARTITION_SCHEMES = ("iid", "sharded")
@@ -111,7 +114,8 @@ def _blob_centers(num_classes: int, input_dim: int) -> np.ndarray:
     Centers depend only on the geometry (class count, dimension), never on
     the dataset seed, and differ across all feature dimensions so the class
     signal is distributed rather than confined to a plane. A minimum
-    separation is enforced by redrawing close candidates.
+    separation is enforced by redrawing close candidates: at most
+    CENTER_TRIES checks per center, each against every earlier center.
     """
     if input_dim == 1:
         return ((np.arange(num_classes) + 1) / (num_classes + 1)).reshape(-1, 1)
@@ -119,7 +123,7 @@ def _blob_centers(num_classes: int, input_dim: int) -> np.ndarray:
     centers = np.empty((num_classes, input_dim))
     for c in range(num_classes):
         cand = gen.uniform(0.25, 0.75, size=input_dim)
-        for _ in range(200):
+        for _ in range(CENTER_TRIES):
             if c == 0 or np.linalg.norm(centers[:c] - cand, axis=1).min() >= 0.1:
                 break
             cand = gen.uniform(0.25, 0.75, size=input_dim)

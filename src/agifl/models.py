@@ -4,15 +4,21 @@ Both models classify via softmax cross-entropy and are trained with plain
 mini-batch SGD. `train_cohort` steps a FedAvg cohort's SGD together as
 stacked lanes, each equal bit for bit to one client's own SGD loop
 (`oracles.local_train`). One forward pass, written for stacked (lanes, ...)
-arrays, serves the cohort and evaluation (one lane). A step allocates
-almost nothing: each backward product writes into the call's one (L, P)
-gradient buffer, which then scales and updates all lanes at once.
+arrays, serves the cohort and evaluation, which runs each vector of a
+stack as one lane. A step allocates only its gathered batch, its logits
+with their softmax temporaries and, for the MLP, the (L, b, h) product
+back-propagated to the hidden layer: the weight gradients write into the
+call's one (L, P) gradient buffer, which then scales and updates all
+lanes at once. The MLP's activations live in a buffer pair per (lanes,
+batch) shape of a call (one pair per `evaluate` call): the first product
+and its tanh go into a contiguous (L, b, h) buffer, later overwritten by
+the tanh derivative 1 - a1^2, and are copied into the first h columns of
+an (L, b, h+1) buffer whose last column holds the hidden layer's bias 1.
 Parameters live in one flat float64 vector with a deterministic layout,
 so the federation layer can exchange and average them without knowing
 the architecture. Bias terms use the appended-1 convention: a logistic
 model over d features holds a (d+1) x K weight matrix. The inputs' 1 is
-the last column of the dataset's design matrix (`data.Dataset.design`);
-the hidden layer's is the last column of its activation buffer, set once.
+the last column of the dataset's design matrix (`data.Dataset.design`).
 """
 
 import math
@@ -111,44 +117,60 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _forward(w: np.ndarray, spec: ModelSpec, xe: np.ndarray, a1e):
+def _forward(w: np.ndarray, spec: ModelSpec, xe: np.ndarray, hidden):
     """The (L, b, K) log-probabilities of L models at once: `w` is (L, P),
-    `xe` the (L, b, d+1) design rows and `a1e` the MLP's (L, b, h+1) hidden
-    activations, bias column set (None for logistic), whose first h columns
-    it fills.
+    `xe` the (L, b, d+1) design rows and `hidden` the MLP's buffer pair
+    (None for logistic): the contiguous (L, b, h) activations, which it
+    fills, and their (L, b, h+1) copy with the bias column set, whose
+    first h columns it fills.
 
     Stacked `matmul` runs one GEMM per 2-D slice, so a one-lane call gives
     the single model's result bit for bit.
     """
     d, k = spec.input_dim, spec.num_classes
-    if a1e is None:
+    if hidden is None:
         return _log_softmax(xe @ w.reshape(-1, d + 1, k))
+    a1, a1e = hidden
     h = spec.hidden_dim
     n1 = (d + 1) * h
-    np.tanh(xe @ w[:, :n1].reshape(-1, d + 1, h), out=a1e[..., :h])
+    np.matmul(xe, w[:, :n1].reshape(-1, d + 1, h), out=a1)
+    np.tanh(a1, out=a1)
+    a1e[..., :h] = a1
     return _log_softmax(a1e @ w[:, n1:].reshape(-1, h + 1, k))
 
 
+def _buffers(spec: ModelSpec, lanes: int, b: int):
+    """The activation buffer pair `_forward` fills for `lanes` lanes of `b`
+    rows: None for logistic."""
+    if spec.kind != "mlp":
+        return None
+    return np.empty((lanes, b, spec.hidden_dim)), np.ones((lanes, b, spec.hidden_dim + 1))
+
+
 def _lane_step(w: np.ndarray, spec: ModelSpec, xe: np.ndarray, y: np.ndarray,
-               lr: float, grad: np.ndarray, a1e, hot: np.ndarray) -> None:
+               lr: float, grad: np.ndarray, hidden, hot: np.ndarray) -> None:
     """One SGD step on each lane of `w`, in place, on the mean cross-entropy
     over its (L, b) labels `y`. The backward products write into `grad`, laid
-    out as `w`; `hot` is the flat index of each row's first logit."""
+    out as `w`; `hot` is the flat index of each row's first logit. The MLP's
+    tanh derivative 1 - a1^2 overwrites the contiguous activations."""
     d, k = spec.input_dim, spec.num_classes
-    dlogits = _forward(w, spec, xe, a1e)
+    dlogits = _forward(w, spec, xe, hidden)
     np.exp(dlogits, out=dlogits)
     dlogits.ravel()[hot + y.ravel()] -= 1.0
     dlogits /= y.shape[1]
     xt = xe.transpose(0, 2, 1)
-    if a1e is None:
+    if hidden is None:
         np.matmul(xt, dlogits, out=grad.reshape(-1, d + 1, k))
     else:
+        a1, a1e = hidden
         h = spec.hidden_dim
         n1 = (d + 1) * h
         np.matmul(a1e.transpose(0, 2, 1), dlogits, out=grad[:, n1:].reshape(-1, h + 1, k))
-        a1 = a1e[..., :h]
+        np.multiply(a1, a1, out=a1)
+        np.subtract(1.0, a1, out=a1)
         w2 = w[:, n1:].reshape(-1, h + 1, k)
-        dz1 = (dlogits @ w2[:, :-1].transpose(0, 2, 1)) * (1.0 - a1 * a1)
+        dz1 = dlogits @ w2[:, :-1].transpose(0, 2, 1)
+        dz1 *= a1
         np.matmul(xt, dz1, out=grad[:, :n1].reshape(-1, d + 1, h))
     grad *= lr
     w -= grad
@@ -185,43 +207,53 @@ def train_cohort(params: np.ndarray, design: np.ndarray, labels: np.ndarray,
     w = params.copy()
     grad = np.empty_like(w)
 
-    # (start, batch size, lanes or None for all, activation buffer, one-hot
-    # index) per step of an epoch
-    schedule = []
+    # (start, batch size, lanes or None for all, activation buffers, one-hot
+    # index) per step of an epoch; steps of one (lanes, batch) shape share
+    # their buffers and index
+    schedule, shared = [], {}
     for start in range(0, int(sizes.max()), bs):
         widths = np.minimum(sizes - start, bs)
         for b in sorted(set(widths[widths > 0].tolist())):
             group = np.flatnonzero(widths == b)
-            a1e = np.ones((group.size, b, spec.hidden_dim + 1)) if spec.kind == "mlp" else None
-            schedule.append((start, b, None if group.size == num_lanes else group, a1e,
-                             np.arange(group.size * b) * spec.num_classes))
+            if (group.size, b) not in shared:
+                shared[group.size, b] = (_buffers(spec, group.size, b),
+                                         np.arange(group.size * b) * spec.num_classes)
+            schedule.append((start, b, None if group.size == num_lanes else group,
+                             *shared[group.size, b]))
 
     gens = [np.random.default_rng(seed) for seed in seeds]
     order = np.zeros((num_lanes, int(sizes.max())), dtype=np.intp)
     for _ in range(hyper.local_epochs):
         for lane, (gen, n) in enumerate(zip(gens, sizes.tolist())):
             order[lane, :n] = lanes[lane][gen.permutation(n)]
-        for start, b, group, a1e, hot in schedule:
+        for start, b, group, hidden, hot in schedule:
             if group is None:
                 batch = order[:, start:start + b]
-                _lane_step(w, spec, design[batch], labels[batch], lr, grad, a1e, hot)
+                _lane_step(w, spec, design[batch], labels[batch], lr, grad, hidden, hot)
             else:
                 batch, sub = order[group, start:start + b], w[group]
-                _lane_step(sub, spec, design[batch], labels[batch], lr, grad[:len(group)], a1e, hot)
+                _lane_step(sub, spec, design[batch], labels[batch], lr, grad[:len(group)],
+                           hidden, hot)
                 w[group] = sub
     return w
 
 
 def evaluate(params: np.ndarray, spec: ModelSpec,
-             design: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+             design: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
     """Mean cross-entropy and top-1 accuracy over a dataset, given as its
-    design matrix (`Dataset.design`) and labels."""
+    design matrix (`Dataset.design`) and labels, for each row of the (R, P)
+    stack `params`. Each row runs as a one-lane forward pass through one
+    shared activation buffer pair."""
     n = design.shape[0]
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    _check_params(params, spec)
-    a1e = np.ones((1, n, spec.hidden_dim + 1)) if spec.kind == "mlp" else None
-    log_probs = _forward(params[None], spec, design[None], a1e)[0]
-    loss = -float(log_probs[np.arange(n), y].mean())
-    accuracy = float((log_probs.argmax(axis=1) == y).mean())
-    return loss, accuracy
+    if params.ndim != 2:
+        raise ValueError("params must be an (R, P) stack of parameter vectors")
+    _check_params(params[0], spec)
+    hidden, rows = _buffers(spec, 1, n), np.arange(n)
+    results = []
+    for w in params:
+        log_probs = _forward(w[None], spec, design[None], hidden)[0]
+        results.append((-float(log_probs[rows, y].mean()),
+                        float((log_probs.argmax(axis=1) == y).mean())))
+    return results

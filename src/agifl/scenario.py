@@ -25,8 +25,9 @@ every kept round, its cohort and the halt. The learning pass then trains
 those cohorts: round r packs the cohorts of every repeat that kept more
 than r rounds, in repeat order, into `fedavg.run_round` calls that hold
 at most MAX_CALL_FLOATS floats (a call holds at least one repeat), and
-evaluates each repeat on its own. Every lane equals a lone client's
-training bit for bit, so which repeats share a call changes no output.
+evaluates a call's repeats in one `evaluate` call, each on its own. Every
+lane equals a lone client's training bit for bit, so which repeats share a
+call changes no output.
 `run_scenario` gives each process (`jobs`) one contiguous, near-equal
 share of the repeats, and `run_repeat` is a share of one.
 
@@ -80,7 +81,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelParams, link_rates
-from .data import PARTITION_SCHEMES, Dataset, load_idx, partition, synth_blobs
+from .data import (CENTER_TRIES, PARTITION_SCHEMES, Dataset, load_idx, partition,
+                   synth_blobs)
 from .energy import EnergyLedger, UavProfile, entity_index
 from .fedavg import FlConfig, cohort_size, run_round, select_cohorts
 from .models import ModelSpec, check_architecture, evaluate, init_model, param_count
@@ -121,6 +123,10 @@ MAX_MEMBER_ROUNDS = 10 ** 9
 # Floats a blob corpus's train or test design matrix may hold (512 MiB): an MNIST-sized
 # corpus (60,000 x 785) is built, and one near the cap in both ran in 1.0 GB of RSS
 MAX_BLOB_FLOATS = 2 ** 26
+# Coordinates the blob-center draw may compare at worst (CENTER_TRIES candidates per
+# center, each against every earlier one): at 2 features, where that worst case is
+# the usual one past some 40 classes, about 4 s a draw on a 2-vCPU x86-64 host
+MAX_CENTER_FLOATS = 2 ** 27
 # A repeat's result, round k in row k - 1: `budget_total` is the budget entity's running
 # total, `selected` the sorted, read-only cohorts its store record holds (not copies)
 ROUND_COLUMNS = np.dtype([(name, float) for name in (
@@ -152,6 +158,13 @@ class BlobSource:
             if floats > MAX_BLOB_FLOATS:
                 raise ValueError(f"blob source: num_classes * {name} * (input_dim + 1) = "
                                  f"{floats} floats exceed MAX_BLOB_FLOATS = {MAX_BLOB_FLOATS}")
+        # one feature places the centers on a grid, without a draw
+        compared = (CENTER_TRIES * self.num_classes * (self.num_classes - 1) // 2
+                    * self.input_dim if self.input_dim > 1 else 0)
+        if compared > MAX_CENTER_FLOATS:
+            raise ValueError(f"blob source: CENTER_TRIES * num_classes * (num_classes - 1) / 2 "
+                             f"* input_dim = {compared} floats the center draw may compare "
+                             f"exceed MAX_CENTER_FLOATS = {MAX_CENTER_FLOATS}")
 
 
 @dataclass(frozen=True)
@@ -574,8 +587,8 @@ def _learning_pass(scenario: Scenario, spec: ModelSpec, reps, records, shards,
                                     [shards[i] for i in call], spec, train_data,
                                     [records[i].cohorts[rnd] for i in call],
                                     [masters[i] for i in call], rnd)
-                tests = [evaluate(params, spec, test_data.design, test_data.labels)
-                         if (rnd + 1) % stride == 0 else None for params in trained]
+                tests = (evaluate(trained, spec, test_data.design, test_data.labels)
+                         if (rnd + 1) % stride == 0 else [None] * len(call))
             for i, params, test in zip(call, trained, tests):
                 if not (np.isfinite(params).all() and math.isfinite(test[0] if test else 0.0)):
                     raise ValueError(f"learning_rate {scenario.fl.hyper.learning_rate!r} "

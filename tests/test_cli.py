@@ -554,6 +554,13 @@ class TestInvalidInputExits1:
         pytest.param(["run", "quick.ini", f"--data.input_dim={10 ** 6}"],
                      "blob source: num_classes * samples_per_class * (input_dim + 1) = "
                      f"{400 * (10 ** 6 + 1)} floats exceed MAX_BLOB_FLOATS", id="huge-blob-corpus"),
+        # so is one within it whose center draw could compare past MAX_CENTER_FLOATS
+        pytest.param(["run", "quick.ini", f"--data.classes={10 ** 6}",
+                      "--data.samples_per_class=10", "--data.test_samples_per_class=1",
+                      "--data.input_dim=2"],
+                     "blob source: CENTER_TRIES * num_classes * (num_classes - 1) / 2 * "
+                     f"input_dim = {200 * 10 ** 6 * (10 ** 6 - 1)} floats the center draw may "
+                     "compare exceed MAX_CENTER_FLOATS", id="huge-blob-center-draw"),
         # corpora NumPy cannot hold in one array are refused with the config
         *(pytest.param(["run", "quick.ini", *shape, f"--data.{key}={2 ** power}"],
                        f"{source} source: {fields}", id=f"{key}-2**{power}")
@@ -676,6 +683,9 @@ class TestBoundaryValues:
     @example(overrides=[f"--data.classes={10 ** 6}"], train=True, partition="iid")
     @example(overrides=[f"--data.samples_per_class={10 ** 12}"], train=False, partition="iid")
     @example(overrides=[f"--data.input_dim={10 ** 9}"], train=True, partition="iid")
+    @example(overrides=[f"--data.classes={10 ** 6}", "--data.samples_per_class=10",
+                        "--data.test_samples_per_class=1", "--data.input_dim=2"],
+             train=True, partition="iid")
     # four keys: a one- or two-key draw cannot make every squared distance underflow
     @example(overrides=["--uav.altitude_m=1e-200", "--scenario.area_width_m=1e-200",
                         "--scenario.area_height_m=1e-200", "--scenario.ground_height_m=0"],

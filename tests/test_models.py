@@ -196,7 +196,7 @@ class TestParameterCheck:
 
     @pytest.mark.parametrize("call", [
         lambda spec, w, x, y: loss_and_grad(w, spec, x, y),
-        lambda spec, w, x, y: evaluate(w, spec, design(x), y),
+        lambda spec, w, x, y: evaluate(w[None], spec, design(x), y),
         lambda spec, w, x, y: train_cohort(w[None], design(x), y, [np.arange(3)], spec,
                                            Hyperparams(), seeds=[0]),
         lambda spec, w, x, y: train_cohort(np.stack([w, w]), design(x), y,
@@ -232,9 +232,37 @@ class TestEvaluate:
             last[-1, [0, -1]] += 5.0
         x = gen.random((n, input_dim))
         y = gen.integers(0, num_classes, size=n)
-        loss, accuracy = evaluate(params, spec, design(x), y)
+        [(loss, accuracy)] = evaluate(params[None], spec, design(x), y)
         assert loss == loss_and_grad(params, spec, x, y)[0]
         assert accuracy == float((log_probs(params, spec, x).argmax(axis=1) == y).mean())
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["logistic", "mlp"]), input_dim=st.integers(1, 9),
+           num_classes=st.integers(2, 6), hidden_dim=st.integers(1, 7),
+           n=st.integers(1, 60), rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_rows_match_each_vector_alone(self, kind, input_dim, num_classes,
+                                                  hidden_dim, n, rows, seed):
+        """Each row of a stacked call gives its vector's loss and accuracy,
+        computed alone from the oracle's log-probs, bit for bit: the shared
+        buffers carry nothing from one row to the next."""
+        spec = ModelSpec(kind, input_dim=input_dim, num_classes=num_classes,
+                         hidden_dim=hidden_dim if kind == "mlp" else 0)
+        gen = np.random.default_rng(seed)
+        stack = gen.normal(scale=gen.uniform(0.1, 3.0, size=(rows, 1)),
+                           size=(rows, param_count(spec)))
+        x = gen.random((n, input_dim))
+        y = gen.integers(0, num_classes, size=n)
+        results = evaluate(stack, spec, design(x), y)
+        assert len(results) == rows
+        for params, (loss, accuracy) in zip(stack, results):
+            alone = log_probs(params, spec, x)
+            assert loss == -float(alone[np.arange(n), y].mean())
+            assert accuracy == float((alone.argmax(axis=1) == y).mean())
+
+    def test_single_vector_rejected(self):
+        spec = ModelSpec("logistic", input_dim=2, num_classes=2)
+        with pytest.raises(ValueError, match=r"\(R, P\) stack"):
+            evaluate(init_model(spec), spec, np.ones((3, 3)), np.array([0, 1, 0]))
 
     def test_separable_blob_with_built_separator(self):
         # points on either side of x0 = 0.5; weights chosen by hand
@@ -244,27 +272,28 @@ class TestEvaluate:
         w = np.zeros((2, 2))
         w[0, 1] = 10.0  # class-1 logit grows with the feature
         w[1, 1] = -5.0  # threshold at 0.5
-        _, acc = evaluate(w.ravel(), spec, design(x), y)
+        [(_, acc)] = evaluate(w.reshape(1, -1), spec, design(x), y)
         assert acc == 1.0
 
     def test_uniform_model_loss_is_log_k(self):
         spec = ModelSpec("logistic", input_dim=5, num_classes=10)
         x = np.random.default_rng(2).random((20, 5))
         y = np.random.default_rng(3).integers(0, 10, size=20)
-        loss, _ = evaluate(init_model(spec), spec, design(x), y)
+        [(loss, _)] = evaluate(init_model(spec)[None], spec, design(x), y)
         assert abs(loss - math.log(10)) < 1e-12
 
     def test_single_correct_sample(self):
         spec = ModelSpec("logistic", input_dim=2, num_classes=2)
         w = np.zeros((3, 2))
         w[0, 1] = 5.0
-        _, acc = evaluate(w.ravel(), spec, np.array([[1.0, 0.0, 1.0]]), np.array([1]))
+        [(_, acc)] = evaluate(w.reshape(1, -1), spec, np.array([[1.0, 0.0, 1.0]]),
+                              np.array([1]))
         assert acc == 1.0
 
     def test_empty_dataset_rejected(self):
         spec = ModelSpec("logistic", input_dim=2, num_classes=2)
         with pytest.raises(ValueError):
-            evaluate(init_model(spec), spec, np.empty((0, 3)), np.empty(0, dtype=int))
+            evaluate(init_model(spec)[None], spec, np.empty((0, 3)), np.empty(0, dtype=int))
 
 
 class TestGradients:

@@ -486,6 +486,18 @@ class TestValidation:
                                f"\\+ 1\\) = {cap + 256} floats exceed MAX_BLOB_FLOATS"):
                 BlobSource(num_classes=2, input_dim=127, **{split: cap // 256 + 1})
 
+    def test_blob_center_draw_at_its_bound_is_built(self):
+        # at 2 features the worst-case draw compares 200 * c * (c - 1) coordinates:
+        # 819 classes are within MAX_CENTER_FLOATS = 2^27, 820 past it; one feature
+        # places the centers without a draw
+        assert scenario_module.MAX_CENTER_FLOATS == 2 ** 27
+        small = dict(samples_per_class=1, test_samples_per_class=1)
+        BlobSource(num_classes=819, input_dim=2, **small)
+        BlobSource(num_classes=10 ** 6, input_dim=1, **small)
+        with pytest.raises(ValueError, match=f"= {200 * 820 * 819} floats the center draw "
+                           "may compare exceed MAX_CENTER_FLOATS"):
+            BlobSource(num_classes=820, input_dim=2, **small)
+
     @pytest.mark.parametrize("budget", [math.inf, 1e-9])
     def test_member_rounds_past_the_bound_refused_before_any_round(self, monkeypatch, budget):
         # a budget that halts every repeat in round 1 does not lift the bound
@@ -1083,7 +1095,8 @@ def clear_stores():
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of cohort draws, trained repeat-rounds and evaluations."""
+    """Counts of cohort draws, trained repeat-rounds and evaluated vectors
+    (the rows of each stacked `evaluate` call)."""
     counts = {"cohorts": 0, "trained": 0, "evaluate": 0}
     select_cohorts_, run_round_, evaluate_ = (scenario_module.select_cohorts,
                                               scenario_module.run_round,
@@ -1097,9 +1110,9 @@ def work(monkeypatch):
         counts["trained"] += len(params)
         return run_round_(params, *args)
 
-    def counting_evaluate(*args):
-        counts["evaluate"] += 1
-        return evaluate_(*args)
+    def counting_evaluate(params, *args):
+        counts["evaluate"] += len(params)
+        return evaluate_(params, *args)
 
     monkeypatch.setattr(scenario_module, "select_cohorts", counting_select)
     monkeypatch.setattr(scenario_module, "run_round", counting_round)
