@@ -16,6 +16,7 @@ contiguous shards and deals shards_per_user of them to each user, so each
 user sees few classes.
 """
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -28,15 +29,21 @@ __all__ = [
     "Dataset",
     "load_idx",
     "synth_blobs",
+    "blob_centers",
     "partition",
     "PARTITION_SCHEMES",
     "CENTER_TRIES",
+    "MAX_CENTER_FLOATS",
     "IMAGES_MAGIC",
     "LABELS_MAGIC",
 ]
 
-# Candidates `_blob_centers` checks for one class center before it keeps the next
+# Candidates `blob_centers` checks for one class center before it keeps the next
 CENTER_TRIES = 200
+# Coordinates the blob-center draw may compare: a draw at the cap took 1.3 s at 784
+# features (585 classes, one candidate each) and 4.3 s at 2 features (819 classes,
+# most taking all CENTER_TRIES) on a 2-vCPU x86-64 host
+MAX_CENTER_FLOATS = 2 ** 27
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 PARTITION_SCHEMES = ("iid", "sharded")
@@ -108,26 +115,45 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(design=design, labels=labels.astype(np.int64))
 
 
-def _blob_centers(num_classes: int, input_dim: int) -> np.ndarray:
-    """Distinct per-class centers inside the unit cube.
+@functools.lru_cache(maxsize=1)
+def blob_centers(num_classes: int, input_dim: int) -> np.ndarray:
+    """Distinct per-class centers inside the unit cube, read-only.
 
     Centers depend only on the geometry (class count, dimension), never on
     the dataset seed, and differ across all feature dimensions so the class
     signal is distributed rather than confined to a plane. A minimum
     separation is enforced by redrawing close candidates: at most
     CENTER_TRIES checks per center, each against every earlier center.
+    The draw counts the coordinates it compares and raises ValueError once
+    they pass MAX_CENTER_FLOATS, at once if its first candidates alone
+    would (each center is checked at least once).
     """
     if input_dim == 1:
-        return ((np.arange(num_classes) + 1) / (num_classes + 1)).reshape(-1, 1)
+        centers = ((np.arange(num_classes) + 1) / (num_classes + 1)).reshape(-1, 1)
+        centers.flags.writeable = False
+        return centers
+    fewest = num_classes * (num_classes - 1) // 2 * input_dim
+    if fewest > MAX_CENTER_FLOATS:
+        raise ValueError(f"blob centers: num_classes * (num_classes - 1) / 2 * input_dim = "
+                         f"{fewest} coordinates, the fewest the draw compares, exceed "
+                         f"MAX_CENTER_FLOATS = {MAX_CENTER_FLOATS}")
     gen = np.random.default_rng(child_seed("blob-centers", num_classes, input_dim))
     centers = np.empty((num_classes, input_dim))
+    compared = 0
     for c in range(num_classes):
         cand = gen.uniform(0.25, 0.75, size=input_dim)
         for _ in range(CENTER_TRIES):
+            compared += c * input_dim
+            if compared > MAX_CENTER_FLOATS:
+                raise ValueError(f"blob centers: redrawing candidates within 0.1 of an "
+                                 f"earlier center, the draw of center {c} of {num_classes} "
+                                 f"compared more than MAX_CENTER_FLOATS = {MAX_CENTER_FLOATS} "
+                                 "coordinates")
             if c == 0 or np.linalg.norm(centers[:c] - cand, axis=1).min() >= 0.1:
                 break
             cand = gen.uniform(0.25, 0.75, size=input_dim)
         centers[c] = cand
+    centers.flags.writeable = False
     return centers
 
 
@@ -140,7 +166,7 @@ def synth_blobs(num_classes: int, samples_per_class: int, input_dim: int,
     if spread <= 0:
         raise ValueError("spread must be positive")
     gen = np.random.default_rng(seed)
-    centers = _blob_centers(num_classes, input_dim)
+    centers = blob_centers(num_classes, input_dim)
     design = np.ones((num_classes * samples_per_class, input_dim + 1))
     features = design[:, :-1]
     labels = np.empty(num_classes * samples_per_class, dtype=np.int64)

@@ -249,7 +249,9 @@ def evaluate(params: np.ndarray, spec: ModelSpec,
         raise ValueError("cannot evaluate on an empty dataset")
     if params.ndim != 2:
         raise ValueError("params must be an (R, P) stack of parameter vectors")
-    _check_params(params[0], spec)
+    if params.shape[1] != param_count(spec):
+        raise ValueError(f"parameter vector has length {params.shape[1]}, "
+                         f"expected {param_count(spec)}")
     hidden, rows = _buffers(spec, 1, n), np.arange(n)
     results = []
     for w in params:

@@ -62,17 +62,10 @@ class SolverTrace:
     fallback_steps: int = 0
 
 
-def _distances(columns: np.ndarray, squared_vertical, x: float, y: float,
-               out=None, scratch=None) -> np.ndarray:
-    """Slant distances from (x, y) to the users, whose coordinates are the rows
-    of `columns`; into `out` if given, with `scratch` a buffer of its shape."""
-    out = np.subtract(x, columns[0], out=out)
-    out *= out
-    scratch = np.subtract(y, columns[1], out=scratch)
-    scratch *= scratch
-    out += scratch
-    out += squared_vertical
-    return np.sqrt(out, out=out)
+def _distances(columns: np.ndarray, vertical, x: float, y: float) -> np.ndarray:
+    dx = x - columns[0]
+    dy = y - columns[1]
+    return np.sqrt(dx * dx + dy * dy + np.square(vertical))
 
 
 def objective(users, vertical, x: float, y: float) -> float:
@@ -84,14 +77,13 @@ def objective(users, vertical, x: float, y: float) -> float:
     users = np.asarray(users, dtype=float)
     if users.ndim != 2 or users.shape[0] == 0 or users.shape[1] != 2:
         raise ValueError("users must be a non-empty (n, 2) array")
-    return float(_distances(users.T, np.square(np.asarray(vertical, dtype=float)), x, y).sum())
+    return float(_distances(users.T, np.asarray(vertical, dtype=float), x, y).sum())
 
 
 def objective_grad(users, vertical, x: float, y: float) -> np.ndarray:
     """Gradient of `objective` with respect to (x, y)."""
     users = np.asarray(users, dtype=float)
-    d = np.maximum(_distances(users.T, np.square(np.asarray(vertical, dtype=float)), x, y),
-                   _DIST_FLOOR)
+    d = np.maximum(_distances(users.T, np.asarray(vertical, dtype=float), x, y), _DIST_FLOOR)
     gx = ((x - users[:, 0]) / d).sum()
     gy = ((y - users[:, 1]) / d).sum()
     return np.array([gx, gy])
@@ -115,13 +107,11 @@ def min_sum_dist(users, vertical, trace: SolverTrace | None = None) -> Placement
     if users.ndim != 2 or users.shape[0] == 0 or users.shape[1] != 2:
         raise ValueError("users must be a non-empty (n, 2) array")
     vertical = np.asarray(vertical, dtype=float)
-    squared_vertical = np.square(vertical)
     columns = users.T.copy()  # each coordinate contiguous
     trace = SolverTrace() if trace is None else trace
 
     x, y = users.mean(axis=0)
-    dist = _distances(columns, squared_vertical, x, y)
-    scratch = np.empty_like(dist)
+    dist = _distances(columns, vertical, x, y)
     obj = float(dist.sum())
     trace.objective_history.append(obj)
 
@@ -130,12 +120,12 @@ def min_sum_dist(users, vertical, trace: SolverTrace | None = None) -> Placement
         denom = inv.sum()
         nx = float((columns[0] * inv).sum() / denom)
         ny = float((columns[1] * inv).sum() / denom)
-        _distances(columns, squared_vertical, nx, ny, dist, scratch)
+        dist = _distances(columns, vertical, nx, ny)
         new_obj = float(dist.sum())
 
         if new_obj > obj:
             nx, ny, new_obj = _backtracking_step(users, vertical, x, y, obj)
-            _distances(columns, squared_vertical, nx, ny, dist, scratch)
+            dist = _distances(columns, vertical, nx, ny)
             trace.fallback_steps += 1
 
         step = float(np.hypot(nx - x, ny - y))

@@ -81,8 +81,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelParams, link_rates
-from .data import (CENTER_TRIES, PARTITION_SCHEMES, Dataset, load_idx, partition,
-                   synth_blobs)
+from .data import PARTITION_SCHEMES, Dataset, blob_centers, load_idx, partition, synth_blobs
 from .energy import EnergyLedger, UavProfile, entity_index
 from .fedavg import FlConfig, cohort_size, run_round, select_cohorts
 from .models import ModelSpec, check_architecture, evaluate, init_model, param_count
@@ -123,10 +122,6 @@ MAX_MEMBER_ROUNDS = 10 ** 9
 # Floats a blob corpus's train or test design matrix may hold (512 MiB): an MNIST-sized
 # corpus (60,000 x 785) is built, and one near the cap in both ran in 1.0 GB of RSS
 MAX_BLOB_FLOATS = 2 ** 26
-# Coordinates the blob-center draw may compare at worst (CENTER_TRIES candidates per
-# center, each against every earlier one): at 2 features, where that worst case is
-# the usual one past some 40 classes, about 4 s a draw on a 2-vCPU x86-64 host
-MAX_CENTER_FLOATS = 2 ** 27
 # A repeat's result, round k in row k - 1: `budget_total` is the budget entity's running
 # total, `selected` the sorted, read-only cohorts its store record holds (not copies)
 ROUND_COLUMNS = np.dtype([(name, float) for name in (
@@ -158,13 +153,8 @@ class BlobSource:
             if floats > MAX_BLOB_FLOATS:
                 raise ValueError(f"blob source: num_classes * {name} * (input_dim + 1) = "
                                  f"{floats} floats exceed MAX_BLOB_FLOATS = {MAX_BLOB_FLOATS}")
-        # one feature places the centers on a grid, without a draw
-        compared = (CENTER_TRIES * self.num_classes * (self.num_classes - 1) // 2
-                    * self.input_dim if self.input_dim > 1 else 0)
-        if compared > MAX_CENTER_FLOATS:
-            raise ValueError(f"blob source: CENTER_TRIES * num_classes * (num_classes - 1) / 2 "
-                             f"* input_dim = {compared} floats the center draw may compare "
-                             f"exceed MAX_CENTER_FLOATS = {MAX_CENTER_FLOATS}")
+        # the draw refuses past data.MAX_CENTER_FLOATS; load_source reuses its centers
+        blob_centers(self.num_classes, self.input_dim)
 
 
 @dataclass(frozen=True)

@@ -554,13 +554,13 @@ class TestInvalidInputExits1:
         pytest.param(["run", "quick.ini", f"--data.input_dim={10 ** 6}"],
                      "blob source: num_classes * samples_per_class * (input_dim + 1) = "
                      f"{400 * (10 ** 6 + 1)} floats exceed MAX_BLOB_FLOATS", id="huge-blob-corpus"),
-        # so is one within it whose center draw could compare past MAX_CENTER_FLOATS
+        # so is one within it whose center draw would compare past MAX_CENTER_FLOATS
         pytest.param(["run", "quick.ini", f"--data.classes={10 ** 6}",
                       "--data.samples_per_class=10", "--data.test_samples_per_class=1",
                       "--data.input_dim=2"],
-                     "blob source: CENTER_TRIES * num_classes * (num_classes - 1) / 2 * "
-                     f"input_dim = {200 * 10 ** 6 * (10 ** 6 - 1)} floats the center draw may "
-                     "compare exceed MAX_CENTER_FLOATS", id="huge-blob-center-draw"),
+                     "blob centers: num_classes * (num_classes - 1) / 2 * input_dim = "
+                     f"{10 ** 6 * (10 ** 6 - 1)} coordinates, the fewest the draw compares, "
+                     "exceed MAX_CENTER_FLOATS", id="huge-blob-center-draw"),
         # corpora NumPy cannot hold in one array are refused with the config
         *(pytest.param(["run", "quick.ini", *shape, f"--data.{key}={2 ** power}"],
                        f"{source} source: {fields}", id=f"{key}-2**{power}")

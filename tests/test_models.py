@@ -264,6 +264,12 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"\(R, P\) stack"):
             evaluate(init_model(spec), spec, np.ones((3, 3)), np.array([0, 1, 0]))
 
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_empty_stack_gives_no_rows(self, kind):
+        spec = ModelSpec(kind, input_dim=2, num_classes=2, hidden_dim=3 if kind == "mlp" else 0)
+        assert evaluate(np.empty((0, param_count(spec))), spec, np.ones((3, 3)),
+                        np.array([0, 1, 0])) == []
+
     def test_separable_blob_with_built_separator(self):
         # points on either side of x0 = 0.5; weights chosen by hand
         x = np.array([[0.1], [0.2], [0.8], [0.9]])

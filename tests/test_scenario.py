@@ -8,10 +8,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from agifl import data as data_module
 from agifl import fedavg as fedavg_module
 from agifl import scenario as scenario_module
 from agifl.channel import ChannelParams
-from agifl.data import PARTITION_SCHEMES, partition
+from agifl.data import PARTITION_SCHEMES, blob_centers, partition
 from agifl.energy import UavProfile
 from agifl.fedavg import FlConfig, cohort_size, select_clients
 from agifl.models import Hyperparams, ModelSpec, param_count
@@ -486,17 +487,37 @@ class TestValidation:
                                f"\\+ 1\\) = {cap + 256} floats exceed MAX_BLOB_FLOATS"):
                 BlobSource(num_classes=2, input_dim=127, **{split: cap // 256 + 1})
 
-    def test_blob_center_draw_at_its_bound_is_built(self):
-        # at 2 features the worst-case draw compares 200 * c * (c - 1) coordinates:
-        # 819 classes are within MAX_CENTER_FLOATS = 2^27, 820 past it; one feature
+    def test_blob_center_draw_within_its_bound_is_built(self):
+        # every center past the first is checked at least once against all earlier
+        # ones: at 784 features, 585 classes compare 585 * 584 / 2 * 784 <= 2^27
+        # coordinates (one candidate each) and 586 classes are refused before any
+        # draw, as are 10^6 at 2 features (once past `timeout 10`); one feature
         # places the centers without a draw
-        assert scenario_module.MAX_CENTER_FLOATS == 2 ** 27
+        assert data_module.MAX_CENTER_FLOATS == 2 ** 27
         small = dict(samples_per_class=1, test_samples_per_class=1)
-        BlobSource(num_classes=819, input_dim=2, **small)
+        for classes, dim in [(50, 784), (1000, 32), (585, 784)]:
+            train, _ = load_source(BlobSource(num_classes=classes, input_dim=dim, **small),
+                                   seed=0)
+            assert train.num_classes == classes
         BlobSource(num_classes=10 ** 6, input_dim=1, **small)
-        with pytest.raises(ValueError, match=f"= {200 * 820 * 819} floats the center draw "
-                           "may compare exceed MAX_CENTER_FLOATS"):
-            BlobSource(num_classes=820, input_dim=2, **small)
+        for classes, dim in [(586, 784), (10 ** 6, 2)]:
+            fewest = classes * (classes - 1) // 2 * dim
+            with pytest.raises(ValueError, match=f"= {fewest} coordinates, the fewest the "
+                               "draw compares, exceed MAX_CENTER_FLOATS"):
+                BlobSource(num_classes=classes, input_dim=dim, **small)
+
+    def test_crowded_blob_center_draw_refused_past_its_bound(self, monkeypatch):
+        # the draw counts the coordinates it compares: 241,302 for 40 classes at
+        # 2 features, where the centers past some 20 redraw candidates
+        small = dict(samples_per_class=1, test_samples_per_class=1)
+        monkeypatch.setattr(data_module, "MAX_CENTER_FLOATS", 241_302)
+        blob_centers.cache_clear()
+        BlobSource(num_classes=40, input_dim=2, **small)
+        monkeypatch.setattr(data_module, "MAX_CENTER_FLOATS", 241_301)
+        blob_centers.cache_clear()
+        with pytest.raises(ValueError, match="the draw of center 39 of 40 compared more than "
+                           "MAX_CENTER_FLOATS = 241301 coordinates"):
+            BlobSource(num_classes=40, input_dim=2, **small)
 
     @pytest.mark.parametrize("budget", [math.inf, 1e-9])
     def test_member_rounds_past_the_bound_refused_before_any_round(self, monkeypatch, budget):
